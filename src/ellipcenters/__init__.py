@@ -20,14 +20,13 @@ from .harness import (ExperimentResult, ExperimentSpec, ReferenceSolution,
 from .objectives import (CountingObjective, LogRegProblem, Objective,
                          QuadraticProblem, central_difference_gradient,
                          check_gradient, generate_logreg, generate_quadratic,
-                         load_logreg, load_quadratic, logreg_eval_grad,
-                         mu_for_kappa, quadratic_eval_grad, save_logreg,
-                         save_quadratic, smoothness_bound)
+                         load_logreg, load_quadratic, mu_for_kappa,
+                         save_logreg, save_quadratic)
 from .plane2d import (PlaneSolution, PlaneSubproblem, make_plane,
-                      restricted_value_grad, segment_minimizer,
-                      solve_gd_armijo, solve_newton_quadratic)
+                      segment_minimizer, solve_gd_armijo,
+                      solve_newton_quadratic)
 from .solvers import (IterateRecord, RunStatus, RunTrace, SolverConfig,
-                      SolverId, StepVectors, gd_exact_step, gd_fixed_step,
-                      me_step, run_fast_gd, run_gd_exact, run_gd_l, run_me)
+                      SolverId, StepVectors, run_fast_gd, run_gd_exact,
+                      run_gd_l, run_me)
 
 __version__ = "0.1.0"

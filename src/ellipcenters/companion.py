@@ -28,15 +28,13 @@ class CompanionResult:
 
     ``t`` is the positive step along the negative gradient, ``y = x - t v``
     the located point, and ``level_residual`` the achieved value residual
-    |f(y) - f(x)| / max(1, |f(x)|).  ``eval_count`` counts the objective
-    values consumed by this search alone.
+    |f(y) - f(x)| / max(1, |f(x)|).
     """
 
     t: float
     y: np.ndarray
     level_residual: float
     bisection_iters: int
-    eval_count: int
 
 
 def companion_t_quadratic(p: QuadraticProblem, v: np.ndarray) -> float:
@@ -120,7 +118,6 @@ def companion_point(f, x: np.ndarray, v: np.ndarray, tol: float = 1e-12,
         raise ValueError(f"tol must be positive, got {tol}")
     if not np.any(v):
         raise ValueError("gradient is zero; companion point is undefined")
-    evals = 0
 
     quad = getattr(f, "quadratic_view", None)
     if quad is not None:
@@ -128,32 +125,22 @@ def companion_point(f, x: np.ndarray, v: np.ndarray, tol: float = 1e-12,
         y = x - t * v
         if f_x is None:
             f_x = f.value(x)
-            evals += 1
         gy = f.value(y)
-        evals += 1
         residual = abs(gy - f_x) / max(1.0, abs(f_x))
-        return CompanionResult(t, y, residual, 0, evals)
+        return CompanionResult(t, y, residual, 0)
 
     if f_x is None:
         f_x = f.value(x)
-        evals += 1
     g0 = f_x
     denom = max(1.0, abs(g0))
 
     t_lo, t_hi = bracket_right(f, x, v, f_x=g0)
-    # bracketing cost: doublings plus possible halvings; recompute exactly
-    # is not worth the bookkeeping, so count the two endpoint probes lazily
-    # by re-evaluating nothing: bracket_right consumed its own evals through
-    # f, which CountingObjective already tracks.  Locally we count bisection
-    # evals only.
     best_t = t_hi
     best_res = abs(f.value(x - t_hi * v) - g0) / denom
-    evals += 1
     iters = 0
     while iters < MAX_BISECTIONS:
         mid = 0.5 * (t_lo + t_hi)
         g_mid = f.value(x - mid * v)
-        evals += 1
         iters += 1
         res = abs(g_mid - g0) / denom
         if res < best_res:
@@ -171,4 +158,4 @@ def companion_point(f, x: np.ndarray, v: np.ndarray, tol: float = 1e-12,
         raise NumericalFailureError(
             f"bisection stalled at level residual {best_res:.3e} > {tol:.3e}")
     y = x - best_t * v
-    return CompanionResult(best_t, y, best_res, iters, evals)
+    return CompanionResult(best_t, y, best_res, iters)

@@ -16,14 +16,14 @@ of two nearly equal doubles carries no information.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .objectives import Objective
-from .solvers import (RunTrace, SolverConfig, SolverId, StepVectors,
-                      gd_exact_step, me_step)
+from .solvers import (RunStatus, RunTrace, SolverConfig, SolverId,
+                      StepVectors, run_gd_exact, run_me)
 
 RATE_SLACK = 1e-8
 GAP_FLOOR_REL = 1e-14
@@ -262,17 +262,24 @@ def audit_dominance(f: Objective, x: np.ndarray,
     """One-step comparison: the plane minimizer cannot lose to the exact
     linesearch point, since the ray lies inside the plane.
 
-    Returns ``(f_me, f_gd, passed)`` with the pass margin
-    ``1e-12 * max(1, |f(x)|)``.
+    Each side is a one-step run (``max_outer=1``) from ``x``.  Returns
+    ``(f_me, f_gd, passed)`` with the pass margin ``1e-12 * max(1, |f(x)|)``.
+    A side whose run ends ``inner_stall``, ``numeric_failure`` or
+    ``non_finite`` took no step; its value is NaN and the check fails.
     """
-    cfg = cfg or SolverConfig()
+    cfg = replace(cfg or SolverConfig(), max_outer=1)
     x = np.asarray(x, dtype=float)
-    x_me, _ = me_step(f, x, cfg)
-    x_gd, _ = gd_exact_step(f, x)
-    f_me = f.value(x_me)
-    f_gd = f.value(x_gd)
+    f_me = _one_step_value(run_me(f, x, cfg))
+    f_gd = _one_step_value(run_gd_exact(f, x, cfg))
     passed = f_me <= f_gd + 1e-12 * max(1.0, abs(f.value(x)))
     return f_me, f_gd, passed
+
+
+def _one_step_value(trace: RunTrace) -> float:
+    """Objective value after a one-step run, NaN if the step failed."""
+    if trace.status in (RunStatus.CONVERGED, RunStatus.MAX_ITERATIONS):
+        return trace.records[-1].f_val
+    return math.nan
 
 
 def theoretical_iteration_bound(kappa: float, initial_gap: float,

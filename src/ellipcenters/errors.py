@@ -18,3 +18,8 @@ class InnerStallError(RuntimeError):
     """The 2-D inner solver hit its iteration cap while still far from its
     gradient tolerance.  Outer loops abort rather than silently accept an
     inexact plane minimizer."""
+
+
+class NonFiniteError(RuntimeError):
+    """The objective returned a NaN or infinite value or gradient inside a
+    run.  Outer loops stop with status ``non_finite``."""

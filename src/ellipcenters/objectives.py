@@ -11,10 +11,13 @@ same ``(n, m, kappa, seed)`` always yields the bit-identical problem.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import expit
+
+from .errors import NonFiniteError
 
 
 class Objective:
@@ -66,7 +69,9 @@ class CountingObjective:
     """Wraps an Objective and counts value/gradient evaluations.
 
     Duck-types Objective so it can be passed anywhere an Objective is
-    expected.  One instance per solver run; not shared across threads.
+    expected.  A NaN or infinite value or gradient raises
+    :class:`NonFiniteError`.  One instance per solver run; not shared across
+    threads.
     """
 
     def __init__(self, obj: Objective):
@@ -84,11 +89,17 @@ class CountingObjective:
 
     def value(self, x: np.ndarray) -> float:
         self.value_evals += 1
-        return self._obj.value(x)
+        val = self._obj.value(x)
+        if not math.isfinite(val):
+            raise NonFiniteError(f"objective value {val}")
+        return val
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         self.grad_evals += 1
-        return self._obj.grad(x)
+        g = self._obj.grad(x)
+        if not np.isfinite(g).all():
+            raise NonFiniteError("gradient has a NaN or infinite entry")
+        return g
 
 
 class QuadraticProblem:
@@ -152,12 +163,6 @@ class QuadraticProblem:
         return x
 
 
-def quadratic_eval_grad(p: QuadraticProblem, x: np.ndarray):
-    """Value and gradient of an SPD quadratic at ``x``."""
-    x = np.asarray(x, dtype=float)
-    return p.value(x), p.grad(x)
-
-
 class LogRegProblem:
     """L2-regularized logistic loss over rows ``a_i`` with labels in {-1,+1}.
 
@@ -212,17 +217,6 @@ class LogRegProblem:
         if x.shape != (self.n,):
             raise ValueError(f"x must have shape ({self.n},), got {x.shape}")
         return x
-
-
-def logreg_eval_grad(p: LogRegProblem, x: np.ndarray):
-    """Value and gradient of the regularized logistic loss at ``x``."""
-    x = np.asarray(x, dtype=float)
-    return p.value(x), p.grad(x)
-
-
-def smoothness_bound(p: LogRegProblem) -> float:
-    """Gradient Lipschitz upper bound (1/(4m)) sum ||a_i||^2 + mu."""
-    return float(np.sum(p.a * p.a) / (4.0 * p.m) + p.mu)
 
 
 def mu_for_kappa(data: np.ndarray, kappa: float) -> float:

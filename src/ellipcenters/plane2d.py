@@ -85,17 +85,6 @@ class PlaneSolution:
     grad_evals: int
 
 
-def restricted_value_grad(f, sp: PlaneSubproblem, alpha: float, beta: float):
-    """Value and chain-rule gradient of F(alpha, beta) = f(x + alpha v + beta w).
-
-    Consumes exactly one gradient (and one value) evaluation of ``f``.
-    """
-    p = sp.point(alpha, beta)
-    val = f.value(p)
-    g = f.grad(p)
-    return val, (float(g @ sp.v), float(g @ sp.w))
-
-
 def solve_newton_quadratic(p: QuadraticProblem, sp: PlaneSubproblem) -> PlaneSolution:
     """One exact Newton step for the restricted quadratic.
 

@@ -1,6 +1,13 @@
 """Outer solvers: ellipcenter iteration, two gradient-descent baselines, and
 Nesterov's strongly convex accelerated gradient, all under one trace format.
 
+All four solvers run in one outer loop, ``_drive``.  It owns the evaluation
+counters, the per-iterate records, the stored iterates and step vectors, the
+stopping tests and the mapping from failures to :class:`RunStatus`.  A solver
+only supplies a step function that turns the current iterate, its value and
+its gradient into the next iterate.  A single step from ``x`` is the run
+``run_*(f, x, replace(cfg, max_outer=1))``.
+
 Gradient accounting uses two counters.  ``grad_evals_outer`` counts only the
 gradients the method itself is defined by: two per ellipcenter iteration (one
 at the iterate, one at the companion point), one per step for the baselines.
@@ -17,7 +24,8 @@ from typing import Optional
 import numpy as np
 
 from .companion import companion_point
-from .errors import DegeneratePlaneError, InnerStallError, NumericalFailureError
+from .errors import (DegeneratePlaneError, InnerStallError, NonFiniteError,
+                     NumericalFailureError)
 from .objectives import CountingObjective, Objective
 from .plane2d import (make_plane, segment_minimizer, solve_gd_armijo,
                       solve_newton_quadratic)
@@ -35,6 +43,7 @@ class RunStatus(str, enum.Enum):
     MAX_ITERATIONS = "max_iterations"
     INNER_STALL = "inner_stall"
     NUMERIC_FAILURE = "numeric_failure"
+    NON_FINITE = "non_finite"
 
 
 @dataclass
@@ -125,24 +134,14 @@ class RunTrace:
         return self.status is RunStatus.CONVERGED
 
 
-@dataclass
-class _StepInfo:
-    t: float
-    sin2_theta: float
-    li_flag: bool
-    level_residual: float
-    w: np.ndarray
-
-
-def _me_advance(cf, x, v, f_x, cfg: SolverConfig):
-    """One ellipcenter step from (x, v = grad f(x)): companion point, then
-    the plane minimizer (Newton for quadratics, Armijo descent otherwise),
-    falling back to the segment minimizer when the gradients are parallel."""
+def _me_step(cf, k, x, f_x, v, cfg: SolverConfig):
+    """Ellipcenter step k from (x, v = grad f(x)): companion point, then the
+    plane minimizer (Newton for quadratics, Armijo descent otherwise), or the
+    segment minimizer when the two gradients are parallel."""
     comp = companion_point(cf, x, v, tol=cfg.companion_tol, f_x=f_x)
     w = cf.grad(comp.y)
     sp = make_plane(cf, x, v, w)
     li = sp.sin2_theta >= cfg.ld_threshold
-    x_next = None
     if li:
         try:
             if cf.quadratic_view is not None:
@@ -155,141 +154,33 @@ def _me_advance(cf, x, v, f_x, cfg: SolverConfig):
             li = False
     if not li:
         x_next = segment_minimizer(cf, x, comp.y)
-    return x_next, _StepInfo(comp.t, sp.sin2_theta, li, comp.level_residual, w)
-
-
-def me_step(f: Objective, x: np.ndarray, cfg: SolverConfig | None = None):
-    """Execute a single ellipcenter step from ``x``.
-
-    Returns ``(x_next, record)`` where the record carries the step scalars
-    (t_k, sin^2 of the gradient angle, linear-independence flag) plus the
-    evaluations this one step consumed, and describes the *new* iterate.
-    """
-    cfg = cfg or SolverConfig()
-    cf = CountingObjective(f)
-    x = np.asarray(x, dtype=float)
-    v = cf.grad(x)
-    if float(np.linalg.norm(v)) == 0.0:
-        raise ValueError("gradient is zero; nothing to do")
-    f_x = cf.value(x)
-    x_next, info = _me_advance(cf, x, v, f_x, cfg)
     g_next = cf.grad(x_next)
-    rec = IterateRecord(k=1, f_val=cf.value(x_next),
-                        grad_norm=float(np.linalg.norm(g_next)),
-                        t_k=info.t, sin2_theta=info.sin2_theta,
-                        li_flag=info.li_flag, grad_evals_outer=2,
-                        grad_evals_total=cf.grad_evals,
-                        value_evals_total=cf.value_evals)
-    return x_next, rec
+    return x_next, g_next, StepVectors(
+        k=k, v=v, w=w, grad_next=g_next, dx=x_next - x, t=comp.t, li_flag=li,
+        sin2_theta=sp.sin2_theta, level_residual=comp.level_residual)
 
 
-def run_me(f: Objective, x1: np.ndarray, cfg: SolverConfig | None = None) -> RunTrace:
-    """Run the ellipcenter method until ||grad f|| <= eps or max_outer."""
-    cfg = cfg or SolverConfig()
-    cf = CountingObjective(f)
-    x = np.asarray(x1, dtype=float).copy()
-    fx = cf.value(x)
-    v = cf.grad(x)
-    grad_norm = float(np.linalg.norm(v))
-    outer = 0
-    records = [IterateRecord(k=1, f_val=fx, grad_norm=grad_norm,
-                             grad_evals_total=cf.grad_evals,
-                             value_evals_total=cf.value_evals)]
-    iterates = [x.copy()]
-    step_data: list[StepVectors] = []
-    steps = 0
-    while True:
-        if grad_norm <= cfg.eps:
-            status = RunStatus.CONVERGED
-            break
-        if steps >= cfg.max_outer:
-            status = RunStatus.MAX_ITERATIONS
-            break
-        try:
-            x_next, info = _me_advance(cf, x, v, fx, cfg)
-        except InnerStallError:
-            status = RunStatus.INNER_STALL
-            break
-        except NumericalFailureError:
-            status = RunStatus.NUMERIC_FAILURE
-            break
-        steps += 1
-        outer += 2
-        f_next = cf.value(x_next)
-        v_next = cf.grad(x_next)
-        records[-1].t_k = info.t
-        records[-1].sin2_theta = info.sin2_theta
-        records[-1].li_flag = info.li_flag
-        step_data.append(StepVectors(
-            k=steps, v=v, w=info.w, grad_next=v_next, dx=x_next - x,
-            t=info.t, li_flag=info.li_flag, sin2_theta=info.sin2_theta,
-            level_residual=info.level_residual))
-        grad_norm = float(np.linalg.norm(v_next))
-        records.append(IterateRecord(
-            k=steps + 1, f_val=f_next, grad_norm=grad_norm,
-            grad_evals_outer=outer, grad_evals_total=cf.grad_evals,
-            value_evals_total=cf.value_evals))
-        x, fx, v = x_next, f_next, v_next
-        iterates.append(x.copy())
-    return RunTrace(SolverId.ME, records, status, x, replace(cfg),
-                    iterates=iterates, step_data=step_data)
+def _gd_l_step(cf, k, x, f_x, v, cfg):
+    """Fixed step 1/lip along the negative gradient."""
+    return x - v / cf.lip, None, None
 
 
-def gd_fixed_step(f: Objective, x: np.ndarray) -> np.ndarray:
-    """One gradient step with the conservative 1/lip step size."""
-    x = np.asarray(x, dtype=float)
-    return x - f.grad(x) / f.lip
+def _gd_exact_step(cf, k, x, f_x, v, cfg):
+    """Step to x - t* v, t* the root of phi(t) = <grad f(x - t v), v>, found
+    by doubling plus bisection.
 
-
-def run_gd_l(f: Objective, x1: np.ndarray, cfg: SolverConfig | None = None) -> RunTrace:
-    """Gradient descent with fixed step 1/lip."""
-    cfg = cfg or SolverConfig()
-    cf = CountingObjective(f)
-    x = np.asarray(x1, dtype=float).copy()
-    fx = cf.value(x)
-    v = cf.grad(x)
-    grad_norm = float(np.linalg.norm(v))
-    records = [IterateRecord(k=1, f_val=fx, grad_norm=grad_norm,
-                             grad_evals_total=cf.grad_evals,
-                             value_evals_total=cf.value_evals)]
-    iterates = [x.copy()]
-    steps = 0
-    while True:
-        if grad_norm <= cfg.eps:
-            status = RunStatus.CONVERGED
-            break
-        if steps >= cfg.max_outer:
-            status = RunStatus.MAX_ITERATIONS
-            break
-        x = x - v / cf.lip
-        steps += 1
-        fx = cf.value(x)
-        v = cf.grad(x)
-        grad_norm = float(np.linalg.norm(v))
-        records.append(IterateRecord(
-            k=steps + 1, f_val=fx, grad_norm=grad_norm,
-            grad_evals_outer=steps, grad_evals_total=cf.grad_evals,
-            value_evals_total=cf.value_evals))
-        iterates.append(x.copy())
-    return RunTrace(SolverId.GD_L, records, status, x, replace(cfg),
-                    iterates=iterates)
-
-
-def _exact_linesearch(cf, x, v, tol_factor: float = 1e-12):
-    """Root of phi(t) = <grad f(x - t v), v> by doubling plus bisection.
-
-    Targets |phi| <= tol_factor * ||v||^2; when rounding noise in the
-    gradient keeps phi above that, stops once the bracket collapses to
-    machine width and returns the smallest-|phi| probe.  Returns
-    ``(t_star, grad_at_accepted_point)`` so the caller can reuse the last
-    gradient.  Closed form (one fresh gradient) for quadratics.
+    Targets |phi| <= 1e-12 ||v||^2; when rounding noise in the gradient keeps
+    phi above that, stops once the bracket collapses to machine width and
+    takes the smallest-|phi| probe.  Returns the last probe's gradient as the
+    gradient at the new point.  Closed form (one fresh gradient) for
+    quadratics.
     """
     vv = float(v @ v)
     quad = cf.quadratic_view
     if quad is not None:
-        t_star = vv / float(v @ (quad.a_matrix @ v))
-        return t_star, cf.grad(x - t_star * v)
-    tol = tol_factor * vv
+        x_next = x - vv / float(v @ (quad.a_matrix @ v)) * v
+        return x_next, cf.grad(x_next), None
+    tol = 1e-12 * vv
     t = 1.0 / cf.lip
     t_prev = 0.0
     g = None
@@ -297,7 +188,7 @@ def _exact_linesearch(cf, x, v, tol_factor: float = 1e-12):
         g = cf.grad(x - t * v)
         phi = float(g @ v)
         if abs(phi) <= tol:
-            return t, g
+            return x - t * v, g, None
         if phi < 0.0:
             break
         t_prev = t
@@ -313,71 +204,96 @@ def _exact_linesearch(cf, x, v, tol_factor: float = 1e-12):
         if abs(phi) < best[0]:
             best = (abs(phi), mid, g)
         if abs(phi) <= tol:
-            return mid, g
+            return x - mid * v, g, None
         if phi > 0.0:
             lo = mid
         else:
             hi = mid
         if (hi - lo) <= 1e-15 * hi:
             # root localized to machine precision; |phi| is gradient noise
-            return best[1], best[2]
+            return x - best[1] * v, best[2], None
     raise NumericalFailureError("exact linesearch bisection did not converge")
 
 
-def gd_exact_step(f: Objective, x: np.ndarray):
-    """One exact-linesearch gradient step; returns ``(x_next, t_star)``.
+def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
+           cfg: SolverConfig | None, step, *, outer_grads: int = 1,
+           non_monotone_ok: bool = False) -> RunTrace:
+    """The outer loop of every solver.
 
-    The step length zeroes the directional derivative along the ray, so the
-    new gradient is orthogonal to the old one.
+    Evaluates ``x1``, then runs ``step(cf, k, x_k, f(x_k), grad f(x_k), cfg)
+    -> (x_next, g_next, info)`` for k = 1, 2, ... until ||grad f|| <= eps or
+    ``max_outer`` steps.  ``g_next`` is the gradient at ``x_next`` if the step
+    has it, else ``None``; ``info`` is the ellipcenter step's
+    :class:`StepVectors`, else ``None``.  Each step adds ``outer_grads`` to
+    ``grad_evals_outer``.  An inner stall, a numerical failure or a
+    non-finite value or gradient ends the run at the last good iterate with
+    the matching status; a non-finite start raises :class:`NonFiniteError`.
     """
-    cf = CountingObjective(f)
-    x = np.asarray(x, dtype=float)
-    v = cf.grad(x)
-    if float(np.linalg.norm(v)) == 0.0:
-        raise ValueError("gradient is zero; nothing to do")
-    t_star, _ = _exact_linesearch(cf, x, v)
-    return x - t_star * v, t_star
-
-
-def run_gd_exact(f: Objective, x1: np.ndarray, cfg: SolverConfig | None = None) -> RunTrace:
-    """Gradient descent with an exact linesearch along the negative gradient."""
     cfg = cfg or SolverConfig()
     cf = CountingObjective(f)
+    records: list[IterateRecord] = []
+    iterates: list[np.ndarray] = []
+    step_data: list[StepVectors] = []
+
+    def record_iterate(x, f_x, g):
+        records.append(IterateRecord(
+            k=len(records) + 1, f_val=f_x, grad_norm=float(np.linalg.norm(g)),
+            grad_evals_outer=outer_grads * len(records),
+            grad_evals_total=cf.grad_evals, value_evals_total=cf.value_evals))
+        iterates.append(x.copy())
+
     x = np.asarray(x1, dtype=float).copy()
     fx = cf.value(x)
     v = cf.grad(x)
-    grad_norm = float(np.linalg.norm(v))
-    records = [IterateRecord(k=1, f_val=fx, grad_norm=grad_norm,
-                             grad_evals_total=cf.grad_evals,
-                             value_evals_total=cf.value_evals)]
-    iterates = [x.copy()]
-    steps = 0
-    outer = 0
-    while True:
-        if grad_norm <= cfg.eps:
-            status = RunStatus.CONVERGED
-            break
-        if steps >= cfg.max_outer:
+    record_iterate(x, fx, v)
+    status = RunStatus.CONVERGED
+    while records[-1].grad_norm > cfg.eps:
+        if len(records) > cfg.max_outer:
             status = RunStatus.MAX_ITERATIONS
             break
         try:
-            t_star, g_next = _exact_linesearch(cf, x, v)
+            x_next, v_next, info = step(cf, len(records), x, fx, v, cfg)
+            f_next = cf.value(x_next)
+            if v_next is None:
+                v_next = cf.grad(x_next)
+        except InnerStallError:
+            status = RunStatus.INNER_STALL
+            break
         except NumericalFailureError:
             status = RunStatus.NUMERIC_FAILURE
             break
-        x = x - t_star * v
-        steps += 1
-        outer += 1
-        fx = cf.value(x)
-        v = g_next
-        grad_norm = float(np.linalg.norm(v))
-        records.append(IterateRecord(
-            k=steps + 1, f_val=fx, grad_norm=grad_norm,
-            grad_evals_outer=outer, grad_evals_total=cf.grad_evals,
-            value_evals_total=cf.value_evals))
-        iterates.append(x.copy())
-    return RunTrace(SolverId.GD_EXACT, records, status, x, replace(cfg),
-                    iterates=iterates)
+        except NonFiniteError:
+            status = RunStatus.NON_FINITE
+            break
+        if info is not None:
+            records[-1].t_k = info.t
+            records[-1].sin2_theta = info.sin2_theta
+            records[-1].li_flag = info.li_flag
+            step_data.append(info)
+        x, fx, v = x_next, f_next, v_next
+        record_iterate(x, fx, v)
+    return RunTrace(solver_id, records, status, x, replace(cfg),
+                    iterates=iterates, step_data=step_data,
+                    non_monotone_ok=non_monotone_ok)
+
+
+def run_me(f: Objective, x1: np.ndarray, cfg: SolverConfig | None = None) -> RunTrace:
+    """Run the ellipcenter method until ||grad f|| <= eps or max_outer."""
+    return _drive(SolverId.ME, f, x1, cfg, _me_step, outer_grads=2)
+
+
+def run_gd_l(f: Objective, x1: np.ndarray, cfg: SolverConfig | None = None) -> RunTrace:
+    """Gradient descent with fixed step 1/lip."""
+    return _drive(SolverId.GD_L, f, x1, cfg, _gd_l_step)
+
+
+def run_gd_exact(f: Objective, x1: np.ndarray, cfg: SolverConfig | None = None) -> RunTrace:
+    """Gradient descent with an exact linesearch along the negative gradient.
+
+    The step length zeroes the directional derivative along the ray, so each
+    new gradient is orthogonal to the one before it.
+    """
+    return _drive(SolverId.GD_EXACT, f, x1, cfg, _gd_exact_step)
 
 
 def run_fast_gd(f: Objective, x1: np.ndarray, cfg: SolverConfig | None = None) -> RunTrace:
@@ -390,44 +306,18 @@ def run_fast_gd(f: Objective, x1: np.ndarray, cfg: SolverConfig | None = None) -
     the trace may be non-monotone (momentum overshoot), which the returned
     trace flags via ``non_monotone_ok``.
     """
-    cfg = cfg or SolverConfig()
-    cf = CountingObjective(f)
-    x = np.asarray(x1, dtype=float).copy()
-    fx = cf.value(x)
-    v = cf.grad(x)
-    grad_norm = float(np.linalg.norm(v))
-    sqrt_kappa = np.sqrt(cf.lip / cf.mu)
+    sqrt_kappa = np.sqrt(f.lip / f.mu)
     momentum = (sqrt_kappa - 1.0) / (sqrt_kappa + 1.0)
-    z = x.copy()
-    records = [IterateRecord(k=1, f_val=fx, grad_norm=grad_norm,
-                             grad_evals_total=cf.grad_evals,
-                             value_evals_total=cf.value_evals)]
-    iterates = [x.copy()]
-    steps = 0
-    outer = 0
-    while True:
-        if grad_norm <= cfg.eps:
-            status = RunStatus.CONVERGED
-            break
-        if steps >= cfg.max_outer:
-            status = RunStatus.MAX_ITERATIONS
-            break
-        gz = v if steps == 0 else cf.grad(z)  # z1 = x1, so reuse the first gradient
-        outer += 1
+    z = np.asarray(x1, dtype=float)
+
+    def step(cf, k, x, f_x, v, cfg):
+        nonlocal z
+        gz = v if k == 1 else cf.grad(z)  # z1 = x1, so reuse the first gradient
         x_next = z - gz / cf.lip
         z = x_next + momentum * (x_next - x)
-        x = x_next
-        steps += 1
-        fx = cf.value(x)
-        v = cf.grad(x)
-        grad_norm = float(np.linalg.norm(v))
-        records.append(IterateRecord(
-            k=steps + 1, f_val=fx, grad_norm=grad_norm,
-            grad_evals_outer=outer, grad_evals_total=cf.grad_evals,
-            value_evals_total=cf.value_evals))
-        iterates.append(x.copy())
-    return RunTrace(SolverId.FAST_GD, records, status, x, replace(cfg),
-                    iterates=iterates, non_monotone_ok=True)
+        return x_next, None, None
+
+    return _drive(SolverId.FAST_GD, f, x1, cfg, step, non_monotone_ok=True)
 
 
 RUNNERS = {

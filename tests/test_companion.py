@@ -3,9 +3,9 @@ import numpy.testing as npt
 import pytest
 
 from ellipcenters import (NumericalFailureError, Objective, QuadraticProblem,
-                          bracket_right, companion_point,
-                          companion_t_quadratic, gd_exact_step,
-                          generate_quadratic)
+                          SolverConfig, bracket_right, companion_point,
+                          companion_t_quadratic, generate_quadratic,
+                          run_gd_exact)
 
 
 def without_quadratic_view(q: QuadraticProblem) -> Objective:
@@ -117,7 +117,8 @@ class TestCompanionPoint:
         x = rng.standard_normal(5)
         v = q.grad(x)
         t_k = companion_t_quadratic(q, v)
-        _, t_star = gd_exact_step(q.objective(), x)
+        x_next = run_gd_exact(q.objective(), x, SolverConfig(max_outer=1)).x_final
+        t_star = (x - x_next) @ v / (v @ v)
         assert t_k == pytest.approx(2.0 * t_star, rel=1e-14)
 
     @pytest.mark.parametrize("lam", [0.25, 0.5, 0.75])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ellipcenters import (QuadraticProblem, audit_dominance,
+from ellipcenters import (QuadraticProblem, SolverConfig, audit_dominance,
                           audit_orthogonality, certify_rates, compute_reference,
                           contraction_ratios, generate_logreg,
                           generate_quadratic, run_gd_l, run_me,
@@ -147,6 +147,16 @@ class TestDominance:
     def test_logistic_origin(self, small_logreg):
         _, _, ok = audit_dominance(small_logreg.objective(), np.zeros(50))
         assert ok
+
+    def test_stalled_step_fails(self):
+        # with one inner iteration the plane solve stalls, so the ellipcenter
+        # side takes no step and must not pass as dominating
+        p = generate_logreg(30, 15, 40.0, 4)
+        f_me, f_gd, ok = audit_dominance(p.objective(), np.zeros(30),
+                                         SolverConfig(max_inner=1))
+        assert not ok
+        assert math.isnan(f_me)
+        assert f_gd < p.value(np.zeros(30))
 
 
 class TestIterationBound:

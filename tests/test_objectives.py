@@ -7,22 +7,21 @@ import pytest
 from ellipcenters import (LogRegProblem, Objective, QuadraticProblem,
                           central_difference_gradient, check_gradient,
                           generate_logreg, generate_quadratic, load_logreg,
-                          load_quadratic, logreg_eval_grad, mu_for_kappa,
-                          quadratic_eval_grad, save_logreg, save_quadratic,
-                          smoothness_bound)
+                          load_quadratic, mu_for_kappa, save_logreg,
+                          save_quadratic)
 
 
 class TestQuadratic:
     def test_isotropic_value_grad(self):
         p = QuadraticProblem(np.eye(2), np.zeros(2))
-        val, grad = quadratic_eval_grad(p, np.array([3.0, 4.0]))
-        assert val == 12.5
-        npt.assert_array_equal(grad, [3.0, 4.0])
+        x = np.array([3.0, 4.0])
+        assert p.value(x) == 12.5
+        npt.assert_array_equal(p.grad(x), [3.0, 4.0])
 
     def test_diag_value_grad_with_fd_crosscheck(self):
         p = QuadraticProblem(np.diag([1.0, 4.0]), np.zeros(2))
         x = np.array([1.0, 1.0])
-        val, grad = quadratic_eval_grad(p, x)
+        val, grad = p.value(x), p.grad(x)
         assert val == 2.5
         npt.assert_allclose(grad, [1.0, 4.0])
         npt.assert_allclose(central_difference_gradient(p.value, x), grad,
@@ -63,7 +62,7 @@ class TestLogReg:
         # f(x) = log(1 + exp(-x1)) + (1/2)||x||^2 at x = 0:
         # d/dx1 = -sigma(0) = -1/2, confirmed by central differences below
         p = LogRegProblem(np.array([[1.0, 0.0]]), np.array([1.0]), 1.0)
-        _, grad = logreg_eval_grad(p, np.zeros(2))
+        grad = p.grad(np.zeros(2))
         npt.assert_allclose(grad, [-0.5, 0.0], atol=1e-15)
         npt.assert_allclose(central_difference_gradient(p.value, np.zeros(2)),
                             grad, atol=1e-9)
@@ -89,19 +88,21 @@ class TestLogReg:
 class TestSmoothnessBound:
     def test_single_row(self):
         p = LogRegProblem(np.array([[2.0, 0.0]]), np.array([1.0]), 1.0)
-        assert smoothness_bound(p) == pytest.approx(2.0)
+        assert p.lip == pytest.approx(2.0)
 
     def test_zero_data_rows_leave_only_mu(self):
         p = LogRegProblem(np.zeros((3, 2)), np.array([1.0, -1.0, 1.0]), 0.4)
-        assert smoothness_bound(p) == pytest.approx(0.4)
+        assert p.lip == pytest.approx(0.4)
 
     def test_two_rows(self):
         p = LogRegProblem(np.array([[1.0, 0.0], [0.0, 1.0]]),
                           np.array([1.0, -1.0]), 0.5)
-        assert smoothness_bound(p) == pytest.approx(0.75)
+        assert p.lip == pytest.approx(0.75)
 
     def test_matches_problem_lip(self, small_logreg):
-        assert smoothness_bound(small_logreg) == pytest.approx(small_logreg.lip)
+        p = small_logreg
+        row_energy = sum(float(row @ row) for row in p.a)
+        assert p.lip == pytest.approx(row_energy / (4 * p.m) + p.mu)
 
 
 class TestMuForKappa:
@@ -110,7 +111,7 @@ class TestMuForKappa:
         mu = mu_for_kappa(data, 2.0)
         assert mu == pytest.approx(1.0)
         p = LogRegProblem(data, np.array([1.0]), mu)
-        assert smoothness_bound(p) / mu == pytest.approx(2.0)
+        assert p.lip / mu == pytest.approx(2.0)
 
     def test_two_rows(self):
         mu = mu_for_kappa(np.array([[1.0, 0.0], [0.0, 1.0]]), 5.0)

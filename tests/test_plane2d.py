@@ -3,10 +3,10 @@ import numpy.testing as npt
 import pytest
 
 from ellipcenters import (DegeneratePlaneError, InnerStallError,
-                          QuadraticProblem, companion_point, gd_exact_step,
+                          QuadraticProblem, SolverConfig, companion_point,
                           generate_logreg, generate_quadratic, make_plane,
-                          restricted_value_grad, segment_minimizer,
-                          solve_gd_armijo, solve_newton_quadratic)
+                          run_gd_exact, segment_minimizer, solve_gd_armijo,
+                          solve_newton_quadratic)
 
 
 def build_plane(prob, x):
@@ -18,22 +18,27 @@ def build_plane(prob, x):
     return f, make_plane(f, x, v, w), comp
 
 
+def plane_gradient(f, sp, alpha, beta):
+    """Chain-rule gradient (<g, v>, <g, w>) of f restricted to the plane."""
+    g = f.grad(sp.point(alpha, beta))
+    return np.array([g @ sp.v, g @ sp.w])
+
+
 class TestRestrictedFunction:
     def test_origin_gradient_is_gram_row(self, small_logreg):
         f, sp, _ = build_plane(small_logreg, np.ones(50) * 0.1)
-        val, grad2 = restricted_value_grad(f, sp, 0.0, 0.0)
-        assert val == pytest.approx(f.value(sp.base))
-        npt.assert_allclose(grad2, sp.gram[0], rtol=1e-12)
+        npt.assert_allclose(plane_gradient(f, sp, 0.0, 0.0), sp.gram[0],
+                            rtol=1e-12)
 
     def test_diag_example_hand_values(self, diag_quadratic):
         f, sp, _ = build_plane(diag_quadratic, np.array([1.0, 1.0]))
-        _, grad2 = restricted_value_grad(f, sp, 0.0, 0.0)
-        npt.assert_allclose(grad2, [17.0, -17.0], rtol=1e-12)
+        npt.assert_allclose(plane_gradient(f, sp, 0.0, 0.0), [17.0, -17.0],
+                            rtol=1e-12)
 
     def test_gradient_vanishes_at_minimizer(self, small_logreg):
         f, sp, _ = build_plane(small_logreg, np.ones(50) * 0.1)
         sol = solve_gd_armijo(f, sp)
-        _, grad2 = restricted_value_grad(f, sp, sol.alpha, sol.beta)
+        grad2 = plane_gradient(f, sp, sol.alpha, sol.beta)
         assert np.linalg.norm(grad2) <= 1e-11 * max(np.linalg.norm(sp.v),
                                                     np.linalg.norm(sp.w))
 
@@ -130,7 +135,8 @@ class TestArmijoDescent:
         w = f.grad(comp.y)
         sp = make_plane(f, x, v, w)
         sol = solve_gd_armijo(f, sp)
-        _, t_star = gd_exact_step(f, x)
+        x_gd = run_gd_exact(f, x, SolverConfig(max_outer=1)).x_final
+        t_star = (x - x_gd) @ v / (v @ v)
         slack = 1e-12 * max(1.0, abs(f.value(x)))
         for t in (1.0 / f.lip, t_star, comp.t / 2.0):
             assert f.value(sol.x_next) <= f.value(x - t * v) + slack

@@ -2,38 +2,45 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ellipcenters import (QuadraticProblem, RunStatus, SolverConfig, SolverId,
-                          compute_reference, gd_exact_step, gd_fixed_step,
-                          generate_logreg, generate_quadratic, me_step,
-                          run_fast_gd, run_gd_exact, run_gd_l, run_me)
+from ellipcenters import (Objective, QuadraticProblem, RunStatus, SolverConfig,
+                          SolverId, compute_reference, generate_logreg,
+                          generate_quadratic, run_fast_gd, run_gd_exact,
+                          run_gd_l, run_me)
+from ellipcenters.solvers import RUNNERS
+
+ONE_STEP = SolverConfig(max_outer=1)
+
+
+def exact_linesearch_step(f, x):
+    """One exact-linesearch step from ``x``: ``(x_next, t_star)``, with t_star
+    recovered from the displacement along the gradient."""
+    v = f.grad(x)
+    x_next = run_gd_exact(f, x, ONE_STEP).x_final
+    return x_next, float((x - x_next) @ v / (v @ v))
 
 
 class TestMeStep:
     def test_two_dim_quadratic_one_step(self, diag_quadratic):
         f = diag_quadratic.objective()
-        x_next, rec = me_step(f, np.array([1.0, 1.0]))
-        npt.assert_allclose(x_next, [0.0, 0.0], atol=1e-12)
-        assert rec.li_flag is True
-        assert rec.t_k == pytest.approx(34.0 / 65.0)
-        assert rec.grad_evals_outer == 2
+        trace = run_me(f, np.array([1.0, 1.0]), ONE_STEP)
+        npt.assert_allclose(trace.x_final, [0.0, 0.0], atol=1e-12)
+        assert trace.records[0].li_flag is True
+        assert trace.records[0].t_k == pytest.approx(34.0 / 65.0)
+        assert trace.records[1].grad_evals_outer == 2
 
     def test_isotropic_r3_takes_segment_branch(self):
         f = QuadraticProblem(np.eye(3), np.zeros(3)).objective()
-        x_next, rec = me_step(f, np.array([1.0, 0.0, 0.0]))
-        assert rec.li_flag is False
-        npt.assert_allclose(x_next, np.zeros(3), atol=1e-9)
+        trace = run_me(f, np.array([1.0, 0.0, 0.0]), ONE_STEP)
+        assert trace.records[0].li_flag is False
+        npt.assert_allclose(trace.x_final, np.zeros(3), atol=1e-9)
 
     def test_logistic_descends_with_orthogonal_gradient(self, small_logreg):
         f = small_logreg.objective()
         x = np.zeros(50)
         v = f.grad(x)
-        x_next, rec = me_step(f, x)
+        x_next = run_me(f, x, ONE_STEP).x_final
         assert f.value(x_next) < f.value(x)
         assert abs(f.grad(x_next) @ v) <= 1e-11 * np.linalg.norm(v)
-
-    def test_rejects_stationary_start(self, diag_quadratic):
-        with pytest.raises(ValueError):
-            me_step(diag_quadratic.objective(), np.zeros(2))
 
 
 class TestRunMe:
@@ -51,16 +58,19 @@ class TestRunMe:
         assert trace.iterations == 0
         assert len(trace.records) == 1
 
-    def test_logistic_run_basics(self, small_logreg):
+    @pytest.mark.parametrize("sid", list(RUNNERS), ids=lambda s: s.value)
+    def test_logistic_run_basics(self, sid, small_logreg):
         f = small_logreg.objective()
-        trace = run_me(f, np.zeros(50))
+        trace = RUNNERS[sid](f, np.zeros(50))
         assert trace.converged
         assert trace.records[-1].grad_norm <= 1e-6
-        # two outer gradients per iteration, exactly
+        # two outer gradients per ellipcenter iteration, one per baseline step
+        per_step = 2 if sid is SolverId.ME else 1
         outer = [r.grad_evals_outer for r in trace.records]
-        assert outer == [2 * i for i in range(len(outer))]
+        assert outer == [per_step * i for i in range(len(outer))]
         totals = [r.grad_evals_total for r in trace.records]
         assert all(t >= o for t, o in zip(totals, outer))
+        assert all(a <= b for a, b in zip(totals, totals[1:]))
 
     def test_monotone_decrease_until_termination(self, small_logreg):
         trace = run_me(small_logreg.objective(), np.zeros(50))
@@ -88,8 +98,8 @@ class TestRunMe:
         f = small_logreg.objective()
         x = np.zeros(50)
         for _ in range(4):
-            x_me, _ = me_step(f, x)
-            x_gd, _ = gd_exact_step(f, x)
+            x_me = run_me(f, x, ONE_STEP).x_final
+            x_gd = run_gd_exact(f, x, ONE_STEP).x_final
             assert f.value(x_me) <= f.value(x_gd) + 1e-12 * max(1.0, abs(f.value(x)))
             x = x_me
 
@@ -112,11 +122,13 @@ class TestRunMe:
 class TestGdFixed:
     def test_isotropic_one_step(self):
         f = QuadraticProblem(np.eye(2), np.zeros(2)).objective()
-        npt.assert_allclose(gd_fixed_step(f, np.array([1.0, 0.0])), [0.0, 0.0])
+        trace = run_gd_l(f, np.array([1.0, 0.0]), ONE_STEP)
+        npt.assert_allclose(trace.x_final, [0.0, 0.0])
 
     def test_diag_step(self, diag_quadratic):
         f = diag_quadratic.objective()
-        npt.assert_allclose(gd_fixed_step(f, np.array([1.0, 1.0])), [0.75, 0.0])
+        trace = run_gd_l(f, np.array([1.0, 1.0]), ONE_STEP)
+        npt.assert_allclose(trace.x_final, [0.75, 0.0])
 
     def test_descent_lemma_decrease(self, small_logreg):
         f = small_logreg.objective()
@@ -140,12 +152,12 @@ class TestGdFixed:
 class TestGdExact:
     def test_diag_step_length(self, diag_quadratic):
         f = diag_quadratic.objective()
-        _, t_star = gd_exact_step(f, np.array([1.0, 1.0]))
+        _, t_star = exact_linesearch_step(f, np.array([1.0, 1.0]))
         assert t_star == pytest.approx(17.0 / 65.0, rel=1e-14)
 
     def test_isotropic_hits_minimizer(self):
         f = QuadraticProblem(np.eye(2), np.zeros(2)).objective()
-        x_next, t_star = gd_exact_step(f, np.array([0.6, -0.8]))
+        x_next, t_star = exact_linesearch_step(f, np.array([0.6, -0.8]))
         assert t_star == pytest.approx(1.0)
         npt.assert_allclose(x_next, [0.0, 0.0], atol=1e-15)
 
@@ -153,7 +165,7 @@ class TestGdExact:
         f = small_logreg.objective()
         x = np.zeros(50)
         v = f.grad(x)
-        x_next, _ = gd_exact_step(f, x)
+        x_next, _ = exact_linesearch_step(f, x)
         assert abs(f.grad(x_next) @ v) <= 1e-11 * (v @ v)
 
     def test_gap_ratio_at_most_eta_star(self, small_logreg):
@@ -219,3 +231,25 @@ class TestConfig:
 
     def test_solver_ids(self):
         assert {s.value for s in SolverId} == {"me", "gd_l", "gd_exact", "fast_gd"}
+
+
+def nan_near_minimizer(n=4):
+    """Quadratic whose value and gradient are NaN within distance 0.5 of its
+    minimizer at the origin; the start point 3*ones is far outside."""
+    q = QuadraticProblem(np.diag(np.linspace(1.0, 5.0, n)), np.zeros(n))
+
+    def guard(fn):
+        return lambda x: fn(x) * np.nan if np.linalg.norm(x) < 0.5 else fn(x)
+
+    return Objective(n, q.mu, q.lip, guard(q.value), guard(q.grad))
+
+
+@pytest.mark.parametrize("sid", list(RUNNERS), ids=lambda s: s.value)
+def test_non_finite_objective_stops_run(sid):
+    cfg = SolverConfig(max_outer=2000)
+    trace = RUNNERS[sid](nan_near_minimizer(), 3.0 * np.ones(4), cfg)
+    assert trace.status is RunStatus.NON_FINITE
+    assert trace.iterations < 100
+    assert all(np.isfinite(r.f_val) and np.isfinite(r.grad_norm)
+               for r in trace.records)
+    assert np.all(np.isfinite(trace.x_final))
