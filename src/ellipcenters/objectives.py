@@ -2,8 +2,14 @@
 
 Every solver in this package consumes an :class:`Objective`, which bundles the
 value/gradient callables with the strong-convexity modulus ``mu`` and the
-gradient Lipschitz constant ``lip``.  Problem objects are immutable after
-construction; ``value`` and ``grad`` are pure and safe to call concurrently.
+gradient Lipschitz constant ``lip``.  A problem object holds its data as
+read-only views of the arrays it was given (changing those arrays afterwards
+is not supported).  It remembers the data product (``A @ x`` or ``a @ x``) of
+the last point it evaluated, so a ``value`` and a ``grad`` at the same point
+share one matrix pass.  Results are bit-identical whether that product is
+reused or recomputed.  Each instance keeps one product, replaced as a whole
+tuple, so concurrent callers still get correct results and at worst lose
+reuses.
 
 Synthetic instances are generated from a seeded PCG64 generator so that the
 same ``(n, m, kappa, seed)`` always yields the bit-identical problem.
@@ -18,6 +24,26 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import NonFiniteError
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A view of ``arr`` that rejects writes; ``arr``'s own flags are kept."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
+def _data_product(prob, data: np.ndarray, x: np.ndarray):
+    """The checked ``x`` and ``data @ x``.  The product is reused when ``x``
+    has the same bytes as the last point ``prob`` evaluated, else computed and
+    stored in ``prob._product`` as one ``(x.tobytes(), data @ x)`` tuple."""
+    x = prob._check(x)
+    key = x.tobytes()
+    product = prob._product
+    if product[0] != key:
+        product = (key, data @ x)
+        prob._product = product
+    return x, product[1]
 
 
 class Objective:
@@ -108,6 +134,7 @@ class QuadraticProblem:
     Symmetry and positive definiteness are verified at construction (the
     latter by attempting a Cholesky factorization); failures raise
     ``ValueError``.  ``mu``/``lip`` default to the extreme eigenvalues of A.
+    ``value`` and ``grad`` at the same point share one product ``A @ x``.
     """
 
     def __init__(self, a_matrix: np.ndarray, b: np.ndarray, c: float = 0.0,
@@ -126,9 +153,10 @@ class QuadraticProblem:
             np.linalg.cholesky(a_matrix)
         except np.linalg.LinAlgError as exc:
             raise ValueError("A is not positive definite") from exc
-        self.a_matrix = a_matrix
-        self.b = b
+        self.a_matrix = _read_only(a_matrix)
+        self.b = _read_only(b)
         self.c = float(c)
+        self._product = (None, None)  # (x.tobytes(), A @ x) of the last point
         if mu is None or lip is None:
             eigs = np.linalg.eigvalsh(a_matrix)
             mu = float(eigs[0]) if mu is None else mu
@@ -141,12 +169,12 @@ class QuadraticProblem:
         return self.b.shape[0]
 
     def value(self, x: np.ndarray) -> float:
-        x = self._check(x)
-        return float(0.5 * x @ (self.a_matrix @ x) - self.b @ x + self.c)
+        x, ax = _data_product(self, self.a_matrix, x)
+        return float(0.5 * x @ ax - self.b @ x + self.c)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        x = self._check(x)
-        return self.a_matrix @ x - self.b
+        x, ax = _data_product(self, self.a_matrix, x)
+        return ax - self.b
 
     def minimizer(self) -> np.ndarray:
         """Solve Ax = b directly."""
@@ -170,7 +198,8 @@ class LogRegProblem:
 
     The softplus is evaluated in the overflow-safe branch form, so margins up
     to ~1e4 in magnitude are handled without warnings.  ``lip`` is the upper
-    bound (1/(4m)) sum_i ||a_i||^2 + mu.
+    bound (1/(4m)) sum_i ||a_i||^2 + mu.  ``value`` and ``grad`` at the same
+    point share one product ``a @ x``.
     """
 
     def __init__(self, a: np.ndarray, labels: np.ndarray, mu: float):
@@ -185,8 +214,9 @@ class LogRegProblem:
             raise ValueError("labels must all be -1 or +1")
         if mu <= 0:
             raise ValueError(f"mu must be positive, got {mu}")
-        self.a = a
-        self.labels = labels
+        self.a = _read_only(a)
+        self.labels = _read_only(labels)
+        self._product = (None, None)  # (x.tobytes(), a @ x) of the last point
         self.mu = float(mu)
         self.m = m
         self.n = n
@@ -197,15 +227,15 @@ class LogRegProblem:
         return self.n
 
     def value(self, x: np.ndarray) -> float:
-        x = self._check(x)
-        margins = -self.labels * (self.a @ x)
+        x, ax = _data_product(self, self.a, x)
+        margins = -self.labels * ax
         # logaddexp(0, u) = log(1 + e^u) = max(u, 0) + log1p(e^{-|u|})
         loss = float(np.mean(np.logaddexp(0.0, margins)))
         return loss + 0.5 * self.mu * float(x @ x)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        x = self._check(x)
-        margins = -self.labels * (self.a @ x)
+        x, ax = _data_product(self, self.a, x)
+        margins = -self.labels * ax
         weights = self.labels * expit(margins)
         return -(self.a.T @ weights) / self.m + self.mu * x
 

@@ -1,13 +1,16 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.special import expit
 
 from ellipcenters import (LogRegProblem, Objective, QuadraticProblem,
                           central_difference_gradient, check_gradient,
                           generate_logreg, generate_quadratic, load_logreg,
-                          load_quadratic, mu_for_kappa, save_logreg,
+                          load_quadratic, mu_for_kappa, run_gd_l, save_logreg,
                           save_quadratic)
 
 
@@ -217,3 +220,174 @@ def test_objective_rejects_bad_constants():
         Objective(2, 2.0, 1.0, lambda x: 0.0, lambda x: np.zeros(2))
     with pytest.raises(ValueError):
         Objective(2, 0.0, 1.0, lambda x: 0.0, lambda x: np.zeros(2))
+
+
+FAMILIES = ["quadratic", "logreg"]
+
+
+def fresh_problem(family):
+    """A new instance per test, so no stored product leaks between tests."""
+    if family == "quadratic":
+        return generate_quadratic(12, 30.0, 5)
+    return generate_logreg(12, 20, 30.0, 5)
+
+
+def direct_value(p, x):
+    """The objective value computed from the data, without the problem's
+    methods."""
+    if isinstance(p, QuadraticProblem):
+        return float(0.5 * x @ (np.asarray(p.a_matrix) @ x) - p.b @ x + p.c)
+    margins = -p.labels * (np.asarray(p.a) @ x)
+    return float(np.mean(np.logaddexp(0.0, margins))) + 0.5 * p.mu * float(x @ x)
+
+
+def direct_grad(p, x):
+    if isinstance(p, QuadraticProblem):
+        return np.asarray(p.a_matrix) @ x - p.b
+    a = np.asarray(p.a)
+    margins = -p.labels * (a @ x)
+    weights = p.labels * expit(margins)
+    return -(a.T @ weights) / p.m + p.mu * x
+
+
+def assert_bitwise(got, want):
+    """Equal bits, so -0.0 and 0.0 differ and NaN matches NaN."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), (got, want)
+
+
+class TestReadOnlyData:
+    def test_quadratic_data_rejects_writes(self):
+        a, b = np.diag([1.0, 4.0]), np.ones(2)
+        p = QuadraticProblem(a, b)
+        with pytest.raises(ValueError):
+            p.a_matrix[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            p.b[0] = 2.0
+        assert a.flags.writeable and b.flags.writeable
+
+    def test_logreg_data_rejects_writes(self):
+        a, labels = np.ones((3, 2)), np.array([1.0, -1.0, 1.0])
+        p = LogRegProblem(a, labels, 0.5)
+        with pytest.raises(ValueError):
+            p.a[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            p.labels[0] = -1.0
+        assert a.flags.writeable and labels.flags.writeable
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+class TestDataProductReuse:
+    """``value`` and ``grad`` share the last point's data product; every
+    result must still equal the direct formula bit for bit."""
+
+    def test_matches_direct_formulas_in_any_order(self, family, rng):
+        p = fresh_problem(family)
+        x, y = rng.standard_normal(p.dim), rng.standard_normal(p.dim)
+        for point, call in [(x, "value"), (x, "grad"), (x, "grad"),
+                            (x, "value"), (y, "grad"), (y, "value"),
+                            (y, "value"), (x, "value"), (y, "grad")]:
+            if call == "value":
+                assert_bitwise(p.value(point), direct_value(p, point))
+            else:
+                assert_bitwise(p.grad(point), direct_grad(p, point))
+
+    def test_in_place_change_of_x_is_seen(self, family, rng):
+        p = fresh_problem(family)
+        x = rng.standard_normal(p.dim)
+        p.value(x)
+        x[0] += 1.0
+        assert_bitwise(p.grad(x), direct_grad(p, x))
+        x[-1] *= -3.0
+        assert_bitwise(p.value(x), direct_value(p, x))
+
+    def test_mutating_returned_gradient_is_harmless(self, family, rng):
+        p = fresh_problem(family)
+        x = rng.standard_normal(p.dim)
+        g = p.grad(x)
+        g[:] = 7.0
+        assert_bitwise(p.grad(x), direct_grad(p, x))
+        assert_bitwise(p.value(x), direct_value(p, x))
+
+    def test_signed_zeros_are_distinct_points(self, family, rng):
+        p = fresh_problem(family)
+        pos = rng.standard_normal(p.dim)
+        pos[::2] = 0.0
+        neg = pos.copy()
+        neg[::2] = -0.0
+        for point in (pos, neg, pos, neg):
+            assert_bitwise(p.value(point), direct_value(p, point))
+            assert_bitwise(p.grad(point), direct_grad(p, point))
+
+    def test_two_threads_alternating_points(self, family, rng):
+        p = fresh_problem(family)
+        points = [rng.standard_normal(p.dim) for _ in range(2)]
+        want = [(direct_value(p, x), direct_grad(p, x).tobytes())
+                for x in points]
+        wrong = []
+
+        def worker(first):
+            for i in range(1000):
+                j = (first + i) % 2
+                got = (p.value(points[j]), p.grad(points[j]).tobytes())
+                if got != want[j]:
+                    wrong.append((first, i))
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+
+def count_products(p, attr):
+    """Swap ``p.<attr>`` for a view whose ``@`` products are counted in the
+    returned class's ``products``."""
+
+    class Counting(np.ndarray):
+        products = 0
+
+        def __matmul__(self, other):
+            Counting.products += 1
+            return np.asarray(self) @ other
+
+    setattr(p, attr, getattr(p, attr).view(Counting))
+    return Counting
+
+
+class TestProductCount:
+    def test_quadratic_value_and_grad_share_one_product(self, rng):
+        p = generate_quadratic(12, 30.0, 5)
+        counter = count_products(p, "a_matrix")
+        x, y = rng.standard_normal(12), rng.standard_normal(12)
+        p.value(x)
+        p.grad(x)
+        assert counter.products == 1
+        p.grad(y)
+        p.value(y)
+        assert counter.products == 2
+
+    def test_quadratic_gd_l_makes_one_product_per_iterate(self):
+        p = generate_quadratic(12, 30.0, 5)
+        counter = count_products(p, "a_matrix")
+        trace = run_gd_l(p.objective(), np.zeros(12))
+        assert trace.converged
+        assert counter.products == trace.iterations + 1
+
+    def test_logreg_value_and_grad_make_two_products(self, rng):
+        p = generate_logreg(12, 20, 30.0, 5)
+        counter = count_products(p, "a")
+        x, y = rng.standard_normal(12), rng.standard_normal(12)
+        p.value(x)
+        p.grad(x)
+        assert counter.products == 2  # a @ x, then a.T @ weights
+        p.value(y)
+        assert counter.products == 3

@@ -253,3 +253,27 @@ def test_non_finite_objective_stops_run(sid):
     assert all(np.isfinite(r.f_val) and np.isfinite(r.grad_norm)
                for r in trace.records)
     assert np.all(np.isfinite(trace.x_final))
+
+
+# (iterations, grad_evals_total, value_evals_total) of each solver from the
+# origin with the default SolverConfig, on the benchmark's warm-up instances.
+# A caching or fusion change that skips a counted value or gradient call
+# changes these counts without changing the computed iterates.
+COST_MODEL = {
+    "logreg": {"me": (10, 177, 338), "gd_l": (799, 800, 800),
+               "gd_exact": (26, 1145, 27), "fast_gd": (117, 234, 118)},
+    "quadratic": {"me": (161, 323, 323), "gd_l": (1218, 1219, 1219),
+                  "gd_exact": (630, 631, 631), "fast_gd": (142, 284, 143)},
+}
+
+
+@pytest.mark.parametrize("family", list(COST_MODEL))
+@pytest.mark.parametrize("sid", list(RUNNERS), ids=lambda s: s.value)
+def test_evaluation_counts_are_pinned(family, sid):
+    p = (generate_logreg(60, 30, 1e2, 0) if family == "logreg"
+         else generate_quadratic(40, 1e2, 0))
+    trace = RUNNERS[sid](p.objective(), np.zeros(p.dim))
+    assert trace.converged
+    last = trace.records[-1]
+    assert (trace.iterations, last.grad_evals_total, last.value_evals_total) \
+        == COST_MODEL[family][sid.value]
