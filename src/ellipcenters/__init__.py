@@ -8,7 +8,7 @@ strongly convex accelerated gradient), and a diagnostics layer that checks
 the method's linear-rate guarantees on every run.
 """
 
-from .companion import CompanionResult, bracket_right, companion_point, companion_t_quadratic
+from .companion import CompanionResult, bracket_right, companion_point
 from .diagnostics import (AuditReport, RateCertificate, audit_bh_descent,
                           audit_dominance, audit_level_sets,
                           audit_orthogonality, certify_rates,
@@ -22,9 +22,8 @@ from .objectives import (CountingObjective, LogRegProblem, Objective,
                          check_gradient, generate_logreg, generate_quadratic,
                          load_logreg, load_quadratic, mu_for_kappa,
                          save_logreg, save_quadratic)
-from .plane2d import (PlaneSolution, PlaneSubproblem, make_plane,
-                      segment_minimizer, solve_gd_armijo,
-                      solve_newton_quadratic)
+from .plane2d import (PlaneSolution, PlaneSubproblem, segment_minimizer,
+                      solve_gd_armijo, solve_newton_quadratic)
 from .solvers import (IterateRecord, RunStatus, RunTrace, SolverConfig,
                       SolverId, StepVectors, run_fast_gd, run_gd_exact,
                       run_gd_l, run_me)

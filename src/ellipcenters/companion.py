@@ -4,8 +4,8 @@ Starting from a non-stationary ``x`` with gradient ``v``, the ray
 ``x - t v`` (t > 0) re-crosses the level set {f = f(x)} at exactly one
 point, because a strongly convex function meets any line in at most two
 points and is coercive along every ray.  ``companion_point`` locates that
-crossing: in closed form for quadratics, otherwise by a doubling bracket
-followed by bisection on the level residual.
+crossing by a doubling bracket followed by bisection on the level residual.
+A quadratic's closed-form crossing is taken in :mod:`.solvers` instead.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailureError
-from .objectives import QuadraticProblem
 
 MAX_DOUBLINGS = 200
 MAX_BISECTIONS = 200
@@ -37,15 +36,6 @@ class CompanionResult:
     bisection_iters: int
 
 
-def companion_t_quadratic(p: QuadraticProblem, v: np.ndarray) -> float:
-    """Closed-form level-crossing step for a quadratic: 2 ||v||^2 / (v'Av)."""
-    v = np.asarray(v, dtype=float)
-    vav = float(v @ (p.a_matrix @ v))
-    if vav <= 0.0:
-        raise ValueError("v'Av must be positive for an SPD quadratic")
-    return 2.0 * float(v @ v) / vav
-
-
 def bracket_right(f, x: np.ndarray, v: np.ndarray, t_init: float | None = None,
                   f_x: float | None = None):
     """Bracket the level crossing of g(t) = f(x - t v).
@@ -53,7 +43,8 @@ def bracket_right(f, x: np.ndarray, v: np.ndarray, t_init: float | None = None,
     Doubles from ``t_init`` (default 2/lip) until g(t) > g(0), recording the
     last strictly sub-level step as the left end; if no sub-level point was
     seen before the right end, halves below it until one is found.  Returns
-    ``(t_lo, t_hi)`` with g(t_lo) < g(0) < g(t_hi) and 0 < t_lo < t_hi.
+    ``(t_lo, t_hi, g(t_hi))`` with g(t_lo) < g(0) < g(t_hi) and
+    0 < t_lo < t_hi.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -68,7 +59,7 @@ def bracket_right(f, x: np.ndarray, v: np.ndarray, t_init: float | None = None,
     for _ in range(MAX_DOUBLINGS):
         gt = f.value(x - t * v)
         if gt > g0:
-            t_hi = t
+            t_hi, g_hi = t, gt
             break
         if gt < g0:
             t_lo = t
@@ -89,22 +80,22 @@ def bracket_right(f, x: np.ndarray, v: np.ndarray, t_init: float | None = None,
         if t_lo is None:
             raise NumericalFailureError(
                 f"no sub-level point above 0 after {MAX_DOUBLINGS} halvings")
-    return t_lo, t_hi
+    return t_lo, t_hi, g_hi
 
 
 def companion_point(f, x: np.ndarray, v: np.ndarray, tol: float = 1e-12,
                     f_x: float | None = None) -> CompanionResult:
     """Locate the second level-set crossing along ``-v`` from ``x``.
 
-    Uses the exact quadratic step when the objective carries a
-    ``quadratic_view``; otherwise brackets by doubling and bisects until
-    |g(t) - g(0)| / max(1, |g(0)|) <= tol, or until the bracket width falls
-    below ``WIDTH_FLOOR * t_hi`` (stagnation guard for extremely flat g).
+    Brackets by doubling and bisects until |g(t) - g(0)| / max(1, |g(0)|)
+    <= tol, or until the bracket width falls below ``WIDTH_FLOOR * t_hi``
+    (stagnation guard for extremely flat g).  On a quadratic the ellipcenter
+    step takes the closed form 2 ||v||^2 / (v'Av) instead of this search.
 
     Parameters
     ----------
     f : Objective-like
-        Needs ``value`` and, for the closed form, ``quadratic_view``.
+        Needs ``value``; ``lip``, when present, sets the first probe.
     x, v : ndarray
         Current point and its gradient; ``||v|| > 0`` required.
     tol : float
@@ -119,24 +110,14 @@ def companion_point(f, x: np.ndarray, v: np.ndarray, tol: float = 1e-12,
     if not np.any(v):
         raise ValueError("gradient is zero; companion point is undefined")
 
-    quad = getattr(f, "quadratic_view", None)
-    if quad is not None:
-        t = companion_t_quadratic(quad, v)
-        y = x - t * v
-        if f_x is None:
-            f_x = f.value(x)
-        gy = f.value(y)
-        residual = abs(gy - f_x) / max(1.0, abs(f_x))
-        return CompanionResult(t, y, residual, 0)
-
     if f_x is None:
         f_x = f.value(x)
     g0 = f_x
     denom = max(1.0, abs(g0))
 
-    t_lo, t_hi = bracket_right(f, x, v, f_x=g0)
+    t_lo, t_hi, g_hi = bracket_right(f, x, v, f_x=g0)
     best_t = t_hi
-    best_res = abs(f.value(x - t_hi * v) - g0) / denom
+    best_res = abs(g_hi - g0) / denom
     iters = 0
     while iters < MAX_BISECTIONS:
         mid = 0.5 * (t_lo + t_hi)

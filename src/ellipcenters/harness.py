@@ -137,6 +137,11 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     of the experiment continues.
     """
     f, _ = build_problem(spec)
+    return _run_on(spec, f)
+
+
+def _run_on(spec: ExperimentSpec, f: Objective) -> ExperimentResult:
+    """:func:`run_experiment` on an objective already built from ``spec``."""
     reference = compute_reference(f)
     x1 = np.zeros(spec.n)
     traces: dict[str, RunTrace] = {}
@@ -291,8 +296,8 @@ def verify_experiment(spec: ExperimentSpec):
     ``(ExperimentResult, AuditReport)``.
     """
     spec = replace(spec, solvers=[SolverId.ME])
-    result = run_experiment(spec)
     f, _ = build_problem(spec)
+    result = _run_on(spec, f)
     trace = result.traces[SolverId.ME.value]
     ref = result.reference
     report = AuditReport()

@@ -61,8 +61,9 @@ class Objective:
     value_fn, grad_fn : callable
         Evaluate the objective and its gradient at a point.
     quadratic_view : QuadraticProblem, optional
-        Set when the objective is exactly quadratic; solvers then use closed
-        forms for the companion step and the plane minimization.
+        Set when the objective is exactly quadratic.  Read only by the step
+        functions in :mod:`.solvers`, which take closed forms, and by
+        ``harness.compute_reference``, which solves for the minimizer.
     """
 
     def __init__(self, dim: int, mu: float, lip: float,

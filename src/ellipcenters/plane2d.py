@@ -5,6 +5,8 @@ gradient at the companion point) is parametrized as
 ``p(alpha, beta) = x + alpha v + beta w``, and the restricted function
 ``F(alpha, beta) = f(p)`` is minimized either by a single Newton solve
 (exact for quadratics) or by 2-D gradient descent with Armijo backtracking.
+The ellipcenter step in :mod:`.solvers` chooses Newton for a quadratic and
+hands it the products ``A v`` and ``A w``.
 
 The descent solver iterates in an orthonormalized span of (v, w): the raw
 (alpha, beta) coordinates can be arbitrarily ill-conditioned when the two
@@ -22,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegeneratePlaneError, InnerStallError
-from .objectives import QuadraticProblem
 
 ARMIJO_DECREASE = 1e-4
 ARMIJO_BACKTRACK = 0.5
@@ -34,10 +35,8 @@ STALL_FACTOR = 1e3  # residual above STALL_FACTOR * tol at the cap is a stall
 class PlaneSubproblem:
     """Geometry of one plane search.
 
-    ``gram`` is the 2x2 Gram matrix of (v, w); ``sin2_theta`` its normalized
-    determinant in [0, 1]; ``lip_bound = lip * (||v||^2 + ||w||^2)`` an upper
-    bound on the Lipschitz constant of the restricted gradient in the raw
-    chart.
+    ``gram`` is the 2x2 Gram matrix of (v, w) and ``sin2_theta`` its
+    normalized determinant in [0, 1].
     """
 
     base: np.ndarray
@@ -45,8 +44,6 @@ class PlaneSubproblem:
     w: np.ndarray
     gram: np.ndarray = field(init=False)
     sin2_theta: float = field(init=False)
-    lip_bound: float = field(init=False)
-    lip: float = 0.0
 
     def __post_init__(self):
         vv = float(self.v @ self.v)
@@ -56,16 +53,9 @@ class PlaneSubproblem:
         det = vv * ww - vw * vw
         denom = vv * ww
         self.sin2_theta = min(1.0, max(0.0, det / denom)) if denom > 0 else 0.0
-        self.lip_bound = self.lip * (vv + ww)
 
     def point(self, alpha: float, beta: float) -> np.ndarray:
         return self.base + alpha * self.v + beta * self.w
-
-
-def make_plane(f, x: np.ndarray, v: np.ndarray, w: np.ndarray) -> PlaneSubproblem:
-    """Assemble the plane subproblem for objective ``f`` at ``x``."""
-    return PlaneSubproblem(np.asarray(x, float), np.asarray(v, float),
-                           np.asarray(w, float), lip=f.lip)
 
 
 @dataclass
@@ -85,15 +75,15 @@ class PlaneSolution:
     grad_evals: int
 
 
-def solve_newton_quadratic(p: QuadraticProblem, sp: PlaneSubproblem) -> PlaneSolution:
-    """One exact Newton step for the restricted quadratic.
+def solve_newton_quadratic(sp: PlaneSubproblem, av: np.ndarray,
+                           aw: np.ndarray) -> PlaneSolution:
+    """One exact Newton step for the restricted quadratic with Hessian A,
+    given the products ``av = A v`` and ``aw = A w``.
 
     Solves [[v'Av, v'Aw], [w'Av, w'Aw]] (alpha, beta)' = -(<v,v>, <v,w>)'
     with one step of iterative refinement.  Raises
     :class:`DegeneratePlaneError` when the system is numerically singular.
     """
-    av = p.a_matrix @ sp.v
-    aw = p.a_matrix @ sp.w
     vav = float(sp.v @ av)
     vaw = float(sp.v @ aw)
     waw = float(sp.w @ aw)

@@ -23,11 +23,11 @@ from typing import Optional
 
 import numpy as np
 
-from .companion import companion_point
+from .companion import CompanionResult, companion_point
 from .errors import (DegeneratePlaneError, InnerStallError, NonFiniteError,
                      NumericalFailureError)
 from .objectives import CountingObjective, Objective
-from .plane2d import (make_plane, segment_minimizer, solve_gd_armijo,
+from .plane2d import (PlaneSubproblem, segment_minimizer, solve_gd_armijo,
                       solve_newton_quadratic)
 
 
@@ -136,16 +136,29 @@ class RunTrace:
 
 def _me_step(cf, k, x, f_x, v, cfg: SolverConfig):
     """Ellipcenter step k from (x, v = grad f(x)): companion point, then the
-    plane minimizer (Newton for quadratics, Armijo descent otherwise), or the
-    segment minimizer when the two gradients are parallel."""
-    comp = companion_point(cf, x, v, tol=cfg.companion_tol, f_x=f_x)
+    plane minimizer, or the segment minimizer when the two gradients are
+    parallel.  On a quadratic both searches have closed forms that share one
+    product A v: the crossing t = 2 ||v||^2 / (v'Av) and one Newton solve.
+    Otherwise they are bracket plus bisection and Armijo descent."""
+    quad = cf.quadratic_view
+    if quad is None:
+        comp = companion_point(cf, x, v, tol=cfg.companion_tol, f_x=f_x)
+    else:
+        av = quad.a_matrix @ v
+        vav = float(v @ av)
+        if not vav > 0.0:
+            raise NumericalFailureError(f"v'Av = {vav:.3e} is not positive")
+        t = 2.0 * float(v @ v) / vav
+        y = x - t * v
+        residual = abs(cf.value(y) - f_x) / max(1.0, abs(f_x))
+        comp = CompanionResult(t, y, residual, 0)
     w = cf.grad(comp.y)
-    sp = make_plane(cf, x, v, w)
+    sp = PlaneSubproblem(x, v, w)
     li = sp.sin2_theta >= cfg.ld_threshold
     if li:
         try:
-            if cf.quadratic_view is not None:
-                sol = solve_newton_quadratic(cf.quadratic_view, sp)
+            if quad is not None:
+                sol = solve_newton_quadratic(sp, av, quad.a_matrix @ w)
             else:
                 sol = solve_gd_armijo(cf, sp, inner_tol=cfg.inner_tol,
                                       max_inner=cfg.max_inner, f_base=f_x)

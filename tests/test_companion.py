@@ -3,45 +3,60 @@ import numpy.testing as npt
 import pytest
 
 from ellipcenters import (NumericalFailureError, Objective, QuadraticProblem,
-                          SolverConfig, bracket_right, companion_point,
-                          companion_t_quadratic, generate_quadratic,
-                          run_gd_exact)
+                          RunStatus, SolverConfig, bracket_right,
+                          companion_point, generate_quadratic, run_gd_exact,
+                          run_me)
+
+ONE_STEP = SolverConfig(max_outer=1)
 
 
-def without_quadratic_view(q: QuadraticProblem) -> Objective:
-    """Force the bisection path on a quadratic by hiding its structure."""
-    return Objective(q.dim, q.mu, q.lip, q.value, q.grad)
+def closed_form_t(q: QuadraticProblem, x: np.ndarray) -> float:
+    """The companion step the ellipcenter method takes from ``x`` on a
+    quadratic: its closed form 2 ||v||^2 / (v'Av), read off a one-step run."""
+    return run_me(q.objective(), x, ONE_STEP).records[0].t_k
 
 
 class TestClosedForm:
     def test_isotropic_step_is_two(self):
         p = QuadraticProblem(np.eye(3), np.zeros(3))
-        assert companion_t_quadratic(p, np.array([0.3, -1.0, 2.0])) == pytest.approx(2.0)
+        assert closed_form_t(p, np.array([0.3, -1.0, 2.0])) == pytest.approx(2.0)
 
     def test_diag_example(self, diag_quadratic):
-        t = companion_t_quadratic(diag_quadratic, np.array([1.0, 4.0]))
+        # v = grad f(1, 1) = (1, 4)
+        t = closed_form_t(diag_quadratic, np.array([1.0, 1.0]))
         assert t == pytest.approx(34.0 / 65.0, rel=1e-15)
 
     def test_eigenvector_direction(self, diag_quadratic):
-        t = companion_t_quadratic(diag_quadratic, np.array([1.0, 0.0]))
+        t = closed_form_t(diag_quadratic, np.array([1.0, 0.0]))
         assert t == pytest.approx(2.0)
 
     def test_zero_direction_rejected(self, diag_quadratic):
+        f = diag_quadratic.objective()
         with pytest.raises(ValueError):
-            companion_t_quadratic(diag_quadratic, np.zeros(2))
+            companion_point(f, np.array([1.0, 1.0]), np.zeros(2))
+
+    def test_underflowing_curvature_is_numeric_failure(self):
+        """v'Av underflows to zero for a tiny gradient; the step reports a
+        numerical failure instead of dividing by it."""
+        p = QuadraticProblem(np.diag([1e-10, 1.0]), np.zeros(2))
+        # v = (1e-160, 0): ||v|| > eps, but v'Av = 1e-330 rounds to 0
+        trace = run_me(p.objective(), np.array([1e-150, 0.0]),
+                       SolverConfig(eps=1e-300))
+        assert trace.status is RunStatus.NUMERIC_FAILURE
+        assert trace.iterations == 0
 
 
 class TestBracket:
     def test_isotropic_bracket_straddles_two(self):
         f = QuadraticProblem(np.eye(2), np.zeros(2)).objective()
         x = np.array([1.0, 0.0])
-        t_lo, t_hi = bracket_right(f, x, f.grad(x))
+        t_lo, t_hi, _ = bracket_right(f, x, f.grad(x))
         assert 0.0 < t_lo < 2.0 < t_hi
 
     def test_diag_bracket_contains_root(self, diag_quadratic):
-        f = without_quadratic_view(diag_quadratic)
+        f = diag_quadratic.objective()
         x = np.array([1.0, 1.0])
-        t_lo, t_hi = bracket_right(f, x, f.grad(x))
+        t_lo, t_hi, _ = bracket_right(f, x, f.grad(x))
         assert t_lo < 34.0 / 65.0 < t_hi
 
     def test_logistic_bracket_levels(self, small_logreg):
@@ -50,8 +65,9 @@ class TestBracket:
         x[0] = 1.0
         v = f.grad(x)
         g0 = f.value(x)
-        t_lo, t_hi = bracket_right(f, x, v)
-        assert f.value(x - t_lo * v) < g0 < f.value(x - t_hi * v)
+        t_lo, t_hi, g_hi = bracket_right(f, x, v)
+        assert g_hi == f.value(x - t_hi * v)
+        assert f.value(x - t_lo * v) < g0 < g_hi
 
     def test_noncoercive_objective_fails(self):
         f = Objective(1, 1.0, 1.0, lambda x: float(x[0]),
@@ -72,14 +88,15 @@ class TestCompanionPoint:
     def test_diag_example_closed_form(self, diag_quadratic):
         f = diag_quadratic.objective()
         x = np.array([1.0, 1.0])
-        res = companion_point(f, x, f.grad(x))
-        assert res.t == pytest.approx(34.0 / 65.0, rel=1e-14)
-        npt.assert_allclose(res.y, [31.0 / 65.0, -71.0 / 65.0], rtol=1e-14)
-        assert f.value(res.y) == pytest.approx(2.5, abs=1e-12)
-        assert res.bisection_iters == 0
+        step = run_me(f, x, ONE_STEP).step_data[0]
+        y = x - step.t * f.grad(x)
+        assert step.t == pytest.approx(34.0 / 65.0, rel=1e-14)
+        npt.assert_allclose(y, [31.0 / 65.0, -71.0 / 65.0], rtol=1e-14)
+        assert f.value(y) == pytest.approx(2.5, abs=1e-12)
+        assert step.level_residual <= 1e-15
 
     def test_diag_example_by_bisection(self, diag_quadratic):
-        f = without_quadratic_view(diag_quadratic)
+        f = diag_quadratic.objective()
         x = np.array([1.0, 1.0])
         res = companion_point(f, x, f.grad(x))
         assert res.t == pytest.approx(34.0 / 65.0, rel=1e-9)
@@ -104,9 +121,9 @@ class TestCompanionPoint:
         """Uniqueness of the crossing: both routes find the same t."""
         q = generate_quadratic(6, 15.0, seed)
         x = rng.standard_normal(6)
-        v = q.grad(x)
-        t_exact = companion_t_quadratic(q, v)
-        res = companion_point(without_quadratic_view(q), x, v)
+        t_exact = closed_form_t(q, x)
+        res = companion_point(q.objective(), x, q.grad(x))
+        assert res.bisection_iters > 0
         assert abs(res.t - t_exact) <= 1e-9 * t_exact
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
@@ -116,8 +133,8 @@ class TestCompanionPoint:
         q = generate_quadratic(5, 8.0, seed)
         x = rng.standard_normal(5)
         v = q.grad(x)
-        t_k = companion_t_quadratic(q, v)
-        x_next = run_gd_exact(q.objective(), x, SolverConfig(max_outer=1)).x_final
+        t_k = closed_form_t(q, x)
+        x_next = run_gd_exact(q.objective(), x, ONE_STEP).x_final
         t_star = (x - x_next) @ v / (v @ v)
         assert t_k == pytest.approx(2.0 * t_star, rel=1e-14)
 

@@ -10,8 +10,8 @@ from scipy.special import expit
 from ellipcenters import (LogRegProblem, Objective, QuadraticProblem,
                           central_difference_gradient, check_gradient,
                           generate_logreg, generate_quadratic, load_logreg,
-                          load_quadratic, mu_for_kappa, run_gd_l, save_logreg,
-                          save_quadratic)
+                          load_quadratic, mu_for_kappa, run_gd_l, run_me,
+                          save_logreg, save_quadratic)
 
 
 class TestQuadratic:
@@ -381,6 +381,17 @@ class TestProductCount:
         trace = run_gd_l(p.objective(), np.zeros(12))
         assert trace.converged
         assert counter.products == trace.iterations + 1
+
+    def test_quadratic_me_makes_four_products_per_step(self):
+        """One product at the start, then per step: A v (shared by the
+        companion crossing and the Newton solve), the companion point, A w
+        and the new iterate."""
+        p = generate_quadratic(12, 30.0, 5)
+        counter = count_products(p, "a_matrix")
+        trace = run_me(p.objective(), np.zeros(12))
+        assert trace.converged
+        assert all(step.li_flag for step in trace.step_data)
+        assert counter.products == 1 + 4 * trace.iterations
 
     def test_logreg_value_and_grad_make_two_products(self, rng):
         p = generate_logreg(12, 20, 30.0, 5)

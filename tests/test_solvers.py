@@ -260,7 +260,7 @@ def test_non_finite_objective_stops_run(sid):
 # A caching or fusion change that skips a counted value or gradient call
 # changes these counts without changing the computed iterates.
 COST_MODEL = {
-    "logreg": {"me": (10, 177, 338), "gd_l": (799, 800, 800),
+    "logreg": {"me": (10, 177, 328), "gd_l": (799, 800, 800),
                "gd_exact": (26, 1145, 27), "fast_gd": (117, 234, 118)},
     "quadratic": {"me": (161, 323, 323), "gd_l": (1218, 1219, 1219),
                   "gd_exact": (630, 631, 631), "fast_gd": (142, 284, 143)},
