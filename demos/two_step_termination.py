@@ -4,8 +4,10 @@
 When the gradient at the iterate and the gradient at its level-set
 companion are linearly independent in the plane, the search plane is the
 whole space, so the plane minimizer IS the global minimizer.  The only
-way that can fail is the degenerate parallel-gradient case, and even then
-the segment step makes the next pair independent.
+way that can fail is the degenerate parallel-gradient case, where the
+plane shrinks to the gradient line and the step is the exact-linesearch
+step.  On a quadratic that case means the gradient is an eigenvector of A,
+and the linesearch lands on the minimizer.
 """
 
 import numpy as np
@@ -32,8 +34,8 @@ for seed in range(5):
 print()
 print("--- the degenerate case: an isotropic bowl ---")
 # Every level set is a sphere, so the companion gradient is exactly
-# anti-parallel and the solver falls back to minimizing along the segment,
-# which passes through the center.
+# anti-parallel and the plane shrinks to the gradient line; the exact
+# linesearch along it lands on the center.
 q = QuadraticProblem(np.eye(2), np.zeros(2))
 trace = run_me(q.objective(), np.array([1.0, 0.0]))
 step = trace.records[0]

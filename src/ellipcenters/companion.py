@@ -1,11 +1,13 @@
-"""Companion-point location on the current level set.
+"""Companion-point location on the current level set, and the ray search
+behind it.
 
 Starting from a non-stationary ``x`` with gradient ``v``, the ray
 ``x - t v`` (t > 0) re-crosses the level set {f = f(x)} at exactly one
 point, because a strongly convex function meets any line in at most two
 points and is coercive along every ray.  ``companion_point`` locates that
-crossing by a doubling bracket followed by bisection on the level residual.
-A quadratic's closed-form crossing is taken in :mod:`.solvers` instead.
+crossing with ``ray_root`` on the level residual.  The same search, on the
+directional derivative, is the exact linesearch in :mod:`.solvers`; a
+quadratic's closed-form crossing is taken there as well.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .errors import NumericalFailureError
 
 MAX_DOUBLINGS = 200
 MAX_BISECTIONS = 200
-WIDTH_FLOOR = 1e-15  # stop when the bracket narrows below WIDTH_FLOOR * t_hi
+WIDTH_FLOOR = 1e-15  # stop when the bracket narrows below WIDTH_FLOOR * hi
 
 
 @dataclass
@@ -36,66 +38,65 @@ class CompanionResult:
     bisection_iters: int
 
 
-def bracket_right(f, x: np.ndarray, v: np.ndarray, t_init: float | None = None,
-                  f_x: float | None = None):
-    """Bracket the level crossing of g(t) = f(x - t v).
+def ray_root(probe, t: float, tol: float):
+    """Root of a sign function along a ray t > 0, by doubling then bisection.
 
-    Doubles from ``t_init`` (default 2/lip) until g(t) > g(0), recording the
-    last strictly sub-level step as the left end; if no sub-level point was
-    seen before the right end, halves below it until one is found.  Returns
-    ``(t_lo, t_hi, g(t_hi))`` with g(t_lo) < g(0) < g(t_hi) and
-    0 < t_lo < t_hi.
+    ``probe(t)`` returns ``(s, payload)`` with s < 0 below the root and
+    s > 0 above it.  Doubles ``t`` until s > 0; the left end of the bracket
+    is the last probe with s < 0, else 0.  A doubling probe is never
+    accepted, since s may also vanish at the ray's start.  Then bisects
+    until |s| <= tol or the bracket is narrower than ``WIDTH_FLOOR * hi``,
+    and returns ``(t, |s|, payload)`` of the smallest-|s| probe among the
+    right end and the midpoints, plus the number of bisections; the caller
+    judges the residual.
+    Raises :class:`NumericalFailureError` when s never turns positive or the
+    bisection budget runs out.
     """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    g0 = f.value(x) if f_x is None else f_x
-    lip = getattr(f, "lip", None)
-    if t_init is None:
-        t_init = 2.0 / lip if lip else 1.0
-
-    t = t_init
-    t_lo = None
-    t_hi = None
+    lo = 0.0
     for _ in range(MAX_DOUBLINGS):
-        gt = f.value(x - t * v)
-        if gt > g0:
-            t_hi, g_hi = t, gt
+        s, payload = probe(t)
+        if s > 0.0:
             break
-        if gt < g0:
-            t_lo = t
+        if s < 0.0:
+            lo = t
         t *= 2.0
-    if t_hi is None:
+    else:
         raise NumericalFailureError(
-            f"no super-level point after {MAX_DOUBLINGS} doublings; "
+            f"no sign change after {MAX_DOUBLINGS} doublings; "
             "objective does not look coercive")
-    if t_lo is None:
-        # first probe already crossed; g'(0) < 0 guarantees a sub-level
-        # point arbitrarily close to 0
-        t = t_hi
-        for _ in range(MAX_DOUBLINGS):
-            t *= 0.5
-            if f.value(x - t * v) < g0:
-                t_lo = t
-                break
-        if t_lo is None:
-            raise NumericalFailureError(
-                f"no sub-level point above 0 after {MAX_DOUBLINGS} halvings")
-    return t_lo, t_hi, g_hi
+    hi = t
+    best = (t, abs(s), payload)
+    for iters in range(1, MAX_BISECTIONS + 1):
+        mid = 0.5 * (lo + hi)
+        s, payload = probe(mid)
+        if abs(s) < best[1]:
+            best = (mid, abs(s), payload)
+        if abs(s) <= tol:
+            break
+        if s < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if (hi - lo) < WIDTH_FLOOR * hi:
+            break
+    else:
+        raise NumericalFailureError(
+            f"bisection did not converge in {MAX_BISECTIONS} steps")
+    return (*best, iters)
 
 
 def companion_point(f, x: np.ndarray, v: np.ndarray, tol: float = 1e-12,
                     f_x: float | None = None) -> CompanionResult:
     """Locate the second level-set crossing along ``-v`` from ``x``.
 
-    Brackets by doubling and bisects until |g(t) - g(0)| / max(1, |g(0)|)
-    <= tol, or until the bracket width falls below ``WIDTH_FLOOR * t_hi``
-    (stagnation guard for extremely flat g).  On a quadratic the ellipcenter
-    step takes the closed form 2 ||v||^2 / (v'Av) instead of this search.
+    Runs ``ray_root`` on s(t) = (f(x - t v) - f(x)) / max(1, |f(x)|) from
+    t = 2/lip until |s| <= tol.  Raises :class:`NumericalFailureError` when
+    the bracket collapses first (an extremely flat restriction).
 
     Parameters
     ----------
     f : Objective-like
-        Needs ``value``; ``lip``, when present, sets the first probe.
+        Needs ``value`` and ``lip``.
     x, v : ndarray
         Current point and its gradient; ``||v|| > 0`` required.
     tol : float
@@ -109,34 +110,15 @@ def companion_point(f, x: np.ndarray, v: np.ndarray, tol: float = 1e-12,
         raise ValueError(f"tol must be positive, got {tol}")
     if not np.any(v):
         raise ValueError("gradient is zero; companion point is undefined")
-
-    if f_x is None:
-        f_x = f.value(x)
-    g0 = f_x
+    g0 = f.value(x) if f_x is None else f_x
     denom = max(1.0, abs(g0))
 
-    t_lo, t_hi, g_hi = bracket_right(f, x, v, f_x=g0)
-    best_t = t_hi
-    best_res = abs(g_hi - g0) / denom
-    iters = 0
-    while iters < MAX_BISECTIONS:
-        mid = 0.5 * (t_lo + t_hi)
-        g_mid = f.value(x - mid * v)
-        iters += 1
-        res = abs(g_mid - g0) / denom
-        if res < best_res:
-            best_res = res
-            best_t = mid
-        if res <= tol:
-            break
-        if g_mid < g0:
-            t_lo = mid
-        else:
-            t_hi = mid
-        if (t_hi - t_lo) < WIDTH_FLOOR * t_hi:
-            break
-    if best_res > tol:
+    def level(t):
+        y = x - t * v
+        return (f.value(y) - g0) / denom, y
+
+    t, res, y, iters = ray_root(level, 2.0 / f.lip, tol)
+    if res > tol:
         raise NumericalFailureError(
-            f"bisection stalled at level residual {best_res:.3e} > {tol:.3e}")
-    y = x - best_t * v
-    return CompanionResult(best_t, y, best_res, iters)
+            f"bisection stalled at level residual {res:.3e} > {tol:.3e}")
+    return CompanionResult(t, y, res, iters)

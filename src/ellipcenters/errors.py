@@ -11,7 +11,8 @@ class NumericalFailureError(RuntimeError):
 
 class DegeneratePlaneError(RuntimeError):
     """The two gradient directions are numerically parallel, so the 2x2
-    plane system is singular.  Callers fall back to the segment step."""
+    plane system is singular.  The plane is then the line along the
+    gradient, and the ellipcenter step takes the exact-linesearch step."""
 
 
 class InnerStallError(RuntimeError):

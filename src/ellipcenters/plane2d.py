@@ -113,9 +113,10 @@ def solve_gd_armijo(f, sp: PlaneSubproblem, inner_tol: float = 1e-12,
     sufficient-decrease test passes, so the restricted value is monotonically
     non-increasing while decreases remain measurable in double precision.
     Once the required decrease falls below the rounding floor of the value
-    (~4 eps |F|), value comparisons carry no information and the safeguarded
-    step is taken directly; by then the iterate sits in the fp-flat quadratic
-    basin, where the Barzilai-Borwein iteration is superlinear in 2-D.
+    (4 eps max(|F(0)|, |F|), F the last accepted value), value comparisons
+    carry no information and the safeguarded step is taken directly; by then
+    the iterate sits in the fp-flat quadratic basin, where the
+    Barzilai-Borwein iteration is superlinear in 2-D.
 
     Stops when ``||grad2|| <= inner_tol * max(||v||, ||w||)`` in the raw
     chart, returning the best iterate seen.  Reaching ``max_inner`` with a
@@ -150,7 +151,9 @@ def solve_gd_armijo(f, sp: PlaneSubproblem, inner_tol: float = 1e-12,
     fp = f.value(p) if f_base is None else f_base
     gq = np.array([r11, 0.0])            # <v, q1> = r11, <v, q2> = 0 exactly
     h_safe = 1.0 / (f.lip * 2.0)         # provably safe step in this chart
-    value_floor = 4.0 * np.finfo(float).eps * max(abs(fp), 1e-300)
+    ulp4 = 4.0 * np.finfo(float).eps
+    f0_abs = abs(fp)
+    value_floor = ulp4 * max(f0_abs, 1e-300)
 
     best_s = s.copy()
     best_residual = float(np.linalg.norm(grad2))
@@ -181,6 +184,7 @@ def solve_gd_armijo(f, sp: PlaneSubproblem, inner_tol: float = 1e-12,
             f_new = f.value(p_new)
             if f_new <= fp - required:
                 fp = f_new
+                value_floor = ulp4 * max(f0_abs, abs(fp), 1e-300)
                 break
             h *= ARMIJO_BACKTRACK
             s_new = None
@@ -210,35 +214,3 @@ def solve_gd_armijo(f, sp: PlaneSubproblem, inner_tol: float = 1e-12,
     alpha = float((best_s[0] - r12 * beta) / r11)
     return PlaneSolution(alpha, beta, sp.point(alpha, beta),
                          best_residual, iters, grad_evals)
-
-
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def segment_minimizer(f, x: np.ndarray, y: np.ndarray,
-                      width_tol: float = 1e-12) -> np.ndarray:
-    """Golden-section minimizer of f along the segment [x, y].
-
-    Intended for the degenerate case where the two gradients are parallel
-    and f(x) = f(y): strict convexity then makes the restriction unimodal
-    with an interior minimum, so the result strictly decreases f.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    d = y - x
-    g = lambda lam: f.value(x + lam * d)
-    lo, hi = 0.0, 1.0
-    a = hi - GOLDEN * (hi - lo)
-    b = lo + GOLDEN * (hi - lo)
-    ga, gb = g(a), g(b)
-    while (hi - lo) > width_tol:
-        if ga <= gb:
-            hi, b, gb = b, a, ga
-            a = hi - GOLDEN * (hi - lo)
-            ga = g(a)
-        else:
-            lo, a, ga = a, b, gb
-            b = lo + GOLDEN * (hi - lo)
-            gb = g(b)
-    lam = 0.5 * (lo + hi)
-    return x + lam * d

@@ -23,12 +23,11 @@ from typing import Optional
 
 import numpy as np
 
-from .companion import CompanionResult, companion_point
+from .companion import CompanionResult, companion_point, ray_root
 from .errors import (DegeneratePlaneError, InnerStallError, NonFiniteError,
                      NumericalFailureError)
 from .objectives import CountingObjective, Objective
-from .plane2d import (PlaneSubproblem, segment_minimizer, solve_gd_armijo,
-                      solve_newton_quadratic)
+from .plane2d import PlaneSubproblem, solve_gd_armijo, solve_newton_quadratic
 
 
 class SolverId(str, enum.Enum):
@@ -136,10 +135,11 @@ class RunTrace:
 
 def _me_step(cf, k, x, f_x, v, cfg: SolverConfig):
     """Ellipcenter step k from (x, v = grad f(x)): companion point, then the
-    plane minimizer, or the segment minimizer when the two gradients are
-    parallel.  On a quadratic both searches have closed forms that share one
+    plane minimizer.  On a quadratic both have closed forms that share one
     product A v: the crossing t = 2 ||v||^2 / (v'Av) and one Newton solve.
-    Otherwise they are bracket plus bisection and Armijo descent."""
+    Otherwise they are ``companion_point`` and Armijo descent.  When the two
+    gradients are parallel the plane is the line along v, and the step is
+    the exact-linesearch step."""
     quad = cf.quadratic_view
     if quad is None:
         comp = companion_point(cf, x, v, tol=cfg.companion_tol, f_x=f_x)
@@ -162,12 +162,11 @@ def _me_step(cf, k, x, f_x, v, cfg: SolverConfig):
             else:
                 sol = solve_gd_armijo(cf, sp, inner_tol=cfg.inner_tol,
                                       max_inner=cfg.max_inner, f_base=f_x)
-            x_next = sol.x_next
+            x_next, g_next = sol.x_next, cf.grad(sol.x_next)
         except DegeneratePlaneError:
             li = False
     if not li:
-        x_next = segment_minimizer(cf, x, comp.y)
-    g_next = cf.grad(x_next)
+        x_next, g_next = _exact_linesearch(cf, x, v)
     return x_next, g_next, StepVectors(
         k=k, v=v, w=w, grad_next=g_next, dx=x_next - x, t=comp.t, li_flag=li,
         sin2_theta=sp.sin2_theta, level_residual=comp.level_residual)
@@ -178,54 +177,31 @@ def _gd_l_step(cf, k, x, f_x, v, cfg):
     return x - v / cf.lip, None, None
 
 
-def _gd_exact_step(cf, k, x, f_x, v, cfg):
-    """Step to x - t* v, t* the root of phi(t) = <grad f(x - t v), v>, found
-    by doubling plus bisection.
+def _exact_linesearch(cf, x, v):
+    """``(x - t* v, grad f(x - t* v))``, t* the root of <grad f(x - t v), v>.
 
-    Targets |phi| <= 1e-12 ||v||^2; when rounding noise in the gradient keeps
-    phi above that, stops once the bracket collapses to machine width and
-    takes the smallest-|phi| probe.  Returns the last probe's gradient as the
-    gradient at the new point.  Closed form (one fresh gradient) for
-    quadratics.
+    A quadratic takes the closed form t* = ||v||^2 / (v'Av).  Otherwise
+    ``ray_root`` targets |<g, v>| <= 1e-12 ||v||^2 from t = 1/lip; when
+    gradient rounding keeps the derivative above that, the bracket collapses
+    to machine width and its smallest-|<g, v>| probe is taken.
     """
     vv = float(v @ v)
     quad = cf.quadratic_view
     if quad is not None:
         x_next = x - vv / float(v @ (quad.a_matrix @ v)) * v
-        return x_next, cf.grad(x_next), None
-    tol = 1e-12 * vv
-    t = 1.0 / cf.lip
-    t_prev = 0.0
-    g = None
-    for _ in range(200):
+        return x_next, cf.grad(x_next)
+
+    def slope(t):
         g = cf.grad(x - t * v)
-        phi = float(g @ v)
-        if abs(phi) <= tol:
-            return x - t * v, g, None
-        if phi < 0.0:
-            break
-        t_prev = t
-        t *= 2.0
-    else:
-        raise NumericalFailureError("directional derivative never changed sign")
-    lo, hi = t_prev, t
-    best = (abs(phi), t, g)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        g = cf.grad(x - mid * v)
-        phi = float(g @ v)
-        if abs(phi) < best[0]:
-            best = (abs(phi), mid, g)
-        if abs(phi) <= tol:
-            return x - mid * v, g, None
-        if phi > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if (hi - lo) <= 1e-15 * hi:
-            # root localized to machine precision; |phi| is gradient noise
-            return x - best[1] * v, best[2], None
-    raise NumericalFailureError("exact linesearch bisection did not converge")
+        return -float(g @ v), g
+
+    t, _, g, _ = ray_root(slope, 1.0 / cf.lip, 1e-12 * vv)
+    return x - t * v, g
+
+
+def _gd_exact_step(cf, k, x, f_x, v, cfg):
+    """Step to the minimizer of f along the negative gradient."""
+    return (*_exact_linesearch(cf, x, v), None)
 
 
 def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,

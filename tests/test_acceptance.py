@@ -11,14 +11,14 @@ import time
 import numpy as np
 import pytest
 
-from ellipcenters import (ExperimentSpec, PlaneSubproblem, RunStatus,
-                          SolverConfig, SolverId, audit_dominance,
-                          check_gradient, companion_point, compute_reference,
-                          contraction_ratios, generate_logreg,
+from ellipcenters import (ExperimentSpec, RunStatus, SolverConfig, SolverId,
+                          check_gradient, compute_reference, generate_logreg,
                           generate_quadratic, run_experiment, run_me,
-                          solve_gd_armijo, solve_newton_quadratic,
                           theoretical_iteration_bound)
-from ellipcenters.companion import CompanionResult
+from ellipcenters.companion import CompanionResult, companion_point
+from ellipcenters.diagnostics import audit_dominance, contraction_ratios
+from ellipcenters.plane2d import (PlaneSubproblem, solve_gd_armijo,
+                                  solve_newton_quadratic)
 
 SUITE_QUADRATICS = [
     (5, 10.0, 101), (5, 100.0, 102), (50, 10.0, 103), (50, 100.0, 104),

@@ -1,6 +1,6 @@
 import json
 
-from ellipcenters import load_logreg, load_quadratic
+from ellipcenters.objectives import load_logreg, load_quadratic
 from ellipcenters.cli import main
 
 

@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ellipcenters import (NumericalFailureError, Objective, QuadraticProblem,
-                          RunStatus, SolverConfig, bracket_right,
-                          companion_point, generate_quadratic, run_gd_exact,
+from ellipcenters import (Objective, QuadraticProblem, RunStatus,
+                          SolverConfig, generate_quadratic, run_gd_exact,
                           run_me)
+from ellipcenters.companion import companion_point, ray_root
+from ellipcenters.errors import NumericalFailureError
 
 ONE_STEP = SolverConfig(max_outer=1)
 
@@ -46,34 +49,124 @@ class TestClosedForm:
         assert trace.iterations == 0
 
 
+def recording(fn):
+    """``fn`` as a probe that also appends every ``(t, s)`` it is asked."""
+    calls = []
+
+    def probe(t):
+        s = fn(t)
+        calls.append((t, s))
+        return s, ("payload", t)
+
+    return probe, calls
+
+
+class TestRayRoot:
+    def test_root_found_from_below(self):
+        probe, calls = recording(lambda t: t - 3.7)
+        t, res, payload, iters = ray_root(probe, 1.0, 1e-12)
+        assert abs(t - 3.7) <= 1e-12 and res == abs(t - 3.7)
+        assert payload == ("payload", t)
+        # doubling 1, 2, 4: the bisection starts from [2, 4]
+        assert [c[0] for c in calls[:4]] == [1.0, 2.0, 4.0, 3.0]
+        assert iters == len(calls) - 3
+
+    def test_first_probe_past_root_brackets_from_zero(self):
+        probe, calls = recording(lambda t: t - 0.3)
+        t, res, _, _ = ray_root(probe, 5.0, 1e-12)
+        assert calls[1][0] == 2.5  # midpoint of [0, 5]
+        assert abs(t - 0.3) <= 1e-12 and res <= 1e-12
+
+    def test_doubling_probe_is_never_accepted(self):
+        """A doubling probe inside the tolerance is passed over, since the
+        companion's residual also vanishes at the start of the ray."""
+        probe, calls = recording(lambda t: t - 1.0)
+        t, res, _, iters = ray_root(probe, 1.0 - 1e-14, 1e-12)
+        assert abs(calls[0][1]) <= 1e-12
+        assert iters >= 1 and t != calls[0][0]
+        assert abs(t - 1.0) <= 1e-12 and res <= 1e-12
+
+    def test_payload_is_from_best_probe(self):
+        """|s| jumps to 0.5 near the root, so the bracket collapses there
+        while the smallest |s| stays with an earlier probe; that probe is
+        returned, payload and all."""
+        def plateau(t):
+            d = t - 0.3
+            return d if abs(d) > 0.01 else math.copysign(0.5, d)
+
+        probe, calls = recording(plateau)
+        t, res, payload, iters = ray_root(probe, 1.0, 1e-12)
+        searched = calls[-(iters + 1):]
+        best_t, best_s = min(searched, key=lambda c: abs(c[1]))
+        assert (t, res, payload) == (best_t, abs(best_s), ("payload", best_t))
+        assert t != calls[-1][0]
+
+    def test_no_sign_change_raises(self):
+        probe, calls = recording(lambda t: -1.0)
+        with pytest.raises(NumericalFailureError):
+            ray_root(probe, 1.0, 1e-12)
+        assert len(calls) == 200
+
+    def test_nan_residual_never_brackets(self):
+        with pytest.raises(NumericalFailureError):
+            ray_root(lambda t: (float("nan"), None), 1.0, 1e-12)
+
+
 class TestBracket:
+    """The doubling bracket of the companion search, seen through its probes."""
+
     def test_isotropic_bracket_straddles_two(self):
+        """The first probe t = 2/lip sits on the level set and is passed
+        over; doubling to 4 brackets the crossing from [0, 4], and the first
+        midpoint returns to t = 2 exactly."""
         f = QuadraticProblem(np.eye(2), np.zeros(2)).objective()
         x = np.array([1.0, 0.0])
-        t_lo, t_hi, _ = bracket_right(f, x, f.grad(x))
-        assert 0.0 < t_lo < 2.0 < t_hi
+        v = f.grad(x)
+        probe, calls = recording(lambda t: f.value(x - t * v) - 0.5)
+        t, res, _, iters = ray_root(probe, 2.0 / f.lip, 1e-12)
+        assert [c[0] for c in calls] == [2.0, 4.0, 2.0]
+        assert (t, res, iters) == (2.0, 0.0, 1)
+        comp = companion_point(f, x, v)
+        assert (comp.t, comp.bisection_iters, comp.level_residual) == (2.0, 1, 0.0)
 
     def test_diag_bracket_contains_root(self, diag_quadratic):
-        f = diag_quadratic.objective()
+        """lip = 1 understates diag(1, 4): the first probe 2/lip = 2 is
+        already past the crossing 34/65, and bisection from [0, 2] finds it."""
+        q = QuadraticProblem(diag_quadratic.a_matrix, diag_quadratic.b, lip=1.0)
         x = np.array([1.0, 1.0])
-        t_lo, t_hi, _ = bracket_right(f, x, f.grad(x))
-        assert t_lo < 34.0 / 65.0 < t_hi
+        res = companion_point(q.objective(), x, q.grad(x))
+        assert res.t == pytest.approx(34.0 / 65.0, rel=1e-9)
 
     def test_logistic_bracket_levels(self, small_logreg):
-        f = small_logreg.objective()
+        """Every probe short of the returned step is sub-level and every
+        probe beyond it super-level."""
+        probes = []
+
+        def value(x):
+            fx = small_logreg.value(x)
+            probes.append((x, fx))
+            return fx
+
+        f = Objective(50, small_logreg.mu, small_logreg.lip, value,
+                      small_logreg.grad)
         x = np.zeros(50)
         x[0] = 1.0
         v = f.grad(x)
-        g0 = f.value(x)
-        t_lo, t_hi, g_hi = bracket_right(f, x, v)
-        assert g_hi == f.value(x - t_hi * v)
-        assert f.value(x - t_lo * v) < g0 < g_hi
+        g0 = small_logreg.value(x)
+        res = companion_point(f, x, v, f_x=g0)
+        steps = [((x - y) @ v / (v @ v), fy) for y, fy in probes]
+        assert any(t < res.t for t, _ in steps) and any(t > res.t for t, _ in steps)
+        for t, fy in steps:
+            if t < res.t * (1 - 1e-9):
+                assert fy < g0
+            elif t > res.t * (1 + 1e-9):
+                assert fy > g0
 
     def test_noncoercive_objective_fails(self):
         f = Objective(1, 1.0, 1.0, lambda x: float(x[0]),
                       lambda x: np.ones(1))
         with pytest.raises(NumericalFailureError):
-            bracket_right(f, np.zeros(1), np.ones(1))
+            companion_point(f, np.zeros(1), np.ones(1))
 
 
 class TestCompanionPoint:
@@ -146,3 +239,16 @@ class TestCompanionPoint:
         v = f.grad(x)
         res = companion_point(f, x, v)
         assert f.value(x - lam * res.t * v) < f.value(x)
+
+    def test_near_optimal_step_beyond_linesearch(self, small_logreg):
+        """Near the optimum the level residual is within tolerance over a
+        long stretch of the ray, the start included; the crossing must still
+        lie beyond the exact-linesearch step."""
+        f = small_logreg.objective()
+        x = run_me(f, np.zeros(50)).x_final
+        v = f.grad(x)
+        assert 1e-8 < np.linalg.norm(v) < 1e-7
+        x_gd = run_gd_exact(f, x, SolverConfig(eps=1e-300, max_outer=1)).x_final
+        t_star = (x - x_gd) @ v / (v @ v)
+        assert t_star > 2.0 / f.lip
+        assert companion_point(f, x, v).t > t_star

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from ellipcenters import (QuadraticProblem, SolverConfig, audit_dominance,
-                          audit_orthogonality, certify_rates, compute_reference,
-                          contraction_ratios, generate_logreg,
+from ellipcenters import (QuadraticProblem, SolverConfig, certify_rates,
+                          compute_reference, generate_logreg,
                           generate_quadratic, run_gd_l, run_me,
                           theoretical_iteration_bound)
+from ellipcenters.diagnostics import (audit_dominance, audit_orthogonality,
+                                      contraction_ratios)
 from ellipcenters.harness import fill_ratios
 
 

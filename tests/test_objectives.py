@@ -8,10 +8,11 @@ import pytest
 from scipy.special import expit
 
 from ellipcenters import (LogRegProblem, Objective, QuadraticProblem,
-                          central_difference_gradient, check_gradient,
-                          generate_logreg, generate_quadratic, load_logreg,
-                          load_quadratic, mu_for_kappa, run_gd_l, run_me,
-                          save_logreg, save_quadratic)
+                          check_gradient, generate_logreg, generate_quadratic,
+                          mu_for_kappa, run_gd_l, run_me)
+from ellipcenters.objectives import (central_difference_gradient, load_logreg,
+                                     load_quadratic, save_logreg,
+                                     save_quadratic)
 
 
 class TestQuadratic:

@@ -2,11 +2,16 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ellipcenters import (DegeneratePlaneError, InnerStallError,
-                          PlaneSubproblem, QuadraticProblem, SolverConfig,
-                          companion_point, generate_logreg, generate_quadratic,
-                          run_gd_exact, segment_minimizer, solve_gd_armijo,
-                          solve_newton_quadratic)
+from ellipcenters import (Objective, QuadraticProblem, SolverConfig,
+                          generate_logreg, generate_quadratic, run_gd_exact,
+                          run_me)
+from ellipcenters.companion import companion_point
+from ellipcenters.errors import DegeneratePlaneError, InnerStallError
+from ellipcenters.plane2d import (PlaneSubproblem, solve_gd_armijo,
+                                  solve_newton_quadratic)
+
+# sin^2 of two gradients never reaches 1.0 here, so every step is degenerate
+LINE_STEP = SolverConfig(eps=1e-300, max_outer=1, ld_threshold=1.0)
 
 
 def build_plane(prob, x):
@@ -108,6 +113,19 @@ class TestArmijoDescent:
         assert (sol.alpha, sol.beta) == (0.0, 0.0)
         assert sol.inner_iters == 0 and sol.grad_evals == 0
 
+    def test_zero_base_value_keeps_rounding_floor(self):
+        """At f(base) = 0 the rounding floor follows the accepted values, so
+        the first step costs about what it costs on f + 1."""
+        q = generate_quadratic(20, 50.0, 5)
+        assert q.value(np.zeros(20)) == 0.0
+        counts = []
+        for c in (0.0, 1.0):
+            f = Objective(20, q.mu, q.lip, lambda x, c=c: q.value(x) + c, q.grad)
+            trace = run_me(f, np.zeros(20), SolverConfig(max_outer=1))
+            assert trace.records[0].li_flag is True
+            counts.append(trace.records[-1].value_evals_total)
+        assert counts[0] <= 2 * counts[1]
+
     def test_stall_raises(self):
         p = generate_logreg(30, 15, 40.0, 4)
         f, sp, _ = build_plane(p, np.zeros(30))
@@ -147,30 +165,45 @@ class TestArmijoDescent:
 
 
 class TestSegmentMinimizer:
+    """With parallel gradients the plane is the line along v, and the
+    ellipcenter step minimizes f along it: on the segment [x, y] to the
+    companion y, by the exact linesearch."""
+
     def test_isotropic_midpoint(self):
-        f = QuadraticProblem(np.eye(2), np.zeros(2)).objective()
-        out = segment_minimizer(f, np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
-        npt.assert_allclose(out, [0.0, 0.0], atol=1e-9)
+        q = QuadraticProblem(np.eye(2), np.zeros(2))
+        f = Objective(2, 1.0, 1.0, q.value, q.grad)  # no closed forms
+        trace = run_me(f, np.array([1.0, 0.0]), SolverConfig(max_outer=1))
+        assert trace.records[0].li_flag is False
+        npt.assert_allclose(trace.x_final, [0.0, 0.0], atol=1e-12)
 
     def test_diag_example_beats_midpoint_and_endpoint(self, diag_quadratic):
         f = diag_quadratic.objective()
         x = np.array([1.0, 1.0])
-        y = np.array([31.0 / 65.0, -71.0 / 65.0])
-        out = segment_minimizer(f, x, y)
+        y = np.array([31.0 / 65.0, -71.0 / 65.0])  # the companion point
+        trace = run_me(f, x, LINE_STEP)
+        assert trace.records[0].li_flag is False
+        out = trace.x_final
+        npt.assert_allclose(out, x - 17.0 / 65.0 * f.grad(x), rtol=1e-15)
         assert f.value(out) <= f.value(0.5 * (x + y)) + 1e-14
         assert f.value(out) < f.value(x)
-        # dense 1-D grid oracle at 1e-6 spacing
-        lams = np.arange(0.0, 1.0 + 1e-6, 1e-6)
-        grid_best = min(f.value(x + lam * (y - x)) for lam in lams[:: 1000])
-        fine = min(f.value(x + lam * (y - x))
-                   for lam in np.linspace(0.45, 0.75, 2001))
-        assert f.value(out) <= min(grid_best, fine) + 1e-12
+        grid = min(f.value(x + lam * (y - x))
+                   for lam in np.linspace(0.0, 1.0, 2001))
+        assert f.value(out) <= grid + 1e-15
 
     def test_strict_descent_on_logistic(self, small_logreg):
         f = small_logreg.objective()
         x = np.zeros(50)
         x[0] = 0.7
-        v = f.grad(x)
-        comp = companion_point(f, x, v)
-        out = segment_minimizer(f, x, comp.y)
-        assert f.value(out) < f.value(x)
+        trace = run_me(f, x, LINE_STEP)
+        assert trace.records[0].li_flag is False
+        assert f.value(trace.x_final) < f.value(x)
+
+    @pytest.mark.parametrize("family", ["logreg", "quadratic"])
+    def test_same_point_as_exact_linesearch(self, family, small_logreg,
+                                            small_quadratic):
+        p = small_logreg if family == "logreg" else small_quadratic
+        f = p.objective()
+        x = np.full(p.dim, 0.7)
+        me = run_me(f, x, LINE_STEP)
+        assert me.records[0].li_flag is False
+        npt.assert_array_equal(me.x_final, run_gd_exact(f, x, LINE_STEP).x_final)

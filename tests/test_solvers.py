@@ -72,6 +72,17 @@ class TestRunMe:
         assert all(t >= o for t, o in zip(totals, outer))
         assert all(a <= b for a, b in zip(totals, totals[1:]))
 
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e9, 1e12])
+    def test_constant_offset_keeps_step_count(self, offset):
+        """Level comparisons near the rounding of f + c still find the
+        companion point: a zero level residual is accepted at a midpoint."""
+        p = generate_logreg(200, 100, 1e2, 0)
+        f = Objective(p.n, p.mu, p.lip, lambda x: p.value(x) + offset, p.grad)
+        trace = run_me(f, np.zeros(200))
+        assert trace.converged
+        assert trace.iterations == 7
+        assert np.linalg.norm(p.grad(trace.x_final)) <= trace.config.eps
+
     def test_monotone_decrease_until_termination(self, small_logreg):
         trace = run_me(small_logreg.objective(), np.zeros(50))
         values = [r.f_val for r in trace.records]
