@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -93,12 +94,14 @@ def _resolve(args) -> dict:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             settings[key] = flag_value
-    if settings["kappa"] is None or settings["kappa"] <= 1.0:
-        raise _UsageError(f"--kappa must exceed 1, got {settings['kappa']}")
+    kappa, eps = settings["kappa"], settings["eps"]
+    if kappa is None or not (1.0 < kappa < math.inf):
+        raise _UsageError(f"--kappa must exceed 1 and be finite, got {kappa}")
     if settings["n"] is None or settings["n"] < 1:
         raise _UsageError(f"--n must be positive, got {settings['n']}")
-    if settings["eps"] <= 0 or settings["max_outer"] < 1:
-        raise _UsageError("--eps must be positive and --max-outer at least 1")
+    if not (0.0 < eps < math.inf) or settings["max_outer"] < 1:
+        raise _UsageError("--eps must be positive and finite and --max-outer "
+                          f"at least 1, got {eps} and {settings['max_outer']}")
     return settings
 
 

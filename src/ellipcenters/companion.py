@@ -5,9 +5,10 @@ Starting from a non-stationary ``x`` with gradient ``v``, the ray
 ``x - t v`` (t > 0) re-crosses the level set {f = f(x)} at exactly one
 point, because a strongly convex function meets any line in at most two
 points and is coercive along every ray.  ``companion_point`` locates that
-crossing with ``ray_root`` on the level residual.  The same search, on the
-directional derivative, is the exact linesearch in :mod:`.solvers`; a
-quadratic's closed-form crossing is taken there as well.
+crossing on a model of f along the ray (``Objective.restrict(x, v)``): in
+closed form when the model is an exact quadratic, else with ``ray_root`` on
+the level residual.  The same search, on the directional derivative, is the
+exact linesearch in :mod:`.solvers`.
 """
 
 from __future__ import annotations
@@ -85,40 +86,47 @@ def ray_root(probe, t: float, tol: float):
     return (*best, iters)
 
 
-def companion_point(f, x: np.ndarray, v: np.ndarray, tol: float = 1e-12,
+def companion_point(ray, tol: float = 1e-12,
                     f_x: float | None = None) -> CompanionResult:
     """Locate the second level-set crossing along ``-v`` from ``x``.
 
-    Runs ``ray_root`` on s(t) = (f(x - t v) - f(x)) / max(1, |f(x)|) from
-    t = 2/lip until |s| <= tol.  Raises :class:`NumericalFailureError` when
-    the bracket collapses first (an extremely flat restriction).
+    ``ray`` is a model of f on ``x + span(v)`` (``f.restrict(x, v)``), with
+    ``v`` the gradient at ``x``.  With an exact quadratic model the crossing
+    is t = 2 <grad f(x), v> / (v'Av).  Otherwise ``ray_root`` runs on
+    s(t) = (f(x - t v) - f(x)) / max(1, |f(x)|) from t = 2/lip until
+    |s| <= tol, and :class:`NumericalFailureError` is raised when the
+    bracket collapses first (an extremely flat restriction).  ``y`` comes
+    from ``ray.point``, so a problem's gradient at it reuses the carried
+    product.
 
     Parameters
     ----------
-    f : Objective-like
-        Needs ``value`` and ``lip``.
-    x, v : ndarray
-        Current point and its gradient; ``||v|| > 0`` required.
+    ray : Restriction
+        Model along one direction ``v``; ``||v|| > 0`` required.
     tol : float
         Relative level-residual target.
     f_x : float, optional
         Known value f(x); saves one evaluation.
     """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if not np.any(v):
+    if not np.any(ray.dirs[0]):
         raise ValueError("gradient is zero; companion point is undefined")
-    g0 = f.value(x) if f_x is None else f_x
+    g0 = ray.value(0.0) if f_x is None else f_x
     denom = max(1.0, abs(g0))
+    if ray.hessian is not None:
+        curv = float(ray.hessian[0, 0])
+        if not curv > 0.0:
+            raise NumericalFailureError(f"v'Av = {curv:.3e} is not positive")
+        t = 2.0 * float(ray.grad(0.0)[0]) / curv
+        res = abs(ray.value(-t) - g0) / denom
+        return CompanionResult(t, ray.point(-t), res, 0)
 
     def level(t):
-        y = x - t * v
-        return (f.value(y) - g0) / denom, y
+        return (ray.value(-t) - g0) / denom, None
 
-    t, res, y, iters = ray_root(level, 2.0 / f.lip, tol)
+    t, res, _, iters = ray_root(level, 2.0 / ray.lip, tol)
     if res > tol:
         raise NumericalFailureError(
             f"bisection stalled at level residual {res:.3e} > {tol:.3e}")
-    return CompanionResult(t, y, res, iters)
+    return CompanionResult(t, ray.point(-t), res, iters)

@@ -27,7 +27,7 @@ from .solvers import (RUNNERS, IterateRecord, RunTrace, SolverConfig,
 
 TRACE_COLUMNS = ["k", "f", "gap", "grad_norm", "t_k", "sin2_theta", "li_flag",
                  "ratio", "grad_evals_outer", "grad_evals_total",
-                 "value_evals_total"]
+                 "value_evals_total", "restricted_evals_total"]
 
 SUMMARY_COLUMNS = ["solver", "n", "kappa", "status", "iterations",
                    "grad_evals_outer", "grad_evals_total", "value_evals_total",
@@ -54,7 +54,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.problem not in ("quadratic", "logreg"):
             raise ValueError(f"unknown problem family {self.problem!r}")
-        if self.kappa <= 1.0:
+        if not self.kappa > 1.0:
             raise ValueError(f"kappa must exceed 1, got {self.kappa}")
         if self.n < 1:
             raise ValueError(f"n must be positive, got {self.n}")
@@ -215,7 +215,7 @@ def write_trace_csv(trace: RunTrace, f_star: float, path) -> None:
                 _fmt(rec.grad_norm), _fmt(rec.t_k), _fmt(rec.sin2_theta),
                 _fmt(rec.li_flag), _fmt(rec.ratio),
                 rec.grad_evals_outer, rec.grad_evals_total,
-                rec.value_evals_total,
+                rec.value_evals_total, rec.restricted_evals_total,
             ])
 
 
@@ -237,6 +237,7 @@ def read_trace_csv(path):
                 grad_evals_outer=int(row["grad_evals_outer"]),
                 grad_evals_total=int(row["grad_evals_total"]),
                 value_evals_total=int(row["value_evals_total"]),
+                restricted_evals_total=int(row["restricted_evals_total"]),
             ))
             gaps.append(float(row["gap"]))
     return records, gaps

@@ -6,10 +6,23 @@ gradient Lipschitz constant ``lip``.  A problem object holds its data as
 read-only views of the arrays it was given (changing those arrays afterwards
 is not supported).  It remembers the data product (``A @ x`` or ``a @ x``) of
 the last point it evaluated, so a ``value`` and a ``grad`` at the same point
-share one matrix pass.  Results are bit-identical whether that product is
-reused or recomputed.  Each instance keeps one product, replaced as a whole
-tuple, so concurrent callers still get correct results and at worst lose
-reuses.
+share one matrix pass.  Each instance keeps one product, replaced as a whole
+tuple, so concurrent callers still get correct results (to the rounding of a
+carried product, below) and at worst lose reuses.
+
+``restrict(x, v[, w])`` returns a :class:`Restriction`: a model of f on the
+affine set ``x + span(v[, w])`` in the coordinates of its directions.  The
+problem families build it from the stored product ``A x`` and one product
+per direction, so a value, a ray slope or a plane gradient costs O(m)
+(logistic) or O(1) (quadratic, whose model is exact).  A model's ``point``
+hands the product of its point, ``A x + sum_i z_i A d_i``, to the problem, so
+the public ``value`` and ``grad`` there make no new data pass.  Such a
+carried product is formed exactly again after ``REFRESH_EVERY`` carried
+updates, and ``restrict(x)`` with no direction forms ``A x`` exactly; the
+solvers start every run with it.  Until a model hands over a product,
+``value`` and ``grad`` are bit-identical to a direct evaluation.  A plain
+:class:`Objective` has no data product: its ``restrict`` falls back to full
+evaluations at the model's points.
 
 Synthetic instances are generated from a seeded PCG64 generator so that the
 same ``(n, m, kappa, seed)`` always yields the bit-identical problem.
@@ -25,6 +38,8 @@ from scipy.special import expit
 
 from .errors import NonFiniteError
 
+REFRESH_EVERY = 64  # carried updates after which a model forms A p exactly
+
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
     """A view of ``arr`` that rejects writes; ``arr``'s own flags are kept."""
@@ -33,17 +48,206 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return view
 
 
-def _data_product(prob, data: np.ndarray, x: np.ndarray):
-    """The checked ``x`` and ``data @ x``.  The product is reused when ``x``
-    has the same bytes as the last point ``prob`` evaluated, else computed and
-    stored in ``prob._product`` as one ``(x.tobytes(), data @ x)`` tuple."""
+def _data_product(prob, data: np.ndarray, x: np.ndarray, fresh: bool = False):
+    """The checked ``x``, ``data @ x`` and its number of carried updates.
+
+    The product is reused when ``x`` has the same bytes as the point stored
+    in ``prob._product``, a ``(x.tobytes(), product, carried updates)``
+    tuple, unless ``fresh``; otherwise it is computed and stored with 0
+    carried updates."""
     x = prob._check(x)
     key = x.tobytes()
     product = prob._product
-    if product[0] != key:
-        product = (key, data @ x)
+    if fresh or product[0] != key:
+        product = (key, data @ x, 0)
         prob._product = product
-    return x, product[1]
+    return x, product[1], product[2]
+
+
+def _directions(v, w) -> list:
+    """The directions given to ``restrict(x, v, w)``, in order."""
+    if v is None and w is not None:
+        raise ValueError("a second direction needs a first")
+    return [d for d in (v, w) if d is not None]
+
+
+def _restrict(prob, model_cls, x, v, w) -> "Restriction":
+    """The problems' ``restrict``: a ``model_cls`` on ``x + span(v[, w])``
+    built on the stored product of ``x`` (keeping its carried updates), or on
+    ``A x`` formed exactly when none is stored or no direction is given."""
+    dirs = _directions(v, w)
+    x, product, carried = _data_product(prob, getattr(prob, model_cls.data_attr),
+                                        x, fresh=not dirs)
+    return model_cls(prob, x, dirs, product, carried)
+
+
+def _pairs(left, right) -> np.ndarray:
+    """The symmetric matrix of ``left[i] @ right[j]`` over i <= j."""
+    k = len(left)
+    return np.array([[float(left[min(i, j)] @ right[max(i, j)]) for j in range(k)]
+                     for i in range(k)])
+
+
+class Restriction:
+    """A model of f on the affine set ``base + span(dirs)``, in the
+    coordinates z of its directions (one or two).
+
+    ``value(*z)`` is f at ``point(*z) = base + sum_i z_i d_i``; ``grad(*z)``
+    the restricted gradient ``(<grad f(p), d_i>)_i``; ``extend(w)`` the model
+    with ``w`` as one more direction.  ``gram`` is the Gram matrix of the
+    directions and ``sin2_theta`` its normalized determinant, ``lip`` the
+    gradient Lipschitz constant of f, and ``hessian`` the exact Hessian in z
+    when f is quadratic, else None.
+
+    This generic form, which a plain :class:`Objective` returns, evaluates f
+    and its gradient at the full point: ``full`` is True, and
+    ``last_full_grad`` keeps the full gradient behind the last ``grad``
+    call.  The problem families' models evaluate in the span, set ``full``
+    to False, and hand the data product of each ``point`` to the problem.
+    """
+
+    full = True
+    hessian = None
+    last_full_grad = None
+
+    def __init__(self, f, base: np.ndarray, dirs=()):
+        self.f = f
+        self.base = base
+        self.lip = f.lip
+        self.dirs = ()
+        self.gram = np.empty((0, 0))
+        for d in dirs:
+            self._add(d)
+
+    def _add(self, d: np.ndarray) -> None:
+        """Append the direction ``d``; subclasses extend their own data."""
+        self.dirs += (d,)
+        self.gram = _pairs(self.dirs, self.dirs)
+
+    def extend(self, w: np.ndarray) -> "Restriction":
+        # a shallow copy: _add rebinds the per-direction data, never mutates it
+        model = object.__new__(type(self))
+        model.__dict__.update(self.__dict__)
+        model._add(np.asarray(w, dtype=float))
+        return model
+
+    @property
+    def sin2_theta(self) -> float:
+        """sin^2 of the angle between two directions, in [0, 1]."""
+        vv, vw, ww = self.gram[0, 0], self.gram[0, 1], self.gram[1, 1]
+        denom = vv * ww
+        if not denom > 0:
+            return 0.0
+        return float(min(1.0, max(0.0, (denom - vw * vw) / denom)))
+
+    def point(self, *z) -> np.ndarray:
+        p = self.base
+        for zi, d in zip(z, self.dirs):
+            p = p + zi * d
+        return p
+
+    def value(self, *z) -> float:
+        return self.f.value(self.point(*z))
+
+    def grad(self, *z) -> np.ndarray:
+        g = self.f.grad(self.point(*z))
+        self.last_full_grad = g
+        return np.array([float(g @ d) for d in self.dirs])
+
+
+class _DataRestriction(Restriction):
+    """A problem's model.  It keeps the data product ``A base`` and ``A d_i``
+    (``A`` the problem's ``data_attr``), so the product at a model point is
+    ``A base + sum_i z_i A d_i``.  ``point`` stores that carried product in
+    the problem's slot, or ``A p`` formed exactly once ``REFRESH_EVERY``
+    carried updates have piled up since the last exact one."""
+
+    full = False
+    data_attr = ""
+
+    def __init__(self, prob, base, dirs, product, carried):
+        self._product = product
+        self._carried_updates = carried
+        self._data_dirs = ()
+        super().__init__(prob, base, dirs)
+
+    def _add(self, d):
+        d = self.f._check(d)
+        self._data_dirs += (getattr(self.f, self.data_attr) @ d,)
+        super()._add(d)
+
+    def _carried(self, z) -> np.ndarray:
+        product = self._product
+        for zi, ad in zip(z, self._data_dirs):
+            product = product + zi * ad
+        return product
+
+    def point(self, *z) -> np.ndarray:
+        p = super().point(*z)
+        carried = self._carried_updates + 1
+        if carried >= REFRESH_EVERY:
+            product, carried = getattr(self.f, self.data_attr) @ p, 0
+        else:
+            product = self._carried(z)
+        self.f._product = (p.tobytes(), product, carried)
+        return p
+
+
+class _QuadraticRestriction(_DataRestriction):
+    """The exact model f0 + z.g0 + z'Hz/2, with g0 = (<A x - b, d_i>)_i and
+    H = (<d_i, A d_j>)_ij: every evaluation is O(1)."""
+
+    data_attr = "a_matrix"
+
+    def __init__(self, prob, base, dirs, product, carried):
+        self._f0 = float(0.5 * base @ product - prob.b @ base + prob.c)
+        self._grad_base = product - prob.b
+        self._g0 = np.empty(0)
+        self.hessian = np.empty((0, 0))
+        super().__init__(prob, base, dirs, product, carried)
+
+    def _add(self, d):
+        super()._add(d)
+        self._g0 = np.array([*self._g0, float(self._grad_base @ self.dirs[-1])])
+        self.hessian = _pairs(self.dirs, self._data_dirs)
+
+    def value(self, *z) -> float:
+        z = np.array(z, dtype=float)
+        return self._f0 + float(z @ (self._g0 + 0.5 * (self.hessian @ z)))
+
+    def grad(self, *z) -> np.ndarray:
+        return self._g0 + self.hessian @ np.array(z, dtype=float)
+
+
+class _LogRegRestriction(_DataRestriction):
+    """Margins ``-b * (a x + sum_i z_i a d_i)`` and ``||p||^2`` from the Gram
+    numbers: every evaluation is O(m)."""
+
+    data_attr = "a"
+
+    def __init__(self, prob, base, dirs, product, carried):
+        self._xx = float(base @ base)
+        self._xd = np.empty(0)
+        super().__init__(prob, base, dirs, product, carried)
+
+    def _add(self, d):
+        super()._add(d)
+        self._xd = np.array([*self._xd, float(self.base @ self.dirs[-1])])
+
+    def value(self, *z) -> float:
+        prob = self.f
+        margins = -prob.labels * self._carried(z)
+        loss = float(np.mean(np.logaddexp(0.0, margins)))
+        z = np.array(z, dtype=float)
+        sq_norm = self._xx + 2.0 * float(z @ self._xd) + float(z @ self.gram @ z)
+        return loss + 0.5 * prob.mu * sq_norm
+
+    def grad(self, *z) -> np.ndarray:
+        prob = self.f
+        weights = prob.labels * expit(-prob.labels * self._carried(z))
+        data_part = np.array([float(ad @ weights) for ad in self._data_dirs])
+        z = np.array(z, dtype=float)
+        return -data_part / prob.m + prob.mu * (self._xd + self.gram @ z)
 
 
 class Objective:
@@ -61,15 +265,20 @@ class Objective:
     value_fn, grad_fn : callable
         Evaluate the objective and its gradient at a point.
     quadratic_view : QuadraticProblem, optional
-        Set when the objective is exactly quadratic.  Read only by the step
-        functions in :mod:`.solvers`, which take closed forms, and by
+        Set when the objective is exactly quadratic.  Read only by
         ``harness.compute_reference``, which solves for the minimizer.
+    restrict_fn : callable, optional
+        ``(x, v, w) -> Restriction``, a model of f on ``x + span(v[, w])``
+        (see :meth:`restrict`).  The problem families pass theirs; without
+        one, ``restrict`` evaluates f in full at the model's points, with
+        the same arithmetic as the caller would use.
     """
 
     def __init__(self, dim: int, mu: float, lip: float,
                  value_fn: Callable[[np.ndarray], float],
                  grad_fn: Callable[[np.ndarray], np.ndarray],
-                 quadratic_view: Optional["QuadraticProblem"] = None):
+                 quadratic_view: Optional["QuadraticProblem"] = None,
+                 restrict_fn: Optional[Callable] = None):
         if dim < 1:
             raise ValueError(f"dim must be positive, got {dim}")
         if not (0.0 < mu <= lip):
@@ -80,6 +289,7 @@ class Objective:
         self._value_fn = value_fn
         self._grad_fn = grad_fn
         self.quadratic_view = quadratic_view
+        self._restrict_fn = restrict_fn
 
     @property
     def kappa(self) -> float:
@@ -91,14 +301,30 @@ class Objective:
     def grad(self, x: np.ndarray) -> np.ndarray:
         return self._grad_fn(x)
 
+    def restrict(self, x: np.ndarray, v: Optional[np.ndarray] = None,
+                 w: Optional[np.ndarray] = None) -> Restriction:
+        """A :class:`Restriction` of f to ``x + span(v[, w])``.
+
+        With no direction it is the point ``x`` itself, and a problem forms
+        ``A x`` exactly for it: a run that starts so never reuses a product
+        carried by earlier models.
+        """
+        if self._restrict_fn is not None:
+            return self._restrict_fn(x, v, w)
+        return Restriction(self, np.asarray(x, dtype=float),
+                           [np.asarray(d, dtype=float) for d in _directions(v, w)])
+
 
 class CountingObjective:
     """Wraps an Objective and counts value/gradient evaluations.
 
     Duck-types Objective so it can be passed anywhere an Objective is
-    expected.  A NaN or infinite value or gradient raises
-    :class:`NonFiniteError`.  One instance per solver run; not shared across
-    threads.
+    expected.  ``value_evals`` and ``grad_evals`` count full n-vector
+    evaluations; ``restricted_evals`` counts the values and gradients of the
+    models ``restrict`` returns, except for the generic model, whose
+    evaluations are full and counted as such.  A NaN or infinite value or
+    gradient, full or restricted, raises :class:`NonFiniteError`.  One
+    instance per solver run; not shared across threads.
     """
 
     def __init__(self, obj: Objective):
@@ -106,9 +332,9 @@ class CountingObjective:
         self.dim = obj.dim
         self.mu = obj.mu
         self.lip = obj.lip
-        self.quadratic_view = obj.quadratic_view
         self.value_evals = 0
         self.grad_evals = 0
+        self.restricted_evals = 0
 
     @property
     def kappa(self) -> float:
@@ -128,6 +354,45 @@ class CountingObjective:
             raise NonFiniteError("gradient has a NaN or infinite entry")
         return g
 
+    def restrict(self, x: np.ndarray, v: Optional[np.ndarray] = None,
+                 w: Optional[np.ndarray] = None) -> "_CountedRestriction":
+        return _CountedRestriction(self, self._obj.restrict(x, v, w))
+
+
+class _CountedRestriction:
+    """A model whose evaluations count on a :class:`CountingObjective`;
+    every other attribute is the model's own."""
+
+    def __init__(self, counter: CountingObjective, model: Restriction):
+        self._counter = counter
+        self._model = model
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+    def value(self, *z) -> float:
+        if self._model.full:
+            self._counter.value_evals += 1
+        else:
+            self._counter.restricted_evals += 1
+        val = self._model.value(*z)
+        if not math.isfinite(val):
+            raise NonFiniteError(f"model value {val}")
+        return val
+
+    def grad(self, *z) -> np.ndarray:
+        if self._model.full:
+            self._counter.grad_evals += 1
+        else:
+            self._counter.restricted_evals += 1
+        g = self._model.grad(*z)
+        if not all(map(math.isfinite, g)):
+            raise NonFiniteError("model gradient has a NaN or infinite entry")
+        return g
+
+    def extend(self, w: np.ndarray) -> "_CountedRestriction":
+        return _CountedRestriction(self._counter, self._model.extend(w))
+
 
 class QuadraticProblem:
     """f(x) = 0.5 x'Ax - b'x + c with A symmetric positive definite.
@@ -135,7 +400,8 @@ class QuadraticProblem:
     Symmetry and positive definiteness are verified at construction (the
     latter by attempting a Cholesky factorization); failures raise
     ``ValueError``.  ``mu``/``lip`` default to the extreme eigenvalues of A.
-    ``value`` and ``grad`` at the same point share one product ``A @ x``.
+    ``value`` and ``grad`` at the same point share one product ``A @ x``;
+    ``restrict`` returns the exact quadratic model on a line or plane.
     """
 
     def __init__(self, a_matrix: np.ndarray, b: np.ndarray, c: float = 0.0,
@@ -157,7 +423,7 @@ class QuadraticProblem:
         self.a_matrix = _read_only(a_matrix)
         self.b = _read_only(b)
         self.c = float(c)
-        self._product = (None, None)  # (x.tobytes(), A @ x) of the last point
+        self._product = (None, None, 0)  # (x.tobytes(), A @ x, carried updates)
         if mu is None or lip is None:
             eigs = np.linalg.eigvalsh(a_matrix)
             mu = float(eigs[0]) if mu is None else mu
@@ -170,20 +436,25 @@ class QuadraticProblem:
         return self.b.shape[0]
 
     def value(self, x: np.ndarray) -> float:
-        x, ax = _data_product(self, self.a_matrix, x)
+        x, ax, _ = _data_product(self, self.a_matrix, x)
         return float(0.5 * x @ ax - self.b @ x + self.c)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        x, ax = _data_product(self, self.a_matrix, x)
+        x, ax, _ = _data_product(self, self.a_matrix, x)
         return ax - self.b
+
+    def restrict(self, x: np.ndarray, v: Optional[np.ndarray] = None,
+                 w: Optional[np.ndarray] = None) -> Restriction:
+        """The exact quadratic model of f on ``x + span(v[, w])``."""
+        return _restrict(self, _QuadraticRestriction, x, v, w)
 
     def minimizer(self) -> np.ndarray:
         """Solve Ax = b directly."""
         return np.linalg.solve(self.a_matrix, self.b)
 
     def objective(self) -> Objective:
-        return Objective(self.dim, self.mu, self.lip,
-                         self.value, self.grad, quadratic_view=self)
+        return Objective(self.dim, self.mu, self.lip, self.value, self.grad,
+                         quadratic_view=self, restrict_fn=self.restrict)
 
     def _check(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -200,7 +471,8 @@ class LogRegProblem:
     The softplus is evaluated in the overflow-safe branch form, so margins up
     to ~1e4 in magnitude are handled without warnings.  ``lip`` is the upper
     bound (1/(4m)) sum_i ||a_i||^2 + mu.  ``value`` and ``grad`` at the same
-    point share one product ``a @ x``.
+    point share one product ``a @ x``; ``restrict`` returns a model on a line
+    or plane that evaluates in margin space, in O(m).
     """
 
     def __init__(self, a: np.ndarray, labels: np.ndarray, mu: float):
@@ -217,7 +489,7 @@ class LogRegProblem:
             raise ValueError(f"mu must be positive, got {mu}")
         self.a = _read_only(a)
         self.labels = _read_only(labels)
-        self._product = (None, None)  # (x.tobytes(), a @ x) of the last point
+        self._product = (None, None, 0)  # (x.tobytes(), a @ x, carried updates)
         self.mu = float(mu)
         self.m = m
         self.n = n
@@ -228,20 +500,26 @@ class LogRegProblem:
         return self.n
 
     def value(self, x: np.ndarray) -> float:
-        x, ax = _data_product(self, self.a, x)
+        x, ax, _ = _data_product(self, self.a, x)
         margins = -self.labels * ax
         # logaddexp(0, u) = log(1 + e^u) = max(u, 0) + log1p(e^{-|u|})
         loss = float(np.mean(np.logaddexp(0.0, margins)))
         return loss + 0.5 * self.mu * float(x @ x)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        x, ax = _data_product(self, self.a, x)
+        x, ax, _ = _data_product(self, self.a, x)
         margins = -self.labels * ax
         weights = self.labels * expit(margins)
         return -(self.a.T @ weights) / self.m + self.mu * x
 
+    def restrict(self, x: np.ndarray, v: Optional[np.ndarray] = None,
+                 w: Optional[np.ndarray] = None) -> Restriction:
+        """The margin-space model of f on ``x + span(v[, w])``."""
+        return _restrict(self, _LogRegRestriction, x, v, w)
+
     def objective(self) -> Objective:
-        return Objective(self.n, self.mu, self.lip, self.value, self.grad)
+        return Objective(self.n, self.mu, self.lip, self.value, self.grad,
+                         restrict_fn=self.restrict)
 
     def _check(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -2,11 +2,12 @@
 
 The plane through ``x`` spanned by ``v`` (the gradient at x) and ``w`` (the
 gradient at the companion point) is parametrized as
-``p(alpha, beta) = x + alpha v + beta w``, and the restricted function
-``F(alpha, beta) = f(p)`` is minimized either by a single Newton solve
-(exact for quadratics) or by 2-D gradient descent with Armijo backtracking.
-The ellipcenter step in :mod:`.solvers` chooses Newton for a quadratic and
-hands it the products ``A v`` and ``A w``.
+``p(alpha, beta) = x + alpha v + beta w``.  Both solvers work on a model of
+the restricted function ``F(alpha, beta) = f(p)`` (``f.restrict(x, v, w)``,
+an :class:`~.objectives.Restriction`): a single Newton solve when the model
+is an exact quadratic, else 2-D gradient descent with Armijo backtracking.
+Neither forms an n-vector until it returns ``x_next = model.point(alpha,
+beta)``.
 
 The descent solver iterates in an orthonormalized span of (v, w): the raw
 (alpha, beta) coordinates can be arbitrarily ill-conditioned when the two
@@ -19,7 +20,7 @@ raw chart, so the returned solution always satisfies
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,39 +33,12 @@ STALL_FACTOR = 1e3  # residual above STALL_FACTOR * tol at the cap is a stall
 
 
 @dataclass
-class PlaneSubproblem:
-    """Geometry of one plane search.
-
-    ``gram`` is the 2x2 Gram matrix of (v, w) and ``sin2_theta`` its
-    normalized determinant in [0, 1].
-    """
-
-    base: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-    gram: np.ndarray = field(init=False)
-    sin2_theta: float = field(init=False)
-
-    def __post_init__(self):
-        vv = float(self.v @ self.v)
-        vw = float(self.v @ self.w)
-        ww = float(self.w @ self.w)
-        self.gram = np.array([[vv, vw], [vw, ww]])
-        det = vv * ww - vw * vw
-        denom = vv * ww
-        self.sin2_theta = min(1.0, max(0.0, det / denom)) if denom > 0 else 0.0
-
-    def point(self, alpha: float, beta: float) -> np.ndarray:
-        return self.base + alpha * self.v + beta * self.w
-
-
-@dataclass
 class PlaneSolution:
     """Minimizer of the restricted function, in raw (alpha, beta) coordinates.
 
     ``inner_grad_norm`` is the norm of (<grad f(x_next), v>, <grad f(x_next), w>)
-    at the accepted point; ``grad_evals`` counts full gradient evaluations
-    consumed by the inner solver.
+    at the accepted point; ``grad_evals`` counts the model gradients the
+    inner solver evaluated.
     """
 
     alpha: float
@@ -75,43 +49,44 @@ class PlaneSolution:
     grad_evals: int
 
 
-def solve_newton_quadratic(sp: PlaneSubproblem, av: np.ndarray,
-                           aw: np.ndarray) -> PlaneSolution:
-    """One exact Newton step for the restricted quadratic with Hessian A,
-    given the products ``av = A v`` and ``aw = A w``.
+def solve_newton_quadratic(plane) -> PlaneSolution:
+    """One exact Newton step on an exact quadratic plane model.
 
-    Solves [[v'Av, v'Aw], [w'Av, w'Aw]] (alpha, beta)' = -(<v,v>, <v,w>)'
-    with one step of iterative refinement.  Raises
-    :class:`DegeneratePlaneError` when the system is numerically singular.
+    Solves [[v'Av, v'Aw], [w'Av, w'Aw]] (alpha, beta)' = -grad2(0, 0) by the
+    explicit 2x2 inverse with one step of iterative refinement, where
+    grad2(0, 0) is the model's restricted gradient at ``x`` (<v,v>, <v,w>)
+    when ``v`` is the gradient there.  Raises :class:`DegeneratePlaneError`
+    when the system is numerically singular.
     """
-    vav = float(sp.v @ av)
-    vaw = float(sp.v @ aw)
-    waw = float(sp.w @ aw)
-    system = np.array([[vav, vaw], [vaw, waw]])
+    system = plane.hessian
+    vav, vaw, waw = system[0, 0], system[0, 1], system[1, 1]
     det = vav * waw - vaw * vaw
     if not np.isfinite(det) or det <= 1e-14 * abs(vav * waw):
         raise DegeneratePlaneError("restricted Hessian is numerically singular")
-    rhs = -sp.gram[0]
-    z = np.linalg.solve(system, rhs)
-    z -= np.linalg.solve(system, system @ z - rhs)
-    # restricted gradient is affine: grad2(z) = gram[0] + system @ z
-    residual = sp.gram[0] + system @ z
+    inverse = np.array([[waw, -vaw], [-vaw, vav]]) / det
+    grad0 = plane.grad(0.0, 0.0)
+    z = -(inverse @ grad0)
+    z -= inverse @ (grad0 + system @ z)
+    # the restricted gradient is affine: grad2(z) = grad2(0, 0) + system @ z
+    residual = float(np.linalg.norm(grad0 + system @ z))
     alpha, beta = float(z[0]), float(z[1])
-    return PlaneSolution(alpha, beta, sp.point(alpha, beta),
-                         float(np.linalg.norm(residual)), 1, 0)
+    return PlaneSolution(alpha, beta, plane.point(alpha, beta), residual, 1, 0)
 
 
-def solve_gd_armijo(f, sp: PlaneSubproblem, inner_tol: float = 1e-12,
-                    max_inner: int = 10000, f_base: float | None = None) -> PlaneSolution:
+def solve_gd_armijo(plane, inner_tol: float = 1e-12, max_inner: int = 10000,
+                    f_base: float | None = None) -> PlaneSolution:
     """Gradient descent with Armijo backtracking on the restricted function.
 
-    Runs in an orthonormal basis of span(v, w) built from the Cholesky factor
-    of the Gram matrix, where the Lipschitz bound on the restricted gradient
-    is simply ``2 lip``.  The first trial step is 1/(2 lip); afterwards each
-    iteration proposes the Barzilai-Borwein steplength from the last
-    (step, gradient-change) pair and backtracks by halving until the
-    sufficient-decrease test passes, so the restricted value is monotonically
-    non-increasing while decreases remain measurable in double precision.
+    ``plane`` is a model of f on ``x + span(v, w)`` with ``v`` the gradient
+    at ``x``.  The descent runs in an orthonormal basis of span(v, w) built
+    from the Cholesky factor of the Gram matrix, where the Lipschitz bound on
+    the restricted gradient is simply ``2 lip``; each trial point is mapped
+    back to raw coordinates for the model.  The first trial step is
+    1/(2 lip); afterwards each iteration proposes the Barzilai-Borwein
+    steplength from the last (step, gradient-change) pair and backtracks by
+    halving until the sufficient-decrease test passes, so the restricted
+    value is monotonically non-increasing while decreases remain measurable
+    in double precision.
     Once the required decrease falls below the rounding floor of the value
     (4 eps max(|F(0)|, |F|), F the last accepted value), value comparisons
     carry no information and the safeguarded step is taken directly; by then
@@ -125,7 +100,7 @@ def solve_gd_armijo(f, sp: PlaneSubproblem, inner_tol: float = 1e-12,
     """
     if inner_tol <= 0.0:
         raise ValueError(f"inner_tol must be positive, got {inner_tol}")
-    vv, vw, ww = sp.gram[0, 0], sp.gram[0, 1], sp.gram[1, 1]
+    vv, vw, ww = plane.gram[0, 0], plane.gram[0, 1], plane.gram[1, 1]
     norm_v = math.sqrt(vv)
     norm_w = math.sqrt(ww)
     tol_stop = inner_tol * max(norm_v, norm_w)
@@ -133,24 +108,27 @@ def solve_gd_armijo(f, sp: PlaneSubproblem, inner_tol: float = 1e-12,
     # restricted gradient at the origin is known exactly from the Gram matrix
     grad2 = np.array([vv, vw])
     if float(np.linalg.norm(grad2)) <= tol_stop:
-        return PlaneSolution(0.0, 0.0, sp.base.copy(),
+        return PlaneSolution(0.0, 0.0, plane.point(0.0, 0.0),
                              float(np.linalg.norm(grad2)), 0, 0)
 
-    # Cholesky of the Gram matrix gives the orthonormal basis (q1, q2)
+    # Cholesky of the Gram matrix, [v w] = [q1 q2] R, gives the orthonormal
+    # chart: chart coordinates s are R (alpha, beta)', chart gradients
+    # R^-T grad2
     r11 = norm_v
     r12 = vw / r11
     r22_sq = ww - r12 * r12
     if not (r22_sq > 0.0) or r11 == 0.0:
         raise DegeneratePlaneError("gradients are numerically parallel")
     r22 = math.sqrt(r22_sq)
-    q1 = sp.v / r11
-    q2 = (sp.w - r12 * q1) / r22
+
+    def raw(s):
+        beta = float(s[1] / r22)
+        return float((s[0] - r12 * beta) / r11), beta
 
     s = np.zeros(2)                      # coordinates in the (q1, q2) chart
-    p = sp.base.copy()
-    fp = f.value(p) if f_base is None else f_base
+    fp = plane.value(0.0, 0.0) if f_base is None else f_base
     gq = np.array([r11, 0.0])            # <v, q1> = r11, <v, q2> = 0 exactly
-    h_safe = 1.0 / (f.lip * 2.0)         # provably safe step in this chart
+    h_safe = 1.0 / (plane.lip * 2.0)     # provably safe step in this chart
     ulp4 = 4.0 * np.finfo(float).eps
     f0_abs = abs(fp)
     value_floor = ulp4 * max(f0_abs, 1e-300)
@@ -180,8 +158,7 @@ def solve_gd_armijo(f, sp: PlaneSubproblem, inner_tol: float = 1e-12,
             s_new = s - h * gq
             if required < value_floor:
                 break  # decrease unmeasurable; take the step untested
-            p_new = sp.base + s_new[0] * q1 + s_new[1] * q2
-            f_new = f.value(p_new)
+            f_new = plane.value(*raw(s_new))
             if f_new <= fp - required:
                 fp = f_new
                 value_floor = ulp4 * max(f0_abs, abs(fp), 1e-300)
@@ -192,12 +169,11 @@ def solve_gd_armijo(f, sp: PlaneSubproblem, inner_tol: float = 1e-12,
             break  # step underflow: no representable progress left
         s_prev, gq_prev = s, gq
         s = s_new
-        p = sp.base + s[0] * q1 + s[1] * q2
-        g = f.grad(p)
+        grad2 = plane.grad(*raw(s))
         grad_evals += 1
         iters += 1
-        gq = np.array([float(g @ q1), float(g @ q2)])
-        grad2 = np.array([float(g @ sp.v), float(g @ sp.w)])
+        gq1 = grad2[0] / r11
+        gq = np.array([gq1, (grad2[1] - r12 * gq1) / r22])
         residual = float(np.linalg.norm(grad2))
         if residual < best_residual:
             best_residual = residual
@@ -209,8 +185,6 @@ def solve_gd_armijo(f, sp: PlaneSubproblem, inner_tol: float = 1e-12,
         raise InnerStallError(
             f"2-D solver stopped after {iters} iterations with residual "
             f"{best_residual:.3e} > {STALL_FACTOR * tol_stop:.3e}")
-    # map back to raw coordinates: (alpha, beta) solves R z = s
-    beta = float(best_s[1] / r22)
-    alpha = float((best_s[0] - r12 * beta) / r11)
-    return PlaneSolution(alpha, beta, sp.point(alpha, beta),
+    alpha, beta = raw(best_s)
+    return PlaneSolution(alpha, beta, plane.point(alpha, beta),
                          best_residual, iters, grad_evals)

@@ -8,26 +8,32 @@ only supplies a step function that turns the current iterate, its value and
 its gradient into the next iterate.  A single step from ``x`` is the run
 ``run_*(f, x, replace(cfg, max_outer=1))``.
 
-Gradient accounting uses two counters.  ``grad_evals_outer`` counts only the
-gradients the method itself is defined by: two per ellipcenter iteration (one
-at the iterate, one at the companion point), one per step for the baselines.
-``grad_evals_total`` counts every actual gradient call, including line-search
-probes, inner 2-D solver iterations, and the per-iterate stopping check.
+Evaluation accounting.  ``grad_evals_outer`` counts only the gradients the
+method itself is defined by: two per ellipcenter iteration (one at the
+iterate, one at the companion point), one per step for the baselines.
+``grad_evals_total`` and ``value_evals_total`` count every full n-vector
+evaluation, including the per-iterate stopping check.  The ellipcenter and
+exact-linesearch steps probe f through a model of f on the span of their
+gradients (``Objective.restrict``); those probes, cheap for the problem
+families, are counted apart in ``restricted_evals_total``.  A plain
+:class:`Objective` has no such model, so its probes are full evaluations and
+counted as such.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .companion import CompanionResult, companion_point, ray_root
+from .companion import companion_point, ray_root
 from .errors import (DegeneratePlaneError, InnerStallError, NonFiniteError,
                      NumericalFailureError)
 from .objectives import CountingObjective, Objective
-from .plane2d import PlaneSubproblem, solve_gd_armijo, solve_newton_quadratic
+from .plane2d import solve_gd_armijo, solve_newton_quadratic
 
 
 class SolverId(str, enum.Enum):
@@ -65,9 +71,10 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("eps", "companion_tol", "inner_tol", "ld_threshold"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.max_outer < 1 or self.max_inner < 1:
+            value = getattr(self, name)
+            if not (value > 0.0) or value == math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not (self.max_outer >= 1 and self.max_inner >= 1):
             raise ValueError("iteration caps must be positive")
 
 
@@ -79,7 +86,8 @@ class IterateRecord:
     this iterate and stay ``None`` on the final record and for non-ellipcenter
     solvers.  ``ratio`` is the optimality-gap contraction of that step,
     filled post-hoc once a reference value is available.  Counters are
-    cumulative over the run.
+    cumulative over the run; ``restricted_evals_total`` counts the model
+    values and gradients of the steps' searches.
     """
 
     k: int
@@ -92,6 +100,7 @@ class IterateRecord:
     grad_evals_outer: int = 0
     grad_evals_total: int = 0
     value_evals_total: int = 0
+    restricted_evals_total: int = 0
 
 
 @dataclass
@@ -134,42 +143,36 @@ class RunTrace:
 
 
 def _me_step(cf, k, x, f_x, v, cfg: SolverConfig):
-    """Ellipcenter step k from (x, v = grad f(x)): companion point, then the
-    plane minimizer.  On a quadratic both have closed forms that share one
-    product A v: the crossing t = 2 ||v||^2 / (v'Av) and one Newton solve.
-    Otherwise they are ``companion_point`` and Armijo descent.  When the two
+    """Ellipcenter step k from (x, v = grad f(x)), on models of f only.
+
+    The ray model ``cf.restrict(x, v)`` gives the companion point; the full
+    gradient w there reuses the model's product.  The plane model, the ray
+    extended by w, gives the plane minimizer: one Newton solve when the
+    model is an exact quadratic, else Armijo descent.  Only the gradients at
+    the companion point and at x_next are full evaluations.  When the two
     gradients are parallel the plane is the line along v, and the step is
-    the exact-linesearch step."""
-    quad = cf.quadratic_view
-    if quad is None:
-        comp = companion_point(cf, x, v, tol=cfg.companion_tol, f_x=f_x)
-    else:
-        av = quad.a_matrix @ v
-        vav = float(v @ av)
-        if not vav > 0.0:
-            raise NumericalFailureError(f"v'Av = {vav:.3e} is not positive")
-        t = 2.0 * float(v @ v) / vav
-        y = x - t * v
-        residual = abs(cf.value(y) - f_x) / max(1.0, abs(f_x))
-        comp = CompanionResult(t, y, residual, 0)
+    the exact-linesearch step on the ray model."""
+    ray = cf.restrict(x, v)
+    comp = companion_point(ray, tol=cfg.companion_tol, f_x=f_x)
     w = cf.grad(comp.y)
-    sp = PlaneSubproblem(x, v, w)
-    li = sp.sin2_theta >= cfg.ld_threshold
+    plane = ray.extend(w)
+    sin2_theta = plane.sin2_theta
+    li = sin2_theta >= cfg.ld_threshold
     if li:
         try:
-            if quad is not None:
-                sol = solve_newton_quadratic(sp, av, quad.a_matrix @ w)
+            if plane.hessian is not None:
+                sol = solve_newton_quadratic(plane)
             else:
-                sol = solve_gd_armijo(cf, sp, inner_tol=cfg.inner_tol,
+                sol = solve_gd_armijo(plane, inner_tol=cfg.inner_tol,
                                       max_inner=cfg.max_inner, f_base=f_x)
             x_next, g_next = sol.x_next, cf.grad(sol.x_next)
         except DegeneratePlaneError:
             li = False
     if not li:
-        x_next, g_next = _exact_linesearch(cf, x, v)
+        x_next, g_next = _exact_linesearch(cf, ray)
     return x_next, g_next, StepVectors(
         k=k, v=v, w=w, grad_next=g_next, dx=x_next - x, t=comp.t, li_flag=li,
-        sin2_theta=sp.sin2_theta, level_residual=comp.level_residual)
+        sin2_theta=sin2_theta, level_residual=comp.level_residual)
 
 
 def _gd_l_step(cf, k, x, f_x, v, cfg):
@@ -177,31 +180,36 @@ def _gd_l_step(cf, k, x, f_x, v, cfg):
     return x - v / cf.lip, None, None
 
 
-def _exact_linesearch(cf, x, v):
-    """``(x - t* v, grad f(x - t* v))``, t* the root of <grad f(x - t v), v>.
+def _exact_linesearch(cf, ray):
+    """``(x - t* v, grad f(x - t* v))`` on the ray model ``x + span(v)``, t*
+    the root of <grad f(x - t v), v>.
 
-    A quadratic takes the closed form t* = ||v||^2 / (v'Av).  Otherwise
-    ``ray_root`` targets |<g, v>| <= 1e-12 ||v||^2 from t = 1/lip; when
-    gradient rounding keeps the derivative above that, the bracket collapses
-    to machine width and its smallest-|<g, v>| probe is taken.
+    An exact quadratic model gives t* = <grad f(x), v> / (v'Av).  Otherwise
+    ``ray_root`` runs on the model's slope and targets
+    |<g, v>| <= 1e-12 ||v||^2 from t = 1/lip; when rounding keeps the slope
+    above that, the bracket collapses to machine width and its
+    smallest-|<g, v>| probe is taken.  The one full gradient is the one at
+    x - t* v, which reuses the model's product; a model that evaluates in
+    full already has it from its probe.
     """
-    vv = float(v @ v)
-    quad = cf.quadratic_view
-    if quad is not None:
-        x_next = x - vv / float(v @ (quad.a_matrix @ v)) * v
-        return x_next, cf.grad(x_next)
+    if ray.hessian is not None:
+        curv = float(ray.hessian[0, 0])
+        if not curv > 0.0:
+            raise NumericalFailureError(f"v'Av = {curv:.3e} is not positive")
+        t = float(ray.grad(0.0)[0]) / curv
+        g = None
+    else:
+        def slope(t):
+            return -float(ray.grad(-t)[0]), ray.last_full_grad
 
-    def slope(t):
-        g = cf.grad(x - t * v)
-        return -float(g @ v), g
-
-    t, _, g, _ = ray_root(slope, 1.0 / cf.lip, 1e-12 * vv)
-    return x - t * v, g
+        t, _, g, _ = ray_root(slope, 1.0 / ray.lip, 1e-12 * ray.gram[0, 0])
+    x_next = ray.point(-t)
+    return x_next, cf.grad(x_next) if g is None else g
 
 
 def _gd_exact_step(cf, k, x, f_x, v, cfg):
     """Step to the minimizer of f along the negative gradient."""
-    return (*_exact_linesearch(cf, x, v), None)
+    return (*_exact_linesearch(cf, cf.restrict(x, v)), None)
 
 
 def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
@@ -214,7 +222,9 @@ def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
     ``max_outer`` steps.  ``g_next`` is the gradient at ``x_next`` if the step
     has it, else ``None``; ``info`` is the ellipcenter step's
     :class:`StepVectors`, else ``None``.  Each step adds ``outer_grads`` to
-    ``grad_evals_outer``.  An inner stall, a numerical failure or a
+    ``grad_evals_outer``.  The run starts from a model at ``x1`` with no
+    direction, so its first data product is formed exactly whatever the
+    objective evaluated before.  An inner stall, a numerical failure or a
     non-finite value or gradient ends the run at the last good iterate with
     the matching status; a non-finite start raises :class:`NonFiniteError`.
     """
@@ -228,10 +238,12 @@ def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
         records.append(IterateRecord(
             k=len(records) + 1, f_val=f_x, grad_norm=float(np.linalg.norm(g)),
             grad_evals_outer=outer_grads * len(records),
-            grad_evals_total=cf.grad_evals, value_evals_total=cf.value_evals))
+            grad_evals_total=cf.grad_evals, value_evals_total=cf.value_evals,
+            restricted_evals_total=cf.restricted_evals))
         iterates.append(x.copy())
 
     x = np.asarray(x1, dtype=float).copy()
+    cf.restrict(x)
     fx = cf.value(x)
     v = cf.grad(x)
     record_iterate(x, fx, v)

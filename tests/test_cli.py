@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ellipcenters.objectives import load_logreg, load_quadratic
 from ellipcenters.cli import main
 
@@ -73,3 +75,15 @@ def test_config_file_unknown_key(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus": 1}))
     assert main(["run", "--config", str(cfg)]) == 64
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1e-6"])
+def test_bad_eps_is_usage_error(eps, capsys):
+    assert main(["run", "--problem", "quadratic", "--n", "10", "--kappa", "10",
+                 "--eps", eps]) == 64
+    assert "--eps" in capsys.readouterr().err
+
+
+def test_nan_kappa_is_usage_error():
+    assert main(["run", "--problem", "quadratic", "--n", "10",
+                 "--kappa", "nan"]) == 64

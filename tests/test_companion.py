@@ -13,6 +13,13 @@ from ellipcenters.errors import NumericalFailureError
 ONE_STEP = SolverConfig(max_outer=1)
 
 
+def plain(q: QuadraticProblem) -> Objective:
+    """``q`` as a plain Objective: its model is the generic one, so the
+    companion search brackets and bisects instead of taking the closed
+    form."""
+    return Objective(q.dim, q.mu, q.lip, q.value, q.grad)
+
+
 def closed_form_t(q: QuadraticProblem, x: np.ndarray) -> float:
     """The companion step the ellipcenter method takes from ``x`` on a
     quadratic: its closed form 2 ||v||^2 / (v'Av), read off a one-step run."""
@@ -36,7 +43,7 @@ class TestClosedForm:
     def test_zero_direction_rejected(self, diag_quadratic):
         f = diag_quadratic.objective()
         with pytest.raises(ValueError):
-            companion_point(f, np.array([1.0, 1.0]), np.zeros(2))
+            companion_point(f.restrict(np.array([1.0, 1.0]), np.zeros(2)))
 
     def test_underflowing_curvature_is_numeric_failure(self):
         """v'Av underflows to zero for a tiny gradient; the step reports a
@@ -119,14 +126,14 @@ class TestBracket:
         """The first probe t = 2/lip sits on the level set and is passed
         over; doubling to 4 brackets the crossing from [0, 4], and the first
         midpoint returns to t = 2 exactly."""
-        f = QuadraticProblem(np.eye(2), np.zeros(2)).objective()
+        f = plain(QuadraticProblem(np.eye(2), np.zeros(2)))
         x = np.array([1.0, 0.0])
         v = f.grad(x)
         probe, calls = recording(lambda t: f.value(x - t * v) - 0.5)
         t, res, _, iters = ray_root(probe, 2.0 / f.lip, 1e-12)
         assert [c[0] for c in calls] == [2.0, 4.0, 2.0]
         assert (t, res, iters) == (2.0, 0.0, 1)
-        comp = companion_point(f, x, v)
+        comp = companion_point(f.restrict(x, v))
         assert (comp.t, comp.bisection_iters, comp.level_residual) == (2.0, 1, 0.0)
 
     def test_diag_bracket_contains_root(self, diag_quadratic):
@@ -134,7 +141,7 @@ class TestBracket:
         already past the crossing 34/65, and bisection from [0, 2] finds it."""
         q = QuadraticProblem(diag_quadratic.a_matrix, diag_quadratic.b, lip=1.0)
         x = np.array([1.0, 1.0])
-        res = companion_point(q.objective(), x, q.grad(x))
+        res = companion_point(plain(q).restrict(x, q.grad(x)))
         assert res.t == pytest.approx(34.0 / 65.0, rel=1e-9)
 
     def test_logistic_bracket_levels(self, small_logreg):
@@ -153,7 +160,7 @@ class TestBracket:
         x[0] = 1.0
         v = f.grad(x)
         g0 = small_logreg.value(x)
-        res = companion_point(f, x, v, f_x=g0)
+        res = companion_point(f.restrict(x, v), f_x=g0)
         steps = [((x - y) @ v / (v @ v), fy) for y, fy in probes]
         assert any(t < res.t for t, _ in steps) and any(t > res.t for t, _ in steps)
         for t, fy in steps:
@@ -166,14 +173,14 @@ class TestBracket:
         f = Objective(1, 1.0, 1.0, lambda x: float(x[0]),
                       lambda x: np.ones(1))
         with pytest.raises(NumericalFailureError):
-            companion_point(f, np.zeros(1), np.ones(1))
+            companion_point(f.restrict(np.zeros(1), np.ones(1)))
 
 
 class TestCompanionPoint:
     def test_isotropic_reflection(self):
         f = QuadraticProblem(np.eye(2), np.zeros(2)).objective()
         x = np.array([1.0, 0.0])
-        res = companion_point(f, x, f.grad(x))
+        res = companion_point(f.restrict(x, f.grad(x)))
         assert res.t == pytest.approx(2.0, abs=1e-9)
         npt.assert_allclose(res.y, [-1.0, 0.0], atol=1e-9)
         assert f.value(res.y) == pytest.approx(0.5, abs=1e-12)
@@ -189,9 +196,9 @@ class TestCompanionPoint:
         assert step.level_residual <= 1e-15
 
     def test_diag_example_by_bisection(self, diag_quadratic):
-        f = diag_quadratic.objective()
+        f = plain(diag_quadratic)
         x = np.array([1.0, 1.0])
-        res = companion_point(f, x, f.grad(x))
+        res = companion_point(f.restrict(x, f.grad(x)))
         assert res.t == pytest.approx(34.0 / 65.0, rel=1e-9)
         assert f.value(res.y) == pytest.approx(f.value(x), abs=1e-11)
         assert res.level_residual <= 1e-12
@@ -200,14 +207,14 @@ class TestCompanionPoint:
         f = small_logreg.objective()
         x = np.zeros(50)
         x[0] = 1.0
-        res = companion_point(f, x, f.grad(x))
+        res = companion_point(f.restrict(x, f.grad(x)))
         fx = f.value(x)
         assert abs(f.value(res.y) - fx) / max(1.0, abs(fx)) <= 1e-12
 
     def test_rejects_zero_gradient(self, small_logreg):
         f = small_logreg.objective()
         with pytest.raises(ValueError):
-            companion_point(f, np.zeros(50), np.zeros(50))
+            companion_point(f.restrict(np.zeros(50), np.zeros(50)))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bisection_matches_closed_form(self, seed, rng):
@@ -215,7 +222,7 @@ class TestCompanionPoint:
         q = generate_quadratic(6, 15.0, seed)
         x = rng.standard_normal(6)
         t_exact = closed_form_t(q, x)
-        res = companion_point(q.objective(), x, q.grad(x))
+        res = companion_point(plain(q).restrict(x, q.grad(x)))
         assert res.bisection_iters > 0
         assert abs(res.t - t_exact) <= 1e-9 * t_exact
 
@@ -237,7 +244,7 @@ class TestCompanionPoint:
         x = np.zeros(50)
         x[3] = 0.5
         v = f.grad(x)
-        res = companion_point(f, x, v)
+        res = companion_point(f.restrict(x, v))
         assert f.value(x - lam * res.t * v) < f.value(x)
 
     def test_near_optimal_step_beyond_linesearch(self, small_logreg):
@@ -251,4 +258,4 @@ class TestCompanionPoint:
         x_gd = run_gd_exact(f, x, SolverConfig(eps=1e-300, max_outer=1)).x_final
         t_star = (x - x_gd) @ v / (v @ v)
         assert t_star > 2.0 / f.lip
-        assert companion_point(f, x, v).t > t_star
+        assert companion_point(f.restrict(x, v)).t > t_star

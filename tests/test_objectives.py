@@ -8,11 +8,15 @@ import pytest
 from scipy.special import expit
 
 from ellipcenters import (LogRegProblem, Objective, QuadraticProblem,
-                          check_gradient, generate_logreg, generate_quadratic,
-                          mu_for_kappa, run_gd_l, run_me)
-from ellipcenters.objectives import (central_difference_gradient, load_logreg,
-                                     load_quadratic, save_logreg,
+                          SolverConfig, check_gradient, generate_logreg,
+                          generate_quadratic, mu_for_kappa, run_fast_gd,
+                          run_gd_l, run_me)
+from ellipcenters.errors import NonFiniteError
+from ellipcenters.objectives import (REFRESH_EVERY, CountingObjective,
+                                     Restriction, central_difference_gradient,
+                                     load_logreg, load_quadratic, save_logreg,
                                      save_quadratic)
+from ellipcenters.solvers import RUNNERS
 
 
 class TestQuadratic:
@@ -349,6 +353,18 @@ class TestDataProductReuse:
         assert wrong == []
 
 
+# Per-step data products of the restricted steps: ``(at the start, per
+# step, points handed over per step)``.  A quadratic step forms A v (and, for
+# me, A w); a logistic step adds the transposed product of each full
+# gradient: at the companion point and at x_next for me, at x_next for
+# gd_exact.  The product of every point a step hands over is carried, and is
+# formed exactly instead once REFRESH_EVERY carried updates have piled up.
+STEP_PRODUCTS = {
+    ("quadratic", "me"): (1, 2, 2), ("quadratic", "gd_exact"): (1, 1, 1),
+    ("logreg", "me"): (2, 4, 2), ("logreg", "gd_exact"): (2, 2, 1),
+}
+
+
 def count_products(p, attr):
     """Swap ``p.<attr>`` for a view whose ``@`` products are counted in the
     returned class's ``products``."""
@@ -383,16 +399,20 @@ class TestProductCount:
         assert trace.converged
         assert counter.products == trace.iterations + 1
 
-    def test_quadratic_me_makes_four_products_per_step(self):
-        """One product at the start, then per step: A v (shared by the
-        companion crossing and the Newton solve), the companion point, A w
-        and the new iterate."""
-        p = generate_quadratic(12, 30.0, 5)
-        counter = count_products(p, "a_matrix")
-        trace = run_me(p.objective(), np.zeros(12))
-        assert trace.converged
-        assert all(step.li_flag for step in trace.step_data)
-        assert counter.products == 1 + 4 * trace.iterations
+    @pytest.mark.parametrize("family, sid", list(STEP_PRODUCTS))
+    def test_products_per_restricted_step(self, family, sid):
+        """70 steps, past one refresh; eps = 1e-300 keeps the fast logistic
+        me run going at the gradient floor."""
+        p = (generate_quadratic(40, 1e2, 0) if family == "quadratic"
+             else generate_logreg(60, 30, 1e2, 0))
+        counter = count_products(p, "a_matrix" if family == "quadratic" else "a")
+        trace = RUNNERS[sid](p.objective(), np.zeros(p.dim),
+                             SolverConfig(eps=1e-300, max_outer=70))
+        k = trace.iterations
+        assert k == 70 > REFRESH_EVERY
+        start, per_step, handed_over = STEP_PRODUCTS[family, sid]
+        assert counter.products == (start + per_step * k
+                                    + handed_over * (k // REFRESH_EVERY))
 
     def test_logreg_value_and_grad_make_two_products(self, rng):
         p = generate_logreg(12, 20, 30.0, 5)
@@ -403,3 +423,167 @@ class TestProductCount:
         assert counter.products == 2  # a @ x, then a.T @ weights
         p.value(y)
         assert counter.products == 3
+
+
+def plain(p):
+    """``p`` as a plain Objective, with the generic full-evaluation model."""
+    return Objective(p.dim, p.mu, p.lip, p.value, p.grad)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logreg", "plain"])
+class TestRestriction:
+    """Models of f on x + span(v, w) agree with full evaluations."""
+
+    def build(self, kind, rng):
+        p = fresh_problem("quadratic" if kind == "quadratic" else "logreg")
+        f = plain(p) if kind == "plain" else p.objective()
+        x, v, w = rng.standard_normal((3, p.dim))
+        return p, f, x, v, w
+
+    def test_value_slope_and_plane_gradient(self, kind, rng):
+        p, f, x, v, w = self.build(kind, rng)
+        ray, plane = f.restrict(x, v), f.restrict(x, v, w)
+        for a, b in [(0.0, 0.0), (0.3, -0.2), (-1.1, 0.7), (2.5, 0.0)]:
+            point = x + a * v + b * w
+            assert_bitwise(plane.point(a, b), point)
+            want = direct_value(p, point)
+            assert abs(plane.value(a, b) - want) <= 1e-13 * abs(want)
+            g = direct_grad(p, point)
+            scale = 1e-13 * np.linalg.norm(g) * max(np.linalg.norm(v),
+                                                    np.linalg.norm(w))
+            npt.assert_allclose(plane.grad(a, b), [g @ v, g @ w], rtol=0, atol=scale)
+            on_ray = x + a * v
+            want = direct_value(p, on_ray)
+            assert abs(ray.value(a) - want) <= 1e-13 * abs(want)
+            g = direct_grad(p, on_ray)
+            assert abs(ray.grad(a)[0] - g @ v) <= \
+                1e-13 * np.linalg.norm(g) * np.linalg.norm(v)
+
+    def test_extend_equals_restrict_with_both_directions(self, kind, rng):
+        _, f, x, v, w = self.build(kind, rng)
+        both, extended = f.restrict(x, v, w), f.restrict(x, v).extend(w)
+        assert_bitwise(both.gram, extended.gram)
+        assert both.sin2_theta == extended.sin2_theta
+        for z in [(0.0, 0.0), (0.4, -1.3)]:
+            assert both.value(*z) == extended.value(*z)
+            assert_bitwise(both.grad(*z), extended.grad(*z))
+
+    def test_full_gradient_at_a_model_point(self, kind, rng):
+        """The problem's gradient at a model point reuses the product the
+        model handed over; it agrees with the direct formula."""
+        p, f, x, v, w = self.build(kind, rng)
+        point = f.restrict(x, v, w).point(0.7, -0.4)
+        g = direct_grad(p, point)
+        npt.assert_allclose(f.grad(point), g, rtol=0, atol=1e-13 * np.linalg.norm(g))
+        assert abs(f.value(point) - direct_value(p, point)) <= \
+            1e-13 * abs(direct_value(p, point))
+
+    def test_model_without_direction_is_the_point(self, kind, rng):
+        p, f, x, _, _ = self.build(kind, rng)
+        point = f.restrict(x)
+        assert point.dirs == () and point.grad().shape == (0,)
+        want = direct_value(p, x)
+        assert abs(point.value() - want) <= 1e-13 * abs(want)
+
+    def test_evaluations_are_counted_apart(self, kind, rng):
+        _, f, x, v, w = self.build(kind, rng)
+        cf = CountingObjective(f)
+        plane = cf.restrict(x, v, w)
+        plane.value(0.1, 0.2)
+        plane.grad(0.1, 0.2)
+        plane.grad(0.0, 0.5)
+        counts = (cf.value_evals, cf.grad_evals, cf.restricted_evals)
+        assert counts == ((1, 2, 0) if kind == "plain" else (0, 0, 3))
+
+
+class NanModel(Restriction):
+    """A restricted model whose evaluations are all non-finite."""
+
+    full = False
+
+    def value(self, *z):
+        return float("nan")
+
+    def grad(self, *z):
+        return np.full(len(self.dirs), np.inf)
+
+
+def test_non_finite_model_evaluations_raise():
+    f = Objective(2, 1.0, 1.0, lambda x: 0.0, lambda x: np.zeros(2),
+                  restrict_fn=lambda x, v, w: NanModel(f, x, [v]))
+    cf = CountingObjective(f)
+    ray = cf.restrict(np.zeros(2), np.ones(2))
+    with pytest.raises(NonFiniteError):
+        ray.value(1.0)
+    with pytest.raises(NonFiniteError):
+        ray.grad(1.0)
+    assert (cf.value_evals, cf.grad_evals, cf.restricted_evals) == (0, 0, 2)
+
+
+def test_carried_product_drift_stays_small():
+    """Over the 1,875 steps of this quadratic me run, every full gradient
+    the run takes comes from a carried product, refreshed every
+    REFRESH_EVERY updates; each stays within 1e-12 of A x formed exactly,
+    relative to ||A x||."""
+    p = generate_quadratic(500, 1e3, 0)
+    a = np.asarray(p.a_matrix)
+    grad = p.grad
+    drift = []
+
+    def checked_grad(x):
+        g = grad(x)
+        exact = a @ x
+        if np.any(exact):
+            drift.append(np.linalg.norm(g - (exact - p.b)) / np.linalg.norm(exact))
+        return g
+
+    p.grad = checked_grad
+    trace = run_me(p.objective(), np.zeros(500))
+    assert trace.converged and trace.iterations == 1875
+    assert len(drift) == 2 * trace.iterations
+    assert max(drift) <= 1e-12
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("sid", ["me", "gd_exact"])
+def test_run_ignores_what_the_instance_evaluated_before(family, sid):
+    """A run that starts where an earlier run left a carried product traces
+    exactly as the same run on a fresh instance."""
+    make = ((lambda: generate_quadratic(40, 1e2, 0)) if family == "quadratic"
+            else (lambda: generate_logreg(60, 30, 1e2, 0)))
+    run = RUNNERS[sid]
+    used = make()
+    x = run(used.objective(), np.zeros(used.dim), SolverConfig(max_outer=5)).x_final
+    again = run(used.objective(), x)
+    fresh = run(make().objective(), x.copy())
+    assert again.iterations > 0
+    assert again.records == fresh.records
+    assert_bitwise(again.x_final, fresh.x_final)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fixed_step_runs_keep_direct_arithmetic(family):
+    """``run_gd_l`` and ``run_fast_gd`` evaluate only at their own iterates,
+    from products formed exactly: each is its textbook loop on the direct
+    formulas, bit for bit."""
+    p = (generate_quadratic(40, 1e2, 0) if family == "quadratic"
+         else generate_logreg(60, 30, 1e2, 0))
+    eps = SolverConfig().eps
+    kappa = np.sqrt(p.lip / p.mu)
+    momentum = (kappa - 1.0) / (kappa + 1.0)
+    for run, fast in [(run_gd_l, False), (run_fast_gd, True)]:
+        x = z = np.zeros(p.dim)
+        g = direct_grad(p, x)
+        values, norms = [direct_value(p, x)], [float(np.linalg.norm(g))]
+        while norms[-1] > eps:
+            step = g if not fast or len(values) == 1 else direct_grad(p, z)
+            x_next = (z if fast else x) - step / p.lip
+            z = x_next + momentum * (x_next - x)
+            x = x_next
+            g = direct_grad(p, x)
+            values.append(direct_value(p, x))
+            norms.append(float(np.linalg.norm(g)))
+        trace = run(p.objective(), np.zeros(p.dim))
+        assert [r.f_val for r in trace.records] == values
+        assert [r.grad_norm for r in trace.records] == norms
+        assert_bitwise(trace.x_final, x)

@@ -7,31 +7,26 @@ from ellipcenters import (Objective, QuadraticProblem, SolverConfig,
                           run_me)
 from ellipcenters.companion import companion_point
 from ellipcenters.errors import DegeneratePlaneError, InnerStallError
-from ellipcenters.plane2d import (PlaneSubproblem, solve_gd_armijo,
-                                  solve_newton_quadratic)
+from ellipcenters.plane2d import solve_gd_armijo, solve_newton_quadratic
 
 # sin^2 of two gradients never reaches 1.0 here, so every step is degenerate
 LINE_STEP = SolverConfig(eps=1e-300, max_outer=1, ld_threshold=1.0)
 
 
 def build_plane(prob, x):
-    """Plane through x spanned by the gradient and the companion gradient."""
+    """Model of f on the plane through x spanned by the gradient and the
+    companion gradient."""
     f = prob.objective()
     v = f.grad(x)
-    comp = companion_point(f, x, v)
+    comp = companion_point(f.restrict(x, v))
     w = f.grad(comp.y)
-    return f, PlaneSubproblem(x, v, w), comp
-
-
-def newton(q, sp):
-    """Newton solve on the plane of quadratic ``q``, with its products."""
-    return solve_newton_quadratic(sp, q.a_matrix @ sp.v, q.a_matrix @ sp.w)
+    return f, f.restrict(x, v, w), comp
 
 
 def plane_gradient(f, sp, alpha, beta):
     """Chain-rule gradient (<g, v>, <g, w>) of f restricted to the plane."""
     g = f.grad(sp.point(alpha, beta))
-    return np.array([g @ sp.v, g @ sp.w])
+    return np.array([g @ d for d in sp.dirs])
 
 
 class TestRestrictedFunction:
@@ -47,10 +42,10 @@ class TestRestrictedFunction:
 
     def test_gradient_vanishes_at_minimizer(self, small_logreg):
         f, sp, _ = build_plane(small_logreg, np.ones(50) * 0.1)
-        sol = solve_gd_armijo(f, sp)
+        sol = solve_gd_armijo(sp)
         grad2 = plane_gradient(f, sp, sol.alpha, sol.beta)
-        assert np.linalg.norm(grad2) <= 1e-11 * max(np.linalg.norm(sp.v),
-                                                    np.linalg.norm(sp.w))
+        assert np.linalg.norm(grad2) <= 1e-11 * max(np.linalg.norm(sp.dirs[0]),
+                                                    np.linalg.norm(sp.dirs[1]))
 
     def test_plane_geometry_fields(self, small_logreg):
         _, sp, _ = build_plane(small_logreg, np.ones(50) * 0.1)
@@ -62,9 +57,10 @@ class TestRestrictedFunction:
 class TestNewtonPath:
     def test_two_dim_quadratic_hits_minimizer(self, diag_quadratic):
         _, sp, _ = build_plane(diag_quadratic, np.array([1.0, 1.0]))
-        sol = newton(diag_quadratic, sp)
+        sol = solve_newton_quadratic(sp)
         npt.assert_allclose(sol.x_next, [0.0, 0.0], atol=1e-12)
-        npt.assert_allclose(sol.x_next, sp.base + sol.alpha * sp.v + sol.beta * sp.w)
+        v, w = sp.dirs
+        npt.assert_allclose(sol.x_next, sp.base + sol.alpha * v + sol.beta * w)
 
     def test_isotropic_gradients_are_parallel(self):
         q = QuadraticProblem(np.eye(4), np.zeros(4))
@@ -72,14 +68,14 @@ class TestNewtonPath:
         x[0] = 1.0
         _, sp, _ = build_plane(q, x)
         with pytest.raises(DegeneratePlaneError):
-            newton(q, sp)
+            solve_newton_quadratic(sp)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_residual_small_on_random_spd(self, seed, rng):
         q = generate_quadratic(5, 12.0, seed)
         x = rng.standard_normal(5)
         _, sp, _ = build_plane(q, x)
-        sol = newton(q, sp)
+        sol = solve_newton_quadratic(sp)
         assert sol.inner_grad_norm <= 1e-10 * sp.gram[0, 0]
         assert sol.grad_evals == 0
 
@@ -90,16 +86,16 @@ class TestArmijoDescent:
         q = generate_quadratic(6, 10.0, seed)
         x = rng.standard_normal(6)
         f, sp, _ = build_plane(q, x)
-        exact = newton(q, sp)
-        descent = solve_gd_armijo(f, sp)
+        exact = solve_newton_quadratic(sp)
+        descent = solve_gd_armijo(sp)
         assert abs(descent.alpha - exact.alpha) <= 1e-8
         assert abs(descent.beta - exact.beta) <= 1e-8
 
     def test_logistic_first_step_meets_tolerance(self):
         p = generate_logreg(40, 20, 50.0, 2)
         f, sp, _ = build_plane(p, np.zeros(40))
-        sol = solve_gd_armijo(f, sp, inner_tol=1e-12)
-        scale = max(np.linalg.norm(sp.v), np.linalg.norm(sp.w))
+        sol = solve_gd_armijo(sp, inner_tol=1e-12)
+        scale = max(np.linalg.norm(d) for d in sp.dirs)
         assert sol.inner_grad_norm <= 1e-12 * scale
         assert sol.grad_evals == sol.inner_iters
 
@@ -108,8 +104,8 @@ class TestArmijoDescent:
         x = np.ones(50) * 0.1
         w = f.grad(x)
         tiny = 1e-13 * np.ones(50) / np.sqrt(50)
-        sp = PlaneSubproblem(x, tiny, w)
-        sol = solve_gd_armijo(f, sp)
+        sp = f.restrict(x, tiny, w)
+        sol = solve_gd_armijo(sp)
         assert (sol.alpha, sol.beta) == (0.0, 0.0)
         assert sol.inner_iters == 0 and sol.grad_evals == 0
 
@@ -130,19 +126,20 @@ class TestArmijoDescent:
         p = generate_logreg(30, 15, 40.0, 4)
         f, sp, _ = build_plane(p, np.zeros(30))
         with pytest.raises(InnerStallError):
-            solve_gd_armijo(f, sp, max_inner=1)
+            solve_gd_armijo(sp, max_inner=1)
 
     def test_orthogonality_and_pythagoras_at_solution(self):
         p = generate_logreg(40, 20, 30.0, 6)
         f, sp, _ = build_plane(p, np.zeros(40))
-        sol = solve_gd_armijo(f, sp, inner_tol=1e-12)
+        sol = solve_gd_armijo(sp, inner_tol=1e-12)
         g = f.grad(sol.x_next)
-        eps_orth = 10.0 * 1e-12 * max(np.linalg.norm(sp.v), np.linalg.norm(sp.w))
-        assert abs(g @ sp.v) <= eps_orth
-        assert abs(g @ sp.w) <= eps_orth
-        lhs = np.sum((g - sp.v) ** 2)
-        rhs = g @ g + sp.v @ sp.v
-        assert abs(lhs - rhs) <= max(10.0 * eps_orth * np.linalg.norm(sp.v),
+        v, w = sp.dirs
+        eps_orth = 10.0 * 1e-12 * max(np.linalg.norm(v), np.linalg.norm(w))
+        assert abs(g @ v) <= eps_orth
+        assert abs(g @ w) <= eps_orth
+        lhs = np.sum((g - v) ** 2)
+        rhs = g @ g + v @ v
+        assert abs(lhs - rhs) <= max(10.0 * eps_orth * np.linalg.norm(v),
                                      3.0 * eps_orth)
 
     def test_plane_minimality_dominates_ray_points(self):
@@ -153,10 +150,9 @@ class TestArmijoDescent:
         f = p.objective()
         x = np.zeros(40)
         v = f.grad(x)
-        comp = companion_point(f, x, v)
+        comp = companion_point(f.restrict(x, v))
         w = f.grad(comp.y)
-        sp = PlaneSubproblem(x, v, w)
-        sol = solve_gd_armijo(f, sp)
+        sol = solve_gd_armijo(f.restrict(x, v, w))
         x_gd = run_gd_exact(f, x, SolverConfig(max_outer=1)).x_final
         t_star = (x - x_gd) @ v / (v @ v)
         slack = 1e-12 * max(1.0, abs(f.value(x)))

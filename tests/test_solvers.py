@@ -226,6 +226,18 @@ class TestFastGd:
 
 
 class TestConfig:
+    @pytest.mark.parametrize("name", ["eps", "companion_tol", "inner_tol",
+                                      "ld_threshold"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1e-3])
+    def test_rejects_non_positive_or_non_finite_tolerance(self, name, bad):
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(**{name: bad})
+
+    @pytest.mark.parametrize("name", ["max_outer", "max_inner"])
+    def test_rejects_nan_iteration_cap(self, name):
+        with pytest.raises(ValueError):
+            SolverConfig(**{name: float("nan")})
+
     def test_rejects_nonpositive_tolerances(self):
         with pytest.raises(ValueError):
             SolverConfig(eps=0.0)
@@ -266,15 +278,19 @@ def test_non_finite_objective_stops_run(sid):
     assert np.all(np.isfinite(trace.x_final))
 
 
-# (iterations, grad_evals_total, value_evals_total) of each solver from the
-# origin with the default SolverConfig, on the benchmark's warm-up instances.
-# A caching or fusion change that skips a counted value or gradient call
-# changes these counts without changing the computed iterates.
+# (iterations, grad_evals_total, value_evals_total, restricted_evals_total)
+# of each solver from the origin with the default SolverConfig, on the
+# benchmark's warm-up instances.  A caching or fusion change that skips a
+# counted value or gradient call changes these counts without changing the
+# computed iterates.  The me and gd_exact searches run on restricted models,
+# so their full counts are those of the method itself: me takes the
+# gradients at the companion point and at x_next, gd_exact the one at x_next,
+# and the outer loop the value at each iterate.
 COST_MODEL = {
-    "logreg": {"me": (10, 177, 328), "gd_l": (799, 800, 800),
-               "gd_exact": (26, 1145, 27), "fast_gd": (117, 234, 118)},
-    "quadratic": {"me": (161, 323, 323), "gd_l": (1218, 1219, 1219),
-                  "gd_exact": (630, 631, 631), "fast_gd": (142, 284, 143)},
+    "logreg": {"me": (10, 21, 11, 473), "gd_l": (799, 800, 800, 0),
+               "gd_exact": (26, 27, 27, 1120), "fast_gd": (117, 234, 118, 0)},
+    "quadratic": {"me": (161, 323, 162, 483), "gd_l": (1218, 1219, 1219, 0),
+                  "gd_exact": (630, 631, 631, 630), "fast_gd": (142, 284, 143, 0)},
 }
 
 
@@ -286,5 +302,44 @@ def test_evaluation_counts_are_pinned(family, sid):
     trace = RUNNERS[sid](p.objective(), np.zeros(p.dim))
     assert trace.converged
     last = trace.records[-1]
+    assert (trace.iterations, last.grad_evals_total, last.value_evals_total,
+            last.restricted_evals_total) == COST_MODEL[family][sid.value]
+
+
+@pytest.mark.parametrize("family", ["logreg", "quadratic"])
+def test_restricted_steps_make_only_the_methods_gradients(family):
+    """me takes exactly its two outer gradients per step, gd_exact one, plus
+    the gradient at the start: every search probe is a model evaluation."""
+    for seed in range(3):
+        p = (generate_logreg(80, 40, 1e3, seed) if family == "logreg"
+             else generate_quadratic(30, 1e2, seed))
+        for run in (run_me, run_gd_exact):
+            trace = run(p.objective(), np.zeros(p.dim))
+            assert trace.converged
+            last = trace.records[-1]
+            assert last.grad_evals_total == last.grad_evals_outer + 1
+            assert last.value_evals_total == trace.iterations + 1
+            assert last.restricted_evals_total > 0
+
+
+# A plain Objective has no restricted model: its searches evaluate in full,
+# with the same calls as before restricted evaluation existed.
+PLAIN_COST_MODEL = {
+    "logreg": {"me": (10, 177, 328), "gd_exact": (26, 1145, 27)},
+    "quadratic": {"me": (161, 2912, 3938), "gd_exact": (630, 27262, 631)},
+}
+
+
+@pytest.mark.parametrize("family", list(PLAIN_COST_MODEL))
+@pytest.mark.parametrize("sid", [SolverId.ME, SolverId.GD_EXACT],
+                         ids=lambda s: s.value)
+def test_plain_objective_counts_every_probe_in_full(family, sid):
+    p = (generate_logreg(60, 30, 1e2, 0) if family == "logreg"
+         else generate_quadratic(40, 1e2, 0))
+    f = Objective(p.dim, p.mu, p.lip, p.value, p.grad)
+    trace = RUNNERS[sid](f, np.zeros(p.dim))
+    assert trace.converged
+    last = trace.records[-1]
+    assert last.restricted_evals_total == 0
     assert (trace.iterations, last.grad_evals_total, last.value_evals_total) \
-        == COST_MODEL[family][sid.value]
+        == PLAIN_COST_MODEL[family][sid.value]
