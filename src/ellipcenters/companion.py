@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailureError
+from .errors import NumericalFailureError, PrecisionFloorError
 
 MAX_DOUBLINGS = 200
 MAX_BISECTIONS = 200
@@ -94,8 +94,9 @@ def companion_point(ray, tol: float = 1e-12,
     ``v`` the gradient at ``x``.  With an exact quadratic model the crossing
     is t = 2 <grad f(x), v> / (v'Av).  Otherwise ``ray_root`` runs on
     s(t) = (f(x - t v) - f(x)) / max(1, |f(x)|) from t = 2/lip until
-    |s| <= tol, and :class:`NumericalFailureError` is raised when the
-    bracket collapses first (an extremely flat restriction).  ``y`` comes
+    |s| <= tol, and :class:`PrecisionFloorError` is raised when the bracket
+    collapses to machine width first, since the level set is then finer
+    than double precision resolves along the ray.  ``y`` comes
     from ``ray.point``, so a problem's gradient at it reuses the carried
     product.
 
@@ -127,6 +128,6 @@ def companion_point(ray, tol: float = 1e-12,
 
     t, res, _, iters = ray_root(level, 2.0 / ray.lip, tol)
     if res > tol:
-        raise NumericalFailureError(
-            f"bisection stalled at level residual {res:.3e} > {tol:.3e}")
+        raise PrecisionFloorError(
+            f"bracket at machine width with level residual {res:.3e} > {tol:.3e}")
     return CompanionResult(t, ray.point(-t), res, iters)

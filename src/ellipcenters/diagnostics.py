@@ -1,11 +1,17 @@
-"""Post-hoc certification of convergence guarantees against a run trace.
+"""Certification of convergence guarantees, step by step.
 
 Given a trace and a trusted reference value, these audits check, step by
 step, the inequalities the solvers are supposed to satisfy: per-step gap
 contraction at the universal rate 1 - mu/lip, the stronger rate
 (kappa-1)/(kappa+1) on steps where the two spanning gradients were linearly
 independent, the further angle-dependent improvement, gradient orthogonality
-at plane minimizers, and the two-gradient descent bound they imply.
+at plane minimizers, and the two-gradient descent bound they imply.  The
+rate and descent audits read the trace's records.  The audits that need a
+step's vectors take them as the run hands them to its observer (see
+``solvers.History`` and ``harness.verify_experiment``), so no run has to
+keep them: ``audit_orthogonality`` and ``audit_level_sets`` accept any list
+of :class:`StepVectors`, one step's included, and ``certify_rates`` takes
+the iterate distances ||x_k - x*||^2 as floats.
 
 All rate audits are one-sided with relative slack ``RATE_SLACK`` (inexact 2-D
 solves can violate exact-arithmetic bounds in the last bits), and ratios are
@@ -17,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -135,7 +141,7 @@ def contraction_ratios(trace: RunTrace, f_star: float) -> list[Optional[float]]:
 
 
 def certify_rates(trace: RunTrace, f_star: float, mu: float, lip: float,
-                  x_star: Optional[np.ndarray] = None):
+                  dist2: Optional[Sequence[float]] = None):
     """Audit an ellipcenter trace against its linear-rate guarantees.
 
     Checks, with relative slack ``RATE_SLACK``:
@@ -144,7 +150,8 @@ def certify_rates(trace: RunTrace, f_star: float, mu: float, lip: float,
     b. independent steps: ratio <= eta_star = (kappa-1)/(kappa+1);
     c. independent steps: ratio <= eta_bar_k = eta_star - sin2_theta_k/(4 kappa^2);
     d. every iterate: gap_k <= eta^(k-2) * gap_1  (k >= 2);
-    e. when ``x_star`` and stored iterates are available:
+    e. when ``dist2`` is given, its entry k - 1 being ||x_k - x_star||^2 as
+       taken by an observer during the run:
        ||x_k - x_star||^2 <= kappa * eta^(k-1) * ||x_1 - x_star||^2.
 
     Returns ``(RateCertificate, AuditReport)``.
@@ -188,11 +195,10 @@ def certify_rates(trace: RunTrace, f_star: float, mu: float, lip: float,
             bound = eta ** (rec.k - 2) * gap1 * (1.0 + RATE_SLACK)
             report.check("global_eta_bound", rec.k, gap, bound)
     # (e) iterate-distance bound
-    if x_star is not None and trace.iterates:
-        d1 = float(np.sum((trace.iterates[0] - x_star) ** 2))
+    if dist2:
+        d1 = dist2[0]
         if d1 > 0.0:
-            for k, xk in enumerate(trace.iterates, start=1):
-                dk = float(np.sum((xk - x_star) ** 2))
+            for k, dk in enumerate(dist2, start=1):
                 bound = kappa * eta ** (k - 1) * d1 * (1.0 + RATE_SLACK)
                 report.check("iterate_distance_bound", k, dk, bound + 1e-300)
     cert = RateCertificate(kappa, eta, eta_star, eta_bar, c_min)

@@ -9,6 +9,13 @@ class NumericalFailureError(RuntimeError):
     """
 
 
+class PrecisionFloorError(NumericalFailureError):
+    """The companion bracket narrowed to machine width with the level
+    residual still above its tolerance: double precision cannot resolve the
+    level set, typically because f is large in absolute terms.  Outer loops
+    stop with status ``precision_floor``."""
+
+
 class DegeneratePlaneError(RuntimeError):
     """The two gradient directions are numerically parallel, so the 2x2
     plane system is singular.  The plane is then the line along the

@@ -22,8 +22,8 @@ from .diagnostics import (AuditReport, audit_bh_descent, audit_dominance,
                           audit_level_sets, audit_orthogonality,
                           certify_rates, contraction_ratios)
 from .objectives import Objective, generate_logreg, generate_quadratic
-from .solvers import (RUNNERS, IterateRecord, RunTrace, SolverConfig,
-                      SolverId, run_me, run_fast_gd)
+from .solvers import (RUNNERS, IterateRecord, Observer, RunTrace,
+                      SolverConfig, SolverId, run_fast_gd)
 
 TRACE_COLUMNS = ["k", "f", "gap", "grad_norm", "t_k", "sin2_theta", "li_flag",
                  "ratio", "grad_evals_outer", "grad_evals_total",
@@ -70,11 +70,11 @@ class ReferenceSolution:
     """Trusted optimum used by every audit.
 
     ``residual`` is the gradient norm at ``x_star``.  For quadratics the
-    minimizer comes from a direct linear solve; otherwise from an accelerated
-    run to near the double-precision gradient floor plus an ellipcenter
-    polish, keeping the best value observed.  A gradient-norm target of 1e-15
-    is below what double precision can resolve on ill-conditioned instances,
-    hence the 1e-13 target and the quality flag.
+    minimizer comes from a direct linear solve; otherwise it is the final
+    iterate of an accelerated run to near the double-precision gradient
+    floor.  A gradient-norm target of 1e-15 is below what double precision
+    can resolve on ill-conditioned instances, hence the 1e-13 target and the
+    quality flag.
     """
 
     f_star: float
@@ -98,22 +98,16 @@ def build_problem(spec: ExperimentSpec):
 
 def compute_reference(f: Objective) -> ReferenceSolution:
     """Reference optimum: linear solve for quadratics, high-accuracy run
-    (accelerated gradient to eps=1e-13, then 100 polish steps) otherwise."""
+    (accelerated gradient to eps=1e-13) otherwise."""
     if f.quadratic_view is not None:
         x_star = f.quadratic_view.minimizer()
         residual = float(np.linalg.norm(f.grad(x_star)))
         return ReferenceSolution(f.value(x_star), x_star, "linear_solve", residual)
     cfg = SolverConfig(eps=1e-13, max_outer=500000)
     fast = run_fast_gd(f, np.zeros(f.dim), cfg)
-    polish_cfg = SolverConfig(eps=1e-300, max_outer=100)
-    polish = run_me(f, fast.x_final, polish_cfg)
-    best_f = fast.records[-1].f_val
-    best_x = fast.x_final
-    best_res = fast.records[-1].grad_norm
-    for rec, x in zip(polish.records, polish.iterates):
-        if rec.f_val < best_f:
-            best_f, best_x, best_res = rec.f_val, x, rec.grad_norm
-    return ReferenceSolution(best_f, best_x, "high_accuracy_run", best_res)
+    last = fast.records[-1]
+    return ReferenceSolution(last.f_val, fast.x_final, "high_accuracy_run",
+                             last.grad_norm)
 
 
 @dataclass
@@ -137,12 +131,13 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     of the experiment continues.
     """
     f, _ = build_problem(spec)
-    return _run_on(spec, f)
+    return _run_on(spec, f, compute_reference(f))
 
 
-def _run_on(spec: ExperimentSpec, f: Objective) -> ExperimentResult:
-    """:func:`run_experiment` on an objective already built from ``spec``."""
-    reference = compute_reference(f)
+def _run_on(spec: ExperimentSpec, f: Objective, reference: ReferenceSolution,
+            observe: Observer | None = None) -> ExperimentResult:
+    """:func:`run_experiment` on an objective already built from ``spec``,
+    with its reference computed; ``observe`` watches every solver run."""
     x1 = np.zeros(spec.n)
     traces: dict[str, RunTrace] = {}
     summary: list[dict] = []
@@ -152,7 +147,7 @@ def _run_on(spec: ExperimentSpec, f: Objective) -> ExperimentResult:
         out.mkdir(parents=True, exist_ok=True)
     for sid in spec.solvers:
         start = time.perf_counter()
-        trace = RUNNERS[sid](f, x1, spec.config)
+        trace = RUNNERS[sid](f, x1, spec.config, observe=observe)
         wall = time.perf_counter() - start
         fill_ratios(trace, reference.f_star)
         traces[sid.value] = trace
@@ -291,24 +286,35 @@ def format_summary_table(summary: list[dict]) -> str:
 def verify_experiment(spec: ExperimentSpec):
     """Run a fresh experiment and the full audit suite over it.
 
-    Audits the ellipcenter trace (rates, orthogonality, two-gradient descent,
-    companion level residuals) and the one-step dominance comparison at the
-    start point and a few seeded points.  Returns
+    Audits the ellipcenter trace (rates, iterate distances, orthogonality,
+    two-gradient descent, companion level residuals) and the one-step
+    dominance comparison at the start point and a few seeded points.  The
+    reference comes first, so the audits that need a step's vectors run on
+    each step as the run goes and the run keeps no history.  Returns
     ``(ExperimentResult, AuditReport)``.
     """
     spec = replace(spec, solvers=[SolverId.ME])
     f, _ = build_problem(spec)
-    result = _run_on(spec, f)
+    ref = compute_reference(f)
+    cfg = spec.config
+    dist2: list[float] = []
+    orthogonality, level_sets = AuditReport(), AuditReport()
+
+    def audit_step(k, x, f_x, g, step):
+        dist2.append(float(np.sum((x - ref.x_star) ** 2)))
+        if step is not None:
+            orthogonality.extend(audit_orthogonality([step], cfg.inner_tol,
+                                                     f.lip))
+            level_sets.extend(audit_level_sets([step], cfg.companion_tol))
+
+    result = _run_on(spec, f, ref, audit_step)
     trace = result.traces[SolverId.ME.value]
-    ref = result.reference
     report = AuditReport()
-    _, rate_report = certify_rates(trace, ref.f_star, f.mu, f.lip,
-                                   x_star=ref.x_star)
+    _, rate_report = certify_rates(trace, ref.f_star, f.mu, f.lip, dist2=dist2)
     report.extend(rate_report)
-    report.extend(audit_orthogonality(trace.step_data, spec.config.inner_tol,
-                                      f.lip))
+    report.extend(orthogonality)
     report.extend(audit_bh_descent(trace, f.lip))
-    report.extend(audit_level_sets(trace.step_data, spec.config.companion_tol))
+    report.extend(level_sets)
     rng = np.random.Generator(np.random.PCG64(spec.seed + 1))
     points = [np.zeros(spec.n)] + [0.5 * rng.standard_normal(spec.n)
                                    for _ in range(3)]

@@ -2,11 +2,16 @@
 Nesterov's strongly convex accelerated gradient, all under one trace format.
 
 All four solvers run in one outer loop, ``_drive``.  It owns the evaluation
-counters, the per-iterate records, the stored iterates and step vectors, the
-stopping tests and the mapping from failures to :class:`RunStatus`.  A solver
-only supplies a step function that turns the current iterate, its value and
-its gradient into the next iterate.  A single step from ``x`` is the run
-``run_*(f, x, replace(cfg, max_outer=1))``.
+counters, the per-iterate records, the stopping tests and the mapping from
+failures to :class:`RunStatus`.  A solver only supplies a step function that
+turns the current iterate, its value and its gradient into the next iterate.
+A single step from ``x`` is the run ``run_*(f, x, replace(cfg, max_outer=1))``.
+
+Memory.  A run keeps O(n) arrays plus O(1) telemetry per iterate.  Each
+accepted iterate, and the ellipcenter step's vectors, go to an optional
+observer, ``run_*(f, x1, cfg, observe=fn)``, called as
+``fn(k, x_k, f(x_k), grad f(x_k), step)``; :class:`History` is the observer
+that keeps them all.
 
 Evaluation accounting.  ``grad_evals_outer`` counts only the gradients the
 method itself is defined by: two per ellipcenter iteration (one at the
@@ -25,13 +30,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .companion import companion_point, ray_root
 from .errors import (DegeneratePlaneError, InnerStallError, NonFiniteError,
-                     NumericalFailureError)
+                     NumericalFailureError, PrecisionFloorError)
 from .objectives import CountingObjective, Objective
 from .plane2d import solve_gd_armijo, solve_newton_quadratic
 
@@ -49,6 +54,7 @@ class RunStatus(str, enum.Enum):
     INNER_STALL = "inner_stall"
     NUMERIC_FAILURE = "numeric_failure"
     NON_FINITE = "non_finite"
+    PRECISION_FLOOR = "precision_floor"
 
 
 @dataclass
@@ -105,9 +111,9 @@ class IterateRecord:
 
 @dataclass
 class StepVectors:
-    """Raw per-step vectors kept alongside an ellipcenter trace so that the
-    orthogonality, Lipschitz-displacement and level-set audits can run
-    without re-executing the solver."""
+    """The vectors of ellipcenter step ``k``, from iterate k to k + 1, handed
+    to the run's observer with iterate k + 1.  They feed the orthogonality,
+    Lipschitz-displacement and level-set audits."""
 
     k: int
     v: np.ndarray
@@ -122,7 +128,10 @@ class StepVectors:
 
 @dataclass
 class RunTrace:
-    """Full record of one solver run."""
+    """Record of one solver run: O(1) telemetry per iterate and the final
+    iterate.  ``iterates`` and ``step_data`` remain for callers that read
+    them and stay empty; a caller that wants the history passes a
+    :class:`History` observer to the run."""
 
     solver_id: SolverId
     records: list[IterateRecord]
@@ -140,6 +149,26 @@ class RunTrace:
     @property
     def converged(self) -> bool:
         return self.status is RunStatus.CONVERGED
+
+
+Observer = Callable[[int, np.ndarray, float, np.ndarray, Optional[StepVectors]],
+                    None]
+
+
+@dataclass
+class History:
+    """Observer that keeps a run's history: a copy of every iterate and,
+    for an ellipcenter run, every step's :class:`StepVectors`.  It costs
+    O(n) memory per step, so a run keeps it only when asked,
+    ``run_*(f, x1, observe=History())``."""
+
+    iterates: list[np.ndarray] = field(default_factory=list)
+    step_data: list[StepVectors] = field(default_factory=list)
+
+    def __call__(self, k, x, f_x, g, step) -> None:
+        self.iterates.append(x.copy())
+        if step is not None:
+            self.step_data.append(step)
 
 
 def _me_step(cf, k, x, f_x, v, cfg: SolverConfig):
@@ -213,8 +242,8 @@ def _gd_exact_step(cf, k, x, f_x, v, cfg):
 
 
 def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
-           cfg: SolverConfig | None, step, *, outer_grads: int = 1,
-           non_monotone_ok: bool = False) -> RunTrace:
+           cfg: SolverConfig | None, step, observe: Observer | None, *,
+           outer_grads: int = 1, non_monotone_ok: bool = False) -> RunTrace:
     """The outer loop of every solver.
 
     Evaluates ``x1``, then runs ``step(cf, k, x_k, f(x_k), grad f(x_k), cfg)
@@ -224,29 +253,32 @@ def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
     :class:`StepVectors`, else ``None``.  Each step adds ``outer_grads`` to
     ``grad_evals_outer``.  The run starts from a model at ``x1`` with no
     direction, so its first data product is formed exactly whatever the
-    objective evaluated before.  An inner stall, a numerical failure or a
-    non-finite value or gradient ends the run at the last good iterate with
-    the matching status; a non-finite start raises :class:`NonFiniteError`.
+    objective evaluated before.  Each accepted iterate k goes to
+    ``observe(k, x_k, f(x_k), grad f(x_k), info)``, with ``info`` the step
+    that produced it (``None`` for k = 1); the loop keeps no earlier vector.
+    An inner stall, a numerical failure, a level set below double precision
+    or a non-finite value or gradient ends the run at the last good iterate
+    with the matching status; a non-finite start raises
+    :class:`NonFiniteError`.
     """
     cfg = cfg or SolverConfig()
     cf = CountingObjective(f)
     records: list[IterateRecord] = []
-    iterates: list[np.ndarray] = []
-    step_data: list[StepVectors] = []
 
-    def record_iterate(x, f_x, g):
+    def record_iterate(x, f_x, g, info):
         records.append(IterateRecord(
             k=len(records) + 1, f_val=f_x, grad_norm=float(np.linalg.norm(g)),
             grad_evals_outer=outer_grads * len(records),
             grad_evals_total=cf.grad_evals, value_evals_total=cf.value_evals,
             restricted_evals_total=cf.restricted_evals))
-        iterates.append(x.copy())
+        if observe is not None:
+            observe(len(records), x, f_x, g, info)
 
     x = np.asarray(x1, dtype=float).copy()
     cf.restrict(x)
     fx = cf.value(x)
     v = cf.grad(x)
-    record_iterate(x, fx, v)
+    record_iterate(x, fx, v, None)
     status = RunStatus.CONVERGED
     while records[-1].grad_norm > cfg.eps:
         if len(records) > cfg.max_outer:
@@ -260,6 +292,9 @@ def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
         except InnerStallError:
             status = RunStatus.INNER_STALL
             break
+        except PrecisionFloorError:
+            status = RunStatus.PRECISION_FLOOR
+            break
         except NumericalFailureError:
             status = RunStatus.NUMERIC_FAILURE
             break
@@ -270,34 +305,36 @@ def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
             records[-1].t_k = info.t
             records[-1].sin2_theta = info.sin2_theta
             records[-1].li_flag = info.li_flag
-            step_data.append(info)
         x, fx, v = x_next, f_next, v_next
-        record_iterate(x, fx, v)
+        record_iterate(x, fx, v, info)
     return RunTrace(solver_id, records, status, x, replace(cfg),
-                    iterates=iterates, step_data=step_data,
                     non_monotone_ok=non_monotone_ok)
 
 
-def run_me(f: Objective, x1: np.ndarray, cfg: SolverConfig | None = None) -> RunTrace:
+def run_me(f: Objective, x1: np.ndarray, cfg: SolverConfig | None = None, *,
+           observe: Observer | None = None) -> RunTrace:
     """Run the ellipcenter method until ||grad f|| <= eps or max_outer."""
-    return _drive(SolverId.ME, f, x1, cfg, _me_step, outer_grads=2)
+    return _drive(SolverId.ME, f, x1, cfg, _me_step, observe, outer_grads=2)
 
 
-def run_gd_l(f: Objective, x1: np.ndarray, cfg: SolverConfig | None = None) -> RunTrace:
+def run_gd_l(f: Objective, x1: np.ndarray, cfg: SolverConfig | None = None, *,
+             observe: Observer | None = None) -> RunTrace:
     """Gradient descent with fixed step 1/lip."""
-    return _drive(SolverId.GD_L, f, x1, cfg, _gd_l_step)
+    return _drive(SolverId.GD_L, f, x1, cfg, _gd_l_step, observe)
 
 
-def run_gd_exact(f: Objective, x1: np.ndarray, cfg: SolverConfig | None = None) -> RunTrace:
+def run_gd_exact(f: Objective, x1: np.ndarray, cfg: SolverConfig | None = None,
+                 *, observe: Observer | None = None) -> RunTrace:
     """Gradient descent with an exact linesearch along the negative gradient.
 
     The step length zeroes the directional derivative along the ray, so each
     new gradient is orthogonal to the one before it.
     """
-    return _drive(SolverId.GD_EXACT, f, x1, cfg, _gd_exact_step)
+    return _drive(SolverId.GD_EXACT, f, x1, cfg, _gd_exact_step, observe)
 
 
-def run_fast_gd(f: Objective, x1: np.ndarray, cfg: SolverConfig | None = None) -> RunTrace:
+def run_fast_gd(f: Objective, x1: np.ndarray, cfg: SolverConfig | None = None,
+                *, observe: Observer | None = None) -> RunTrace:
     """Nesterov's accelerated gradient, strongly convex constant-momentum form.
 
     z1 = x1;  x_{k+1} = z_k - (1/lip) grad f(z_k);
@@ -318,7 +355,8 @@ def run_fast_gd(f: Objective, x1: np.ndarray, cfg: SolverConfig | None = None) -
         z = x_next + momentum * (x_next - x)
         return x_next, None, None
 
-    return _drive(SolverId.FAST_GD, f, x1, cfg, step, non_monotone_ok=True)
+    return _drive(SolverId.FAST_GD, f, x1, cfg, step, observe,
+                  non_monotone_ok=True)
 
 
 RUNNERS = {

@@ -18,6 +18,7 @@ from ellipcenters import (ExperimentSpec, Objective, RunStatus, SolverConfig,
 from ellipcenters.companion import CompanionResult, companion_point
 from ellipcenters.diagnostics import audit_dominance, contraction_ratios
 from ellipcenters.plane2d import solve_gd_armijo, solve_newton_quadratic
+from ellipcenters.solvers import History
 
 SUITE_QUADRATICS = [
     (5, 10.0, 101), (5, 100.0, 102), (50, 10.0, 103), (50, 100.0, 104),
@@ -46,12 +47,13 @@ def rate_suite():
             else:
                 prob = generate_logreg(n, max(1, n // 2), kappa, seed)
             f = prob.objective()
-            trace = run_me(f, np.zeros(n))
+            history = History()
+            trace = run_me(f, np.zeros(n), observe=history)
             ref = compute_reference(f)
             ratios = contraction_ratios(trace, ref.f_star)
             cases.append({"kind": kind, "n": n, "kappa": kappa, "seed": seed,
                           "f": f, "trace": trace, "ref": ref,
-                          "ratios": ratios})
+                          "ratios": ratios, "steps": history.step_data})
     return cases, time.monotonic() - start
 
 
@@ -116,7 +118,7 @@ def test_criterion_3_orthogonality_and_bh_descent(rate_suite):
     for case in cases:
         f = case["f"]
         trace = case["trace"]
-        for sd in trace.step_data:
+        for sd in case["steps"]:
             if not sd.li_flag:
                 continue
             eps_orth = 10.0 * INNER_TOL * max(np.linalg.norm(sd.v),
@@ -271,7 +273,7 @@ def test_criterion_9_foundations(rate_suite, tmp_path):
             assert g2 <= 2.0 * f.lip * gap + 1e-9
     # companion points sit on their level sets
     residuals = [sd.level_residual for c in cases
-                 for sd in c["trace"].step_data]
+                 for sd in c["steps"]]
     assert residuals and max(residuals) <= 1e-12
     # full experiment reruns are bit-identical
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -8,7 +8,8 @@ from ellipcenters import (Objective, QuadraticProblem, RunStatus,
                           SolverConfig, generate_quadratic, run_gd_exact,
                           run_me)
 from ellipcenters.companion import companion_point, ray_root
-from ellipcenters.errors import NumericalFailureError
+from ellipcenters.errors import NumericalFailureError, PrecisionFloorError
+from ellipcenters.solvers import History
 
 ONE_STEP = SolverConfig(max_outer=1)
 
@@ -18,6 +19,13 @@ def plain(q: QuadraticProblem) -> Objective:
     companion search brackets and bisects instead of taking the closed
     form."""
     return Objective(q.dim, q.mu, q.lip, q.value, q.grad)
+
+
+def scaled(q: QuadraticProblem, scale: float, offset: float = 0.0) -> Objective:
+    """``scale * q + offset`` as a plain Objective, mu and lip scaled too."""
+    return Objective(q.dim, scale * q.mu, scale * q.lip,
+                     lambda x: scale * q.value(x) + offset,
+                     lambda x: scale * q.grad(x))
 
 
 def closed_form_t(q: QuadraticProblem, x: np.ndarray) -> float:
@@ -188,7 +196,9 @@ class TestCompanionPoint:
     def test_diag_example_closed_form(self, diag_quadratic):
         f = diag_quadratic.objective()
         x = np.array([1.0, 1.0])
-        step = run_me(f, x, ONE_STEP).step_data[0]
+        history = History()
+        run_me(f, x, ONE_STEP, observe=history)
+        step = history.step_data[0]
         y = x - step.t * f.grad(x)
         assert step.t == pytest.approx(34.0 / 65.0, rel=1e-14)
         npt.assert_allclose(y, [31.0 / 65.0, -71.0 / 65.0], rtol=1e-14)
@@ -259,3 +269,25 @@ class TestCompanionPoint:
         t_star = (x - x_gd) @ v / (v @ v)
         assert t_star > 2.0 / f.lip
         assert companion_point(f.restrict(x, v)).t > t_star
+
+
+class TestPrecisionFloor:
+    """Scaling f scales the rounding of its values: on
+    ``generate_quadratic(20, 1e2, 1)`` times 1e4 or 1e6 the first companion
+    bracket narrows to machine width with the level residual above 1e-12,
+    while times 1e3 every level set is resolved."""
+
+    @pytest.mark.parametrize("offset", [0.0, 1.0])
+    @pytest.mark.parametrize("scale", [1e4, 1e6])
+    def test_unresolvable_level_set(self, scale, offset):
+        f = scaled(generate_quadratic(20, 1e2, 1), scale, offset)
+        x = np.zeros(20)
+        with pytest.raises(PrecisionFloorError):
+            companion_point(f.restrict(x, f.grad(x)))
+        trace = run_me(f, x)
+        assert trace.status is RunStatus.PRECISION_FLOOR
+        assert trace.iterations == 0
+
+    def test_resolvable_scale_converges(self):
+        trace = run_me(scaled(generate_quadratic(20, 1e2, 1), 1e3), np.zeros(20))
+        assert trace.converged and trace.iterations == 257

@@ -10,6 +10,7 @@ from ellipcenters import (QuadraticProblem, SolverConfig, certify_rates,
 from ellipcenters.diagnostics import (audit_dominance, audit_orthogonality,
                                       contraction_ratios)
 from ellipcenters.harness import fill_ratios
+from ellipcenters.solvers import History
 
 
 class TestContractionRatios:
@@ -73,10 +74,12 @@ class TestCertifyRates:
     def test_logistic_run_passes_all_audits(self):
         p = generate_logreg(60, 30, 100.0, 9)
         f = p.objective()
-        trace = run_me(f, np.zeros(60))
+        history = History()
+        trace = run_me(f, np.zeros(60), observe=history)
         ref = compute_reference(f)
+        dist2 = [float(np.sum((x - ref.x_star) ** 2)) for x in history.iterates]
         cert, report = certify_rates(trace, ref.f_star, f.mu, f.lip,
-                                     x_star=ref.x_star)
+                                     dist2=dist2)
         assert trace.converged
         assert report.passed, report.to_text()
         assert cert.c_min is not None and cert.c_min > 0.0
@@ -102,29 +105,32 @@ class TestCertifyRates:
 class TestOrthogonalityAudit:
     def test_quadratic_newton_steps(self, small_quadratic):
         f = small_quadratic.objective()
-        trace = run_me(f, np.zeros(10))
-        report = audit_orthogonality(trace.step_data, 1e-12, f.lip)
+        history = History()
+        run_me(f, np.zeros(10), observe=history)
+        report = audit_orthogonality(history.step_data, 1e-12, f.lip)
         assert report.passed, report.to_text()
         # while the gradient is large the residual of the exact 2x2 solve is
         # visible in the fresh gradient too; below that, rounding dominates
-        for sd in trace.step_data:
+        for sd in history.step_data:
             if sd.li_flag and np.linalg.norm(sd.v) >= 1e-3:
                 assert abs(sd.grad_next @ sd.v) <= 1e-10 * (sd.v @ sd.v)
 
     def test_ld_steps_are_skipped(self):
         f = QuadraticProblem(np.eye(3), np.zeros(3)).objective()
-        trace = run_me(f, np.array([1.0, 0.0, 0.0]))
-        assert any(not sd.li_flag for sd in trace.step_data)
-        report = audit_orthogonality(trace.step_data, 1e-12, f.lip)
+        history = History()
+        run_me(f, np.array([1.0, 0.0, 0.0]), observe=history)
+        assert any(not sd.li_flag for sd in history.step_data)
+        report = audit_orthogonality(history.step_data, 1e-12, f.lip)
         audited_steps = {r.step for r in report.rows}
-        for sd in trace.step_data:
+        for sd in history.step_data:
             if not sd.li_flag:
                 assert sd.k not in audited_steps
 
     def test_logistic_residual_scale(self, small_logreg):
         f = small_logreg.objective()
-        trace = run_me(f, np.zeros(50))
-        report = audit_orthogonality(trace.step_data, 1e-12, f.lip)
+        history = History()
+        run_me(f, np.zeros(50), observe=history)
+        report = audit_orthogonality(history.step_data, 1e-12, f.lip)
         assert report.passed, report.to_text()
 
 

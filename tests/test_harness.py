@@ -5,8 +5,11 @@ import pytest
 from ellipcenters import (ExperimentSpec, QuadraticProblem, RunStatus,
                           SolverId, compute_reference, generate_logreg,
                           run_experiment, verify_experiment)
-from ellipcenters.harness import (format_summary_table, read_trace_csv,
-                                  write_trace_csv)
+from ellipcenters.diagnostics import (audit_bh_descent, audit_level_sets,
+                                      audit_orthogonality, certify_rates)
+from ellipcenters.harness import (build_problem, format_summary_table,
+                                  read_trace_csv, write_trace_csv)
+from ellipcenters.solvers import History, run_me
 
 
 class TestReference:
@@ -119,6 +122,37 @@ class TestVerify:
         spec = ExperimentSpec(problem="quadratic", n=20, kappa=80.0, seed=8)
         _, report = verify_experiment(spec)
         assert report.passed, report.to_text()
+
+    @pytest.mark.parametrize("spec", [
+        ExperimentSpec(problem="logreg", n=60, kappa=25.0, seed=8),
+        ExperimentSpec(problem="quadratic", n=20, kappa=80.0, seed=8),
+    ], ids=["logreg", "quadratic"])
+    def test_streamed_audits_match_post_hoc_audits(self, spec):
+        """``verify`` audits each step as the run goes; the same audits run
+        after the run over a full history give the same rows, bit for bit
+        and in the same order."""
+        _, report = verify_experiment(spec)
+        f, _ = build_problem(spec)
+        ref = compute_reference(f)
+        history = History()
+        trace = run_me(f, np.zeros(spec.n), spec.config, observe=history)
+        dist2 = [float(np.sum((x - ref.x_star) ** 2)) for x in history.iterates]
+        post = certify_rates(trace, ref.f_star, f.mu, f.lip, dist2=dist2)[1]
+        post.extend(audit_orthogonality(history.step_data,
+                                        spec.config.inner_tol, f.lip))
+        post.extend(audit_bh_descent(trace, f.lip))
+        post.extend(audit_level_sets(history.step_data,
+                                     spec.config.companion_tol))
+
+        def bits(rows):
+            return [(r.name, r.step, r.value.hex(), r.bound.hex(), r.passed)
+                    for r in rows]
+
+        streamed = [r for r in report.rows if r.name != "dominance"]
+        assert bits(streamed) == bits(post.rows)
+        assert {"iterate_distance_bound", "orth_v", "pythagoras",
+                "lipschitz_displacement", "level_residual"} <= {
+                    r.name for r in streamed}
 
 
 def test_write_read_trace_handles_empty_fields(tmp_path, small_logreg):

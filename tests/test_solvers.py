@@ -6,7 +6,7 @@ from ellipcenters import (Objective, QuadraticProblem, RunStatus, SolverConfig,
                           SolverId, compute_reference, generate_logreg,
                           generate_quadratic, run_fast_gd, run_gd_exact,
                           run_gd_l, run_me)
-from ellipcenters.solvers import RUNNERS
+from ellipcenters.solvers import RUNNERS, History
 
 ONE_STEP = SolverConfig(max_outer=1)
 
@@ -90,9 +90,10 @@ class TestRunMe:
 
     def test_level_set_equality_every_iteration(self, small_logreg):
         cfg = SolverConfig()
-        trace = run_me(small_logreg.objective(), np.zeros(50), cfg)
-        assert trace.step_data
-        for sd in trace.step_data:
+        history = History()
+        run_me(small_logreg.objective(), np.zeros(50), cfg, observe=history)
+        assert history.step_data
+        for sd in history.step_data:
             assert sd.level_residual <= cfg.companion_tol
 
     def test_bh_descent_at_li_steps(self, small_logreg):
