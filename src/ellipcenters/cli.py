@@ -124,13 +124,17 @@ def _cmd_run(settings: dict) -> int:
     return 0 if ok else 1
 
 
+def _warn_on_reference(result) -> None:
+    if result.reference.quality_warning:
+        print(f"warning: reference residual {result.reference.residual:.3e} "
+              "exceeds 1e-10; terminal gaps are approximate")
+
+
 def _cmd_compare(settings: dict) -> int:
     spec = _make_spec(settings, list(SolverId))
     result = run_experiment(spec)
     print(result.summary_text())
-    if result.reference.quality_warning:
-        print(f"warning: reference residual {result.reference.residual:.3e} "
-              "exceeds 1e-10; terminal gaps are approximate")
+    _warn_on_reference(result)
     ok = all(t.status is RunStatus.CONVERGED for t in result.traces.values())
     return 0 if ok else 1
 
@@ -139,6 +143,7 @@ def _cmd_verify(settings: dict) -> int:
     spec = _make_spec(settings, [SolverId.ME])
     result, report = verify_experiment(spec)
     print(result.summary_text())
+    _warn_on_reference(result)
     print()
     print(report.to_text())
     if spec.output_dir is not None:

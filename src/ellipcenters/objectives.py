@@ -6,9 +6,11 @@ gradient Lipschitz constant ``lip``.  A problem object holds its data as
 read-only views of the arrays it was given (changing those arrays afterwards
 is not supported).  It remembers the data product (``A @ x`` or ``a @ x``) of
 the last point it evaluated, so a ``value`` and a ``grad`` at the same point
-share one matrix pass.  Each instance keeps one product, replaced as a whole
-tuple, so concurrent callers still get correct results (to the rounding of a
-carried product, below) and at worst lose reuses.
+share one matrix pass.  Beside it, an instance keeps the product of the point
+before, if that one was formed exactly (with no carried update, below).  The
+two are replaced together as one tuple, so concurrent callers still get
+correct results (to the rounding of a carried product) and at worst lose
+reuses.
 
 ``restrict(x, v[, w])`` returns a :class:`Restriction`: a model of f on the
 affine set ``x + span(v[, w])`` in the coordinates of its directions.  The
@@ -23,6 +25,14 @@ solvers start every run with it.  Until a model hands over a product,
 ``value`` and ``grad`` are bit-identical to a direct evaluation.  A plain
 :class:`Objective` has no data product: its ``restrict`` falls back to full
 evaluations at the model's points.
+
+``extrapolate(x, x_prev, beta)`` returns the momentum point
+``z = x + beta (x - x_prev)``.  When the two stored products are the exact
+ones of ``x`` and ``x_prev``, a problem hands over
+``A z = A x + beta (A x - A x_prev)`` as a carried product with one update,
+so the ``value`` and ``grad`` at z make no new data pass; otherwise it hands
+over nothing and they form ``A z`` exactly.  That product is rebuilt from
+exact products at every call, so it never drifts.
 
 Synthetic instances are generated from a seeded PCG64 generator so that the
 same ``(n, m, kappa, seed)`` always yields the bit-identical problem.
@@ -48,20 +58,48 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return view
 
 
+def _store(prob, state: tuple, key: bytes, product: np.ndarray,
+           carried: int) -> None:
+    """Replace ``prob._product``, read before as ``state``, by the product of
+    the point with bytes ``key``.
+
+    The slot is a ``(key, product, carried updates, previous key, previous
+    product)`` tuple.  The product it held moves to the previous slot if it
+    was formed exactly; otherwise the previous slot is kept."""
+    old_key, old_product, old_carried, prev_key, prev_product = state
+    if old_carried == 0:
+        prev_key, prev_product = old_key, old_product
+    prob._product = (key, product, carried, prev_key, prev_product)
+
+
 def _data_product(prob, data: np.ndarray, x: np.ndarray, fresh: bool = False):
     """The checked ``x``, ``data @ x`` and its number of carried updates.
 
     The product is reused when ``x`` has the same bytes as the point stored
-    in ``prob._product``, a ``(x.tobytes(), product, carried updates)``
-    tuple, unless ``fresh``; otherwise it is computed and stored with 0
-    carried updates."""
+    in ``prob._product``, unless ``fresh``; otherwise it is computed and
+    stored with 0 carried updates."""
     x = prob._check(x)
     key = x.tobytes()
-    product = prob._product
-    if fresh or product[0] != key:
-        product = (key, data @ x, 0)
-        prob._product = product
-    return x, product[1], product[2]
+    state = prob._product
+    if fresh or state[0] != key:
+        product = data @ x
+        _store(prob, state, key, product, 0)
+        return x, product, 0
+    return x, state[1], state[2]
+
+
+def _extrapolate(prob, x, x_prev, beta: float) -> np.ndarray:
+    """The problems' ``extrapolate``: ``z = x + beta (x - x_prev)``, handing
+    over ``A x + beta (A x - A x_prev)`` as z's product, carried with one
+    update, when the stored product is that of ``x`` formed exactly and the
+    previous one that of ``x_prev``."""
+    x, x_prev = prob._check(x), prob._check(x_prev)
+    z = x + beta * (x - x_prev)
+    state = prob._product
+    key, ax, carried, prev_key, prev_ax = state
+    if carried == 0 and key == x.tobytes() and prev_key == x_prev.tobytes():
+        _store(prob, state, z.tobytes(), ax + beta * (ax - prev_ax), 1)
+    return z
 
 
 def _directions(v, w) -> list:
@@ -189,7 +227,7 @@ class _DataRestriction(Restriction):
             product, carried = getattr(self.f, self.data_attr) @ p, 0
         else:
             product = self._carried(z)
-        self.f._product = (p.tobytes(), product, carried)
+        _store(self.f, self.f._product, p.tobytes(), product, carried)
         return p
 
 
@@ -272,13 +310,18 @@ class Objective:
         (see :meth:`restrict`).  The problem families pass theirs; without
         one, ``restrict`` evaluates f in full at the model's points, with
         the same arithmetic as the caller would use.
+    extrapolate_fn : callable, optional
+        ``(x, x_prev, beta) -> z``, the momentum point (see
+        :meth:`extrapolate`).  The problem families pass theirs, which also
+        hands over z's data product; without one, only z is computed.
     """
 
     def __init__(self, dim: int, mu: float, lip: float,
                  value_fn: Callable[[np.ndarray], float],
                  grad_fn: Callable[[np.ndarray], np.ndarray],
                  quadratic_view: Optional["QuadraticProblem"] = None,
-                 restrict_fn: Optional[Callable] = None):
+                 restrict_fn: Optional[Callable] = None,
+                 extrapolate_fn: Optional[Callable] = None):
         if dim < 1:
             raise ValueError(f"dim must be positive, got {dim}")
         if not (0.0 < mu <= lip):
@@ -290,6 +333,7 @@ class Objective:
         self._grad_fn = grad_fn
         self.quadratic_view = quadratic_view
         self._restrict_fn = restrict_fn
+        self._extrapolate_fn = extrapolate_fn
 
     @property
     def kappa(self) -> float:
@@ -313,6 +357,18 @@ class Objective:
             return self._restrict_fn(x, v, w)
         return Restriction(self, np.asarray(x, dtype=float),
                            [np.asarray(d, dtype=float) for d in _directions(v, w)])
+
+    def extrapolate(self, x: np.ndarray, x_prev: np.ndarray,
+                    beta: float) -> np.ndarray:
+        """The momentum point ``x + beta * (x - x_prev)``.
+
+        Nothing is evaluated.  A problem that holds the exact data products
+        of ``x`` and ``x_prev`` hands over z's product, combined from them,
+        so the next ``value`` or ``grad`` at z makes no new data pass.
+        """
+        if self._extrapolate_fn is not None:
+            return self._extrapolate_fn(x, x_prev, beta)
+        return x + beta * (x - x_prev)
 
 
 class CountingObjective:
@@ -358,6 +414,12 @@ class CountingObjective:
                  w: Optional[np.ndarray] = None) -> "_CountedRestriction":
         return _CountedRestriction(self, self._obj.restrict(x, v, w))
 
+    def extrapolate(self, x: np.ndarray, x_prev: np.ndarray,
+                    beta: float) -> np.ndarray:
+        """The wrapped objective's momentum point; not counted, since
+        nothing is evaluated."""
+        return self._obj.extrapolate(x, x_prev, beta)
+
 
 class _CountedRestriction:
     """A model whose evaluations count on a :class:`CountingObjective`;
@@ -401,7 +463,10 @@ class QuadraticProblem:
     latter by attempting a Cholesky factorization); failures raise
     ``ValueError``.  ``mu``/``lip`` default to the extreme eigenvalues of A.
     ``value`` and ``grad`` at the same point share one product ``A @ x``;
-    ``restrict`` returns the exact quadratic model on a line or plane.
+    ``restrict`` returns the exact quadratic model on a line or plane.  The
+    instance also keeps the exact ``A @ x`` of the point evaluated before, so
+    ``extrapolate`` can hand the momentum point its product
+    ``A x + beta (A x - A x_prev)`` without a new matvec.
     """
 
     def __init__(self, a_matrix: np.ndarray, b: np.ndarray, c: float = 0.0,
@@ -423,7 +488,8 @@ class QuadraticProblem:
         self.a_matrix = _read_only(a_matrix)
         self.b = _read_only(b)
         self.c = float(c)
-        self._product = (None, None, 0)  # (x.tobytes(), A @ x, carried updates)
+        # (x.tobytes(), A @ x, carried updates, previous key, previous A @ x)
+        self._product = (None, None, 0, None, None)
         if mu is None or lip is None:
             eigs = np.linalg.eigvalsh(a_matrix)
             mu = float(eigs[0]) if mu is None else mu
@@ -448,13 +514,20 @@ class QuadraticProblem:
         """The exact quadratic model of f on ``x + span(v[, w])``."""
         return _restrict(self, _QuadraticRestriction, x, v, w)
 
+    def extrapolate(self, x: np.ndarray, x_prev: np.ndarray,
+                    beta: float) -> np.ndarray:
+        """``x + beta (x - x_prev)``, with its product handed over when the
+        exact ``A x`` and ``A x_prev`` are stored."""
+        return _extrapolate(self, x, x_prev, beta)
+
     def minimizer(self) -> np.ndarray:
         """Solve Ax = b directly."""
         return np.linalg.solve(self.a_matrix, self.b)
 
     def objective(self) -> Objective:
         return Objective(self.dim, self.mu, self.lip, self.value, self.grad,
-                         quadratic_view=self, restrict_fn=self.restrict)
+                         quadratic_view=self, restrict_fn=self.restrict,
+                         extrapolate_fn=self.extrapolate)
 
     def _check(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -472,7 +545,11 @@ class LogRegProblem:
     to ~1e4 in magnitude are handled without warnings.  ``lip`` is the upper
     bound (1/(4m)) sum_i ||a_i||^2 + mu.  ``value`` and ``grad`` at the same
     point share one product ``a @ x``; ``restrict`` returns a model on a line
-    or plane that evaluates in margin space, in O(m).
+    or plane that evaluates in margin space, in O(m).  The instance also
+    keeps the exact ``a @ x`` of the point evaluated before, so
+    ``extrapolate`` can hand the momentum point its margins' product
+    ``a x + beta (a x - a x_prev)``: a gradient there makes only the
+    ``a.T`` pass.
     """
 
     def __init__(self, a: np.ndarray, labels: np.ndarray, mu: float):
@@ -489,7 +566,8 @@ class LogRegProblem:
             raise ValueError(f"mu must be positive, got {mu}")
         self.a = _read_only(a)
         self.labels = _read_only(labels)
-        self._product = (None, None, 0)  # (x.tobytes(), a @ x, carried updates)
+        # (x.tobytes(), a @ x, carried updates, previous key, previous a @ x)
+        self._product = (None, None, 0, None, None)
         self.mu = float(mu)
         self.m = m
         self.n = n
@@ -517,9 +595,16 @@ class LogRegProblem:
         """The margin-space model of f on ``x + span(v[, w])``."""
         return _restrict(self, _LogRegRestriction, x, v, w)
 
+    def extrapolate(self, x: np.ndarray, x_prev: np.ndarray,
+                    beta: float) -> np.ndarray:
+        """``x + beta (x - x_prev)``, with its product handed over when the
+        exact ``a @ x`` and ``a @ x_prev`` are stored."""
+        return _extrapolate(self, x, x_prev, beta)
+
     def objective(self) -> Objective:
         return Objective(self.n, self.mu, self.lip, self.value, self.grad,
-                         restrict_fn=self.restrict)
+                         restrict_fn=self.restrict,
+                         extrapolate_fn=self.extrapolate)
 
     def _check(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

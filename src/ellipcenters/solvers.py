@@ -343,17 +343,28 @@ def run_fast_gd(f: Objective, x1: np.ndarray, cfg: SolverConfig | None = None,
     Stops on the gradient norm at the x-iterates.  The objective values along
     the trace may be non-monotone (momentum overshoot), which the returned
     trace flags via ``non_monotone_ok``.
+
+    Step k forms z_k from (x_k, x_{k-1}) with ``f.extrapolate``, after the
+    loop has evaluated x_k.  A problem then holds the exact data products of
+    both iterates and hands z_k the product A x_k + beta (A x_k - A x_{k-1}),
+    so grad f(z_k) makes no new forward pass: a logistic step makes 3 passes
+    over the data (a @ x_{k+1} and two a.T products), a quadratic step 1
+    matvec.  If either product is missing, say because an observer
+    evaluated f elsewhere, grad f(z_k) forms A z_k exactly.
     """
     sqrt_kappa = np.sqrt(f.lip / f.mu)
     momentum = (sqrt_kappa - 1.0) / (sqrt_kappa + 1.0)
-    z = np.asarray(x1, dtype=float)
+    x_prev = None
 
     def step(cf, k, x, f_x, v, cfg):
-        nonlocal z
-        gz = v if k == 1 else cf.grad(z)  # z1 = x1, so reuse the first gradient
-        x_next = z - gz / cf.lip
-        z = x_next + momentum * (x_next - x)
-        return x_next, None, None
+        nonlocal x_prev
+        if k == 1:  # z1 = x1, so reuse the first gradient
+            z, gz = x, v
+        else:
+            z = cf.extrapolate(x, x_prev, momentum)
+            gz = cf.grad(z)
+        x_prev = x
+        return z - gz / cf.lip, None, None
 
     return _drive(SolverId.FAST_GD, f, x1, cfg, step, observe,
                   non_monotone_ok=True)

@@ -1,9 +1,12 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from ellipcenters.objectives import load_logreg, load_quadratic
+from ellipcenters import harness
 from ellipcenters.cli import main
+from ellipcenters.harness import compute_reference
+from ellipcenters.objectives import load_logreg, load_quadratic
 
 
 def test_run_quadratic_two_dim(tmp_path, capsys):
@@ -21,6 +24,21 @@ def test_verify_passes(capsys):
                  "--kappa", "20", "--seed", "7"])
     out = capsys.readouterr().out
     assert code == 0
+    assert "overall: PASS" in out
+
+
+def test_verify_warns_on_a_poor_reference(monkeypatch, capsys):
+    """A reference residual above 1e-10 is reported, as by compare; the
+    audits and the exit code stay as they are."""
+    def poor_reference(f):
+        return replace(compute_reference(f), residual=1e-9)
+
+    monkeypatch.setattr(harness, "compute_reference", poor_reference)
+    code = main(["verify", "--problem", "logreg", "--n", "50", "--m", "25",
+                 "--kappa", "20", "--seed", "7"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "warning: reference residual 1.000e-09 exceeds 1e-10" in out
     assert "overall: PASS" in out
 
 

@@ -10,7 +10,8 @@ import tracemalloc
 
 import numpy as np
 
-from ellipcenters import SolverConfig, generate_quadratic, run_gd_l, run_me
+from ellipcenters import (SolverConfig, generate_quadratic, run_fast_gd,
+                          run_gd_l, run_me)
 
 LIMIT_BYTES = 2_000_000
 
@@ -38,4 +39,13 @@ def test_me_keeps_no_step_vectors():
     f = generate_quadratic(500, 1e3, 0).objective()
     trace, peak = traced_peak(lambda: run_me(f, np.zeros(500)))
     assert trace.converged and trace.iterations == 1875
+    assert peak < LIMIT_BYTES, f"peak {peak / 1e6:.2f} MB"
+
+
+def test_fast_gd_keeps_no_iterates():
+    """A momentum run keeps x_{k-1}, and its problem one more data product;
+    nothing grows per step."""
+    f = generate_quadratic(2000, 1e3, 0).objective()
+    trace, peak = traced_peak(lambda: run_fast_gd(f, np.zeros(2000)))
+    assert trace.converged
     assert peak < LIMIT_BYTES, f"peak {peak / 1e6:.2f} MB"

@@ -246,13 +246,20 @@ def direct_value(p, x):
     return float(np.mean(np.logaddexp(0.0, margins))) + 0.5 * p.mu * float(x @ x)
 
 
-def direct_grad(p, x):
+def data_matrix(p):
+    return np.asarray(p.a_matrix if isinstance(p, QuadraticProblem) else p.a)
+
+
+def direct_grad(p, x, product=None):
+    """The gradient from the data, on ``product`` in place of the data
+    product ``A @ x`` when one is given."""
+    if product is None:
+        product = data_matrix(p) @ x
     if isinstance(p, QuadraticProblem):
-        return np.asarray(p.a_matrix) @ x - p.b
-    a = np.asarray(p.a)
-    margins = -p.labels * (a @ x)
+        return product - p.b
+    margins = -p.labels * product
     weights = p.labels * expit(margins)
-    return -(a.T @ weights) / p.m + p.mu * x
+    return -(np.asarray(p.a).T @ weights) / p.m + p.mu * x
 
 
 def assert_bitwise(got, want):
@@ -339,29 +346,62 @@ class TestDataProductReuse:
                 if got != want[j]:
                     wrong.append((first, i))
 
-        threads = [threading.Thread(target=worker, args=(k,)) for k in range(2)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
+        run_two_threads(worker)
+        assert wrong == []
+
+    def test_two_threads_extrapolating(self, family, rng):
+        """Momentum products handed over while another thread evaluates
+        elsewhere still give gradients correct to rounding."""
+        p = fresh_problem(family)
+        pairs = [rng.standard_normal((2, p.dim)) for _ in range(2)]
+        want = [direct_grad(p, y + 0.5 * (y - x)) for x, y in pairs]
+        wrong = []
+
+        def worker(j):
+            x, y = pairs[j]
+            for i in range(1000):
+                p.value(x)
+                p.value(y)
+                g = p.grad(p.extrapolate(y, x, 0.5))
+                if np.linalg.norm(g - want[j]) > 1e-12 * np.linalg.norm(want[j]):
+                    wrong.append((j, i))
+
+        run_two_threads(worker)
         assert wrong == []
 
 
-# Per-step data products of the restricted steps: ``(at the start, per
-# step, points handed over per step)``.  A quadratic step forms A v (and, for
-# me, A w); a logistic step adds the transposed product of each full
+def run_two_threads(worker):
+    """Run ``worker(0)`` and ``worker(1)`` on two threads that switch as
+    often as the interpreter allows; both must finish within 30 s."""
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+
+
+# Per-step data products of every solver: ``(at the start, per step, points
+# handed over per step)``.  A quadratic me or gd_exact step forms A v (and,
+# for me, A w); a logistic step adds the transposed product of each full
 # gradient: at the companion point and at x_next for me, at x_next for
 # gd_exact.  The product of every point a step hands over is carried, and is
 # formed exactly instead once REFRESH_EVERY carried updates have piled up.
+# gd_l forms A x_next (and, logistic, its a.T product).  fast_gd does the
+# same, plus the a.T product of grad f(z): z's forward product comes from
+# those of x_k and x_{k-1}, rebuilt at every step, so it is never refreshed.
+# Its first step reuses the gradient at x1, so logistic fast_gd makes 3k + 1
+# products over k steps.
 STEP_PRODUCTS = {
     ("quadratic", "me"): (1, 2, 2), ("quadratic", "gd_exact"): (1, 1, 1),
+    ("quadratic", "fast_gd"): (1, 1, 0), ("quadratic", "gd_l"): (1, 1, 0),
     ("logreg", "me"): (2, 4, 2), ("logreg", "gd_exact"): (2, 2, 1),
+    ("logreg", "fast_gd"): (1, 3, 0), ("logreg", "gd_l"): (2, 2, 0),
 }
 
 
@@ -401,8 +441,8 @@ class TestProductCount:
 
     @pytest.mark.parametrize("family, sid", list(STEP_PRODUCTS))
     def test_products_per_restricted_step(self, family, sid):
-        """70 steps, past one refresh; eps = 1e-300 keeps the fast logistic
-        me run going at the gradient floor."""
+        """70 steps, past one refresh, for all four solvers; eps = 1e-300
+        keeps the fast logistic me run going at the gradient floor."""
         p = (generate_quadratic(40, 1e2, 0) if family == "quadratic"
              else generate_logreg(60, 30, 1e2, 0))
         counter = count_products(p, "a_matrix" if family == "quadratic" else "a")
@@ -545,7 +585,7 @@ def test_carried_product_drift_stays_small():
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("sid", ["me", "gd_exact"])
+@pytest.mark.parametrize("sid", ["me", "gd_exact", "fast_gd"])
 def test_run_ignores_what_the_instance_evaluated_before(family, sid):
     """A run that starts where an earlier run left a carried product traces
     exactly as the same run on a fresh instance."""
@@ -561,29 +601,101 @@ def test_run_ignores_what_the_instance_evaluated_before(family, sid):
     assert_bitwise(again.x_final, fresh.x_final)
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-def test_fixed_step_runs_keep_direct_arithmetic(family):
-    """``run_gd_l`` and ``run_fast_gd`` evaluate only at their own iterates,
-    from products formed exactly: each is its textbook loop on the direct
-    formulas, bit for bit."""
-    p = (generate_quadratic(40, 1e2, 0) if family == "quadratic"
-         else generate_logreg(60, 30, 1e2, 0))
+def textbook_run(p, fast, carried=True):
+    """gd_l (``fast`` False) or Nesterov's loop from the origin on the direct
+    formulas: ``(values, gradient norms, x_final)``.  With ``carried`` the
+    gradient at z_k = x_k + beta (x_k - x_{k-1}) comes from the product
+    A x_k + beta (A x_k - A x_{k-1}) of two products formed exactly; without,
+    from A z_k formed exactly."""
     eps = SolverConfig().eps
     kappa = np.sqrt(p.lip / p.mu)
     momentum = (kappa - 1.0) / (kappa + 1.0)
-    for run, fast in [(run_gd_l, False), (run_fast_gd, True)]:
-        x = z = np.zeros(p.dim)
+    data = data_matrix(p)
+    x = x_prev = np.zeros(p.dim)
+    g = direct_grad(p, x)
+    values, norms = [direct_value(p, x)], [float(np.linalg.norm(g))]
+    while norms[-1] > eps:
+        z, step = x, g
+        if fast and len(values) > 1:
+            z = x + momentum * (x - x_prev)
+            product = None
+            if carried:
+                ax = data @ x
+                product = ax + momentum * (ax - data @ x_prev)
+            step = direct_grad(p, z, product)
+        x_prev, x = x, z - step / p.lip
         g = direct_grad(p, x)
-        values, norms = [direct_value(p, x)], [float(np.linalg.norm(g))]
-        while norms[-1] > eps:
-            step = g if not fast or len(values) == 1 else direct_grad(p, z)
-            x_next = (z if fast else x) - step / p.lip
-            z = x_next + momentum * (x_next - x)
-            x = x_next
-            g = direct_grad(p, x)
-            values.append(direct_value(p, x))
-            norms.append(float(np.linalg.norm(g)))
-        trace = run(p.objective(), np.zeros(p.dim))
-        assert [r.f_val for r in trace.records] == values
-        assert [r.grad_norm for r in trace.records] == norms
-        assert_bitwise(trace.x_final, x)
+        values.append(direct_value(p, x))
+        norms.append(float(np.linalg.norm(g)))
+    return values, norms, x
+
+
+def fixed_step_problem(family, seed=0):
+    return (generate_quadratic(40, 1e2, seed) if family == "quadratic"
+            else generate_logreg(60, 30, 1e2, seed))
+
+
+def assert_textbook(trace, textbook):
+    """The run's values, gradient norms and final iterate equal the
+    textbook loop's, bit for bit."""
+    values, norms, x = textbook
+    assert [r.f_val for r in trace.records] == values
+    assert [r.grad_norm for r in trace.records] == norms
+    assert_bitwise(trace.x_final, x)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fixed_step_runs_keep_direct_arithmetic(family):
+    """``run_gd_l`` evaluates only at its own iterates, from products formed
+    exactly; ``run_fast_gd`` also takes the gradient at z_k from the product
+    its problem combines from those of x_k and x_{k-1}.  Each is its textbook
+    loop on the direct formulas, bit for bit."""
+    p = fixed_step_problem(family)
+    for run, fast in [(run_gd_l, False), (run_fast_gd, True)]:
+        assert_textbook(run(p.objective(), np.zeros(p.dim)), textbook_run(p, fast))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("seed", range(5))
+def test_fast_gd_tracks_the_fully_direct_loop(family, seed):
+    """The combined product of z_k changes only rounding: the run takes the
+    steps of the loop that forms A z_k exactly."""
+    p = fixed_step_problem(family, seed)
+    values, _, x = textbook_run(p, True, carried=False)
+    trace = run_fast_gd(p.objective(), np.zeros(p.dim))
+    assert trace.converged and trace.iterations == len(values) - 1
+    assert np.linalg.norm(trace.x_final - x) <= 1e-13 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fast_gd_on_a_plain_objective_is_fully_direct(family):
+    """A plain Objective holds no product to combine: every gradient at z_k
+    forms A z_k exactly, bit for bit."""
+    p = fixed_step_problem(family)
+    assert_textbook(run_fast_gd(plain(p), np.zeros(p.dim)),
+                    textbook_run(p, True, carried=False))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fast_gd_survives_evicted_products(family):
+    """An observer that evaluates f elsewhere between steps evicts the
+    products of x_k and x_{k-1}; the run then forms A z_k exactly and takes
+    the same steps."""
+    p = fixed_step_problem(family)
+    f = p.objective()
+    other = np.ones(p.dim)
+    calls = []
+
+    def evict(k, x, f_x, g, step):
+        calls.append(k)
+        if k % 2:
+            f.value(other)
+        else:
+            f.grad(other + k)
+
+    want = run_fast_gd(f, np.zeros(p.dim))
+    got = run_fast_gd(f, np.zeros(p.dim), observe=evict)
+    assert len(calls) == got.iterations + 1
+    assert (got.status, got.iterations) == (want.status, want.iterations)
+    assert np.linalg.norm(got.x_final - want.x_final) <= \
+        1e-13 * np.linalg.norm(want.x_final)

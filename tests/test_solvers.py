@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -216,6 +218,20 @@ class TestFastGd:
         values = [r.f_val for r in trace.records]
         assert trace.non_monotone_ok
         assert any(b > a for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("family", ["quadratic", "logreg"])
+    @pytest.mark.parametrize("n, kappa", [(1, 1e2), (2, 1e2), (1, 1 + 1e-9),
+                                          (2, 1 + 1e-9)])
+    def test_tiny_and_near_isotropic_instances_converge(self, family, n, kappa):
+        """n in {1, 2}, and kappa = 1 + 1e-9, where the momentum is about
+        2.5e-10 and z_k all but equals x_k: every run converges, quickly."""
+        p = (generate_quadratic(n, kappa, 3) if family == "quadratic"
+             else generate_logreg(n, 3, kappa, 3))
+        start = time.perf_counter()
+        trace = run_fast_gd(p.objective(), np.zeros(n),
+                            SolverConfig(max_outer=20000))
+        assert trace.converged, trace.status
+        assert time.perf_counter() - start < 10.0
 
     def test_gradient_accounting(self, small_logreg):
         trace = run_fast_gd(small_logreg.objective(), np.zeros(50))
