@@ -49,6 +49,19 @@ class SolverId(str, enum.Enum):
 
 
 class RunStatus(str, enum.Enum):
+    """How a run ended.
+
+    ``converged``: ||grad f|| <= eps.  ``max_iterations``: ``max_outer``
+    steps without that.  ``inner_stall``: the 2-D plane solver ran out of
+    iterations.  ``numeric_failure``: a ray search found no bracket or ran
+    out of bisections, or a curvature was not positive.  ``non_finite``: a
+    NaN or infinite value or
+    gradient.  ``precision_floor``: double precision cannot resolve the
+    step: the companion bracket reached machine width above
+    ``companion_tol``, or a step of ``me``, ``gd_exact`` or ``gd_l`` left the
+    iterate bit-for-bit where it was.
+    """
+
     CONVERGED = "converged"
     MAX_ITERATIONS = "max_iterations"
     INNER_STALL = "inner_stall"
@@ -243,7 +256,8 @@ def _gd_exact_step(cf, k, x, f_x, v, cfg):
 
 def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
            cfg: SolverConfig | None, step, observe: Observer | None, *,
-           outer_grads: int = 1, non_monotone_ok: bool = False) -> RunTrace:
+           outer_grads: int = 1, non_monotone_ok: bool = False,
+           memoryless: bool = True) -> RunTrace:
     """The outer loop of every solver.
 
     Evaluates ``x1``, then runs ``step(cf, k, x_k, f(x_k), grad f(x_k), cfg)
@@ -259,7 +273,14 @@ def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
     An inner stall, a numerical failure, a level set below double precision
     or a non-finite value or gradient ends the run at the last good iterate
     with the matching status; a non-finite start raises
-    :class:`NonFiniteError`.
+    :class:`NonFiniteError`.  With ``memoryless``, a step that returns
+    ``x_next`` bit-equal to ``x_k`` without lowering f also ends the run
+    there, ``precision_floor``: the step depends only on
+    (x_k, f, grad f(x_k)), so the next one would return x_k again (up to the
+    rounding of a carried data product), to ``max_outer``.  ``run_fast_gd``
+    passes ``memoryless=False``, since its momentum can still move it.
+    Equality is tested only when f does not fall, so a descending step pays
+    nothing.
     """
     cfg = cfg or SolverConfig()
     cf = CountingObjective(f)
@@ -287,6 +308,8 @@ def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
         try:
             x_next, v_next, info = step(cf, len(records), x, fx, v, cfg)
             f_next = cf.value(x_next)
+            if memoryless and f_next >= fx and np.array_equal(x_next, x):
+                raise PrecisionFloorError("the step left the iterate unchanged")
             if v_next is None:
                 v_next = cf.grad(x_next)
         except InnerStallError:
@@ -342,7 +365,9 @@ def run_fast_gd(f: Objective, x1: np.ndarray, cfg: SolverConfig | None = None,
 
     Stops on the gradient norm at the x-iterates.  The objective values along
     the trace may be non-monotone (momentum overshoot), which the returned
-    trace flags via ``non_monotone_ok``.
+    trace flags via ``non_monotone_ok``.  A step that leaves x where it was
+    does not end the run ``precision_floor``, as it does for the other
+    solvers: the momentum can still move the next one.
 
     Step k forms z_k from (x_k, x_{k-1}) with ``f.extrapolate``, after the
     loop has evaluated x_k.  A problem then holds the exact data products of
@@ -367,7 +392,7 @@ def run_fast_gd(f: Objective, x1: np.ndarray, cfg: SolverConfig | None = None,
         return z - gz / cf.lip, None, None
 
     return _drive(SolverId.FAST_GD, f, x1, cfg, step, observe,
-                  non_monotone_ok=True)
+                  non_monotone_ok=True, memoryless=False)
 
 
 RUNNERS = {

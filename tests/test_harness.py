@@ -1,10 +1,13 @@
+import time
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from ellipcenters import (ExperimentSpec, QuadraticProblem, RunStatus,
-                          SolverId, compute_reference, generate_logreg,
-                          run_experiment, verify_experiment)
+                          SolverConfig, SolverId, compute_reference,
+                          generate_logreg, run_experiment, run_fast_gd,
+                          verify_experiment)
 from ellipcenters.diagnostics import (audit_bh_descent, audit_level_sets,
                                       audit_orthogonality, certify_rates)
 from ellipcenters.harness import (build_problem, format_summary_table,
@@ -32,6 +35,53 @@ class TestReference:
         ref = compute_reference(p.objective())
         assert ref.method == "high_accuracy_run"
         assert ref.residual <= 1e-10
+        assert not ref.quality_warning
+
+    def test_logistic_residual_is_the_exact_gradient_norm(self):
+        p = generate_logreg(60, 30, 1e2, 0)
+        ref = compute_reference(p.objective())
+        x = ref.x_star
+        weights = p.labels / (1.0 + np.exp(p.labels * (p.a @ x)))
+        g = -(p.a.T @ weights) / len(p.labels) + p.mu * x
+        assert ref.residual == pytest.approx(float(np.linalg.norm(g)),
+                                             rel=1e-12)
+
+    @pytest.mark.parametrize("n", [5, 20, 60])
+    @pytest.mark.parametrize("kappa", [10.0, 1e2, 1e4])
+    def test_logistic_f_star_matches_accelerated_run(self, n, kappa):
+        for seed in range(2):
+            p = generate_logreg(n, max(1, n // 2), kappa, seed)
+            ref = compute_reference(p.objective())
+            fast = run_fast_gd(p.objective(), np.zeros(n),
+                               SolverConfig(eps=1e-13, max_outer=500000))
+            assert fast.converged
+            assert ref.f_star == pytest.approx(fast.records[-1].f_val,
+                                               rel=1e-15)
+
+    def test_logistic_reference_ignores_earlier_evaluations(self, rng):
+        """Evaluations at unrelated points, one leaving a carried product at
+        the origin where the reference run starts, change nothing."""
+        ref = compute_reference(generate_logreg(60, 30, 1e2, 0).objective())
+        p = generate_logreg(60, 30, 1e2, 0)
+        f = p.objective()
+        u = rng.integers(-3, 4, 60).astype(float)
+        f.grad(5.0 * u)
+        f.value(u)
+        origin = f.extrapolate(u, 5.0 * u, 0.25)  # u - (4u)/4 = 0 exactly
+        assert not origin.any()
+        assert f.value(origin) != np.log(2.0)  # a @ 0 = 0 gives log 2
+        again = compute_reference(f)
+        npt.assert_array_equal(again.x_star, ref.x_star)
+        assert (again.f_star, again.residual) == (ref.f_star, ref.residual)
+
+    @pytest.mark.parametrize("n, kappa", [(1, 1e2), (2, 1e2), (1, 1 + 1e-9),
+                                          (2, 1 + 1e-9), (20, 1 + 1e-9)])
+    def test_logistic_tiny_and_near_isotropic_references(self, n, kappa):
+        p = generate_logreg(n, 3, kappa, 3)
+        start = time.perf_counter()
+        ref = compute_reference(p.objective())
+        assert time.perf_counter() - start < 10.0
+        assert ref.residual <= 1e-13
         assert not ref.quality_warning
 
     def test_all_solvers_agree_on_terminal_value(self):
@@ -100,7 +150,6 @@ class TestRunExperiment:
         assert "solver" in text and "me" in text and "gd_exact" in text
 
     def test_solver_failure_recorded_not_raised(self):
-        from ellipcenters import SolverConfig
         spec = ExperimentSpec(problem="logreg", n=40, kappa=15.0, seed=2,
                               config=SolverConfig(max_outer=1))
         result = run_experiment(spec)

@@ -441,10 +441,12 @@ class TestProductCount:
 
     @pytest.mark.parametrize("family, sid", list(STEP_PRODUCTS))
     def test_products_per_restricted_step(self, family, sid):
-        """70 steps, past one refresh, for all four solvers; eps = 1e-300
-        keeps the fast logistic me run going at the gradient floor."""
+        """70 steps, past one refresh, for all four solvers; eps = 1e-300,
+        and at kappa = 1e6 the logistic me run is still descending at step
+        70 (at 1e2 it reaches the gradient floor and ends
+        ``precision_floor`` after 22)."""
         p = (generate_quadratic(40, 1e2, 0) if family == "quadratic"
-             else generate_logreg(60, 30, 1e2, 0))
+             else generate_logreg(60, 30, 1e6, 0))
         counter = count_products(p, "a_matrix" if family == "quadratic" else "a")
         trace = RUNNERS[sid](p.objective(), np.zeros(p.dim),
                              SolverConfig(eps=1e-300, max_outer=70))

@@ -273,6 +273,51 @@ class TestConfig:
         assert {s.value for s in SolverId} == {"me", "gd_l", "gd_exact", "fast_gd"}
 
 
+def test_step_that_stands_still_ends_precision_floor():
+    """At eps = 1e-13 this me run reaches ||g|| ~ 9.7e-13 at step 14, where
+    every step returns x bit for bit; it ends there instead of repeating
+    that step to max_outer."""
+    p = generate_logreg(200, 100, 1e2, 0)
+    trace = run_me(p.objective(), np.zeros(200),
+                   SolverConfig(eps=1e-13, max_outer=200))
+    assert trace.status is RunStatus.PRECISION_FLOOR
+    assert trace.iterations <= 20
+    assert trace.records[-1].grad_norm < 1e-11
+
+
+TIGHT_INSTANCES = {
+    "logreg-200": lambda: generate_logreg(200, 100, 1e2, 0),
+    "logreg-60": lambda: generate_logreg(60, 30, 1e4, 1),
+    "quadratic-40": lambda: generate_quadratic(40, 1e2, 3),
+}
+
+
+@pytest.mark.parametrize("instance", list(TIGHT_INSTANCES))
+@pytest.mark.parametrize("sid", list(RUNNERS), ids=lambda s: s.value)
+def test_tight_tolerance_runs_end_and_never_stand_still(instance, sid):
+    """eps = 1e-14 lies below the gradient floor of some of these runs.
+    Each run still ends with a status that says why, quickly, and no run of
+    a solver whose step depends only on (x, f, grad f) records the same
+    iterate twice in a row."""
+    p = TIGHT_INSTANCES[instance]()
+    repeats = []
+    last = []
+
+    def watch(k, x, f_x, g, step):
+        if last and np.array_equal(last[0], x):
+            repeats.append(k)
+        last[:] = [x.copy()]
+
+    start = time.perf_counter()
+    trace = RUNNERS[sid](p.objective(), np.zeros(p.dim),
+                         SolverConfig(eps=1e-14, max_outer=3000), observe=watch)
+    assert time.perf_counter() - start < 20.0
+    assert trace.status in (RunStatus.CONVERGED, RunStatus.PRECISION_FLOOR,
+                            RunStatus.MAX_ITERATIONS)
+    if sid is not SolverId.FAST_GD:
+        assert repeats == []
+
+
 def nan_near_minimizer(n=4):
     """Quadratic whose value and gradient are NaN within distance 0.5 of its
     minimizer at the origin; the start point 3*ones is far outside."""
