@@ -111,7 +111,7 @@ def companion_point(ray, tol: float = 1e-12,
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if not np.any(ray.dirs[0]):
+    if not ray.dirs[0].any():
         raise ValueError("gradient is zero; companion point is undefined")
     g0 = ray.value(0.0) if f_x is None else f_x
     denom = max(1.0, abs(g0))

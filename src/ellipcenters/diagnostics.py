@@ -22,6 +22,7 @@ of two nearly equal doubles carries no information.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -95,12 +96,8 @@ class AuditReport:
     def to_text(self) -> str:
         lines = []
         worst = self.worst_slack()
-        counts: dict[str, int] = {}
-        fails: dict[str, int] = {}
-        for r in self.rows:
-            counts[r.name] = counts.get(r.name, 0) + 1
-            if not r.passed:
-                fails[r.name] = fails.get(r.name, 0) + 1
+        counts = Counter(r.name for r in self.rows)
+        fails = Counter(r.name for r in self.rows if not r.passed)
         for name in sorted(counts):
             status = "PASS" if fails.get(name, 0) == 0 else "FAIL"
             lines.append(f"{status}  {name:<28} checks={counts[name]:<6} "
@@ -116,11 +113,14 @@ class AuditReport:
                  "passed": "true" if r.passed else "false"} for r in self.rows]
 
 
-def contraction_ratios(trace: RunTrace, f_star: float) -> list[Optional[float]]:
+def contraction_ratios(trace: RunTrace, f_star: float,
+                       gaps: Optional[Sequence[float]] = None
+                       ) -> list[Optional[float]]:
     """Per-step optimality-gap contraction ratios.
 
-    ``ratio[k] = (f_{k+1} - f_star) / (f_k - f_star)``, with entries dropped
-    (None) whenever either gap sits below the cancellation floor
+    ``ratio[k] = gap_{k+1} / gap_k``, with ``gap_k = f_k - f_star`` unless
+    the caller gives ``gaps`` (one per record) and entries dropped (None)
+    whenever either gap sits below the cancellation floor
     ``GAP_FLOOR_REL * |f_star| + 1e-300``.
     """
     values = [r.f_val for r in trace.records]
@@ -130,7 +130,10 @@ def contraction_ratios(trace: RunTrace, f_star: float) -> list[Optional[float]]:
         if fv < f_star - tol:
             raise ValueError(
                 f"f_star={f_star} exceeds a trace value {fv}; not a valid reference")
-    gaps = [fv - f_star for fv in values]
+    if gaps is None:
+        gaps = [fv - f_star for fv in values]
+    elif len(gaps) != len(values):
+        raise ValueError(f"{len(gaps)} gaps for {len(values)} records")
     ratios: list[Optional[float]] = []
     for g0, g1 in zip(gaps[:-1], gaps[1:]):
         if g0 <= floor or g1 <= floor:
@@ -141,7 +144,8 @@ def contraction_ratios(trace: RunTrace, f_star: float) -> list[Optional[float]]:
 
 
 def certify_rates(trace: RunTrace, f_star: float, mu: float, lip: float,
-                  dist2: Optional[Sequence[float]] = None):
+                  dist2: Optional[Sequence[float]] = None,
+                  gaps: Optional[Sequence[float]] = None):
     """Audit an ellipcenter trace against its linear-rate guarantees.
 
     Checks, with relative slack ``RATE_SLACK``:
@@ -154,6 +158,12 @@ def certify_rates(trace: RunTrace, f_star: float, mu: float, lip: float,
        taken by an observer during the run:
        ||x_k - x_star||^2 <= kappa * eta^(k-1) * ||x_1 - x_star||^2.
 
+    The gaps of (a)-(d) are f_k - f_star, or ``gaps`` (one per iterate, as
+    ``dist2``) from a caller that forms them without that subtraction of
+    nearly equal doubles: on a quadratic ``verify`` hands over
+    1/2 <x_k - x_star, grad f(x_k)>, exact up to a term at the reference
+    residual, 1/2 <x_k - x_star, grad f(x_star)>.
+
     Returns ``(RateCertificate, AuditReport)``.
     """
     if trace.solver_id is not SolverId.ME:
@@ -161,7 +171,9 @@ def certify_rates(trace: RunTrace, f_star: float, mu: float, lip: float,
     kappa = lip / mu
     eta = 1.0 - 1.0 / kappa
     eta_star = (kappa - 1.0) / (kappa + 1.0)
-    ratios = contraction_ratios(trace, f_star)
+    if gaps is None:
+        gaps = [rec.f_val - f_star for rec in trace.records]
+    ratios = contraction_ratios(trace, f_star, gaps)
     report = AuditReport()
     eta_bar: list[Optional[float]] = []
     c_min: Optional[float] = None
@@ -186,10 +198,9 @@ def certify_rates(trace: RunTrace, f_star: float, mu: float, lip: float,
                          eta_bar[i] * (1.0 + RATE_SLACK))
     # (d) global bound against the initial gap
     floor = GAP_FLOOR_REL * abs(f_star) + 1e-300
-    gap1 = trace.records[0].f_val - f_star
+    gap1 = gaps[0]
     if gap1 > floor:
-        for rec in trace.records[1:]:
-            gap = rec.f_val - f_star
+        for rec, gap in zip(trace.records[1:], gaps[1:]):
             if gap <= floor:
                 continue
             bound = eta ** (rec.k - 2) * gap1 * (1.0 + RATE_SLACK)

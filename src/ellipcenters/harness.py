@@ -305,7 +305,9 @@ def verify_experiment(spec: ExperimentSpec):
     two-gradient descent, companion level residuals) and the one-step
     dominance comparison at the start point and a few seeded points.  The
     reference comes first, so the audits that need a step's vectors run on
-    each step as the run goes and the run keeps no history.  Returns
+    each step as the run goes and the run keeps no history.  On a quadratic
+    the rate audits take the exact gaps 1/2 <x_k - x*, grad f(x_k)> (see
+    :func:`certify_rates`), elsewhere f_k - f*.  Returns
     ``(ExperimentResult, AuditReport)``.
     """
     spec = replace(spec, solvers=[SolverId.ME])
@@ -313,10 +315,14 @@ def verify_experiment(spec: ExperimentSpec):
     ref = compute_reference(f)
     cfg = spec.config
     dist2: list[float] = []
+    gaps = [] if f.quadratic_view is not None else None
     orthogonality, level_sets = AuditReport(), AuditReport()
 
     def audit_step(k, x, f_x, g, step):
-        dist2.append(float(np.sum((x - ref.x_star) ** 2)))
+        d = x - ref.x_star
+        dist2.append(float(np.sum(d ** 2)))
+        if gaps is not None:
+            gaps.append(0.5 * float(d @ g))
         if step is not None:
             orthogonality.extend(audit_orthogonality([step], cfg.inner_tol,
                                                      f.lip))
@@ -325,7 +331,8 @@ def verify_experiment(spec: ExperimentSpec):
     result = _run_on(spec, f, ref, audit_step)
     trace = result.traces[SolverId.ME.value]
     report = AuditReport()
-    _, rate_report = certify_rates(trace, ref.f_star, f.mu, f.lip, dist2=dist2)
+    _, rate_report = certify_rates(trace, ref.f_star, f.mu, f.lip, dist2=dist2,
+                                   gaps=gaps)
     report.extend(rate_report)
     report.extend(orthogonality)
     report.extend(audit_bh_descent(trace, f.lip))

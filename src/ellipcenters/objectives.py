@@ -6,33 +6,20 @@ gradient Lipschitz constant ``lip``.  A problem object holds its data as
 read-only views of the arrays it was given (changing those arrays afterwards
 is not supported).  It remembers the data product (``A @ x`` or ``a @ x``) of
 the last point it evaluated, so a ``value`` and a ``grad`` at the same point
-share one matrix pass.  Beside it, an instance keeps the product of the point
-before, if that one was formed exactly (with no carried update, below).  The
-two are replaced together as one tuple, so concurrent callers still get
-correct results (to the rounding of a carried product) and at worst lose
-reuses.
+share one matrix pass, and the exact product of the point before, for
+``extrapolate``.  The two are replaced together as one tuple, so concurrent
+callers still get correct results (to the rounding of a carried product)
+and at worst lose reuses.
 
-``restrict(x, v[, w])`` returns a :class:`Restriction`: a model of f on the
-affine set ``x + span(v[, w])`` in the coordinates of its directions.  The
-problem families build it from the stored product ``A x`` and one product
-per direction, so a value, a ray slope or a plane gradient costs O(m)
-(logistic) or O(1) (quadratic, whose model is exact).  A model's ``point``
-hands the product of its point, ``A x + sum_i z_i A d_i``, to the problem, so
-the public ``value`` and ``grad`` there make no new data pass.  Such a
-carried product is formed exactly again after ``REFRESH_EVERY`` carried
-updates, and ``restrict(x)`` with no direction forms ``A x`` exactly; the
-solvers start every run with it.  Until a model hands over a product,
-``value`` and ``grad`` are bit-identical to a direct evaluation.  A plain
-:class:`Objective` has no data product: its ``restrict`` falls back to full
-evaluations at the model's points.
-
-``extrapolate(x, x_prev, beta)`` returns the momentum point
-``z = x + beta (x - x_prev)``.  When the two stored products are the exact
-ones of ``x`` and ``x_prev``, a problem hands over
-``A z = A x + beta (A x - A x_prev)`` as a carried product with one update,
-so the ``value`` and ``grad`` at z make no new data pass; otherwise it hands
-over nothing and they form ``A z`` exactly.  That product is rebuilt from
-exact products at every call, so it never drifts.
+``restrict(x, v[, w])`` returns a :class:`Restriction`, a model of f on
+``x + span(v[, w])``: O(m) per evaluation for logistic, O(1) and exact for
+quadratics.  A model's ``point`` hands the carried product
+``A x + sum_i z_i A d_i`` to the problem, so ``value`` and ``grad`` there
+make no new data pass; it is formed exactly again after ``REFRESH_EVERY``
+carried updates, and ``restrict(x)`` with no direction forms ``A x``
+exactly, as every run starts.  A plain :class:`Objective` has no data
+product, and its model evaluates f in full.  A solver run counts through a
+:class:`CountingObjective`, whose models count and check themselves.
 
 Synthetic instances are generated from a seeded PCG64 generator so that the
 same ``(n, m, kappa, seed)`` always yields the bit-identical problem.
@@ -88,42 +75,20 @@ def _data_product(prob, data: np.ndarray, x: np.ndarray, fresh: bool = False):
     return x, state[1], state[2]
 
 
-def _extrapolate(prob, x, x_prev, beta: float) -> np.ndarray:
-    """The problems' ``extrapolate``: ``z = x + beta (x - x_prev)``, handing
-    over ``A x + beta (A x - A x_prev)`` as z's product, carried with one
-    update, when the stored product is that of ``x`` formed exactly and the
-    previous one that of ``x_prev``."""
-    x, x_prev = prob._check(x), prob._check(x_prev)
-    z = x + beta * (x - x_prev)
-    state = prob._product
-    key, ax, carried, prev_key, prev_ax = state
-    if carried == 0 and key == x.tobytes() and prev_key == x_prev.tobytes():
-        _store(prob, state, z.tobytes(), ax + beta * (ax - prev_ax), 1)
-    return z
-
-
-def _directions(v, w) -> list:
+def _directions(v, w) -> tuple:
     """The directions given to ``restrict(x, v, w)``, in order."""
     if v is None and w is not None:
         raise ValueError("a second direction needs a first")
-    return [d for d in (v, w) if d is not None]
-
-
-def _restrict(prob, model_cls, x, v, w) -> "Restriction":
-    """The problems' ``restrict``: a ``model_cls`` on ``x + span(v[, w])``
-    built on the stored product of ``x`` (keeping its carried updates), or on
-    ``A x`` formed exactly when none is stored or no direction is given."""
-    dirs = _directions(v, w)
-    x, product, carried = _data_product(prob, getattr(prob, model_cls.data_attr),
-                                        x, fresh=not dirs)
-    return model_cls(prob, x, dirs, product, carried)
+    return () if v is None else (v,) if w is None else (v, w)
 
 
 def _pairs(left, right) -> np.ndarray:
     """The symmetric matrix of ``left[i] @ right[j]`` over i <= j."""
-    k = len(left)
-    return np.array([[float(left[min(i, j)] @ right[max(i, j)]) for j in range(k)]
-                     for i in range(k)])
+    out = np.empty((len(left), len(left)))
+    for j, r in enumerate(right):
+        for i in range(j + 1):
+            out[i, j] = out[j, i] = left[i].dot(r)
+    return out
 
 
 class Restriction:
@@ -133,34 +98,37 @@ class Restriction:
     ``value(*z)`` is f at ``point(*z) = base + sum_i z_i d_i``; ``grad(*z)``
     the restricted gradient ``(<grad f(p), d_i>)_i``; ``extend(w)`` the model
     with ``w`` as one more direction.  ``gram`` is the Gram matrix of the
-    directions and ``sin2_theta`` its normalized determinant, ``lip`` the
-    gradient Lipschitz constant of f, and ``hessian`` the exact Hessian in z
-    when f is quadratic, else None.
+    directions, formed on first use, and ``sin2_theta`` its normalized
+    determinant, ``lip`` the gradient Lipschitz constant of f, and
+    ``hessian`` the exact Hessian in z when f is quadratic, else None.
 
-    This generic form, which a plain :class:`Objective` returns, evaluates f
-    and its gradient at the full point: ``full`` is True, and
-    ``last_full_grad`` keeps the full gradient behind the last ``grad``
-    call.  The problem families' models evaluate in the span, set ``full``
-    to False, and hand the data product of each ``point`` to the problem.
+    A subclass evaluates in ``_value(z)`` and ``_grad(z)``.  This generic
+    form, which a plain :class:`Objective` returns, evaluates at the full
+    point (``full``); ``last_full_grad`` keeps the full gradient behind the
+    last ``grad``.  A model made by :meth:`CountingObjective.restrict`, or
+    extended from one, holds that ``counter``: a full model evaluates
+    through it, a problem's model counts itself as a restricted evaluation
+    and raises :class:`NonFiniteError` on a NaN or infinite result.
     """
 
     full = True
     hessian = None
     last_full_grad = None
+    counter = None
+    dirs = ()
+    _gram = None
 
     def __init__(self, f, base: np.ndarray, dirs=()):
         self.f = f
         self.base = base
         self.lip = f.lip
-        self.dirs = ()
-        self.gram = np.empty((0, 0))
         for d in dirs:
             self._add(d)
 
     def _add(self, d: np.ndarray) -> None:
         """Append the direction ``d``; subclasses extend their own data."""
         self.dirs += (d,)
-        self.gram = _pairs(self.dirs, self.dirs)
+        self._gram = None
 
     def extend(self, w: np.ndarray) -> "Restriction":
         # a shallow copy: _add rebinds the per-direction data, never mutates it
@@ -170,9 +138,16 @@ class Restriction:
         return model
 
     @property
+    def gram(self) -> np.ndarray:
+        if self._gram is None:
+            self._gram = _pairs(self.dirs, self.dirs)
+        return self._gram
+
+    @property
     def sin2_theta(self) -> float:
         """sin^2 of the angle between two directions, in [0, 1]."""
-        vv, vw, ww = self.gram[0, 0], self.gram[0, 1], self.gram[1, 1]
+        gram = self.gram
+        vv, vw, ww = gram[0, 0], gram[0, 1], gram[1, 1]
         denom = vv * ww
         if not denom > 0:
             return 0.0
@@ -185,12 +160,28 @@ class Restriction:
         return p
 
     def value(self, *z) -> float:
-        return self.f.value(self.point(*z))
+        val = self._value(z)
+        if self.counter is not None and not self.full:
+            self.counter.restricted_evals += 1
+            if not math.isfinite(val):
+                raise NonFiniteError(f"model value {val}")
+        return val
 
     def grad(self, *z) -> np.ndarray:
-        g = self.f.grad(self.point(*z))
+        g = self._grad(z)
+        if self.counter is not None and not self.full:
+            self.counter.restricted_evals += 1
+            if not all(map(math.isfinite, g.tolist())):
+                raise NonFiniteError("model gradient has a NaN or infinite entry")
+        return g
+
+    def _value(self, z) -> float:
+        return (self.counter or self.f).value(self.point(*z))
+
+    def _grad(self, z) -> np.ndarray:
+        g = (self.counter or self.f).grad(self.point(*z))
         self.last_full_grad = g
-        return np.array([float(g @ d) for d in self.dirs])
+        return np.array([float(g.dot(d)) for d in self.dirs])
 
 
 class _DataRestriction(Restriction):
@@ -202,16 +193,17 @@ class _DataRestriction(Restriction):
 
     full = False
     data_attr = ""
+    _data_dirs = ()
 
     def __init__(self, prob, base, dirs, product, carried):
+        self._data = getattr(prob, self.data_attr)
         self._product = product
         self._carried_updates = carried
-        self._data_dirs = ()
         super().__init__(prob, base, dirs)
 
     def _add(self, d):
         d = self.f._check(d)
-        self._data_dirs += (getattr(self.f, self.data_attr) @ d,)
+        self._data_dirs += (self._data @ d,)
         super()._add(d)
 
     def _carried(self, z) -> np.ndarray:
@@ -224,66 +216,76 @@ class _DataRestriction(Restriction):
         p = super().point(*z)
         carried = self._carried_updates + 1
         if carried >= REFRESH_EVERY:
-            product, carried = getattr(self.f, self.data_attr) @ p, 0
+            product, carried = self._data @ p, 0
         else:
             product = self._carried(z)
-        _store(self.f, self.f._product, p.tobytes(), product, carried)
+        prob = self.f
+        _store(prob, prob._product, p.tobytes(), product, carried)
         return p
 
 
 class _QuadraticRestriction(_DataRestriction):
     """The exact model f0 + z.g0 + z'Hz/2, with g0 = (<A x - b, d_i>)_i and
-    H = (<d_i, A d_j>)_ij: every evaluation is O(1)."""
+    H = (<d_i, A d_j>)_ij: every evaluation is O(1).  f0 = f(x) is formed
+    on the first ``value``; the exact linesearch never asks for it."""
 
     data_attr = "a_matrix"
+    hessian = _read_only(np.empty((0, 0)))
+    _g0 = _read_only(np.empty(0))
+    _f0 = None
 
     def __init__(self, prob, base, dirs, product, carried):
-        self._f0 = float(0.5 * base @ product - prob.b @ base + prob.c)
         self._grad_base = product - prob.b
-        self._g0 = np.empty(0)
-        self.hessian = np.empty((0, 0))
         super().__init__(prob, base, dirs, product, carried)
 
     def _add(self, d):
         super()._add(d)
-        self._g0 = np.array([*self._g0, float(self._grad_base @ self.dirs[-1])])
+        g0 = self._grad_base.dot(self.dirs[-1])
+        self._g0 = np.array(self._g0.tolist() + [float(g0)])
         self.hessian = _pairs(self.dirs, self._data_dirs)
 
-    def value(self, *z) -> float:
+    def _value(self, z) -> float:
+        f0 = self._f0
+        if f0 is None:
+            prob, base = self.f, self.base
+            f0 = self._f0 = float((0.5 * base).dot(self._product)
+                                  - prob.b.dot(base) + prob.c)
         z = np.array(z, dtype=float)
-        return self._f0 + float(z @ (self._g0 + 0.5 * (self.hessian @ z)))
+        return f0 + float(z.dot(self._g0 + 0.5 * (self.hessian @ z)))
 
-    def grad(self, *z) -> np.ndarray:
+    def _grad(self, z) -> np.ndarray:
         return self._g0 + self.hessian @ np.array(z, dtype=float)
 
 
 class _LogRegRestriction(_DataRestriction):
     """Margins ``-b * (a x + sum_i z_i a d_i)`` and ``||p||^2`` from the Gram
-    numbers: every evaluation is O(m)."""
+    numbers: every evaluation is O(m).  ``||x||^2`` is formed on the first
+    ``value``."""
 
     data_attr = "a"
-
-    def __init__(self, prob, base, dirs, product, carried):
-        self._xx = float(base @ base)
-        self._xd = np.empty(0)
-        super().__init__(prob, base, dirs, product, carried)
+    _xd = _read_only(np.empty(0))
+    _xx = None
 
     def _add(self, d):
         super()._add(d)
-        self._xd = np.array([*self._xd, float(self.base @ self.dirs[-1])])
+        xd = self.base.dot(self.dirs[-1])
+        self._xd = np.array(self._xd.tolist() + [float(xd)])
 
-    def value(self, *z) -> float:
+    def _value(self, z) -> float:
         prob = self.f
         margins = -prob.labels * self._carried(z)
         loss = float(np.mean(np.logaddexp(0.0, margins)))
+        xx = self._xx
+        if xx is None:
+            xx = self._xx = float(self.base.dot(self.base))
         z = np.array(z, dtype=float)
-        sq_norm = self._xx + 2.0 * float(z @ self._xd) + float(z @ self.gram @ z)
+        sq_norm = xx + 2.0 * float(z.dot(self._xd)) + float(z @ self.gram @ z)
         return loss + 0.5 * prob.mu * sq_norm
 
-    def grad(self, *z) -> np.ndarray:
+    def _grad(self, z) -> np.ndarray:
         prob = self.f
         weights = prob.labels * expit(-prob.labels * self._carried(z))
-        data_part = np.array([float(ad @ weights) for ad in self._data_dirs])
+        data_part = np.array([float(ad.dot(weights)) for ad in self._data_dirs])
         z = np.array(z, dtype=float)
         return -data_part / prob.m + prob.mu * (self._xd + self.gram @ z)
 
@@ -303,8 +305,8 @@ class Objective:
     value_fn, grad_fn : callable
         Evaluate the objective and its gradient at a point.
     quadratic_view : QuadraticProblem, optional
-        Set when the objective is exactly quadratic.  Read only by
-        ``harness.compute_reference``, which solves for the minimizer.
+        Set when the objective is exactly quadratic; read only by ``harness``,
+        which solves for the minimizer and audits exact gaps.
     restrict_fn : callable, optional
         ``(x, v, w) -> Restriction``, a model of f on ``x + span(v[, w])``
         (see :meth:`restrict`).  The problem families pass theirs; without
@@ -371,6 +373,15 @@ class Objective:
         return x + beta * (x - x_prev)
 
 
+def _checked_sq(g: np.ndarray) -> float:
+    """``g @ g`` of a finite ``g``: a finite sum has finite entries, so they
+    are tested one by one only when it is not (or overflows, past ~1e154)."""
+    sq = float(g.dot(g))
+    if not math.isfinite(sq) and not np.isfinite(g).all():
+        raise NonFiniteError("gradient has a NaN or infinite entry")
+    return sq
+
+
 class CountingObjective:
     """Wraps an Objective and counts value/gradient evaluations.
 
@@ -378,9 +389,12 @@ class CountingObjective:
     expected.  ``value_evals`` and ``grad_evals`` count full n-vector
     evaluations; ``restricted_evals`` counts the values and gradients of the
     models ``restrict`` returns, except for the generic model, whose
-    evaluations are full and counted as such.  A NaN or infinite value or
-    gradient, full or restricted, raises :class:`NonFiniteError`.  One
-    instance per solver run; not shared across threads.
+    evaluations are full and counted as such.  Those models hold this
+    instance as their ``counter``, which ``extend`` passes on, and count
+    themselves (see :class:`Restriction`).  A NaN or infinite value or
+    gradient, full or restricted, raises :class:`NonFiniteError`; a full
+    gradient is checked through its squared norm, which ``grad_norm``
+    reuses.  One instance per solver run; not shared across threads.
     """
 
     def __init__(self, obj: Objective):
@@ -391,6 +405,7 @@ class CountingObjective:
         self.value_evals = 0
         self.grad_evals = 0
         self.restricted_evals = 0
+        self._last_grad = (None, 0.0)  # (last gradient, its squared norm)
 
     @property
     def kappa(self) -> float:
@@ -406,13 +421,20 @@ class CountingObjective:
     def grad(self, x: np.ndarray) -> np.ndarray:
         self.grad_evals += 1
         g = self._obj.grad(x)
-        if not np.isfinite(g).all():
-            raise NonFiniteError("gradient has a NaN or infinite entry")
+        self._last_grad = (g, _checked_sq(g))
         return g
 
+    def grad_norm(self, g: np.ndarray) -> float:
+        """``||g||``, bit-equal to ``np.linalg.norm(g)`` (the square root of
+        ``g @ g``), from the check of ``grad`` if it returned ``g`` last."""
+        last, sq = self._last_grad
+        return math.sqrt(sq if g is last else _checked_sq(g))
+
     def restrict(self, x: np.ndarray, v: Optional[np.ndarray] = None,
-                 w: Optional[np.ndarray] = None) -> "_CountedRestriction":
-        return _CountedRestriction(self, self._obj.restrict(x, v, w))
+                 w: Optional[np.ndarray] = None) -> Restriction:
+        model = self._obj.restrict(x, v, w)
+        model.counter = self
+        return model
 
     def extrapolate(self, x: np.ndarray, x_prev: np.ndarray,
                     beta: float) -> np.ndarray:
@@ -421,53 +443,54 @@ class CountingObjective:
         return self._obj.extrapolate(x, x_prev, beta)
 
 
-class _CountedRestriction:
-    """A model whose evaluations count on a :class:`CountingObjective`;
-    every other attribute is the model's own."""
+class _DataProblem:
+    """What the problem families share: the checked point, and the model
+    (``model``, the family's :class:`Restriction`) and the momentum point
+    built on the stored data product."""
 
-    def __init__(self, counter: CountingObjective, model: Restriction):
-        self._counter = counter
-        self._model = model
+    model = _DataRestriction
 
-    def __getattr__(self, name):
-        return getattr(self._model, name)
+    def restrict(self, x: np.ndarray, v: Optional[np.ndarray] = None,
+                 w: Optional[np.ndarray] = None) -> Restriction:
+        """The family's model of f on ``x + span(v[, w])``, on the stored
+        product of ``x``, or on ``A x`` formed exactly (none stored, or no
+        direction)."""
+        dirs = _directions(v, w)
+        x, product, carried = _data_product(
+            self, getattr(self, self.model.data_attr), x, fresh=not dirs)
+        return self.model(self, x, dirs, product, carried)
 
-    def value(self, *z) -> float:
-        if self._model.full:
-            self._counter.value_evals += 1
-        else:
-            self._counter.restricted_evals += 1
-        val = self._model.value(*z)
-        if not math.isfinite(val):
-            raise NonFiniteError(f"model value {val}")
-        return val
+    def extrapolate(self, x: np.ndarray, x_prev: np.ndarray,
+                    beta: float) -> np.ndarray:
+        """``z = x + beta (x - x_prev)``, handing over z's product
+        ``A x + beta (A x - A x_prev)`` (one carried update) when the stored
+        products are those of ``x``, formed exactly, and ``x_prev``."""
+        x, x_prev = self._check(x), self._check(x_prev)
+        z = x + beta * (x - x_prev)
+        state = self._product
+        key, ax, carried, prev_key, prev_ax = state
+        if carried == 0 and key == x.tobytes() and prev_key == x_prev.tobytes():
+            _store(self, state, z.tobytes(), ax + beta * (ax - prev_ax), 1)
+        return z
 
-    def grad(self, *z) -> np.ndarray:
-        if self._model.full:
-            self._counter.grad_evals += 1
-        else:
-            self._counter.restricted_evals += 1
-        g = self._model.grad(*z)
-        if not all(map(math.isfinite, g)):
-            raise NonFiniteError("model gradient has a NaN or infinite entry")
-        return g
-
-    def extend(self, w: np.ndarray) -> "_CountedRestriction":
-        return _CountedRestriction(self._counter, self._model.extend(w))
+    def _check(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):
+            raise ValueError(f"x must have shape ({self.dim},), got {x.shape}")
+        return x
 
 
-class QuadraticProblem:
+class QuadraticProblem(_DataProblem):
     """f(x) = 0.5 x'Ax - b'x + c with A symmetric positive definite.
 
     Symmetry and positive definiteness are verified at construction (the
     latter by attempting a Cholesky factorization); failures raise
     ``ValueError``.  ``mu``/``lip`` default to the extreme eigenvalues of A.
     ``value`` and ``grad`` at the same point share one product ``A @ x``;
-    ``restrict`` returns the exact quadratic model on a line or plane.  The
-    instance also keeps the exact ``A @ x`` of the point evaluated before, so
-    ``extrapolate`` can hand the momentum point its product
-    ``A x + beta (A x - A x_prev)`` without a new matvec.
+    ``restrict`` returns the exact quadratic model on a line or plane.
     """
+
+    model = _QuadraticRestriction
 
     def __init__(self, a_matrix: np.ndarray, b: np.ndarray, c: float = 0.0,
                  mu: float | None = None, lip: float | None = None):
@@ -488,6 +511,7 @@ class QuadraticProblem:
         self.a_matrix = _read_only(a_matrix)
         self.b = _read_only(b)
         self.c = float(c)
+        self.dim = n
         # (x.tobytes(), A @ x, carried updates, previous key, previous A @ x)
         self._product = (None, None, 0, None, None)
         if mu is None or lip is None:
@@ -497,28 +521,13 @@ class QuadraticProblem:
         self.mu = float(mu)
         self.lip = float(lip)
 
-    @property
-    def dim(self) -> int:
-        return self.b.shape[0]
-
     def value(self, x: np.ndarray) -> float:
         x, ax, _ = _data_product(self, self.a_matrix, x)
-        return float(0.5 * x @ ax - self.b @ x + self.c)
+        return float((0.5 * x).dot(ax) - self.b.dot(x) + self.c)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         x, ax, _ = _data_product(self, self.a_matrix, x)
         return ax - self.b
-
-    def restrict(self, x: np.ndarray, v: Optional[np.ndarray] = None,
-                 w: Optional[np.ndarray] = None) -> Restriction:
-        """The exact quadratic model of f on ``x + span(v[, w])``."""
-        return _restrict(self, _QuadraticRestriction, x, v, w)
-
-    def extrapolate(self, x: np.ndarray, x_prev: np.ndarray,
-                    beta: float) -> np.ndarray:
-        """``x + beta (x - x_prev)``, with its product handed over when the
-        exact ``A x`` and ``A x_prev`` are stored."""
-        return _extrapolate(self, x, x_prev, beta)
 
     def minimizer(self) -> np.ndarray:
         """Solve Ax = b directly."""
@@ -529,14 +538,8 @@ class QuadraticProblem:
                          quadratic_view=self, restrict_fn=self.restrict,
                          extrapolate_fn=self.extrapolate)
 
-    def _check(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"x must have shape ({self.dim},), got {x.shape}")
-        return x
 
-
-class LogRegProblem:
+class LogRegProblem(_DataProblem):
     """L2-regularized logistic loss over rows ``a_i`` with labels in {-1,+1}.
 
         f(x) = (1/m) sum_i log(1 + exp(-b_i <a_i, x>)) + (mu/2) ||x||^2
@@ -545,12 +548,11 @@ class LogRegProblem:
     to ~1e4 in magnitude are handled without warnings.  ``lip`` is the upper
     bound (1/(4m)) sum_i ||a_i||^2 + mu.  ``value`` and ``grad`` at the same
     point share one product ``a @ x``; ``restrict`` returns a model on a line
-    or plane that evaluates in margin space, in O(m).  The instance also
-    keeps the exact ``a @ x`` of the point evaluated before, so
-    ``extrapolate`` can hand the momentum point its margins' product
-    ``a x + beta (a x - a x_prev)``: a gradient there makes only the
-    ``a.T`` pass.
+    or plane that evaluates in margin space, in O(m).  A gradient at the
+    momentum point of ``extrapolate`` makes only the ``a.T`` pass.
     """
+
+    model = _LogRegRestriction
 
     def __init__(self, a: np.ndarray, labels: np.ndarray, mu: float):
         a = np.asarray(a, dtype=float)
@@ -570,19 +572,15 @@ class LogRegProblem:
         self._product = (None, None, 0, None, None)
         self.mu = float(mu)
         self.m = m
-        self.n = n
+        self.n = self.dim = n
         self.lip = float(np.sum(a * a) / (4.0 * m) + mu)
-
-    @property
-    def dim(self) -> int:
-        return self.n
 
     def value(self, x: np.ndarray) -> float:
         x, ax, _ = _data_product(self, self.a, x)
         margins = -self.labels * ax
         # logaddexp(0, u) = log(1 + e^u) = max(u, 0) + log1p(e^{-|u|})
         loss = float(np.mean(np.logaddexp(0.0, margins)))
-        return loss + 0.5 * self.mu * float(x @ x)
+        return loss + 0.5 * self.mu * float(x.dot(x))
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         x, ax, _ = _data_product(self, self.a, x)
@@ -590,27 +588,10 @@ class LogRegProblem:
         weights = self.labels * expit(margins)
         return -(self.a.T @ weights) / self.m + self.mu * x
 
-    def restrict(self, x: np.ndarray, v: Optional[np.ndarray] = None,
-                 w: Optional[np.ndarray] = None) -> Restriction:
-        """The margin-space model of f on ``x + span(v[, w])``."""
-        return _restrict(self, _LogRegRestriction, x, v, w)
-
-    def extrapolate(self, x: np.ndarray, x_prev: np.ndarray,
-                    beta: float) -> np.ndarray:
-        """``x + beta (x - x_prev)``, with its product handed over when the
-        exact ``a @ x`` and ``a @ x_prev`` are stored."""
-        return _extrapolate(self, x, x_prev, beta)
-
     def objective(self) -> Objective:
         return Objective(self.n, self.mu, self.lip, self.value, self.grad,
                          restrict_fn=self.restrict,
                          extrapolate_fn=self.extrapolate)
-
-    def _check(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"x must have shape ({self.n},), got {x.shape}")
-        return x
 
 
 def mu_for_kappa(data: np.ndarray, kappa: float) -> float:

@@ -61,14 +61,15 @@ def solve_newton_quadratic(plane) -> PlaneSolution:
     system = plane.hessian
     vav, vaw, waw = system[0, 0], system[0, 1], system[1, 1]
     det = vav * waw - vaw * vaw
-    if not np.isfinite(det) or det <= 1e-14 * abs(vav * waw):
+    if not math.isfinite(det) or det <= 1e-14 * abs(vav * waw):
         raise DegeneratePlaneError("restricted Hessian is numerically singular")
     inverse = np.array([[waw, -vaw], [-vaw, vav]]) / det
     grad0 = plane.grad(0.0, 0.0)
     z = -(inverse @ grad0)
     z -= inverse @ (grad0 + system @ z)
     # the restricted gradient is affine: grad2(z) = grad2(0, 0) + system @ z
-    residual = float(np.linalg.norm(grad0 + system @ z))
+    r = grad0 + system @ z
+    residual = math.sqrt(float(r.dot(r)))  # bit-equal to np.linalg.norm(r)
     alpha, beta = float(z[0]), float(z[1])
     return PlaneSolution(alpha, beta, plane.point(alpha, beta), residual, 1, 0)
 

@@ -288,7 +288,7 @@ def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
 
     def record_iterate(x, f_x, g, info):
         records.append(IterateRecord(
-            k=len(records) + 1, f_val=f_x, grad_norm=float(np.linalg.norm(g)),
+            k=len(records) + 1, f_val=f_x, grad_norm=cf.grad_norm(g),
             grad_evals_outer=outer_grads * len(records),
             grad_evals_total=cf.grad_evals, value_evals_total=cf.value_evals,
             restricted_evals_total=cf.restricted_evals))

@@ -27,6 +27,16 @@ def test_verify_passes(capsys):
     assert "overall: PASS" in out
 
 
+def test_quadratic_verify_audits_exact_gaps(capsys):
+    """The rate audits of a quadratic read 1/2 <x_k - x*, grad f(x_k)>: with
+    f_k - f* they failed on this seed, where f_k, taken from a carried data
+    product, jumps by ~4e-14 when the product is formed exactly again."""
+    code = main(["verify", "--problem", "quadratic", "--n", "500",
+                 "--kappa", "1e3", "--seed", "0"])
+    assert code == 0
+    assert "overall: PASS" in capsys.readouterr().out
+
+
 def test_verify_warns_on_a_poor_reference(monkeypatch, capsys):
     """A reference residual above 1e-10 is reported, as by compare; the
     audits and the exit code stay as they are."""

@@ -95,6 +95,27 @@ class TestCertifyRates:
                     continue
                 assert cert.eta_star ** 2 < bar < cert.eta_star
 
+    def test_caller_gaps_replace_the_recorded_ones(self):
+        """Given gaps drive the ratios and the global bound: a halving
+        sequence passes; one step that contracts by 0.97, above
+        eta_star = 49/51 but below eta = 0.98, fails there."""
+        q = generate_quadratic(20, 50.0, 0)
+        f = q.objective()
+        trace = run_me(f, np.zeros(20))
+        f_star = f.value(q.minimizer())
+        halving = [2.0 ** -i for i in range(len(trace.records))]
+        _, report = certify_rates(trace, f_star, f.mu, f.lip, gaps=halving)
+        assert report.passed, report.to_text()
+        assert {r.value for r in report.rows if r.name.startswith("rate")} == {0.5}
+        assert any(r.name == "global_eta_bound" for r in report.rows)
+        k = next(r.k for r in trace.records[1:-1] if r.li_flag)
+        slow = halving[:k] + [0.97 / 0.5 * g for g in halving[k:]]
+        _, report = certify_rates(trace, f_star, f.mu, f.lip, gaps=slow)
+        assert {(r.name, r.step) for r in report.failures()} == {
+            ("rate_eta_star", k), ("rate_eta_bar", k)}
+        with pytest.raises(ValueError, match="gaps"):
+            certify_rates(trace, f_star, f.mu, f.lip, gaps=halving[1:])
+
     def test_rejects_non_me_trace(self, small_logreg):
         f = small_logreg.objective()
         trace = run_gd_l(f, np.zeros(50))

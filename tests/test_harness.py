@@ -179,14 +179,25 @@ class TestVerify:
     def test_streamed_audits_match_post_hoc_audits(self, spec):
         """``verify`` audits each step as the run goes; the same audits run
         after the run over a full history give the same rows, bit for bit
-        and in the same order."""
+        and in the same order.  On the quadratic the rate audits take the
+        exact gaps 1/2 <x_k - x*, grad f(x_k)>."""
         _, report = verify_experiment(spec)
         f, _ = build_problem(spec)
         ref = compute_reference(f)
-        history = History()
-        trace = run_me(f, np.zeros(spec.n), spec.config, observe=history)
+        history, grads = History(), []
+
+        def observe(k, x, f_x, g, step):
+            history(k, x, f_x, g, step)
+            grads.append(g.copy())
+
+        trace = run_me(f, np.zeros(spec.n), spec.config, observe=observe)
         dist2 = [float(np.sum((x - ref.x_star) ** 2)) for x in history.iterates]
-        post = certify_rates(trace, ref.f_star, f.mu, f.lip, dist2=dist2)[1]
+        gaps = None
+        if spec.problem == "quadratic":
+            gaps = [0.5 * float((x - ref.x_star) @ g)
+                    for x, g in zip(history.iterates, grads)]
+        post = certify_rates(trace, ref.f_star, f.mu, f.lip, dist2=dist2,
+                             gaps=gaps)[1]
         post.extend(audit_orthogonality(history.step_data,
                                         spec.config.inner_tol, f.lip))
         post.extend(audit_bh_descent(trace, f.lip))

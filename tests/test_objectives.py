@@ -10,7 +10,7 @@ from scipy.special import expit
 from ellipcenters import (LogRegProblem, Objective, QuadraticProblem,
                           SolverConfig, check_gradient, generate_logreg,
                           generate_quadratic, mu_for_kappa, run_fast_gd,
-                          run_gd_l, run_me)
+                          run_gd_exact, run_gd_l, run_me)
 from ellipcenters.errors import NonFiniteError
 from ellipcenters.objectives import (REFRESH_EVERY, CountingObjective,
                                      Restriction, central_difference_gradient,
@@ -543,11 +543,38 @@ class NanModel(Restriction):
 
     full = False
 
-    def value(self, *z):
+    def _value(self, z):
         return float("nan")
 
-    def grad(self, *z):
+    def _grad(self, z):
         return np.full(len(self.dirs), np.inf)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_models_count_into_the_counter_that_made_them(family, rng):
+    """A model from ``CountingObjective.restrict``, and one extended from
+    it, count their evaluations into that counter and raise on a non-finite
+    one; a model of the bare objective counts and checks nothing."""
+    p = fresh_problem(family)
+    f = p.objective()
+    x, v, w = rng.standard_normal((3, p.dim))
+    cf = CountingObjective(f)
+    ray = cf.restrict(x, v)
+    plane = ray.extend(w)
+    ray.value(0.1)
+    plane.grad(0.1, 0.2)
+    plane.value(0.0, 0.3)
+    assert (cf.value_evals, cf.grad_evals, cf.restricted_evals) == (0, 0, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError):
+            plane.value(1e300, 0.0)
+        with pytest.raises(NonFiniteError):
+            ray.grad(1e308)
+        assert (cf.value_evals, cf.grad_evals, cf.restricted_evals) == (0, 0, 5)
+        bare = f.restrict(x, v).extend(w)
+        assert bare.counter is None
+        assert bare.value(1e300, 0.0) == math.inf
+    assert cf.restricted_evals == 5
 
 
 def test_non_finite_model_evaluations_raise():
@@ -646,15 +673,47 @@ def assert_textbook(trace, textbook):
     assert_bitwise(trace.x_final, x)
 
 
+def textbook_gd_exact(p):
+    """Exact-linesearch descent from the origin on a quadratic, on the direct
+    formulas: ``(values, gradient norms, x_final)``.  Along v = g, the
+    gradient, t = <g, v> / v'Av; the product A x is carried as A x - t A v
+    and formed exactly every REFRESH_EVERY steps."""
+    eps = SolverConfig().eps
+    a = data_matrix(p)
+    x = np.zeros(p.dim)
+    ax, carried = a @ x, 0
+    values, norms = [], []
+    while True:
+        g = ax - p.b
+        values.append(float(0.5 * x @ ax - p.b @ x + p.c))
+        norms.append(float(np.linalg.norm(g)))
+        if norms[-1] <= eps:
+            return values, norms, x
+        av = a @ g
+        t = float(g @ g) / float(g @ av)
+        x = x + (-t) * g
+        carried += 1
+        if carried == REFRESH_EVERY:
+            ax, carried = a @ x, 0
+        else:
+            ax = ax + (-t) * av
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_fixed_step_runs_keep_direct_arithmetic(family):
     """``run_gd_l`` evaluates only at its own iterates, from products formed
     exactly; ``run_fast_gd`` also takes the gradient at z_k from the product
-    its problem combines from those of x_k and x_{k-1}.  Each is its textbook
-    loop on the direct formulas, bit for bit."""
+    its problem combines from those of x_k and x_{k-1}; on a quadratic,
+    ``run_gd_exact`` takes the closed-form step on the exact model and
+    carries its product.  Each is its textbook loop on the direct formulas,
+    bit for bit."""
     p = fixed_step_problem(family)
     for run, fast in [(run_gd_l, False), (run_fast_gd, True)]:
         assert_textbook(run(p.objective(), np.zeros(p.dim)), textbook_run(p, fast))
+    if family == "quadratic":
+        trace = run_gd_exact(p.objective(), np.zeros(p.dim))
+        assert trace.iterations > REFRESH_EVERY
+        assert_textbook(trace, textbook_gd_exact(p))
 
 
 @pytest.mark.parametrize("family", FAMILIES)

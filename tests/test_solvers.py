@@ -340,6 +340,62 @@ def test_non_finite_objective_stops_run(sid):
     assert np.all(np.isfinite(trace.x_final))
 
 
+def fast_path_objective(kind):
+    if kind == "logreg":
+        return generate_logreg(60, 30, 1e2, 0).objective()
+    q = generate_quadratic(40, 1e2, 0)
+    return q.objective() if kind == "quadratic" else Objective(
+        q.dim, q.mu, q.lip, q.value, q.grad)
+
+
+@pytest.mark.parametrize("kind", ["logreg", "quadratic", "plain"])
+@pytest.mark.parametrize("sid", list(RUNNERS), ids=lambda s: s.value)
+def test_recorded_grad_norm_is_the_numpy_norm(kind, sid):
+    """Each record's ``grad_norm``, taken from the squared norm the
+    gradient's finiteness check formed, is ``np.linalg.norm`` of the
+    gradient the observer sees, bit for bit."""
+    f = fast_path_objective(kind)
+    norms = []
+    trace = RUNNERS[sid](f, np.zeros(f.dim), SolverConfig(max_outer=60),
+                         observe=lambda k, x, f_x, g, step:
+                         norms.append(float(np.linalg.norm(g)).hex()))
+    assert len(trace.records) > 2
+    assert [r.grad_norm.hex() for r in trace.records] == norms
+
+
+@pytest.mark.parametrize("spike, status", [
+    (1e200, RunStatus.MAX_ITERATIONS), (np.nan, RunStatus.NON_FINITE)],
+    ids=["overflowing", "nan"])
+@pytest.mark.parametrize("sid", list(RUNNERS), ids=lambda s: s.value)
+def test_gradient_check_tells_overflow_from_nan(sid, spike, status):
+    """A finite gradient entry of 1e200 overflows ||g||^2, so its check
+    looks at the entries: the run goes on (here to its one-step cap) and
+    records ||g|| = inf, as np.linalg.norm does.  A NaN entry ends the run
+    ``non_finite`` at the last good iterate."""
+    q = generate_quadratic(40, 1e2, 0)
+    one_step = SolverConfig(max_outer=1)
+    x2 = RUNNERS[sid](q.objective(), np.zeros(40), one_step).x_final
+    grad = q.grad
+
+    def spiked(x):
+        g = grad(x)
+        if np.array_equal(x, x2):
+            g = g.copy()
+            g[0] = spike
+        return g
+
+    q.grad = spiked
+    with np.errstate(over="ignore"):  # as np.linalg.norm, ||g||^2 overflows
+        trace = RUNNERS[sid](q.objective(), np.zeros(40), one_step)
+    assert trace.status is status
+    if status is RunStatus.MAX_ITERATIONS:
+        assert trace.iterations == 1
+        assert trace.records[-1].grad_norm == np.inf
+    else:
+        assert trace.iterations == 0
+        assert np.array_equal(trace.x_final, np.zeros(40))
+
+
 # (iterations, grad_evals_total, value_evals_total, restricted_evals_total)
 # of each solver from the origin with the default SolverConfig, on the
 # benchmark's warm-up instances.  A caching or fusion change that skips a
