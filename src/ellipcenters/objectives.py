@@ -4,8 +4,10 @@ Every solver in this package consumes an :class:`Objective`, which bundles the
 value/gradient callables with the strong-convexity modulus ``mu`` and the
 gradient Lipschitz constant ``lip``.  A problem object holds its data as
 read-only views of the arrays it was given (changing those arrays afterwards
-is not supported).  It remembers the data product (``A @ x`` or ``a @ x``) of
-the last point it evaluated, so a ``value`` and a ``grad`` at the same point
+is not supported).  Every data product goes through the family's
+``_matvec``: ``a @ x`` for logistic, one BLAS ``dsymv`` for a quadratic (see
+:class:`QuadraticProblem`).  A problem remembers the data product of the
+last point it evaluated, so a ``value`` and a ``grad`` at the same point
 share one matrix pass, and the exact product of the point before, for
 ``extrapolate``.  The two are replaced together as one tuple, so concurrent
 callers still get correct results (to the rounding of a carried product)
@@ -27,6 +29,7 @@ same ``(n, m, kappa, seed)`` always yields the bit-identical problem.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Optional
 
@@ -59,8 +62,15 @@ def _store(prob, state: tuple, key: bytes, product: np.ndarray,
     prob._product = (key, product, carried, prev_key, prev_product)
 
 
-def _data_product(prob, data: np.ndarray, x: np.ndarray, fresh: bool = False):
-    """The checked ``x``, ``data @ x`` and its number of carried updates.
+@functools.cache
+def _symv():
+    """BLAS ``dsymv``, imported on first use: ``scipy.linalg`` takes ~55 ms."""
+    from scipy.linalg.blas import dsymv
+    return dsymv
+
+
+def _data_product(prob, x: np.ndarray, fresh: bool = False):
+    """The checked ``x``, its data product and its number of carried updates.
 
     The product is reused when ``x`` has the same bytes as the point stored
     in ``prob._product``, unless ``fresh``; otherwise it is computed and
@@ -69,7 +79,7 @@ def _data_product(prob, data: np.ndarray, x: np.ndarray, fresh: bool = False):
     key = x.tobytes()
     state = prob._product
     if fresh or state[0] != key:
-        product = data @ x
+        product = prob._matvec(x)
         _store(prob, state, key, product, 0)
         return x, product, 0
     return x, state[1], state[2]
@@ -185,25 +195,23 @@ class Restriction:
 
 
 class _DataRestriction(Restriction):
-    """A problem's model.  It keeps the data product ``A base`` and ``A d_i``
-    (``A`` the problem's ``data_attr``), so the product at a model point is
+    """A problem's model.  It keeps the data products ``A base`` and ``A d_i``
+    (from the problem's ``_matvec``), so the product at a model point is
     ``A base + sum_i z_i A d_i``.  ``point`` stores that carried product in
     the problem's slot, or ``A p`` formed exactly once ``REFRESH_EVERY``
     carried updates have piled up since the last exact one."""
 
     full = False
-    data_attr = ""
     _data_dirs = ()
 
     def __init__(self, prob, base, dirs, product, carried):
-        self._data = getattr(prob, self.data_attr)
         self._product = product
         self._carried_updates = carried
         super().__init__(prob, base, dirs)
 
     def _add(self, d):
         d = self.f._check(d)
-        self._data_dirs += (self._data @ d,)
+        self._data_dirs += (self.f._matvec(d),)
         super()._add(d)
 
     def _carried(self, z) -> np.ndarray:
@@ -215,11 +223,11 @@ class _DataRestriction(Restriction):
     def point(self, *z) -> np.ndarray:
         p = super().point(*z)
         carried = self._carried_updates + 1
+        prob = self.f
         if carried >= REFRESH_EVERY:
-            product, carried = self._data @ p, 0
+            product, carried = prob._matvec(p), 0
         else:
             product = self._carried(z)
-        prob = self.f
         _store(prob, prob._product, p.tobytes(), product, carried)
         return p
 
@@ -229,7 +237,6 @@ class _QuadraticRestriction(_DataRestriction):
     H = (<d_i, A d_j>)_ij: every evaluation is O(1).  f0 = f(x) is formed
     on the first ``value``; the exact linesearch never asks for it."""
 
-    data_attr = "a_matrix"
     hessian = _read_only(np.empty((0, 0)))
     _g0 = _read_only(np.empty(0))
     _f0 = None
@@ -262,7 +269,6 @@ class _LogRegRestriction(_DataRestriction):
     numbers: every evaluation is O(m).  ``||x||^2`` is formed on the first
     ``value``."""
 
-    data_attr = "a"
     _xd = _read_only(np.empty(0))
     _xx = None
 
@@ -446,7 +452,7 @@ class CountingObjective:
 class _DataProblem:
     """What the problem families share: the checked point, and the model
     (``model``, the family's :class:`Restriction`) and the momentum point
-    built on the stored data product."""
+    built on the stored data product, formed by ``_matvec`` on a checked x."""
 
     model = _DataRestriction
 
@@ -456,8 +462,7 @@ class _DataProblem:
         product of ``x``, or on ``A x`` formed exactly (none stored, or no
         direction)."""
         dirs = _directions(v, w)
-        x, product, carried = _data_product(
-            self, getattr(self, self.model.data_attr), x, fresh=not dirs)
+        x, product, carried = _data_product(self, x, fresh=not dirs)
         return self.model(self, x, dirs, product, carried)
 
     def extrapolate(self, x: np.ndarray, x_prev: np.ndarray,
@@ -483,18 +488,20 @@ class _DataProblem:
 class QuadraticProblem(_DataProblem):
     """f(x) = 0.5 x'Ax - b'x + c with A symmetric positive definite.
 
-    Symmetry and positive definiteness are verified at construction (the
-    latter by attempting a Cholesky factorization); failures raise
-    ``ValueError``.  ``mu``/``lip`` default to the extreme eigenvalues of A.
-    ``value`` and ``grad`` at the same point share one product ``A @ x``;
-    ``restrict`` returns the exact quadratic model on a line or plane.
+    Symmetry (to rounding) and positive definiteness are verified at
+    construction (the latter by attempting a Cholesky factorization);
+    failures raise ``ValueError``.  ``a_matrix`` is the exactly symmetric
+    part (A + A')/2 in C order, or A itself if bit-symmetric; each product
+    with it is one BLAS ``dsymv``, reading one triangle.  ``mu``/``lip``
+    default to the extreme eigenvalues of A.  ``restrict`` returns the
+    exact quadratic model on a line or plane.
     """
 
     model = _QuadraticRestriction
 
     def __init__(self, a_matrix: np.ndarray, b: np.ndarray, c: float = 0.0,
                  mu: float | None = None, lip: float | None = None):
-        a_matrix = np.asarray(a_matrix, dtype=float)
+        a_matrix = np.ascontiguousarray(a_matrix, dtype=float)
         b = np.asarray(b, dtype=float)
         if a_matrix.ndim != 2 or a_matrix.shape[0] != a_matrix.shape[1]:
             raise ValueError(f"A must be square, got shape {a_matrix.shape}")
@@ -504,6 +511,8 @@ class QuadraticProblem(_DataProblem):
         scale = np.abs(a_matrix).max()
         if not np.allclose(a_matrix, a_matrix.T, atol=1e-12 * max(scale, 1.0)):
             raise ValueError("A is not symmetric to machine tolerance")
+        if not np.array_equal(a_matrix, a_matrix.T):
+            a_matrix = 0.5 * (a_matrix + a_matrix.T)
         try:
             np.linalg.cholesky(a_matrix)
         except np.linalg.LinAlgError as exc:
@@ -521,12 +530,16 @@ class QuadraticProblem(_DataProblem):
         self.mu = float(mu)
         self.lip = float(lip)
 
+    def _matvec(self, x: np.ndarray) -> np.ndarray:
+        # A.T is an F-ordered view of the C-ordered A: dsymv copies nothing
+        return _symv()(1.0, self.a_matrix.T, x)
+
     def value(self, x: np.ndarray) -> float:
-        x, ax, _ = _data_product(self, self.a_matrix, x)
+        x, ax, _ = _data_product(self, x)
         return float((0.5 * x).dot(ax) - self.b.dot(x) + self.c)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        x, ax, _ = _data_product(self, self.a_matrix, x)
+        x, ax, _ = _data_product(self, x)
         return ax - self.b
 
     def minimizer(self) -> np.ndarray:
@@ -575,15 +588,18 @@ class LogRegProblem(_DataProblem):
         self.n = self.dim = n
         self.lip = float(np.sum(a * a) / (4.0 * m) + mu)
 
+    def _matvec(self, x: np.ndarray) -> np.ndarray:
+        return self.a @ x
+
     def value(self, x: np.ndarray) -> float:
-        x, ax, _ = _data_product(self, self.a, x)
+        x, ax, _ = _data_product(self, x)
         margins = -self.labels * ax
         # logaddexp(0, u) = log(1 + e^u) = max(u, 0) + log1p(e^{-|u|})
         loss = float(np.mean(np.logaddexp(0.0, margins)))
         return loss + 0.5 * self.mu * float(x.dot(x))
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        x, ax, _ = _data_product(self, self.a, x)
+        x, ax, _ = _data_product(self, x)
         margins = -self.labels * ax
         weights = self.labels * expit(margins)
         return -(self.a.T @ weights) / self.m + self.mu * x
@@ -637,10 +653,8 @@ def generate_quadratic(n: int, kappa: float, seed: int) -> QuadraticProblem:
     rng = np.random.Generator(np.random.PCG64(seed))
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     eigs = np.linspace(1.0, kappa, n)
-    a_matrix = (q * eigs) @ q.T
-    a_matrix = 0.5 * (a_matrix + a_matrix.T)
     b = rng.standard_normal(n)
-    return QuadraticProblem(a_matrix, b, 0.0, mu=1.0, lip=float(kappa))
+    return QuadraticProblem((q * eigs) @ q.T, b, 0.0, mu=1.0, lip=float(kappa))
 
 
 def save_logreg(p: LogRegProblem, path) -> None:

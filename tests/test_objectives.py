@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
 import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.linalg.blas import dsymv
 from scipy.special import expit
 
 from ellipcenters import (LogRegProblem, Objective, QuadraticProblem,
@@ -170,6 +175,19 @@ class TestGenerators:
         npt.assert_array_equal(p1.a_matrix, p2.a_matrix)
         npt.assert_array_equal(p1.b, p2.b)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_quadratic_matrix_is_the_symmetrized_construction(self, seed):
+        """The problem's stored symmetric part is bit for bit the matrix
+        built and symmetrized by hand from the same draws."""
+        n, kappa = 500, 1e3
+        rng = np.random.Generator(np.random.PCG64(seed))
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = (q * np.linspace(1.0, kappa, n)) @ q.T
+        a = 0.5 * (a + a.T)
+        p = generate_quadratic(n, kappa, seed)
+        assert_bitwise(p.a_matrix, a)
+        assert_bitwise(p.b, rng.standard_normal(n))
+
 
 class TestConvexityInequalities:
     """Sampled checks of the defining inequalities for both families."""
@@ -237,24 +255,28 @@ def fresh_problem(family):
     return generate_logreg(12, 20, 30.0, 5)
 
 
+def data_product(p, x):
+    """``A @ x`` from the data, without the problem's methods: BLAS dsymv on
+    the stored symmetric matrix for a quadratic, ``a @ x`` for logistic."""
+    if isinstance(p, QuadraticProblem):
+        return dsymv(1.0, np.asarray(p.a_matrix), x)
+    return np.asarray(p.a) @ x
+
+
 def direct_value(p, x):
     """The objective value computed from the data, without the problem's
     methods."""
     if isinstance(p, QuadraticProblem):
-        return float(0.5 * x @ (np.asarray(p.a_matrix) @ x) - p.b @ x + p.c)
-    margins = -p.labels * (np.asarray(p.a) @ x)
+        return float(0.5 * x @ data_product(p, x) - p.b @ x + p.c)
+    margins = -p.labels * data_product(p, x)
     return float(np.mean(np.logaddexp(0.0, margins))) + 0.5 * p.mu * float(x @ x)
-
-
-def data_matrix(p):
-    return np.asarray(p.a_matrix if isinstance(p, QuadraticProblem) else p.a)
 
 
 def direct_grad(p, x, product=None):
     """The gradient from the data, on ``product`` in place of the data
     product ``A @ x`` when one is given."""
     if product is None:
-        product = data_matrix(p) @ x
+        product = data_product(p, x)
     if isinstance(p, QuadraticProblem):
         return product - p.b
     margins = -p.labels * product
@@ -287,6 +309,82 @@ class TestReadOnlyData:
         with pytest.raises(ValueError):
             p.labels[0] = -1.0
         assert a.flags.writeable and labels.flags.writeable
+
+
+class TestSymmetricKernel:
+    """A quadratic's product is one dsymv on its stored, exactly symmetric
+    matrix."""
+
+    @pytest.mark.parametrize("n", [1, 2, 40, 500])
+    def test_product_is_dsymv_within_rounding_of_matmul(self, n, rng):
+        p = generate_quadratic(n, 1e3, n)
+        a = np.asarray(p.a_matrix)
+        for _ in range(3):
+            x = rng.standard_normal(n)
+            got = p._matvec(x)
+            assert_bitwise(got, dsymv(1.0, a, x))
+            assert_bitwise(p.grad(x), got - p.b)
+            bound = 4 * n * np.finfo(float).eps * (np.abs(a) @ np.abs(x))
+            assert np.all(np.abs(got - a @ x) <= bound)
+
+    def test_near_symmetric_input_is_stored_exactly_symmetric(self, rng):
+        a = np.array(generate_quadratic(40, 1e2, 3).a_matrix)
+        a[0, 1] += 1e-13 * np.abs(a).max()
+        p = QuadraticProblem(a, rng.standard_normal(40))
+        assert not np.array_equal(a, a.T)
+        assert_bitwise(p.a_matrix, 0.5 * (a + a.T))
+        assert np.array_equal(p.a_matrix, p.a_matrix.T)
+        assert check_gradient(p.objective(), n_points=5) <= 1e-6
+
+    def test_bit_symmetric_input_is_stored_unchanged(self):
+        a = np.array(generate_quadratic(12, 30.0, 5).a_matrix)
+        p = QuadraticProblem(a, np.ones(12))
+        assert_bitwise(p.a_matrix, a)
+        assert np.shares_memory(p.a_matrix, a)
+
+    def test_matrix_is_stored_in_c_order(self):
+        """dsymv gets the F-ordered view A.T, which it reads without a copy."""
+        a = np.asfortranarray(generate_quadratic(12, 30.0, 5).a_matrix)
+        p = QuadraticProblem(a, np.ones(12))
+        assert p.a_matrix.flags.c_contiguous
+        assert_bitwise(p.a_matrix, a)
+
+    @pytest.mark.parametrize("size", [11, 13])
+    def test_wrong_length_vectors_raise(self, size, rng):
+        """dsymv would read only the first n entries of a longer vector:
+        every path to it checks the shape first."""
+        f = generate_quadratic(12, 30.0, 5).objective()
+        good, bad = rng.standard_normal(12), rng.standard_normal(size)
+        calls = [lambda: f.value(bad), lambda: f.grad(bad),
+                 lambda: f.restrict(bad, good), lambda: f.restrict(good, bad),
+                 lambda: f.restrict(good, good, bad),
+                 lambda: f.restrict(good, good).extend(bad),
+                 lambda: f.extrapolate(bad, good, 0.5),
+                 lambda: f.extrapolate(good, bad, 0.5)]
+        for call in calls:
+            with pytest.raises(ValueError, match="must have shape"):
+                call()
+
+
+def test_scipy_linalg_loads_on_the_first_quadratic_product():
+    """Importing the package and generating instances leave ``scipy.linalg``
+    unloaded (it costs ~55 ms); the first quadratic product loads it."""
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import ellipcenters
+        p = ellipcenters.generate_quadratic(30, 10.0, 0)
+        ellipcenters.generate_logreg(20, 10, 10.0, 0)
+        before = "scipy.linalg" in sys.modules
+        p.grad(np.zeros(30))
+        print(before, "scipy.linalg" in sys.modules)
+    """)
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -405,9 +503,10 @@ STEP_PRODUCTS = {
 }
 
 
-def count_products(p, attr):
-    """Swap ``p.<attr>`` for a view whose ``@`` products are counted in the
-    returned class's ``products``."""
+def count_products(p):
+    """Count the data products ``p`` forms in the returned class's
+    ``products``: every call of its family's ``_matvec`` and, for logistic,
+    every product with ``a.T`` (the second pass of a gradient)."""
 
     class Counting(np.ndarray):
         products = 0
@@ -416,14 +515,30 @@ def count_products(p, attr):
             Counting.products += 1
             return np.asarray(self) @ other
 
-    setattr(p, attr, getattr(p, attr).view(Counting))
+    class Data(np.ndarray):
+        """``a``, whose transpose counts its products."""
+
+        T = property(lambda self: np.asarray(self).T.view(Counting))
+
+        def __matmul__(self, other):
+            return np.asarray(self) @ other
+
+    matvec = p._matvec
+
+    def counted(x):
+        Counting.products += 1
+        return matvec(x)
+
+    p._matvec = counted
+    if isinstance(p, LogRegProblem):
+        p.a = p.a.view(Data)
     return Counting
 
 
 class TestProductCount:
     def test_quadratic_value_and_grad_share_one_product(self, rng):
         p = generate_quadratic(12, 30.0, 5)
-        counter = count_products(p, "a_matrix")
+        counter = count_products(p)
         x, y = rng.standard_normal(12), rng.standard_normal(12)
         p.value(x)
         p.grad(x)
@@ -434,7 +549,7 @@ class TestProductCount:
 
     def test_quadratic_gd_l_makes_one_product_per_iterate(self):
         p = generate_quadratic(12, 30.0, 5)
-        counter = count_products(p, "a_matrix")
+        counter = count_products(p)
         trace = run_gd_l(p.objective(), np.zeros(12))
         assert trace.converged
         assert counter.products == trace.iterations + 1
@@ -447,7 +562,7 @@ class TestProductCount:
         ``precision_floor`` after 22)."""
         p = (generate_quadratic(40, 1e2, 0) if family == "quadratic"
              else generate_logreg(60, 30, 1e6, 0))
-        counter = count_products(p, "a_matrix" if family == "quadratic" else "a")
+        counter = count_products(p)
         trace = RUNNERS[sid](p.objective(), np.zeros(p.dim),
                              SolverConfig(eps=1e-300, max_outer=70))
         k = trace.iterations
@@ -458,7 +573,7 @@ class TestProductCount:
 
     def test_logreg_value_and_grad_make_two_products(self, rng):
         p = generate_logreg(12, 20, 30.0, 5)
-        counter = count_products(p, "a")
+        counter = count_products(p)
         x, y = rng.standard_normal(12), rng.standard_normal(12)
         p.value(x)
         p.grad(x)
@@ -639,7 +754,6 @@ def textbook_run(p, fast, carried=True):
     eps = SolverConfig().eps
     kappa = np.sqrt(p.lip / p.mu)
     momentum = (kappa - 1.0) / (kappa + 1.0)
-    data = data_matrix(p)
     x = x_prev = np.zeros(p.dim)
     g = direct_grad(p, x)
     values, norms = [direct_value(p, x)], [float(np.linalg.norm(g))]
@@ -649,8 +763,8 @@ def textbook_run(p, fast, carried=True):
             z = x + momentum * (x - x_prev)
             product = None
             if carried:
-                ax = data @ x
-                product = ax + momentum * (ax - data @ x_prev)
+                ax = data_product(p, x)
+                product = ax + momentum * (ax - data_product(p, x_prev))
             step = direct_grad(p, z, product)
         x_prev, x = x, z - step / p.lip
         g = direct_grad(p, x)
@@ -679,9 +793,8 @@ def textbook_gd_exact(p):
     gradient, t = <g, v> / v'Av; the product A x is carried as A x - t A v
     and formed exactly every REFRESH_EVERY steps."""
     eps = SolverConfig().eps
-    a = data_matrix(p)
     x = np.zeros(p.dim)
-    ax, carried = a @ x, 0
+    ax, carried = data_product(p, x), 0
     values, norms = [], []
     while True:
         g = ax - p.b
@@ -689,12 +802,12 @@ def textbook_gd_exact(p):
         norms.append(float(np.linalg.norm(g)))
         if norms[-1] <= eps:
             return values, norms, x
-        av = a @ g
+        av = data_product(p, g)
         t = float(g @ g) / float(g @ av)
         x = x + (-t) * g
         carried += 1
         if carried == REFRESH_EVERY:
-            ax, carried = a @ x, 0
+            ax, carried = data_product(p, x), 0
         else:
             ax = ax + (-t) * av
 
