@@ -147,13 +147,8 @@ def _cmd_verify(settings: dict) -> int:
     print()
     print(report.to_text())
     if spec.output_dir is not None:
-        import csv
         path = spec.output_dir / "audit.csv"
-        rows = report.to_csv_rows()
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
+        report.write_csv(path)
         print(f"wrote {path}")
     trace = result.traces[SolverId.ME.value]
     if trace.status is not RunStatus.CONVERGED:

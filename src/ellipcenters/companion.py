@@ -111,15 +111,16 @@ def companion_point(ray, tol: float = 1e-12,
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if not ray.dirs[0].any():
+    # <v, v> > 0 settles it without a pass over v, and the plane reuses it
+    if not (ray.gram[0][0] > 0.0 or ray.dirs[0].any()):
         raise ValueError("gradient is zero; companion point is undefined")
     g0 = ray.value(0.0) if f_x is None else f_x
     denom = max(1.0, abs(g0))
     if ray.hessian is not None:
-        curv = float(ray.hessian[0, 0])
+        curv = ray.hessian[0][0]
         if not curv > 0.0:
             raise NumericalFailureError(f"v'Av = {curv:.3e} is not positive")
-        t = 2.0 * float(ray.grad(0.0)[0]) / curv
+        t = 2.0 * ray.grad(0.0)[0] / curv
         res = abs(ray.value(-t) - g0) / denom
         return CompanionResult(t, ray.point(-t), res, 0)
 

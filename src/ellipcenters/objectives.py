@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from typing import Callable, Optional
 
 import numpy as np
@@ -92,13 +93,11 @@ def _directions(v, w) -> tuple:
     return () if v is None else (v,) if w is None else (v, w)
 
 
-def _pairs(left, right) -> np.ndarray:
-    """The symmetric matrix of ``left[i] @ right[j]`` over i <= j."""
-    out = np.empty((len(left), len(left)))
-    for j, r in enumerate(right):
-        for i in range(j + 1):
-            out[i, j] = out[j, i] = left[i].dot(r)
-    return out
+def _border(rows: tuple, left, right) -> tuple:
+    """The symmetric matrix ``rows``, a tuple of rows of floats, bordered by
+    the row and column ``<left[i], right>``, whose last entry is diagonal."""
+    col = tuple([float(right.dot(e)) for e in left])
+    return (*[r + (c,) for r, c in zip(rows, col)], col)
 
 
 class Restriction:
@@ -106,11 +105,14 @@ class Restriction:
     coordinates z of its directions (one or two).
 
     ``value(*z)`` is f at ``point(*z) = base + sum_i z_i d_i``; ``grad(*z)``
-    the restricted gradient ``(<grad f(p), d_i>)_i``; ``extend(w)`` the model
-    with ``w`` as one more direction.  ``gram`` is the Gram matrix of the
-    directions, formed on first use, and ``sin2_theta`` its normalized
-    determinant, ``lip`` the gradient Lipschitz constant of f, and
-    ``hessian`` the exact Hessian in z when f is quadratic, else None.
+    the restricted gradient ``(<grad f(p), d_i>)_i``, a tuple of floats on
+    the exact quadratic model and an array otherwise; ``extend(w)`` the
+    model with ``w`` as one more direction.  ``gram`` is the Gram matrix of
+    the directions, a tuple of rows of Python floats; each direction adds
+    its row and column when it is added, so an extended model forms only
+    the new entries.  ``sin2_theta`` is its normalized determinant, ``lip``
+    the gradient Lipschitz constant of f, and ``hessian`` the exact Hessian
+    in z when f is quadratic, formed the same way, else None.
 
     A subclass evaluates in ``_value(z)`` and ``_grad(z)``.  This generic
     form, which a plain :class:`Objective` returns, evaluates at the full
@@ -126,7 +128,7 @@ class Restriction:
     last_full_grad = None
     counter = None
     dirs = ()
-    _gram = None
+    gram = ()
 
     def __init__(self, f, base: np.ndarray, dirs=()):
         self.f = f
@@ -136,9 +138,10 @@ class Restriction:
             self._add(d)
 
     def _add(self, d: np.ndarray) -> None:
-        """Append the direction ``d``; subclasses extend their own data."""
+        """Append the direction ``d`` and its row of the Gram matrix;
+        subclasses extend their own data."""
         self.dirs += (d,)
-        self._gram = None
+        self.gram = _border(self.gram, self.dirs, d)
 
     def extend(self, w: np.ndarray) -> "Restriction":
         # a shallow copy: _add rebinds the per-direction data, never mutates it
@@ -148,20 +151,13 @@ class Restriction:
         return model
 
     @property
-    def gram(self) -> np.ndarray:
-        if self._gram is None:
-            self._gram = _pairs(self.dirs, self.dirs)
-        return self._gram
-
-    @property
     def sin2_theta(self) -> float:
         """sin^2 of the angle between two directions, in [0, 1]."""
-        gram = self.gram
-        vv, vw, ww = gram[0, 0], gram[0, 1], gram[1, 1]
+        (vv, vw), (_, ww) = self.gram
         denom = vv * ww
         if not denom > 0:
             return 0.0
-        return float(min(1.0, max(0.0, (denom - vw * vw) / denom)))
+        return min(1.0, max(0.0, (denom - vw * vw) / denom))
 
     def point(self, *z) -> np.ndarray:
         p = self.base
@@ -181,7 +177,7 @@ class Restriction:
         g = self._grad(z)
         if self.counter is not None and not self.full:
             self.counter.restricted_evals += 1
-            if not all(map(math.isfinite, g.tolist())):
+            if not all(map(math.isfinite, g)):
                 raise NonFiniteError("model gradient has a NaN or infinite entry")
         return g
 
@@ -234,11 +230,13 @@ class _DataRestriction(Restriction):
 
 class _QuadraticRestriction(_DataRestriction):
     """The exact model f0 + z.g0 + z'Hz/2, with g0 = (<A x - b, d_i>)_i and
-    H = (<d_i, A d_j>)_ij: every evaluation is O(1).  f0 = f(x) is formed
-    on the first ``value``; the exact linesearch never asks for it."""
+    H = (<d_i, A d_j>)_ij, on Python floats: every evaluation is O(1) and
+    makes no numpy call.  Each entry is one dot, formed once: adding a
+    direction forms its entry of g0 and its row of H only.  f0 = f(x) is
+    formed on the first ``value``; the exact linesearch never asks for it."""
 
-    hessian = _read_only(np.empty((0, 0)))
-    _g0 = _read_only(np.empty(0))
+    hessian = ()
+    _g0 = ()
     _f0 = None
 
     def __init__(self, prob, base, dirs, product, carried):
@@ -247,35 +245,35 @@ class _QuadraticRestriction(_DataRestriction):
 
     def _add(self, d):
         super()._add(d)
-        g0 = self._grad_base.dot(self.dirs[-1])
-        self._g0 = np.array(self._g0.tolist() + [float(g0)])
-        self.hessian = _pairs(self.dirs, self._data_dirs)
+        self._g0 += (float(self._grad_base.dot(self.dirs[-1])),)
+        self.hessian = _border(self.hessian, self.dirs, self._data_dirs[-1])
 
     def _value(self, z) -> float:
         f0 = self._f0
         if f0 is None:
-            prob, base = self.f, self.base
-            f0 = self._f0 = float((0.5 * base).dot(self._product)
-                                  - prob.b.dot(base) + prob.c)
-        z = np.array(z, dtype=float)
-        return f0 + float(z.dot(self._g0 + 0.5 * (self.hessian @ z)))
+            f0 = self._f0 = self.f._value_at(self.base, self._product)
+        return f0 + sum([zi * (g + 0.5 * sum(map(operator.mul, row, z)))
+                         for zi, g, row in zip(z, self._g0, self.hessian)])
 
-    def _grad(self, z) -> np.ndarray:
-        return self._g0 + self.hessian @ np.array(z, dtype=float)
+    def _grad(self, z) -> tuple:
+        return tuple([g + sum(map(operator.mul, row, z))
+                      for g, row in zip(self._g0, self.hessian)])
 
 
 class _LogRegRestriction(_DataRestriction):
     """Margins ``-b * (a x + sum_i z_i a d_i)`` and ``||p||^2`` from the Gram
-    numbers: every evaluation is O(m).  ``||x||^2`` is formed on the first
-    ``value``."""
+    numbers, held as an array: every evaluation is O(m).  ``||x||^2`` is
+    formed on the first ``value``."""
 
     _xd = _read_only(np.empty(0))
     _xx = None
+    _gram_matrix = _read_only(np.empty((0, 0)))
 
     def _add(self, d):
         super()._add(d)
         xd = self.base.dot(self.dirs[-1])
         self._xd = np.array(self._xd.tolist() + [float(xd)])
+        self._gram_matrix = np.array(self.gram)
 
     def _value(self, z) -> float:
         prob = self.f
@@ -285,7 +283,8 @@ class _LogRegRestriction(_DataRestriction):
         if xx is None:
             xx = self._xx = float(self.base.dot(self.base))
         z = np.array(z, dtype=float)
-        sq_norm = xx + 2.0 * float(z.dot(self._xd)) + float(z @ self.gram @ z)
+        sq_norm = (xx + 2.0 * float(z.dot(self._xd))
+                   + float(z @ self._gram_matrix @ z))
         return loss + 0.5 * prob.mu * sq_norm
 
     def _grad(self, z) -> np.ndarray:
@@ -293,7 +292,8 @@ class _LogRegRestriction(_DataRestriction):
         weights = prob.labels * expit(-prob.labels * self._carried(z))
         data_part = np.array([float(ad.dot(weights)) for ad in self._data_dirs])
         z = np.array(z, dtype=float)
-        return -data_part / prob.m + prob.mu * (self._xd + self.gram @ z)
+        return (-data_part / prob.m
+                + prob.mu * (self._xd + self._gram_matrix @ z))
 
 
 class Objective:
@@ -381,7 +381,8 @@ class Objective:
 
 def _checked_sq(g: np.ndarray) -> float:
     """``g @ g`` of a finite ``g``: a finite sum has finite entries, so they
-    are tested one by one only when it is not (or overflows, past ~1e154)."""
+    are tested one by one only when it is not (or overflows, past ~1e154,
+    which a solver run lets pass as inf without a warning)."""
     sq = float(g.dot(g))
     if not math.isfinite(sq) and not np.isfinite(g).all():
         raise NonFiniteError("gradient has a NaN or infinite entry")
@@ -534,9 +535,13 @@ class QuadraticProblem(_DataProblem):
         # A.T is an F-ordered view of the C-ordered A: dsymv copies nothing
         return _symv()(1.0, self.a_matrix.T, x)
 
+    def _value_at(self, x: np.ndarray, ax: np.ndarray) -> float:
+        # 0.5 scales every rounding of the dot exactly: (0.5 x).ax, bit for bit
+        return float(0.5 * x.dot(ax) - self.b.dot(x) + self.c)
+
     def value(self, x: np.ndarray) -> float:
         x, ax, _ = _data_product(self, x)
-        return float((0.5 * x).dot(ax) - self.b.dot(x) + self.c)
+        return self._value_at(x, ax)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         x, ax, _ = _data_product(self, x)

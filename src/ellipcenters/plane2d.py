@@ -52,26 +52,29 @@ class PlaneSolution:
 def solve_newton_quadratic(plane) -> PlaneSolution:
     """One exact Newton step on an exact quadratic plane model.
 
-    Solves [[v'Av, v'Aw], [w'Av, w'Aw]] (alpha, beta)' = -grad2(0, 0) by the
-    explicit 2x2 inverse with one step of iterative refinement, where
-    grad2(0, 0) is the model's restricted gradient at ``x`` (<v,v>, <v,w>)
-    when ``v`` is the gradient there.  Raises :class:`DegeneratePlaneError`
-    when the system is numerically singular.
+    Solves H (alpha, beta)' = -grad2(0, 0), with H = [[v'Av, v'Aw],
+    [w'Av, w'Aw]] the model's Hessian and grad2(0, 0) its restricted
+    gradient at ``x`` (<v,v>, <v,w> when ``v`` is the gradient there), on
+    Python floats: the explicit inverse of H, entry by entry, and one step of
+    iterative refinement, with no numpy call.  Raises
+    :class:`DegeneratePlaneError` when the system is numerically singular.
     """
-    system = plane.hessian
-    vav, vaw, waw = system[0, 0], system[0, 1], system[1, 1]
+    (vav, vaw), (_, waw) = plane.hessian
     det = vav * waw - vaw * vaw
     if not math.isfinite(det) or det <= 1e-14 * abs(vav * waw):
         raise DegeneratePlaneError("restricted Hessian is numerically singular")
-    inverse = np.array([[waw, -vaw], [-vaw, vav]]) / det
-    grad0 = plane.grad(0.0, 0.0)
-    z = -(inverse @ grad0)
-    z -= inverse @ (grad0 + system @ z)
-    # the restricted gradient is affine: grad2(z) = grad2(0, 0) + system @ z
-    r = grad0 + system @ z
-    residual = math.sqrt(float(r.dot(r)))  # bit-equal to np.linalg.norm(r)
-    alpha, beta = float(z[0]), float(z[1])
-    return PlaneSolution(alpha, beta, plane.point(alpha, beta), residual, 1, 0)
+    i11, i12, i22 = waw / det, -vaw / det, vav / det
+    g1, g2 = plane.grad(0.0, 0.0)
+    alpha, beta = 0.0, 0.0
+    for _ in range(2):  # the solve, then one refinement on its residual
+        # the restricted gradient is affine: grad2(z) = grad2(0, 0) + H z
+        r1 = g1 + (vav * alpha + vaw * beta)
+        r2 = g2 + (vaw * alpha + waw * beta)
+        alpha -= i11 * r1 + i12 * r2
+        beta -= i12 * r1 + i22 * r2
+    r1, r2 = g1 + (vav * alpha + vaw * beta), g2 + (vaw * alpha + waw * beta)
+    return PlaneSolution(alpha, beta, plane.point(alpha, beta),
+                         math.sqrt(r1 * r1 + r2 * r2), 1, 0)
 
 
 def solve_gd_armijo(plane, inner_tol: float = 1e-12, max_inner: int = 10000,
@@ -101,7 +104,7 @@ def solve_gd_armijo(plane, inner_tol: float = 1e-12, max_inner: int = 10000,
     """
     if inner_tol <= 0.0:
         raise ValueError(f"inner_tol must be positive, got {inner_tol}")
-    vv, vw, ww = plane.gram[0, 0], plane.gram[0, 1], plane.gram[1, 1]
+    (vv, vw), (_, ww) = plane.gram
     norm_v = math.sqrt(vv)
     norm_w = math.sqrt(ww)
     tol_stop = inner_tol * max(norm_v, norm_w)

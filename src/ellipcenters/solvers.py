@@ -235,16 +235,16 @@ def _exact_linesearch(cf, ray):
     full already has it from its probe.
     """
     if ray.hessian is not None:
-        curv = float(ray.hessian[0, 0])
+        curv = ray.hessian[0][0]
         if not curv > 0.0:
             raise NumericalFailureError(f"v'Av = {curv:.3e} is not positive")
-        t = float(ray.grad(0.0)[0]) / curv
+        t = ray.grad(0.0)[0] / curv
         g = None
     else:
         def slope(t):
             return -float(ray.grad(-t)[0]), ray.last_full_grad
 
-        t, _, g, _ = ray_root(slope, 1.0 / ray.lip, 1e-12 * ray.gram[0, 0])
+        t, _, g, _ = ray_root(slope, 1.0 / ray.lip, 1e-12 * ray.gram[0][0])
     x_next = ray.point(-t)
     return x_next, cf.grad(x_next) if g is None else g
 
@@ -273,9 +273,12 @@ def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
     An inner stall, a numerical failure, a level set below double precision
     or a non-finite value or gradient ends the run at the last good iterate
     with the matching status; a non-finite start raises
-    :class:`NonFiniteError`.  With ``memoryless``, a step that returns
-    ``x_next`` bit-equal to ``x_k`` without lowering f also ends the run
-    there, ``precision_floor``: the step depends only on
+    :class:`NonFiniteError`.  The run sits in ``np.errstate(over="ignore")``,
+    entered once, so a finite gradient whose ||g||^2 overflows is recorded
+    with norm inf instead of raising under warnings-as-errors.  With
+    ``memoryless``, a step that returns ``x_next`` bit-equal to ``x_k``
+    without lowering f also ends the run there, ``precision_floor``: the
+    step depends only on
     (x_k, f, grad f(x_k)), so the next one would return x_k again (up to the
     rounding of a carried data product), to ``max_outer``.  ``run_fast_gd``
     passes ``memoryless=False``, since its momentum can still move it.
@@ -295,41 +298,43 @@ def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
         if observe is not None:
             observe(len(records), x, f_x, g, info)
 
-    x = np.asarray(x1, dtype=float).copy()
-    cf.restrict(x)
-    fx = cf.value(x)
-    v = cf.grad(x)
-    record_iterate(x, fx, v, None)
-    status = RunStatus.CONVERGED
-    while records[-1].grad_norm > cfg.eps:
-        if len(records) > cfg.max_outer:
-            status = RunStatus.MAX_ITERATIONS
-            break
-        try:
-            x_next, v_next, info = step(cf, len(records), x, fx, v, cfg)
-            f_next = cf.value(x_next)
-            if memoryless and f_next >= fx and np.array_equal(x_next, x):
-                raise PrecisionFloorError("the step left the iterate unchanged")
-            if v_next is None:
-                v_next = cf.grad(x_next)
-        except InnerStallError:
-            status = RunStatus.INNER_STALL
-            break
-        except PrecisionFloorError:
-            status = RunStatus.PRECISION_FLOOR
-            break
-        except NumericalFailureError:
-            status = RunStatus.NUMERIC_FAILURE
-            break
-        except NonFiniteError:
-            status = RunStatus.NON_FINITE
-            break
-        if info is not None:
-            records[-1].t_k = info.t
-            records[-1].sin2_theta = info.sin2_theta
-            records[-1].li_flag = info.li_flag
-        x, fx, v = x_next, f_next, v_next
-        record_iterate(x, fx, v, info)
+    with np.errstate(over="ignore"):  # ||g||^2 may overflow to inf
+        x = np.asarray(x1, dtype=float).copy()
+        cf.restrict(x)
+        fx = cf.value(x)
+        v = cf.grad(x)
+        record_iterate(x, fx, v, None)
+        status = RunStatus.CONVERGED
+        while records[-1].grad_norm > cfg.eps:
+            if len(records) > cfg.max_outer:
+                status = RunStatus.MAX_ITERATIONS
+                break
+            try:
+                x_next, v_next, info = step(cf, len(records), x, fx, v, cfg)
+                f_next = cf.value(x_next)
+                if memoryless and f_next >= fx and np.array_equal(x_next, x):
+                    raise PrecisionFloorError("the step left the iterate "
+                                              "unchanged")
+                if v_next is None:
+                    v_next = cf.grad(x_next)
+            except InnerStallError:
+                status = RunStatus.INNER_STALL
+                break
+            except PrecisionFloorError:
+                status = RunStatus.PRECISION_FLOOR
+                break
+            except NumericalFailureError:
+                status = RunStatus.NUMERIC_FAILURE
+                break
+            except NonFiniteError:
+                status = RunStatus.NON_FINITE
+                break
+            if info is not None:
+                records[-1].t_k = info.t
+                records[-1].sin2_theta = info.sin2_theta
+                records[-1].li_flag = info.li_flag
+            x, fx, v = x_next, f_next, v_next
+            record_iterate(x, fx, v, info)
     return RunTrace(solver_id, records, status, x, replace(cfg),
                     non_monotone_ok=non_monotone_ok)
 

@@ -1,11 +1,13 @@
+import csv
+import io
 import json
 from dataclasses import replace
 
 import pytest
 
-from ellipcenters import harness
+from ellipcenters import cli, harness
 from ellipcenters.cli import main
-from ellipcenters.harness import compute_reference
+from ellipcenters.harness import compute_reference, verify_experiment
 from ellipcenters.objectives import load_logreg, load_quadratic
 
 
@@ -35,6 +37,37 @@ def test_quadratic_verify_audits_exact_gaps(capsys):
                  "--kappa", "1e3", "--seed", "0"])
     assert code == 0
     assert "overall: PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("problem", ["logreg", "quadratic"])
+def test_audit_csv_is_the_dict_writer_rendering(problem, tmp_path, monkeypatch,
+                                                capsys):
+    """``verify --out`` writes audit.csv byte for byte as a csv.DictWriter
+    renders the report's rows: header name,step,value,bound,passed, floats
+    as .17g and passed as true/false."""
+    reports = []
+
+    def keep(spec):
+        result, report = verify_experiment(spec)
+        reports.append(report)
+        return result, report
+
+    monkeypatch.setattr(cli, "verify_experiment", keep)
+    code = main(["verify", "--problem", problem, "--n", "30", "--kappa", "1e3",
+                 "--seed", "4", "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    buf = io.StringIO(newline="")
+    writer = csv.DictWriter(buf, fieldnames=["name", "step", "value", "bound",
+                                             "passed"])
+    writer.writeheader()
+    writer.writerows({"name": r.name, "step": r.step,
+                      "value": format(r.value, ".17g"),
+                      "bound": format(r.bound, ".17g"),
+                      "passed": "true" if r.passed else "false"}
+                     for r in reports[0].rows)
+    assert len(reports[0].rows) > 100
+    assert (tmp_path / "audit.csv").read_bytes() == buf.getvalue().encode()
 
 
 def test_verify_warns_on_a_poor_reference(monkeypatch, capsys):

@@ -50,7 +50,7 @@ class TestRestrictedFunction:
     def test_plane_geometry_fields(self, small_logreg):
         _, sp, _ = build_plane(small_logreg, np.ones(50) * 0.1)
         assert 0.0 <= sp.sin2_theta <= 1.0
-        vv, ww = sp.gram[0, 0], sp.gram[1, 1]
+        vv, ww = sp.gram[0][0], sp.gram[1][1]
         assert np.all(np.linalg.eigvalsh(sp.gram) >= -1e-12 * vv * ww)
 
 
@@ -76,7 +76,7 @@ class TestNewtonPath:
         x = rng.standard_normal(5)
         _, sp, _ = build_plane(q, x)
         sol = solve_newton_quadratic(sp)
-        assert sol.inner_grad_norm <= 1e-10 * sp.gram[0, 0]
+        assert sol.inner_grad_norm <= 1e-10 * sp.gram[0][0]
         assert sol.grad_evals == 0
 
 

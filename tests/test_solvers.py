@@ -1,4 +1,6 @@
+import sys
 import time
+from collections import Counter
 
 import numpy as np
 import numpy.testing as npt
@@ -370,8 +372,9 @@ def test_recorded_grad_norm_is_the_numpy_norm(kind, sid):
 def test_gradient_check_tells_overflow_from_nan(sid, spike, status):
     """A finite gradient entry of 1e200 overflows ||g||^2, so its check
     looks at the entries: the run goes on (here to its one-step cap) and
-    records ||g|| = inf, as np.linalg.norm does.  A NaN entry ends the run
-    ``non_finite`` at the last good iterate."""
+    records ||g|| = inf, as np.linalg.norm does, without the overflow
+    warning escaping the run.  A NaN entry ends the run ``non_finite`` at
+    the last good iterate."""
     q = generate_quadratic(40, 1e2, 0)
     one_step = SolverConfig(max_outer=1)
     x2 = RUNNERS[sid](q.objective(), np.zeros(40), one_step).x_final
@@ -385,8 +388,7 @@ def test_gradient_check_tells_overflow_from_nan(sid, spike, status):
         return g
 
     q.grad = spiked
-    with np.errstate(over="ignore"):  # as np.linalg.norm, ||g||^2 overflows
-        trace = RUNNERS[sid](q.objective(), np.zeros(40), one_step)
+    trace = RUNNERS[sid](q.objective(), np.zeros(40), one_step)
     assert trace.status is status
     if status is RunStatus.MAX_ITERATIONS:
         assert trace.iterations == 1
@@ -464,3 +466,80 @@ def test_plain_objective_counts_every_probe_in_full(family, sid):
     assert last.restricted_evals_total == 0
     assert (trace.iterations, last.grad_evals_total, last.value_evals_total) \
         == PLAIN_COST_MODEL[family][sid.value]
+
+
+def scaled(p: QuadraticProblem, k: int) -> QuadraticProblem:
+    """``p`` with A, b, c, mu and lip all multiplied by 2**k."""
+    s = 2.0 ** k
+    return QuadraticProblem(s * p.a_matrix, s * p.b, s * p.c, mu=s * p.mu,
+                            lip=s * p.lip)
+
+
+@pytest.mark.parametrize("n, kappa, seed",
+                         [(40, 1e2, 0), (40, 1e2, 1), (200, 1e3, 2), (3, 1e8, 0)])
+@pytest.mark.parametrize("sid", list(RUNNERS), ids=lambda s: s.value)
+def test_power_of_two_scaling_changes_nothing(n, kappa, seed, sid):
+    """Scaling f by 2**k, with eps scaled alike, scales every value, gradient
+    and model entry exactly, so a run takes the same steps to the same bits:
+    the same x_final, status and evaluation totals."""
+    p = generate_quadratic(n, kappa, seed)
+    base = RUNNERS[sid](p.objective(), np.zeros(n), SolverConfig(max_outer=2000))
+    for k in (-3, 5):
+        cfg = SolverConfig(eps=2.0 ** k * 1e-6, max_outer=2000)
+        trace = RUNNERS[sid](scaled(p, k).objective(), np.zeros(n), cfg)
+        assert trace.x_final.tobytes() == base.x_final.tobytes()
+        assert (trace.status, trace.iterations) == (base.status, base.iterations)
+        got, want = trace.records[-1], base.records[-1]
+        assert (got.grad_evals_total, got.value_evals_total,
+                got.restricted_evals_total) == (want.grad_evals_total,
+                                                want.value_evals_total,
+                                                want.restricted_evals_total)
+
+
+@pytest.mark.parametrize("n", [1, 3, 30])
+@pytest.mark.parametrize("sid", list(RUNNERS), ids=lambda s: s.value)
+def test_ill_conditioned_quadratics_end_with_a_status(n, sid):
+    """At kappa = 1e8 every run ends converged, at the precision floor or at
+    its cap, and none raises."""
+    for seed in range(5):
+        f = generate_quadratic(n, 1e8, seed).objective()
+        trace = RUNNERS[sid](f, np.zeros(n), SolverConfig(max_outer=3000))
+        assert trace.status in (RunStatus.CONVERGED, RunStatus.PRECISION_FLOOR,
+                                RunStatus.MAX_ITERATIONS)
+
+
+@pytest.mark.parametrize("kappa", [1e2, 1e6, 1e8])
+def test_me_ends_within_two_steps_in_dimension_two(kappa):
+    """In dimension two the plane of the two gradients is the whole space, so
+    the plane minimizer is the minimizer."""
+    for seed in range(20):
+        trace = run_me(generate_quadratic(2, kappa, seed).objective(), np.zeros(2))
+        assert trace.converged and trace.iterations <= 2
+
+
+# Profiler events per step of a quadratic run from the origin on
+# generate_quadratic(40, 1e2, 0): Python function calls ("call") and calls
+# of C functions ("c_call"), each at its measured value plus 10%.  The
+# quadratic model's algebra runs on Python floats; a change that puts numpy
+# calls or layers back into the step exceeds these.
+CALL_BUDGET = {"me": {"call": 86, "c_call": 60},
+               "gd_exact": {"call": 49, "c_call": 27}}
+
+
+@pytest.mark.parametrize("sid", [SolverId.ME, SolverId.GD_EXACT],
+                         ids=lambda s: s.value)
+def test_quadratic_step_call_budget(sid):
+    f = generate_quadratic(40, 1e2, 0).objective()
+    RUNNERS[sid](f, np.zeros(40))  # first-use imports and caches
+    events = Counter()
+
+    def profile(frame, event, arg):
+        events[event] += 1
+
+    sys.setprofile(profile)
+    try:
+        trace = RUNNERS[sid](f, np.zeros(40))
+    finally:
+        sys.setprofile(None)
+    for event, budget in CALL_BUDGET[sid.value].items():
+        assert events[event] / trace.iterations <= budget, event
