@@ -27,16 +27,18 @@ from .solvers import RunStatus, SolverConfig, SolverId
 
 USAGE_ERROR = 64
 
-_DEFAULTS = {
-    "problem": "logreg",
-    "n": 100,
-    "m": None,
-    "kappa": 10.0,
-    "seed": 0,
-    "solver": None,
-    "eps": 1e-6,
-    "max_outer": 100000,
-    "out": None,
+# Each setting's default, and the JSON types a config file may give it, with
+# their name for messages; a bool counts as no number.
+_SETTINGS = {
+    "problem": ("logreg", str, "a string"),
+    "n": (100, int, "an integer"),
+    "m": (None, (int, type(None)), "an integer or null"),
+    "kappa": (10.0, (int, float), "a number"),
+    "seed": (0, int, "an integer"),
+    "solver": (None, (list, type(None)), "a list of solver names or null"),
+    "eps": (1e-6, (int, float), "a number"),
+    "max_outer": (100000, int, "an integer"),
+    "out": (None, (str, type(None)), "a string or null"),
 }
 
 
@@ -79,25 +81,32 @@ def build_parser() -> _Parser:
 
 
 def _resolve(args) -> dict:
-    settings = dict(_DEFAULTS)
+    settings = {key: spec[0] for key, spec in _SETTINGS.items()}
     if args.config is not None:
         try:
             loaded = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise _UsageError(f"cannot read config file: {exc}")
+        if not isinstance(loaded, dict):
+            raise _UsageError("config file must hold a JSON object, got "
+                              f"{json.dumps(loaded)}")
         for key, value in loaded.items():
             key = key.replace("-", "_")
             if key not in settings:
                 raise _UsageError(f"unknown config key {key!r}")
+            _, types, name = _SETTINGS[key]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise _UsageError(f"config key {key!r} must be {name}, got "
+                                  f"{json.dumps(value)}")
             settings[key] = value
     for key in settings:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             settings[key] = flag_value
     kappa, eps = settings["kappa"], settings["eps"]
-    if kappa is None or not (1.0 < kappa < math.inf):
+    if not (1.0 < kappa < math.inf):
         raise _UsageError(f"--kappa must exceed 1 and be finite, got {kappa}")
-    if settings["n"] is None or settings["n"] < 1:
+    if settings["n"] < 1:
         raise _UsageError(f"--n must be positive, got {settings['n']}")
     if not (0.0 < eps < math.inf) or settings["max_outer"] < 1:
         raise _UsageError("--eps must be positive and finite and --max-outer "
@@ -158,7 +167,7 @@ def _cmd_verify(settings: dict) -> int:
 
 def _cmd_gen(settings: dict) -> int:
     spec = _make_spec(settings, [SolverId.ME])
-    _, prob = build_problem(spec)
+    prob = build_problem(spec)
     out = settings["out"] or Path(f"{spec.problem}_n{spec.n}_seed{spec.seed}.txt")
     if spec.problem == "logreg":
         save_logreg(prob, out)

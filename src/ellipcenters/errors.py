@@ -2,7 +2,9 @@
 
 
 class NumericalFailureError(RuntimeError):
-    """A bracketing or bisection loop exceeded its iteration budget.
+    """A bracketing or bisection loop exceeded its iteration budget, or a
+    curvature v'Av along a search direction was not positive (in
+    ``companion_point`` and the exact linesearch on a quadratic model).
 
     This cannot happen for a genuinely smooth, strongly convex objective;
     it signals a bad objective or inconsistent constants.

@@ -21,7 +21,8 @@ import numpy as np
 from .diagnostics import (AuditReport, audit_bh_descent, audit_dominance,
                           audit_level_sets, audit_orthogonality,
                           certify_rates, contraction_ratios)
-from .objectives import Objective, generate_logreg, generate_quadratic
+from .objectives import (Objective, QuadraticProblem, generate_logreg,
+                         generate_quadratic)
 from .solvers import (RUNNERS, IterateRecord, Observer, RunTrace,
                       SolverConfig, SolverId, run_gd_exact)
 
@@ -90,18 +91,16 @@ class ReferenceSolution:
         return self.residual > 1e-10
 
 
-def build_problem(spec: ExperimentSpec):
-    """Instantiate the seeded problem; returns ``(objective, problem)``."""
+def build_problem(spec: ExperimentSpec) -> Objective:
+    """Instantiate the seeded problem, itself an :class:`Objective`."""
     if spec.problem == "quadratic":
-        prob = generate_quadratic(spec.n, spec.kappa, spec.seed)
-    else:
-        prob = generate_logreg(spec.n, spec.m, spec.kappa, spec.seed)
-    return prob.objective(), prob
+        return generate_quadratic(spec.n, spec.kappa, spec.seed)
+    return generate_logreg(spec.n, spec.m, spec.kappa, spec.seed)
 
 
 def compute_reference(f: Objective) -> ReferenceSolution:
-    """Reference optimum: linear solve for quadratics, otherwise gradient
-    descent with exact linesearch to eps=1e-13.
+    """Reference optimum: a linear solve for a :class:`QuadraticProblem`,
+    otherwise gradient descent with exact linesearch to eps=1e-13.
 
     The linesearch adapts to the curvature along each gradient, whereas a
     fixed step 1/lip, and the accelerated method's momentum tuned to it, pay
@@ -113,8 +112,8 @@ def compute_reference(f: Objective) -> ReferenceSolution:
     the final iterate, not from the run's last record, whose product may
     carry up to ``REFRESH_EVERY`` updates.
     """
-    if f.quadratic_view is not None:
-        x_star = f.quadratic_view.minimizer()
+    if isinstance(f, QuadraticProblem):
+        x_star = f.minimizer()
         residual = float(np.linalg.norm(f.grad(x_star)))
         return ReferenceSolution(f.value(x_star), x_star, "linear_solve", residual)
     cfg = SolverConfig(eps=1e-13, max_outer=500000)
@@ -145,7 +144,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     Individual solver failures are recorded in their summary row; the rest
     of the experiment continues.
     """
-    f, _ = build_problem(spec)
+    f = build_problem(spec)
     return _run_on(spec, f, compute_reference(f))
 
 
@@ -311,11 +310,11 @@ def verify_experiment(spec: ExperimentSpec):
     ``(ExperimentResult, AuditReport)``.
     """
     spec = replace(spec, solvers=[SolverId.ME])
-    f, _ = build_problem(spec)
+    f = build_problem(spec)
     ref = compute_reference(f)
     cfg = spec.config
     dist2: list[float] = []
-    gaps = [] if f.quadratic_view is not None else None
+    gaps = [] if isinstance(f, QuadraticProblem) else None
     orthogonality, level_sets = AuditReport(), AuditReport()
 
     def audit_step(k, x, f_x, g, step):

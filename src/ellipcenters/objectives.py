@@ -1,17 +1,20 @@
 """Objective families: SPD quadratics and L2-regularized logistic regression.
 
-Every solver in this package consumes an :class:`Objective`, which bundles the
-value/gradient callables with the strong-convexity modulus ``mu`` and the
-gradient Lipschitz constant ``lip``.  A problem object holds its data as
-read-only views of the arrays it was given (changing those arrays afterwards
-is not supported).  Every data product goes through the family's
-``_matvec``: ``a @ x`` for logistic, one BLAS ``dsymv`` for a quadratic (see
-:class:`QuadraticProblem`).  A problem remembers the data product of the
-last point it evaluated, so a ``value`` and a ``grad`` at the same point
-share one matrix pass, and the exact product of the point before, for
-``extrapolate``.  The two are replaced together as one tuple, so concurrent
-callers still get correct results (to the rounding of a carried product)
-and at worst lose reuses.
+Every solver in this package consumes an :class:`Objective`: ``value``,
+``grad``, ``restrict`` and ``extrapolate``, with the strong-convexity modulus
+``mu`` and the gradient Lipschitz constant ``lip``.  A user's f is an
+``Objective`` built from value and gradient callables.  The problem
+families, :class:`QuadraticProblem` and :class:`LogRegProblem`, are
+``Objective`` subclasses that override all four methods, so a problem is
+itself what a solver runs on.  A problem holds its data as read-only views of
+the arrays it was given (changing those arrays afterwards is not supported).
+Every data product goes through the family's ``_matvec``: ``a @ x`` for
+logistic, one BLAS ``dsymv`` for a quadratic (see :class:`QuadraticProblem`).
+A problem remembers the data product of the last point it evaluated, so a
+``value`` and a ``grad`` at the same point share one matrix pass, and the
+exact product of the point before, for ``extrapolate``.  The two are
+replaced together as one tuple, so concurrent callers still get correct
+results (to the rounding of a carried product) and at worst lose reuses.
 
 ``restrict(x, v[, w])`` returns a :class:`Restriction`, a model of f on
 ``x + span(v[, w])``: O(m) per evaluation for logistic, O(1) and exact for
@@ -19,9 +22,10 @@ quadratics.  A model's ``point`` hands the carried product
 ``A x + sum_i z_i A d_i`` to the problem, so ``value`` and ``grad`` there
 make no new data pass; it is formed exactly again after ``REFRESH_EVERY``
 carried updates, and ``restrict(x)`` with no direction forms ``A x``
-exactly, as every run starts.  A plain :class:`Objective` has no data
-product, and its model evaluates f in full.  A solver run counts through a
-:class:`CountingObjective`, whose models count and check themselves.
+exactly, as every run starts.  An ``Objective`` built from callables has no
+data product, and its model evaluates f in full.  A solver run counts
+through a :class:`CountingObjective`, whose models count and check
+themselves.
 
 Synthetic instances are generated from a seeded PCG64 generator so that the
 same ``(n, m, kappa, seed)`` always yields the bit-identical problem.
@@ -299,6 +303,10 @@ class _LogRegRestriction(_DataRestriction):
 class Objective:
     """A differentiable, strongly convex objective with known constants.
 
+    This is the one protocol the solvers consume.  Built from callables, it
+    evaluates f in full everywhere; the problem families subclass it and
+    override ``value``, ``grad``, ``restrict`` and ``extrapolate``.
+
     Parameters
     ----------
     dim : int
@@ -310,26 +318,11 @@ class Objective:
         the trace-based upper bound, not the largest Hessian eigenvalue.
     value_fn, grad_fn : callable
         Evaluate the objective and its gradient at a point.
-    quadratic_view : QuadraticProblem, optional
-        Set when the objective is exactly quadratic; read only by ``harness``,
-        which solves for the minimizer and audits exact gaps.
-    restrict_fn : callable, optional
-        ``(x, v, w) -> Restriction``, a model of f on ``x + span(v[, w])``
-        (see :meth:`restrict`).  The problem families pass theirs; without
-        one, ``restrict`` evaluates f in full at the model's points, with
-        the same arithmetic as the caller would use.
-    extrapolate_fn : callable, optional
-        ``(x, x_prev, beta) -> z``, the momentum point (see
-        :meth:`extrapolate`).  The problem families pass theirs, which also
-        hands over z's data product; without one, only z is computed.
     """
 
     def __init__(self, dim: int, mu: float, lip: float,
                  value_fn: Callable[[np.ndarray], float],
-                 grad_fn: Callable[[np.ndarray], np.ndarray],
-                 quadratic_view: Optional["QuadraticProblem"] = None,
-                 restrict_fn: Optional[Callable] = None,
-                 extrapolate_fn: Optional[Callable] = None):
+                 grad_fn: Callable[[np.ndarray], np.ndarray]):
         if dim < 1:
             raise ValueError(f"dim must be positive, got {dim}")
         if not (0.0 < mu <= lip):
@@ -339,9 +332,6 @@ class Objective:
         self.lip = float(lip)
         self._value_fn = value_fn
         self._grad_fn = grad_fn
-        self.quadratic_view = quadratic_view
-        self._restrict_fn = restrict_fn
-        self._extrapolate_fn = extrapolate_fn
 
     @property
     def kappa(self) -> float:
@@ -355,14 +345,13 @@ class Objective:
 
     def restrict(self, x: np.ndarray, v: Optional[np.ndarray] = None,
                  w: Optional[np.ndarray] = None) -> Restriction:
-        """A :class:`Restriction` of f to ``x + span(v[, w])``.
+        """A :class:`Restriction` of f to ``x + span(v[, w])``; with no
+        direction, the point ``x`` itself.
 
-        With no direction it is the point ``x`` itself, and a problem forms
-        ``A x`` exactly for it: a run that starts so never reuses a product
-        carried by earlier models.
+        This generic model evaluates f in full at its points, with the same
+        arithmetic as the caller would use.  A problem's model works on its
+        data products instead (see :meth:`_DataProblem.restrict`).
         """
-        if self._restrict_fn is not None:
-            return self._restrict_fn(x, v, w)
         return Restriction(self, np.asarray(x, dtype=float),
                            [np.asarray(d, dtype=float) for d in _directions(v, w)])
 
@@ -371,11 +360,9 @@ class Objective:
         """The momentum point ``x + beta * (x - x_prev)``.
 
         Nothing is evaluated.  A problem that holds the exact data products
-        of ``x`` and ``x_prev`` hands over z's product, combined from them,
-        so the next ``value`` or ``grad`` at z makes no new data pass.
+        of ``x`` and ``x_prev`` also hands over z's product, combined from
+        them, so the next ``value`` or ``grad`` at z makes no new data pass.
         """
-        if self._extrapolate_fn is not None:
-            return self._extrapolate_fn(x, x_prev, beta)
         return x + beta * (x - x_prev)
 
 
@@ -390,7 +377,8 @@ def _checked_sq(g: np.ndarray) -> float:
 
 
 class CountingObjective:
-    """Wraps an Objective and counts value/gradient evaluations.
+    """Wraps an Objective, a problem included, and counts value/gradient
+    evaluations.
 
     Duck-types Objective so it can be passed anywhere an Objective is
     expected.  ``value_evals`` and ``grad_evals`` count full n-vector
@@ -413,10 +401,6 @@ class CountingObjective:
         self.grad_evals = 0
         self.restricted_evals = 0
         self._last_grad = (None, 0.0)  # (last gradient, its squared norm)
-
-    @property
-    def kappa(self) -> float:
-        return self.lip / self.mu
 
     def value(self, x: np.ndarray) -> float:
         self.value_evals += 1
@@ -450,12 +434,21 @@ class CountingObjective:
         return self._obj.extrapolate(x, x_prev, beta)
 
 
-class _DataProblem:
+class _DataProblem(Objective):
     """What the problem families share: the checked point, and the model
     (``model``, the family's :class:`Restriction`) and the momentum point
-    built on the stored data product, formed by ``_matvec`` on a checked x."""
+    built on the stored data product, formed by ``_matvec`` on a checked x.
+    A family's ``__init__`` ends in ``Objective.__init__``, which checks
+    ``dim`` and ``0 < mu <= lip``; its ``value`` and ``grad`` override the
+    callables, so it passes none."""
 
     model = _DataRestriction
+    # (x.tobytes(), A @ x, carried updates, previous key, previous A @ x)
+    _product = (None, None, 0, None, None)
+
+    def objective(self) -> "_DataProblem":
+        """The problem itself, which is an :class:`Objective`."""
+        return self
 
     def restrict(self, x: np.ndarray, v: Optional[np.ndarray] = None,
                  w: Optional[np.ndarray] = None) -> Restriction:
@@ -521,15 +514,11 @@ class QuadraticProblem(_DataProblem):
         self.a_matrix = _read_only(a_matrix)
         self.b = _read_only(b)
         self.c = float(c)
-        self.dim = n
-        # (x.tobytes(), A @ x, carried updates, previous key, previous A @ x)
-        self._product = (None, None, 0, None, None)
         if mu is None or lip is None:
             eigs = np.linalg.eigvalsh(a_matrix)
             mu = float(eigs[0]) if mu is None else mu
             lip = float(eigs[-1]) if lip is None else lip
-        self.mu = float(mu)
-        self.lip = float(lip)
+        super().__init__(n, mu, lip, None, None)
 
     def _matvec(self, x: np.ndarray) -> np.ndarray:
         # A.T is an F-ordered view of the C-ordered A: dsymv copies nothing
@@ -550,11 +539,6 @@ class QuadraticProblem(_DataProblem):
     def minimizer(self) -> np.ndarray:
         """Solve Ax = b directly."""
         return np.linalg.solve(self.a_matrix, self.b)
-
-    def objective(self) -> Objective:
-        return Objective(self.dim, self.mu, self.lip, self.value, self.grad,
-                         quadratic_view=self, restrict_fn=self.restrict,
-                         extrapolate_fn=self.extrapolate)
 
 
 class LogRegProblem(_DataProblem):
@@ -578,20 +562,18 @@ class LogRegProblem(_DataProblem):
         if a.ndim != 2:
             raise ValueError(f"data matrix must be 2-D, got shape {a.shape}")
         m, n = a.shape
+        if m < 1:
+            raise ValueError("the data matrix has no rows")
         if labels.shape != (m,):
             raise ValueError(f"labels must have shape ({m},), got {labels.shape}")
         if not np.all(np.abs(labels) == 1.0):
             raise ValueError("labels must all be -1 or +1")
-        if mu <= 0:
-            raise ValueError(f"mu must be positive, got {mu}")
         self.a = _read_only(a)
         self.labels = _read_only(labels)
-        # (x.tobytes(), a @ x, carried updates, previous key, previous a @ x)
-        self._product = (None, None, 0, None, None)
-        self.mu = float(mu)
         self.m = m
-        self.n = self.dim = n
-        self.lip = float(np.sum(a * a) / (4.0 * m) + mu)
+        self.n = n
+        lip = float(np.sum(a * a) / (4.0 * m) + mu)
+        super().__init__(n, mu, lip, None, None)
 
     def _matvec(self, x: np.ndarray) -> np.ndarray:
         return self.a @ x
@@ -608,11 +590,6 @@ class LogRegProblem(_DataProblem):
         margins = -self.labels * ax
         weights = self.labels * expit(margins)
         return -(self.a.T @ weights) / self.m + self.mu * x
-
-    def objective(self) -> Objective:
-        return Objective(self.n, self.mu, self.lip, self.value, self.grad,
-                         restrict_fn=self.restrict,
-                         extrapolate_fn=self.extrapolate)
 
 
 def mu_for_kappa(data: np.ndarray, kappa: float) -> float:

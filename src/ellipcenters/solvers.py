@@ -55,11 +55,10 @@ class RunStatus(str, enum.Enum):
     steps without that.  ``inner_stall``: the 2-D plane solver ran out of
     iterations.  ``numeric_failure``: a ray search found no bracket or ran
     out of bisections, or a curvature was not positive.  ``non_finite``: a
-    NaN or infinite value or
-    gradient.  ``precision_floor``: double precision cannot resolve the
-    step: the companion bracket reached machine width above
-    ``companion_tol``, or a step of ``me``, ``gd_exact`` or ``gd_l`` left the
-    iterate bit-for-bit where it was.
+    NaN or infinite value or gradient.  ``precision_floor``: double
+    precision cannot resolve the step: the companion bracket reached machine
+    width above ``companion_tol``, or a step of ``me``, ``gd_exact`` or
+    ``gd_l`` left the iterate bit-for-bit where it was.
     """
 
     CONVERGED = "converged"
@@ -256,8 +255,7 @@ def _gd_exact_step(cf, k, x, f_x, v, cfg):
 
 def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
            cfg: SolverConfig | None, step, observe: Observer | None, *,
-           outer_grads: int = 1, non_monotone_ok: bool = False,
-           memoryless: bool = True) -> RunTrace:
+           outer_grads: int = 1, non_monotone_ok: bool = False) -> RunTrace:
     """The outer loop of every solver.
 
     Evaluates ``x1``, then runs ``step(cf, k, x_k, f(x_k), grad f(x_k), cfg)
@@ -275,15 +273,14 @@ def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
     with the matching status; a non-finite start raises
     :class:`NonFiniteError`.  The run sits in ``np.errstate(over="ignore")``,
     entered once, so a finite gradient whose ||g||^2 overflows is recorded
-    with norm inf instead of raising under warnings-as-errors.  With
-    ``memoryless``, a step that returns ``x_next`` bit-equal to ``x_k``
-    without lowering f also ends the run there, ``precision_floor``: the
-    step depends only on
-    (x_k, f, grad f(x_k)), so the next one would return x_k again (up to the
-    rounding of a carried data product), to ``max_outer``.  ``run_fast_gd``
-    passes ``memoryless=False``, since its momentum can still move it.
-    Equality is tested only when f does not fall, so a descending step pays
-    nothing.
+    with norm inf instead of raising under warnings-as-errors.  Unless
+    ``non_monotone_ok``, a step that returns ``x_next`` bit-equal to ``x_k``
+    without lowering f also ends the run there, ``precision_floor``: such a
+    step depends only on (x_k, f, grad f(x_k)), so the next one would return
+    x_k again (up to the rounding of a carried data product), to
+    ``max_outer``.  ``run_fast_gd``, the one non-monotone solver, is exempt,
+    since its momentum can still move it.  Equality is tested only when f
+    does not fall, so a descending step pays nothing.
     """
     cfg = cfg or SolverConfig()
     cf = CountingObjective(f)
@@ -312,7 +309,8 @@ def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
             try:
                 x_next, v_next, info = step(cf, len(records), x, fx, v, cfg)
                 f_next = cf.value(x_next)
-                if memoryless and f_next >= fx and np.array_equal(x_next, x):
+                if (not non_monotone_ok and f_next >= fx
+                        and np.array_equal(x_next, x)):
                     raise PrecisionFloorError("the step left the iterate "
                                               "unchanged")
                 if v_next is None:
@@ -397,7 +395,7 @@ def run_fast_gd(f: Objective, x1: np.ndarray, cfg: SolverConfig | None = None,
         return z - gz / cf.lip, None, None
 
     return _drive(SolverId.FAST_GD, f, x1, cfg, step, observe,
-                  non_monotone_ok=True, memoryless=False)
+                  non_monotone_ok=True)
 
 
 RUNNERS = {

@@ -138,6 +138,27 @@ def test_config_file_unknown_key(tmp_path):
     assert main(["run", "--config", str(cfg)]) == 64
 
 
+@pytest.mark.parametrize("config, key", [
+    ({"n": "20"}, "'n'"),
+    ({"kappa": "10"}, "'kappa'"),
+    ({"seed": "3"}, "'seed'"),
+    ({"n": 20.5}, "'n'"),
+    ({"n": True}, "'n'"),
+    ({"solver": "me"}, "'solver'"),
+    ([1, 2], "JSON object"),
+], ids=["n-str", "kappa-str", "seed-str", "n-float", "n-bool", "solver-str",
+        "not-an-object"])
+def test_config_file_wrong_type_is_usage_error(config, key, tmp_path, capsys):
+    """A wrongly typed config value is a usage error, reported in one line
+    that names the key, and no traceback."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err.splitlines()[0]
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1e-6"])
 def test_bad_eps_is_usage_error(eps, capsys):
     assert main(["run", "--problem", "quadratic", "--n", "10", "--kappa", "10",

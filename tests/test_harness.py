@@ -182,7 +182,7 @@ class TestVerify:
         and in the same order.  On the quadratic the rate audits take the
         exact gaps 1/2 <x_k - x*, grad f(x_k)>."""
         _, report = verify_experiment(spec)
-        f, _ = build_problem(spec)
+        f = build_problem(spec)
         ref = compute_reference(f)
         history, grads = History(), []
 

@@ -245,6 +245,22 @@ def test_objective_rejects_bad_constants():
         Objective(2, 0.0, 1.0, lambda x: 0.0, lambda x: np.zeros(2))
 
 
+def test_problems_are_objectives():
+    """A problem is itself the Objective the solvers consume."""
+    for p in (generate_quadratic(4, 10.0, 0), generate_logreg(4, 6, 10.0, 0)):
+        assert isinstance(p, Objective)
+        assert p.objective() is p
+
+
+def test_problems_check_their_constants_at_construction():
+    with pytest.raises(ValueError, match="mu <= lip"):
+        QuadraticProblem(np.eye(2), np.zeros(2), mu=2.0, lip=1.0)
+    with pytest.raises(ValueError, match="dim must be positive"):
+        LogRegProblem(np.zeros((3, 0)), np.ones(3), 1.0)
+    with pytest.raises(ValueError, match="no rows"):
+        LogRegProblem(np.zeros((0, 3)), np.ones(0), 1.0)
+
+
 FAMILIES = ["quadratic", "logreg"]
 
 
@@ -693,8 +709,11 @@ def test_models_count_into_the_counter_that_made_them(family, rng):
 
 
 def test_non_finite_model_evaluations_raise():
-    f = Objective(2, 1.0, 1.0, lambda x: 0.0, lambda x: np.zeros(2),
-                  restrict_fn=lambda x, v, w: NanModel(f, x, [v]))
+    class NanObjective(Objective):
+        def restrict(self, x, v=None, w=None):
+            return NanModel(self, x, [v])
+
+    f = NanObjective(2, 1.0, 1.0, lambda x: 0.0, lambda x: np.zeros(2))
     cf = CountingObjective(f)
     ray = cf.restrict(np.zeros(2), np.ones(2))
     with pytest.raises(NonFiniteError):
