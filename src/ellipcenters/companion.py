@@ -7,8 +7,8 @@ point, because a strongly convex function meets any line in at most two
 points and is coercive along every ray.  ``companion_point`` locates that
 crossing on a model of f along the ray (``Objective.restrict(x, v)``): in
 closed form when the model is an exact quadratic, else with ``ray_root`` on
-the level residual.  The same search, on the directional derivative, is the
-exact linesearch in :mod:`.solvers`.
+the level residual.  The exact linesearch along the same ray is a
+minimization, not a root search, and lives in :mod:`.plane2d`.
 """
 
 from __future__ import annotations
@@ -42,20 +42,19 @@ class CompanionResult:
 def ray_root(probe, t: float, tol: float):
     """Root of a sign function along a ray t > 0, by doubling then bisection.
 
-    ``probe(t)`` returns ``(s, payload)`` with s < 0 below the root and
-    s > 0 above it.  Doubles ``t`` until s > 0; the left end of the bracket
-    is the last probe with s < 0, else 0.  A doubling probe is never
-    accepted, since s may also vanish at the ray's start.  Then bisects
-    until |s| <= tol or the bracket is narrower than ``WIDTH_FLOOR * hi``,
-    and returns ``(t, |s|, payload)`` of the smallest-|s| probe among the
-    right end and the midpoints, plus the number of bisections; the caller
-    judges the residual.
+    ``probe(t)`` returns s, with s < 0 below the root and s > 0 above it.
+    Doubles ``t`` until s > 0; the left end of the bracket is the last probe
+    with s < 0, else 0.  A doubling probe is never accepted, since s may
+    also vanish at the ray's start.  Then bisects until |s| <= tol or the
+    bracket is narrower than ``WIDTH_FLOOR * hi``, and returns ``(t, |s|)``
+    of the smallest-|s| probe among the right end and the midpoints, plus
+    the number of bisections; the caller judges the residual.
     Raises :class:`NumericalFailureError` when s never turns positive or the
     bisection budget runs out.
     """
     lo = 0.0
     for _ in range(MAX_DOUBLINGS):
-        s, payload = probe(t)
+        s = probe(t)
         if s > 0.0:
             break
         if s < 0.0:
@@ -66,12 +65,12 @@ def ray_root(probe, t: float, tol: float):
             f"no sign change after {MAX_DOUBLINGS} doublings; "
             "objective does not look coercive")
     hi = t
-    best = (t, abs(s), payload)
+    best = (t, abs(s))
     for iters in range(1, MAX_BISECTIONS + 1):
         mid = 0.5 * (lo + hi)
-        s, payload = probe(mid)
+        s = probe(mid)
         if abs(s) < best[1]:
-            best = (mid, abs(s), payload)
+            best = (mid, abs(s))
         if abs(s) <= tol:
             break
         if s < 0.0:
@@ -125,9 +124,9 @@ def companion_point(ray, tol: float = 1e-12,
         return CompanionResult(t, ray.point(-t), res, 0)
 
     def level(t):
-        return (ray.value(-t) - g0) / denom, None
+        return (ray.value(-t) - g0) / denom
 
-    t, res, _, iters = ray_root(level, 2.0 / ray.lip, tol)
+    t, res, iters = ray_root(level, 2.0 / ray.lip, tol)
     if res > tol:
         raise PrecisionFloorError(
             f"bracket at machine width with level residual {res:.3e} > {tol:.3e}")

@@ -2,9 +2,10 @@
 
 
 class NumericalFailureError(RuntimeError):
-    """A bracketing or bisection loop exceeded its iteration budget, or a
-    curvature v'Av along a search direction was not positive (in
-    ``companion_point`` and the exact linesearch on a quadratic model).
+    """The companion search's bracketing or bisection loop exceeded its
+    iteration budget, or a curvature along the gradient was not positive
+    (v'Av in ``companion_point`` on a quadratic model, the model Hessian in
+    the exact linesearch).
 
     This cannot happen for a genuinely smooth, strongly convex objective;
     it signals a bad objective or inconsistent constants.
@@ -25,9 +26,10 @@ class DegeneratePlaneError(RuntimeError):
 
 
 class InnerStallError(RuntimeError):
-    """The 2-D inner solver hit its iteration cap while still far from its
-    gradient tolerance.  Outer loops abort rather than silently accept an
-    inexact plane minimizer."""
+    """The plane search ended, at its Newton-step cap or at its rounding
+    floor, with a restricted gradient above ``STALL_FACTOR`` times its
+    tolerance.  Outer loops abort rather than silently accept an inexact
+    plane minimizer."""
 
 
 class NonFiniteError(RuntimeError):

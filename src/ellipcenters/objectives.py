@@ -44,6 +44,7 @@ from scipy.special import expit
 from .errors import NonFiniteError
 
 REFRESH_EVERY = 64  # carried updates after which a model forms A p exactly
+SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -110,7 +111,9 @@ class Restriction:
 
     ``value(*z)`` is f at ``point(*z) = base + sum_i z_i d_i``; ``grad(*z)``
     the restricted gradient ``(<grad f(p), d_i>)_i``, a tuple of floats on
-    the exact quadratic model and an array otherwise; ``extend(w)`` the
+    the exact quadratic model and an array otherwise; ``hess(*z)`` the
+    restricted Hessian ``(<d_i, hess f(p) d_j>)_ij``, the stored ``hessian``
+    on the exact quadratic model and an array otherwise; ``extend(w)`` the
     model with ``w`` as one more direction.  ``gram`` is the Gram matrix of
     the directions, a tuple of rows of Python floats; each direction adds
     its row and column when it is added, so an extended model forms only
@@ -118,18 +121,19 @@ class Restriction:
     the gradient Lipschitz constant of f, and ``hessian`` the exact Hessian
     in z when f is quadratic, formed the same way, else None.
 
-    A subclass evaluates in ``_value(z)`` and ``_grad(z)``.  This generic
-    form, which a plain :class:`Objective` returns, evaluates at the full
-    point (``full``); ``last_full_grad`` keeps the full gradient behind the
-    last ``grad``.  A model made by :meth:`CountingObjective.restrict`, or
-    extended from one, holds that ``counter``: a full model evaluates
-    through it, a problem's model counts itself as a restricted evaluation
-    and raises :class:`NonFiniteError` on a NaN or infinite result.
+    A subclass evaluates in ``_value(z)``, ``_grad(z)`` and ``_hess(z)``.
+    This generic form, which a plain :class:`Objective` returns, evaluates
+    at the full point (``full``), and its ``hess`` is forward differences of
+    ``grad``, one more full gradient per direction besides the one at z.  A
+    model made by :meth:`CountingObjective.restrict`, or extended from one,
+    holds that ``counter``: a full model evaluates through it, a problem's
+    model counts each ``value``, ``grad`` and ``hess`` as one restricted
+    evaluation and raises :class:`NonFiniteError` on a NaN or infinite
+    result.
     """
 
     full = True
     hessian = None
-    last_full_grad = None
     counter = None
     dirs = ()
     gram = ()
@@ -185,13 +189,36 @@ class Restriction:
                 raise NonFiniteError("model gradient has a NaN or infinite entry")
         return g
 
+    def hess(self, *z) -> np.ndarray:
+        h = self._hess(z)
+        if self.counter is not None and not self.full:
+            self.counter.restricted_evals += 1
+            if not np.isfinite(h).all():
+                raise NonFiniteError("model Hessian has a NaN or infinite entry")
+        return h
+
     def _value(self, z) -> float:
         return (self.counter or self.f).value(self.point(*z))
 
     def _grad(self, z) -> np.ndarray:
         g = (self.counter or self.f).grad(self.point(*z))
-        self.last_full_grad = g
         return np.array([float(g.dot(d)) for d in self.dirs])
+
+    def _hess(self, z) -> np.ndarray:
+        """Forward differences of ``_grad``, symmetrized.  Coordinate i steps
+        by sqrt(eps) times the larger of ||p|| / ||d_i||, which moves p well
+        above its rounding, and 1/lip, the scale of a gradient step."""
+        z = np.array(z, dtype=float)
+        g = self._grad(z)
+        p = self.point(*z)
+        scale = math.sqrt(float(p.dot(p)))
+        cols = []
+        for i, row in enumerate(self.gram):
+            dz = z.copy()
+            dz[i] += SQRT_EPS * max(scale / math.sqrt(row[i]), 1.0 / self.lip)
+            cols.append((self._grad(dz) - g) / (dz[i] - z[i]))
+        h = np.array(cols)
+        return 0.5 * (h + h.T)
 
 
 class _DataRestriction(Restriction):
@@ -263,11 +290,14 @@ class _QuadraticRestriction(_DataRestriction):
         return tuple([g + sum(map(operator.mul, row, z))
                       for g, row in zip(self._g0, self.hessian)])
 
+    def _hess(self, z) -> tuple:
+        return self.hessian
+
 
 class _LogRegRestriction(_DataRestriction):
     """Margins ``-b * (a x + sum_i z_i a d_i)`` and ``||p||^2`` from the Gram
-    numbers, held as an array: every evaluation is O(m).  ``||x||^2`` is
-    formed on the first ``value``."""
+    numbers, held as an array: every evaluation, the Hessian included, is
+    O(m).  ``||x||^2`` is formed on the first ``value``."""
 
     _xd = _read_only(np.empty(0))
     _xx = None
@@ -298,6 +328,17 @@ class _LogRegRestriction(_DataRestriction):
         z = np.array(z, dtype=float)
         return (-data_part / prob.m
                 + prob.mu * (self._xd + self._gram_matrix @ z))
+
+    def _hess(self, z) -> np.ndarray:
+        # (1/m) D' diag(s') D + mu Gram, D = [a d_i], s' the logistic
+        # derivative at the margins (the labels square to 1)
+        prob = self.f
+        s = expit(-prob.labels * self._carried(z))
+        curv = s * (1.0 - s)
+        dd = self._data_dirs
+        data_part = np.array([[float((curv * ai).dot(aj)) for aj in dd]
+                              for ai in dd])
+        return data_part / prob.m + prob.mu * self._gram_matrix
 
 
 class Objective:
@@ -572,7 +613,7 @@ class LogRegProblem(_DataProblem):
         self.labels = _read_only(labels)
         self.m = m
         self.n = n
-        lip = float(np.sum(a * a) / (4.0 * m) + mu)
+        lip = float(_sum_squares(a) / (4.0 * m) + mu)
         super().__init__(n, mu, lip, None, None)
 
     def _matvec(self, x: np.ndarray) -> np.ndarray:
@@ -592,6 +633,11 @@ class LogRegProblem(_DataProblem):
         return -(self.a.T @ weights) / self.m + self.mu * x
 
 
+def _sum_squares(a: np.ndarray) -> float:
+    """sum_ij a_ij^2, with no temporary the size of ``a``."""
+    return float(np.einsum("ij,ij->", a, a))
+
+
 def mu_for_kappa(data: np.ndarray, kappa: float) -> float:
     """Regularizer making the bound-based condition number exactly ``kappa``.
 
@@ -601,7 +647,7 @@ def mu_for_kappa(data: np.ndarray, kappa: float) -> float:
     data = np.asarray(data, dtype=float)
     if kappa <= 1.0:
         raise ValueError(f"kappa must exceed 1, got {kappa}")
-    total = float(np.sum(data * data))
+    total = _sum_squares(data)
     if total <= 0.0:
         raise ValueError("data matrix has zero energy; kappa is undefined")
     m = data.shape[0]

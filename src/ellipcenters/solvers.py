@@ -19,10 +19,11 @@ iterate, one at the companion point), one per step for the baselines.
 ``grad_evals_total`` and ``value_evals_total`` count every full n-vector
 evaluation, including the per-iterate stopping check.  The ellipcenter and
 exact-linesearch steps probe f through a model of f on the span of their
-gradients (``Objective.restrict``); those probes, cheap for the problem
-families, are counted apart in ``restricted_evals_total``.  A plain
-:class:`Objective` has no such model, so its probes are full evaluations and
-counted as such.
+gradients (``Objective.restrict``): the companion search, and one minimizer,
+:func:`~.plane2d.minimize`, for the plane and the ray.  Those probes, cheap
+for the problem families, are counted apart in ``restricted_evals_total``.
+A plain :class:`Objective` has no such model, so its probes are full
+evaluations and counted as such.
 """
 
 from __future__ import annotations
@@ -34,11 +35,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .companion import companion_point, ray_root
+from .companion import companion_point
 from .errors import (DegeneratePlaneError, InnerStallError, NonFiniteError,
                      NumericalFailureError, PrecisionFloorError)
 from .objectives import CountingObjective, Objective
-from .plane2d import solve_gd_armijo, solve_newton_quadratic
+from .plane2d import minimize
 
 
 class SolverId(str, enum.Enum):
@@ -52,13 +53,14 @@ class RunStatus(str, enum.Enum):
     """How a run ended.
 
     ``converged``: ||grad f|| <= eps.  ``max_iterations``: ``max_outer``
-    steps without that.  ``inner_stall``: the 2-D plane solver ran out of
-    iterations.  ``numeric_failure``: a ray search found no bracket or ran
-    out of bisections, or a curvature was not positive.  ``non_finite``: a
-    NaN or infinite value or gradient.  ``precision_floor``: double
-    precision cannot resolve the step: the companion bracket reached machine
-    width above ``companion_tol``, or a step of ``me``, ``gd_exact`` or
-    ``gd_l`` left the iterate bit-for-bit where it was.
+    steps without that.  ``inner_stall``: the plane search ended far from
+    its tolerance.  ``numeric_failure``: the companion search found no
+    bracket or ran out of bisections, or a curvature along the gradient was
+    not positive.  ``non_finite``: a NaN or infinite value or gradient.
+    ``precision_floor``: double precision cannot resolve the step: the
+    companion bracket reached machine width above ``companion_tol``, or a
+    step of ``me``, ``gd_exact`` or ``gd_l`` left the iterate bit-for-bit
+    where it was.
     """
 
     CONVERGED = "converged"
@@ -75,9 +77,11 @@ class SolverConfig:
 
     ``eps`` is the outer stopping threshold on the gradient norm;
     ``companion_tol`` the relative level residual for the companion search;
-    ``inner_tol`` the 2-D solver gradient tolerance (scaled by the larger of
-    the two spanning gradient norms); ``ld_threshold`` the sin^2 cutoff below
-    which the two gradients are treated as parallel.
+    ``inner_tol`` the plane search's tolerance on its restricted gradient
+    (scaled by the larger of the two spanning gradient norms);
+    ``max_inner`` the cap on the Newton steps of the plane search and of the
+    exact linesearch; ``ld_threshold`` the sin^2 cutoff below which the two
+    gradients are treated as parallel.
     """
 
     eps: float = 1e-6
@@ -188,11 +192,13 @@ def _me_step(cf, k, x, f_x, v, cfg: SolverConfig):
 
     The ray model ``cf.restrict(x, v)`` gives the companion point; the full
     gradient w there reuses the model's product.  The plane model, the ray
-    extended by w, gives the plane minimizer: one Newton solve when the
-    model is an exact quadratic, else Armijo descent.  Only the gradients at
-    the companion point and at x_next are full evaluations.  When the two
-    gradients are parallel the plane is the line along v, and the step is
-    the exact-linesearch step on the ray model."""
+    extended by w, gives x_next through :func:`~.plane2d.minimize`, to
+    ``inner_tol * max(||v||, ||w||)`` in at most ``max_inner`` Newton steps;
+    a residual above ``STALL_FACTOR`` times that raises
+    :class:`InnerStallError`.  Only the gradients at the companion point and
+    at x_next are full evaluations.  When the two gradients are parallel, by
+    ``ld_threshold`` or by a singular plane Hessian, the plane is the line
+    along v, and the step is the exact-linesearch step on the ray model."""
     ray = cf.restrict(x, v)
     comp = companion_point(ray, tol=cfg.companion_tol, f_x=f_x)
     w = cf.grad(comp.y)
@@ -200,17 +206,16 @@ def _me_step(cf, k, x, f_x, v, cfg: SolverConfig):
     sin2_theta = plane.sin2_theta
     li = sin2_theta >= cfg.ld_threshold
     if li:
+        (vv, _), (_, ww) = plane.gram
+        tol = cfg.inner_tol * math.sqrt(max(vv, ww))
         try:
-            if plane.hessian is not None:
-                sol = solve_newton_quadratic(plane)
-            else:
-                sol = solve_gd_armijo(plane, inner_tol=cfg.inner_tol,
-                                      max_inner=cfg.max_inner, f_base=f_x)
-            x_next, g_next = sol.x_next, cf.grad(sol.x_next)
+            z = minimize(plane, tol, cfg.max_inner, f_x, stall=True)
+            x_next = plane.point(*z)
         except DegeneratePlaneError:
             li = False
     if not li:
-        x_next, g_next = _exact_linesearch(cf, ray)
+        x_next = _exact_linesearch(ray, f_x, cfg)
+    g_next = cf.grad(x_next)
     return x_next, g_next, StepVectors(
         k=k, v=v, w=w, grad_next=g_next, dx=x_next - x, t=comp.t, li_flag=li,
         sin2_theta=sin2_theta, level_residual=comp.level_residual)
@@ -221,36 +226,22 @@ def _gd_l_step(cf, k, x, f_x, v, cfg):
     return x - v / cf.lip, None, None
 
 
-def _exact_linesearch(cf, ray):
-    """``(x - t* v, grad f(x - t* v))`` on the ray model ``x + span(v)``, t*
-    the root of <grad f(x - t v), v>.
+def _exact_linesearch(ray, f_x, cfg):
+    """``x - t* v`` on the ray model ``x + span(v)``, t* the root of
+    <grad f(x - t v), v>, by :func:`~.plane2d.minimize`.
 
     An exact quadratic model gives t* = <grad f(x), v> / (v'Av).  Otherwise
-    ``ray_root`` runs on the model's slope and targets
-    |<g, v>| <= 1e-12 ||v||^2 from t = 1/lip; when rounding keeps the slope
-    above that, the bracket collapses to machine width and its
-    smallest-|<g, v>| probe is taken.  The one full gradient is the one at
-    x - t* v, which reuses the model's product; a model that evaluates in
-    full already has it from its probe.
+    the search targets |<g, v>| <= 1e-12 ||v||^2 in at most ``max_inner``
+    Newton steps; when rounding keeps the slope above that, it ends at its
+    rounding floor and takes its best point, never a stall.
     """
-    if ray.hessian is not None:
-        curv = ray.hessian[0][0]
-        if not curv > 0.0:
-            raise NumericalFailureError(f"v'Av = {curv:.3e} is not positive")
-        t = ray.grad(0.0)[0] / curv
-        g = None
-    else:
-        def slope(t):
-            return -float(ray.grad(-t)[0]), ray.last_full_grad
-
-        t, _, g, _ = ray_root(slope, 1.0 / ray.lip, 1e-12 * ray.gram[0][0])
-    x_next = ray.point(-t)
-    return x_next, cf.grad(x_next) if g is None else g
+    z = minimize(ray, 1e-12 * ray.gram[0][0], cfg.max_inner, f_x)
+    return ray.point(*z)
 
 
 def _gd_exact_step(cf, k, x, f_x, v, cfg):
     """Step to the minimizer of f along the negative gradient."""
-    return (*_exact_linesearch(cf, cf.restrict(x, v)), None)
+    return _exact_linesearch(cf.restrict(x, v), f_x, cfg), None, None
 
 
 def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,

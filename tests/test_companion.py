@@ -71,7 +71,7 @@ def recording(fn):
     def probe(t):
         s = fn(t)
         calls.append((t, s))
-        return s, ("payload", t)
+        return s
 
     return probe, calls
 
@@ -79,16 +79,15 @@ def recording(fn):
 class TestRayRoot:
     def test_root_found_from_below(self):
         probe, calls = recording(lambda t: t - 3.7)
-        t, res, payload, iters = ray_root(probe, 1.0, 1e-12)
+        t, res, iters = ray_root(probe, 1.0, 1e-12)
         assert abs(t - 3.7) <= 1e-12 and res == abs(t - 3.7)
-        assert payload == ("payload", t)
         # doubling 1, 2, 4: the bisection starts from [2, 4]
         assert [c[0] for c in calls[:4]] == [1.0, 2.0, 4.0, 3.0]
         assert iters == len(calls) - 3
 
     def test_first_probe_past_root_brackets_from_zero(self):
         probe, calls = recording(lambda t: t - 0.3)
-        t, res, _, _ = ray_root(probe, 5.0, 1e-12)
+        t, res, _ = ray_root(probe, 5.0, 1e-12)
         assert calls[1][0] == 2.5  # midpoint of [0, 5]
         assert abs(t - 0.3) <= 1e-12 and res <= 1e-12
 
@@ -96,24 +95,24 @@ class TestRayRoot:
         """A doubling probe inside the tolerance is passed over, since the
         companion's residual also vanishes at the start of the ray."""
         probe, calls = recording(lambda t: t - 1.0)
-        t, res, _, iters = ray_root(probe, 1.0 - 1e-14, 1e-12)
+        t, res, iters = ray_root(probe, 1.0 - 1e-14, 1e-12)
         assert abs(calls[0][1]) <= 1e-12
         assert iters >= 1 and t != calls[0][0]
         assert abs(t - 1.0) <= 1e-12 and res <= 1e-12
 
-    def test_payload_is_from_best_probe(self):
+    def test_best_probe_is_returned(self):
         """|s| jumps to 0.5 near the root, so the bracket collapses there
         while the smallest |s| stays with an earlier probe; that probe is
-        returned, payload and all."""
+        returned."""
         def plateau(t):
             d = t - 0.3
             return d if abs(d) > 0.01 else math.copysign(0.5, d)
 
         probe, calls = recording(plateau)
-        t, res, payload, iters = ray_root(probe, 1.0, 1e-12)
+        t, res, iters = ray_root(probe, 1.0, 1e-12)
         searched = calls[-(iters + 1):]
         best_t, best_s = min(searched, key=lambda c: abs(c[1]))
-        assert (t, res, payload) == (best_t, abs(best_s), ("payload", best_t))
+        assert (t, res) == (best_t, abs(best_s))
         assert t != calls[-1][0]
 
     def test_no_sign_change_raises(self):
@@ -124,7 +123,7 @@ class TestRayRoot:
 
     def test_nan_residual_never_brackets(self):
         with pytest.raises(NumericalFailureError):
-            ray_root(lambda t: (float("nan"), None), 1.0, 1e-12)
+            ray_root(lambda t: float("nan"), 1.0, 1e-12)
 
 
 class TestBracket:
@@ -138,7 +137,7 @@ class TestBracket:
         x = np.array([1.0, 0.0])
         v = f.grad(x)
         probe, calls = recording(lambda t: f.value(x - t * v) - 0.5)
-        t, res, _, iters = ray_root(probe, 2.0 / f.lip, 1e-12)
+        t, res, iters = ray_root(probe, 2.0 / f.lip, 1e-12)
         assert [c[0] for c in calls] == [2.0, 4.0, 2.0]
         assert (t, res, iters) == (2.0, 0.0, 1)
         comp = companion_point(f.restrict(x, v))

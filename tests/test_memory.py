@@ -1,4 +1,5 @@
-"""A default run holds O(n) arrays plus one record per iterate.
+"""A default run holds O(n) arrays plus one record per iterate, and a
+logistic instance holds its data matrix once.
 
 Peak memory is traced around the solver call only, so the instance itself
 (32 MB of matrix at n = 2000) is not counted.  Keeping every iterate would
@@ -10,8 +11,8 @@ import tracemalloc
 
 import numpy as np
 
-from ellipcenters import (SolverConfig, generate_quadratic, run_fast_gd,
-                          run_gd_l, run_me)
+from ellipcenters import (SolverConfig, generate_logreg, generate_quadratic,
+                          run_fast_gd, run_gd_l, run_me)
 
 LIMIT_BYTES = 2_000_000
 
@@ -49,3 +50,9 @@ def test_fast_gd_keeps_no_iterates():
     trace, peak = traced_peak(lambda: run_fast_gd(f, np.zeros(2000)))
     assert trace.converged
     assert peak < LIMIT_BYTES, f"peak {peak / 1e6:.2f} MB"
+
+
+def test_logistic_instance_holds_one_data_matrix():
+    """The squared-norm sum behind mu and lip forms no copy of the data."""
+    p, peak = traced_peak(lambda: generate_logreg(2000, 1000, 1e3, 0))
+    assert peak < 1.1 * p.a.nbytes, f"peak {peak / 1e6:.2f} MB"

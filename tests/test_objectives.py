@@ -892,3 +892,65 @@ def test_fast_gd_survives_evicted_products(family):
     assert (got.status, got.iterations) == (want.status, want.iterations)
     assert np.linalg.norm(got.x_final - want.x_final) <= \
         1e-13 * np.linalg.norm(want.x_final)
+
+
+def central_hessian(model, z, h):
+    """Central differences of ``model.grad`` at ``z``, coordinate steps ``h``."""
+    cols = []
+    for i, hi in enumerate(h):
+        up, down = list(z), list(z)
+        up[i] += hi
+        down[i] -= hi
+        cols.append((np.asarray(model.grad(*up)) - np.asarray(model.grad(*down)))
+                    / (up[i] - down[i]))
+    return np.array(cols)
+
+
+class TestHessian:
+    """``Restriction.hess``: exact on the problems' models, forward
+    differences on a plain Objective's."""
+
+    def model(self, p, seed, k):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        x, v, w = rng.standard_normal((3, p.dim))
+        z = tuple(0.3 * rng.standard_normal(k) / np.linalg.norm(v))
+        return (x, v, w)[:k + 1], z
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_logistic_matches_central_differences(self, k, seed):
+        p = generate_logreg(30, 20, 1e2, seed)
+        (x, *dirs), z = self.model(p, seed, k)
+        model = p.restrict(x, *dirs)
+        h = [1e-4 / np.linalg.norm(d) for d in dirs]
+        npt.assert_allclose(model.hess(*z), central_hessian(model, z, h),
+                            rtol=1e-6)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_quadratic_is_the_stored_hessian(self, k):
+        p = generate_quadratic(12, 30.0, 3)
+        (x, *dirs), z = self.model(p, 3, k)
+        model = p.restrict(x, *dirs)
+        assert model.hess(*z) is model.hessian
+        assert len(model.hessian) == k
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_forward_differences_agree_with_the_exact_one(self, k, seed):
+        p = generate_logreg(30, 20, 1e2, seed)
+        (x, *dirs), z = self.model(p, seed, k)
+        exact = p.restrict(x, *dirs).hess(*z)
+        npt.assert_allclose(plain(p).restrict(x, *dirs).hess(*z), exact,
+                            rtol=1e-5)
+
+    def test_logistic_is_counted_and_checked(self):
+        p = generate_logreg(30, 20, 1e2, 0)
+        (x, v, w), z = self.model(p, 0, 2)
+        cf = CountingObjective(p)
+        plane = cf.restrict(x, v, w)
+        plane.hess(*z)
+        assert (cf.value_evals, cf.grad_evals, cf.restricted_evals) == (0, 0, 1)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NonFiniteError):
+                plane.hess(math.nan, 0.0)
+        assert cf.restricted_evals == 2

@@ -7,7 +7,8 @@ from ellipcenters import (Objective, QuadraticProblem, SolverConfig,
                           run_me)
 from ellipcenters.companion import companion_point
 from ellipcenters.errors import DegeneratePlaneError, InnerStallError
-from ellipcenters.plane2d import solve_gd_armijo, solve_newton_quadratic
+from ellipcenters.objectives import CountingObjective
+from ellipcenters.plane2d import minimize
 
 # sin^2 of two gradients never reaches 1.0 here, so every step is degenerate
 LINE_STEP = SolverConfig(eps=1e-300, max_outer=1, ld_threshold=1.0)
@@ -21,6 +22,25 @@ def build_plane(prob, x):
     comp = companion_point(f.restrict(x, v))
     w = f.grad(comp.y)
     return f, f.restrict(x, v, w), comp
+
+
+def plain(prob):
+    """``prob`` as a plain Objective, whose model has no closed forms."""
+    return Objective(prob.dim, prob.mu, prob.lip, prob.value, prob.grad)
+
+
+def solve(sp, inner_tol=1e-12, max_iter=10000, stall=True):
+    """The plane step's search on ``sp``: ``(alpha, beta, x_next)`` to the
+    tolerance ``inner_tol * max(||v||, ||w||)``, from f(base) evaluated
+    uncounted."""
+    tol = inner_tol * max(np.linalg.norm(d) for d in sp.dirs)
+    alpha, beta = minimize(sp, tol, max_iter, sp.f.value(sp.base), stall)
+    return alpha, beta, sp.point(alpha, beta)
+
+
+def residual(sp, alpha, beta):
+    """Norm of the model's restricted gradient at (alpha, beta)."""
+    return float(np.linalg.norm(sp.grad(alpha, beta)))
 
 
 def plane_gradient(f, sp, alpha, beta):
@@ -42,8 +62,8 @@ class TestRestrictedFunction:
 
     def test_gradient_vanishes_at_minimizer(self, small_logreg):
         f, sp, _ = build_plane(small_logreg, np.ones(50) * 0.1)
-        sol = solve_gd_armijo(sp)
-        grad2 = plane_gradient(f, sp, sol.alpha, sol.beta)
+        alpha, beta, _ = solve(sp)
+        grad2 = plane_gradient(f, sp, alpha, beta)
         assert np.linalg.norm(grad2) <= 1e-11 * max(np.linalg.norm(sp.dirs[0]),
                                                     np.linalg.norm(sp.dirs[1]))
 
@@ -57,10 +77,10 @@ class TestRestrictedFunction:
 class TestNewtonPath:
     def test_two_dim_quadratic_hits_minimizer(self, diag_quadratic):
         _, sp, _ = build_plane(diag_quadratic, np.array([1.0, 1.0]))
-        sol = solve_newton_quadratic(sp)
-        npt.assert_allclose(sol.x_next, [0.0, 0.0], atol=1e-12)
+        alpha, beta, x_next = solve(sp)
+        npt.assert_allclose(x_next, [0.0, 0.0], atol=1e-12)
         v, w = sp.dirs
-        npt.assert_allclose(sol.x_next, sp.base + sol.alpha * v + sol.beta * w)
+        npt.assert_allclose(x_next, sp.base + alpha * v + beta * w)
 
     def test_isotropic_gradients_are_parallel(self):
         q = QuadraticProblem(np.eye(4), np.zeros(4))
@@ -68,46 +88,52 @@ class TestNewtonPath:
         x[0] = 1.0
         _, sp, _ = build_plane(q, x)
         with pytest.raises(DegeneratePlaneError):
-            solve_newton_quadratic(sp)
+            solve(sp)
+        with pytest.raises(DegeneratePlaneError):
+            solve(plain(q).restrict(x, *sp.dirs))
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_residual_small_on_random_spd(self, seed, rng):
         q = generate_quadratic(5, 12.0, seed)
         x = rng.standard_normal(5)
         _, sp, _ = build_plane(q, x)
-        sol = solve_newton_quadratic(sp)
-        assert sol.inner_grad_norm <= 1e-10 * sp.gram[0][0]
-        assert sol.grad_evals == 0
+        cf = CountingObjective(q)
+        sp = cf.restrict(x, sp.dirs[0], sp.dirs[1])
+        alpha, beta, _ = solve(sp)
+        assert cf.restricted_evals == 1  # the gradient at the origin
+        assert residual(sp, alpha, beta) <= 1e-10 * sp.gram[0][0]
 
 
 class TestArmijoDescent:
+    """Damped Newton with Armijo backtracking, on models with no closed
+    form."""
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_newton_on_quadratics(self, seed, rng):
         q = generate_quadratic(6, 10.0, seed)
         x = rng.standard_normal(6)
         f, sp, _ = build_plane(q, x)
-        exact = solve_newton_quadratic(sp)
-        descent = solve_gd_armijo(sp)
-        assert abs(descent.alpha - exact.alpha) <= 1e-8
-        assert abs(descent.beta - exact.beta) <= 1e-8
+        exact = solve(sp)
+        newton = solve(plain(q).restrict(x, *sp.dirs))
+        assert abs(newton[0] - exact[0]) <= 1e-8
+        assert abs(newton[1] - exact[1]) <= 1e-8
 
     def test_logistic_first_step_meets_tolerance(self):
         p = generate_logreg(40, 20, 50.0, 2)
         f, sp, _ = build_plane(p, np.zeros(40))
-        sol = solve_gd_armijo(sp, inner_tol=1e-12)
+        alpha, beta, _ = solve(sp, inner_tol=1e-12)
         scale = max(np.linalg.norm(d) for d in sp.dirs)
-        assert sol.inner_grad_norm <= 1e-12 * scale
-        assert sol.grad_evals == sol.inner_iters
+        assert residual(sp, alpha, beta) <= 1e-12 * scale
 
     def test_already_optimal_returns_origin(self, small_logreg):
-        f = small_logreg.objective()
+        cf = CountingObjective(small_logreg)
         x = np.ones(50) * 0.1
-        w = f.grad(x)
+        w = cf.grad(x)
         tiny = 1e-13 * np.ones(50) / np.sqrt(50)
-        sp = f.restrict(x, tiny, w)
-        sol = solve_gd_armijo(sp)
-        assert (sol.alpha, sol.beta) == (0.0, 0.0)
-        assert sol.inner_iters == 0 and sol.grad_evals == 0
+        sp = cf.restrict(x, tiny, w)
+        alpha, beta, _ = solve(sp)
+        assert (alpha, beta) == (0.0, 0.0)
+        assert cf.restricted_evals == 0
 
     def test_zero_base_value_keeps_rounding_floor(self):
         """At f(base) = 0 the rounding floor follows the accepted values, so
@@ -126,13 +152,16 @@ class TestArmijoDescent:
         p = generate_logreg(30, 15, 40.0, 4)
         f, sp, _ = build_plane(p, np.zeros(30))
         with pytest.raises(InnerStallError):
-            solve_gd_armijo(sp, max_inner=1)
+            solve(sp, max_iter=1)
+        alpha, beta, _ = solve(sp, max_iter=1, stall=False)
+        assert residual(sp, alpha, beta) > \
+            1e3 * 1e-12 * max(np.linalg.norm(d) for d in sp.dirs)
 
     def test_orthogonality_and_pythagoras_at_solution(self):
         p = generate_logreg(40, 20, 30.0, 6)
         f, sp, _ = build_plane(p, np.zeros(40))
-        sol = solve_gd_armijo(sp, inner_tol=1e-12)
-        g = f.grad(sol.x_next)
+        _, _, x_next = solve(sp, inner_tol=1e-12)
+        g = f.grad(x_next)
         v, w = sp.dirs
         eps_orth = 10.0 * 1e-12 * max(np.linalg.norm(v), np.linalg.norm(w))
         assert abs(g @ v) <= eps_orth
@@ -152,12 +181,12 @@ class TestArmijoDescent:
         v = f.grad(x)
         comp = companion_point(f.restrict(x, v))
         w = f.grad(comp.y)
-        sol = solve_gd_armijo(f.restrict(x, v, w))
+        _, _, x_next = solve(f.restrict(x, v, w))
         x_gd = run_gd_exact(f, x, SolverConfig(max_outer=1)).x_final
         t_star = (x - x_gd) @ v / (v @ v)
         slack = 1e-12 * max(1.0, abs(f.value(x)))
         for t in (1.0 / f.lip, t_star, comp.t / 2.0):
-            assert f.value(sol.x_next) <= f.value(x - t * v) + slack
+            assert f.value(x_next) <= f.value(x - t * v) + slack
 
 
 class TestSegmentMinimizer:

@@ -407,8 +407,8 @@ def test_gradient_check_tells_overflow_from_nan(sid, spike, status):
 # gradients at the companion point and at x_next, gd_exact the one at x_next,
 # and the outer loop the value at each iterate.
 COST_MODEL = {
-    "logreg": {"me": (10, 21, 11, 473), "gd_l": (799, 800, 800, 0),
-               "gd_exact": (26, 27, 27, 1120), "fast_gd": (117, 234, 118, 0)},
+    "logreg": {"me": (10, 21, 11, 310), "gd_l": (799, 800, 800, 0),
+               "gd_exact": (26, 27, 27, 188), "fast_gd": (117, 234, 118, 0)},
     "quadratic": {"me": (161, 323, 162, 483), "gd_l": (1218, 1219, 1219, 0),
                   "gd_exact": (630, 631, 631, 630), "fast_gd": (142, 284, 143, 0)},
 }
@@ -442,14 +442,14 @@ def test_restricted_steps_make_only_the_methods_gradients(family):
             assert last.restricted_evals_total > 0
 
 
-# A plain Objective has no restricted model: its searches evaluate in full,
-# with the same calls as before restricted evaluation existed.  The lengths
-# of gd_exact's bisections follow the last bits of the probed slopes, so the
-# quadratic total moves when the product's rounding does (27,262 with a
-# general matvec, 27,207 with the symmetric dsymv), at the same 630 steps.
+# A plain Objective has no restricted model: its searches evaluate in full.
+# Each Newton step of a search takes the gradient at its point and, for the
+# forward-difference Hessian, one more per direction; the Armijo test takes
+# values.  The counts follow the last bits of the probed values and
+# gradients, so they move when a product's rounding does.
 PLAIN_COST_MODEL = {
-    "logreg": {"me": (10, 177, 328), "gd_exact": (26, 1145, 27)},
-    "quadratic": {"me": (161, 2912, 3938), "gd_exact": (630, 27207, 631)},
+    "logreg": {"me": (10, 125, 269), "gd_exact": (26, 246, 71)},
+    "quadratic": {"me": (161, 1343, 2620), "gd_exact": (630, 6190, 1262)},
 }
 
 
@@ -466,6 +466,30 @@ def test_plain_objective_counts_every_probe_in_full(family, sid):
     assert last.restricted_evals_total == 0
     assert (trace.iterations, last.grad_evals_total, last.value_evals_total) \
         == PLAIN_COST_MODEL[family][sid.value]
+
+
+# Restricted evaluations of a logistic me run from the origin when its
+# searches were slope bisection (companion) and Armijo-Barzilai-Borwein
+# descent in an orthonormal chart (plane), keyed by generate_logreg's
+# (n, m, kappa, seed).  Damped Newton on the plane must take at most 3/4 of
+# them, and a gd_exact step, once 44-49 slope bisections, at most 12.
+SEARCH_BEFORE_NEWTON = {
+    (200, 100, 1e2, 0): 317, (200, 100, 1e2, 1): 321, (200, 100, 1e2, 2): 302,
+    (200, 100, 1e4, 0): 1684, (200, 100, 1e4, 1): 1951,
+    (200, 100, 1e4, 2): 1578, (2000, 1000, 1e3, 0): 346,
+}
+
+
+@pytest.mark.parametrize("instance", list(SEARCH_BEFORE_NEWTON),
+                         ids=lambda key: "-".join(map(str, key)))
+def test_restricted_evaluations_per_step(instance):
+    p = generate_logreg(*instance)
+    me = run_me(p, np.zeros(p.dim))
+    gd = run_gd_exact(p, np.zeros(p.dim))
+    assert me.converged and gd.converged
+    assert (me.records[-1].restricted_evals_total
+            <= 0.75 * SEARCH_BEFORE_NEWTON[instance])
+    assert gd.records[-1].restricted_evals_total <= 12 * gd.iterations
 
 
 def scaled(p: QuadraticProblem, k: int) -> QuadraticProblem:
