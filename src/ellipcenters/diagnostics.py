@@ -6,12 +6,12 @@ contraction at the universal rate 1 - mu/lip, the stronger rate
 (kappa-1)/(kappa+1) on steps where the two spanning gradients were linearly
 independent, the further angle-dependent improvement, gradient orthogonality
 at plane minimizers, and the two-gradient descent bound they imply.  The
-rate and descent audits read the trace's records.  The audits that need a
-step's vectors take them as the run hands them to its observer (see
-``solvers.History`` and ``harness.verify_experiment``), so no run has to
-keep them: ``audit_orthogonality`` and ``audit_level_sets`` accept any list
-of :class:`StepVectors`, one step's included, and ``certify_rates`` takes
-the iterate distances ||x_k - x*||^2 as floats.
+rate and descent audits read whole columns of the records.  The audits that
+need a step's vectors take them as the run hands them to its observer (see
+``solvers.History`` and ``harness.verify_experiment``), so no run has to keep
+them: ``audit_orthogonality`` and ``audit_level_sets`` accept any list of
+:class:`StepVectors`, one step's included, and ``certify_rates`` takes the
+iterate distances ||x_k - x*||^2 as floats.
 
 All rate audits are one-sided with relative slack ``RATE_SLACK`` (inexact 2-D
 solves can violate exact-arithmetic bounds in the last bits), and ratios are
@@ -21,7 +21,6 @@ of two nearly equal doubles carries no information.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -106,15 +105,13 @@ class AuditReport:
 
     def write_csv(self, path) -> None:
         """One CSV row per check under the header name,step,value,bound,passed,
-        floats as ``.17g`` (``"%.17g" %`` is ``format`` at half its cost) and
-        ``passed`` as ``true``/``false``."""
+        floats as ``.17g`` and ``passed`` as ``true``/``false``, each row one
+        ``%`` format and the file one write."""
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["name", "step", "value", "bound", "passed"])
-            writer.writerows([r.name, r.step, "%.17g" % r.value,
-                              "%.17g" % r.bound,
-                              "true" if r.passed else "false"]
-                             for r in self.rows)
+            fh.write("name,step,value,bound,passed\r\n" + "".join([
+                "%s,%d,%.17g,%.17g,%s\r\n" % (
+                    r.name, r.step, r.value, r.bound,
+                    "true" if r.passed else "false") for r in self.rows]))
 
 
 def contraction_ratios(trace: RunTrace, f_star: float,
@@ -127,7 +124,7 @@ def contraction_ratios(trace: RunTrace, f_star: float,
     whenever either gap sits below the cancellation floor
     ``GAP_FLOOR_REL * |f_star| + 1e-300``.
     """
-    values = [r.f_val for r in trace.records]
+    values = trace.records.column("f_val")
     floor = GAP_FLOOR_REL * abs(f_star) + 1e-300
     tol = 1e-9 * max(1.0, abs(f_star))
     for fv in values:
@@ -138,13 +135,8 @@ def contraction_ratios(trace: RunTrace, f_star: float,
         gaps = [fv - f_star for fv in values]
     elif len(gaps) != len(values):
         raise ValueError(f"{len(gaps)} gaps for {len(values)} records")
-    ratios: list[Optional[float]] = []
-    for g0, g1 in zip(gaps[:-1], gaps[1:]):
-        if g0 <= floor or g1 <= floor:
-            ratios.append(None)
-        else:
-            ratios.append(g1 / g0)
-    return ratios
+    return [None if g0 <= floor or g1 <= floor else g1 / g0
+            for g0, g1 in zip(gaps[:-1], gaps[1:])]
 
 
 def certify_rates(trace: RunTrace, f_star: float, mu: float, lip: float,
@@ -175,40 +167,35 @@ def certify_rates(trace: RunTrace, f_star: float, mu: float, lip: float,
     kappa = lip / mu
     eta = 1.0 - 1.0 / kappa
     eta_star = (kappa - 1.0) / (kappa + 1.0)
+    recs = trace.records
     if gaps is None:
-        gaps = [rec.f_val - f_star for rec in trace.records]
+        gaps = [fv - f_star for fv in recs.column("f_val")]
     ratios = contraction_ratios(trace, f_star, gaps)
     report = AuditReport()
     eta_bar: list[Optional[float]] = []
     c_min: Optional[float] = None
-    for i, rec in enumerate(trace.records[:-1]):
-        li = bool(rec.li_flag)
-        sin2 = rec.sin2_theta if rec.sin2_theta is not None else 0.0
+    steps = zip(recs.column("li_flag"), recs.column("sin2_theta"), ratios)
+    for step, (li, sin2, ratio) in enumerate(steps, start=1):
+        eta_bar.append(eta_star - sin2 / (4.0 * kappa * kappa) if li else None)
         if li:
-            eb = eta_star - sin2 / (4.0 * kappa * kappa)
-            eta_bar.append(eb)
             c_min = sin2 if c_min is None else min(c_min, sin2)
-        else:
-            eta_bar.append(None)
-        ratio = ratios[i]
         if ratio is None:
             continue
-        step = rec.k
         report.check("rate_eta", step, ratio, eta * (1.0 + RATE_SLACK))
         if li:
             report.check("rate_eta_star", step, ratio,
                          eta_star * (1.0 + RATE_SLACK))
             report.check("rate_eta_bar", step, ratio,
-                         eta_bar[i] * (1.0 + RATE_SLACK))
+                         eta_bar[-1] * (1.0 + RATE_SLACK))
     # (d) global bound against the initial gap
     floor = GAP_FLOOR_REL * abs(f_star) + 1e-300
     gap1 = gaps[0]
     if gap1 > floor:
-        for rec, gap in zip(trace.records[1:], gaps[1:]):
+        for k, gap in enumerate(gaps[1:], start=2):
             if gap <= floor:
                 continue
-            bound = eta ** (rec.k - 2) * gap1 * (1.0 + RATE_SLACK)
-            report.check("global_eta_bound", rec.k, gap, bound)
+            bound = eta ** (k - 2) * gap1 * (1.0 + RATE_SLACK)
+            report.check("global_eta_bound", k, gap, bound)
     # (e) iterate-distance bound
     if dist2:
         d1 = dist2[0]
@@ -259,14 +246,15 @@ def audit_bh_descent(trace: RunTrace, lip: float) -> AuditReport:
     absolute slack 1e-9 |f_k|.
     """
     report = AuditReport()
-    for rec, nxt in zip(trace.records[:-1], trace.records[1:]):
-        if not rec.li_flag:
+    recs = trace.records
+    f, g = recs.column("f_val"), recs.column("grad_norm")
+    for k, (li, f0, f1, g0, g1) in enumerate(
+            zip(recs.column("li_flag"), f, f[1:], g, g[1:]), start=1):
+        if not li:
             continue
-        decrease = rec.f_val - nxt.f_val
-        required = (nxt.grad_norm ** 2 + rec.grad_norm ** 2) / (2.0 * lip)
-        slack = 1e-9 * abs(rec.f_val)
+        required = (g1 ** 2 + g0 ** 2) / (2.0 * lip)
         # one-sided: required - decrease <= slack
-        report.check("bh_descent", rec.k, required - decrease, slack)
+        report.check("bh_descent", k, required - (f0 - f1), 1e-9 * abs(f0))
     return report
 
 

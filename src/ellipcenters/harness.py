@@ -10,7 +10,6 @@ summary varies between reruns.
 from __future__ import annotations
 
 import csv
-import io
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -195,10 +194,8 @@ def _run_on(spec: ExperimentSpec, f: Objective, reference: ReferenceSolution,
 
 
 def fill_ratios(trace: RunTrace, f_star: float) -> None:
-    """Attach post-hoc per-step gap contraction ratios to the records."""
-    ratios = contraction_ratios(trace, f_star)
-    for rec, ratio in zip(trace.records[:-1], ratios):
-        rec.ratio = ratio
+    """Write post-hoc per-step gap contraction ratios to the records."""
+    trace.records.set_ratios(contraction_ratios(trace, f_star))
 
 
 def _fmt(x) -> str:
@@ -215,51 +212,41 @@ def write_trace_csv(trace: RunTrace, f_star: float, path) -> None:
     """One row per iterate; floats carry 17 significant digits so the file
     round-trips bit-exactly.  Step fields stay empty for non-ellipcenter
     solvers and on each final row."""
+    recs = trace.records
+    f_val = recs.column("f_val")
+    floats = [f_val, [v - f_star for v in f_val],  # from grad_norm on,
+              *map(recs.column, TRACE_COLUMNS[3:8])]  # columns are fields
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
-        for rec in trace.records:
-            writer.writerow([
-                rec.k, _fmt(rec.f_val), _fmt(rec.f_val - f_star),
-                _fmt(rec.grad_norm), _fmt(rec.t_k), _fmt(rec.sin2_theta),
-                _fmt(rec.li_flag), _fmt(rec.ratio),
-                rec.grad_evals_outer, rec.grad_evals_total,
-                rec.value_evals_total, rec.restricted_evals_total,
-            ])
+        writer.writerows(zip(recs.column("k"), *(map(_fmt, c) for c in floats),
+                             *map(recs.column, TRACE_COLUMNS[8:])))
 
 
 def read_trace_csv(path):
     """Parse a trace CSV back into records; returns ``(records, gaps)``."""
-    records: list[IterateRecord] = []
-    gaps: list[float] = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            records.append(IterateRecord(
-                k=int(row["k"]),
-                f_val=float(row["f"]),
-                grad_norm=float(row["grad_norm"]),
-                t_k=float(row["t_k"]) if row["t_k"] else None,
-                sin2_theta=float(row["sin2_theta"]) if row["sin2_theta"] else None,
-                li_flag=(row["li_flag"] == "true") if row["li_flag"] else None,
-                ratio=float(row["ratio"]) if row["ratio"] else None,
-                grad_evals_outer=int(row["grad_evals_outer"]),
-                grad_evals_total=int(row["grad_evals_total"]),
-                value_evals_total=int(row["value_evals_total"]),
-                restricted_evals_total=int(row["restricted_evals_total"]),
-            ))
-            gaps.append(float(row["gap"]))
-    return records, gaps
+        rows = list(csv.reader(fh))[1:]
+
+    def field(text):  # a step field or ratio: empty, true/false or a float
+        return (None if not text else text == "true"
+                if text in ("true", "false") else float(text))
+
+    records = [IterateRecord(int(r[0]), float(r[1]), float(r[3]),
+                             *map(field, r[4:8]), *map(int, r[8:]))
+               for r in rows]
+    return records, [float(r[2]) for r in rows]
 
 
 def write_series_csv(trace: RunTrace, f_star: float, path) -> None:
     """Gap versus cumulative gradient evaluations, for plotting."""
+    recs = trace.records
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["grad_evals_outer", "grad_evals_total", "gap"])
-        for rec in trace.records:
-            writer.writerow([rec.grad_evals_outer, rec.grad_evals_total,
-                             _fmt(rec.f_val - f_star)])
+        writer.writerows(zip(recs.column("grad_evals_outer"),
+                             recs.column("grad_evals_total"),
+                             [_fmt(v - f_star) for v in recs.column("f_val")]))
 
 
 def write_summary_csv(summary: list[dict], path) -> None:
@@ -267,34 +254,24 @@ def write_summary_csv(summary: list[dict], path) -> None:
         writer = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS)
         writer.writeheader()
         for row in summary:
-            out = dict(row)
-            out["terminal_gap"] = _fmt(row["terminal_gap"])
-            out["terminal_grad_norm"] = _fmt(row["terminal_grad_norm"])
-            out["wall_time_s"] = format(row["wall_time_s"], ".6f")
-            out["kappa"] = _fmt(row["kappa"])
-            writer.writerow(out)
+            floats = {key: _fmt(row[key]) for key in
+                      ("kappa", "terminal_gap", "terminal_grad_norm")}
+            writer.writerow({**row, **floats,
+                             "wall_time_s": format(row["wall_time_s"], ".6f")})
 
 
 def format_summary_table(summary: list[dict]) -> str:
     """Aligned plain-text twin of the summary CSV."""
     headers = ["solver", "n", "kappa", "status", "iters", "grads(outer)",
                "grads(total)", "values", "terminal gap", "time(s)"]
-    rows = []
-    for s in summary:
-        rows.append([
-            s["solver"], str(s["n"]), f"{s['kappa']:g}", s["status"],
-            str(s["iterations"]), str(s["grad_evals_outer"]),
-            str(s["grad_evals_total"]), str(s["value_evals_total"]),
-            f"{s['terminal_gap']:.3e}", f"{s['wall_time_s']:.3f}",
-        ])
-    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-              for i, h in enumerate(headers)]
-    buf = io.StringIO()
-    buf.write("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip() + "\n")
-    buf.write("  ".join("-" * w for w in widths) + "\n")
-    for r in rows:
-        buf.write("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n")
-    return buf.getvalue().rstrip("\n")
+    rows = [[s["solver"], str(s["n"]), f"{s['kappa']:g}", s["status"],
+             str(s["iterations"]), str(s["grad_evals_outer"]),
+             str(s["grad_evals_total"]), str(s["value_evals_total"]),
+             f"{s['terminal_gap']:.3e}", f"{s['wall_time_s']:.3f}"]
+            for s in summary]
+    widths = [max(map(len, col)) for col in zip(headers, *rows)]
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip()
+                     for r in [headers, ["-" * w for w in widths], *rows])
 
 
 def verify_experiment(spec: ExperimentSpec):

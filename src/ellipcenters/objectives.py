@@ -113,7 +113,8 @@ class Restriction:
     the restricted gradient ``(<grad f(p), d_i>)_i``, a tuple of floats on
     the exact quadratic model and an array otherwise; ``hess(*z)`` the
     restricted Hessian ``(<d_i, hess f(p) d_j>)_ij``, the stored ``hessian``
-    on the exact quadratic model and an array otherwise; ``extend(w)`` the
+    on the exact quadratic model and an array otherwise, with ``grad=`` the
+    restricted gradient at z if the caller holds it; ``extend(w)`` the
     model with ``w`` as one more direction.  ``gram`` is the Gram matrix of
     the directions, a tuple of rows of Python floats; each direction adds
     its row and column when it is added, so an extended model forms only
@@ -121,15 +122,15 @@ class Restriction:
     the gradient Lipschitz constant of f, and ``hessian`` the exact Hessian
     in z when f is quadratic, formed the same way, else None.
 
-    A subclass evaluates in ``_value(z)``, ``_grad(z)`` and ``_hess(z)``.
-    This generic form, which a plain :class:`Objective` returns, evaluates
-    at the full point (``full``), and its ``hess`` is forward differences of
-    ``grad``, one more full gradient per direction besides the one at z.  A
-    model made by :meth:`CountingObjective.restrict`, or extended from one,
-    holds that ``counter``: a full model evaluates through it, a problem's
-    model counts each ``value``, ``grad`` and ``hess`` as one restricted
-    evaluation and raises :class:`NonFiniteError` on a NaN or infinite
-    result.
+    A subclass evaluates in ``_value(z)``, ``_grad(z)`` and ``_hess(z,
+    grad)``.  This generic form, which a plain :class:`Objective` returns,
+    evaluates at the full point (``full``), and its ``hess`` is forward
+    differences of ``grad``, one more full gradient per direction (and one
+    at z if not given).  A model made by :meth:`CountingObjective.restrict`,
+    or extended from one, holds that ``counter``: a full model evaluates
+    through it, a problem's model counts each ``value``, ``grad`` and
+    ``hess`` as one restricted evaluation and raises
+    :class:`NonFiniteError` on a NaN or infinite result.
     """
 
     full = True
@@ -189,8 +190,8 @@ class Restriction:
                 raise NonFiniteError("model gradient has a NaN or infinite entry")
         return g
 
-    def hess(self, *z) -> np.ndarray:
-        h = self._hess(z)
+    def hess(self, *z, grad=None) -> np.ndarray:
+        h = self._hess(z, grad)
         if self.counter is not None and not self.full:
             self.counter.restricted_evals += 1
             if not np.isfinite(h).all():
@@ -204,12 +205,12 @@ class Restriction:
         g = (self.counter or self.f).grad(self.point(*z))
         return np.array([float(g.dot(d)) for d in self.dirs])
 
-    def _hess(self, z) -> np.ndarray:
-        """Forward differences of ``_grad``, symmetrized.  Coordinate i steps
-        by sqrt(eps) times the larger of ||p|| / ||d_i||, which moves p well
-        above its rounding, and 1/lip, the scale of a gradient step."""
+    def _hess(self, z, grad) -> np.ndarray:
+        """Forward differences of ``_grad`` from ``grad``, symmetrized.
+        Coordinate i steps by sqrt(eps) times the larger of ||p|| / ||d_i||,
+        which moves p well above its rounding, and 1/lip, a gradient step."""
         z = np.array(z, dtype=float)
-        g = self._grad(z)
+        g = self._grad(z) if grad is None else np.asarray(grad)
         p = self.point(*z)
         scale = math.sqrt(float(p.dot(p)))
         cols = []
@@ -231,7 +232,8 @@ class _DataRestriction(Restriction):
     full = False
     _data_dirs = ()
 
-    def __init__(self, prob, base, dirs, product, carried):
+    def __init__(self, prob, base, dirs, product, carried, f_x=None,
+                 grad_x=None):
         self._product = product
         self._carried_updates = carried
         super().__init__(prob, base, dirs)
@@ -263,20 +265,25 @@ class _QuadraticRestriction(_DataRestriction):
     """The exact model f0 + z.g0 + z'Hz/2, with g0 = (<A x - b, d_i>)_i and
     H = (<d_i, A d_j>)_ij, on Python floats: every evaluation is O(1) and
     makes no numpy call.  Each entry is one dot, formed once: adding a
-    direction forms its entry of g0 and its row of H only.  f0 = f(x) is
-    formed on the first ``value``; the exact linesearch never asks for it."""
+    direction forms its entry of g0 and its row of H only; when ``grad_x``
+    is the first direction, as on a solver's ray and plane, g0 is the Gram's
+    first column.  f0 = f(x) is ``f_x``, else formed on the first ``value``;
+    the exact linesearch never asks for it."""
 
     hessian = ()
     _g0 = ()
-    _f0 = None
 
-    def __init__(self, prob, base, dirs, product, carried):
-        self._grad_base = product - prob.b
+    def __init__(self, prob, base, dirs, product, carried, f_x=None,
+                 grad_x=None):
+        self._f0 = f_x
+        self._grad_base = product - prob.b if grad_x is None else grad_x
         super().__init__(prob, base, dirs, product, carried)
 
     def _add(self, d):
         super()._add(d)
-        self._g0 += (float(self._grad_base.dot(self.dirs[-1])),)
+        g = self._grad_base
+        self._g0 += (self.gram[-1][0] if g is self.dirs[0]
+                     else float(g.dot(self.dirs[-1])),)
         self.hessian = _border(self.hessian, self.dirs, self._data_dirs[-1])
 
     def _value(self, z) -> float:
@@ -290,7 +297,7 @@ class _QuadraticRestriction(_DataRestriction):
         return tuple([g + sum(map(operator.mul, row, z))
                       for g, row in zip(self._g0, self.hessian)])
 
-    def _hess(self, z) -> tuple:
+    def _hess(self, z, grad) -> tuple:
         return self.hessian
 
 
@@ -329,7 +336,7 @@ class _LogRegRestriction(_DataRestriction):
         return (-data_part / prob.m
                 + prob.mu * (self._xd + self._gram_matrix @ z))
 
-    def _hess(self, z) -> np.ndarray:
+    def _hess(self, z, grad) -> np.ndarray:
         # (1/m) D' diag(s') D + mu Gram, D = [a d_i], s' the logistic
         # derivative at the margins (the labels square to 1)
         prob = self.f
@@ -385,9 +392,11 @@ class Objective:
         return self._grad_fn(x)
 
     def restrict(self, x: np.ndarray, v: Optional[np.ndarray] = None,
-                 w: Optional[np.ndarray] = None) -> Restriction:
+                 w: Optional[np.ndarray] = None, *, f_x: float | None = None,
+                 grad_x: Optional[np.ndarray] = None) -> Restriction:
         """A :class:`Restriction` of f to ``x + span(v[, w])``; with no
-        direction, the point ``x`` itself.
+        direction, the point ``x`` itself.  ``f_x`` and ``grad_x``, f and its
+        gradient at ``x`` if the caller holds them, spare a model forming them.
 
         This generic model evaluates f in full at its points, with the same
         arithmetic as the caller would use.  A problem's model works on its
@@ -463,8 +472,8 @@ class CountingObjective:
         return math.sqrt(sq if g is last else _checked_sq(g))
 
     def restrict(self, x: np.ndarray, v: Optional[np.ndarray] = None,
-                 w: Optional[np.ndarray] = None) -> Restriction:
-        model = self._obj.restrict(x, v, w)
+                 w: Optional[np.ndarray] = None, **at_x) -> Restriction:
+        model = self._obj.restrict(x, v, w, **at_x)
         model.counter = self
         return model
 
@@ -492,13 +501,13 @@ class _DataProblem(Objective):
         return self
 
     def restrict(self, x: np.ndarray, v: Optional[np.ndarray] = None,
-                 w: Optional[np.ndarray] = None) -> Restriction:
+                 w: Optional[np.ndarray] = None, **at_x) -> Restriction:
         """The family's model of f on ``x + span(v[, w])``, on the stored
         product of ``x``, or on ``A x`` formed exactly (none stored, or no
-        direction)."""
+        direction); ``f_x`` and ``grad_x`` as for ``Objective.restrict``."""
         dirs = _directions(v, w)
         x, product, carried = _data_product(self, x, fresh=not dirs)
-        return self.model(self, x, dirs, product, carried)
+        return self.model(self, x, dirs, product, carried, **at_x)
 
     def extrapolate(self, x: np.ndarray, x_prev: np.ndarray,
                     beta: float) -> np.ndarray:

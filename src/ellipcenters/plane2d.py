@@ -111,7 +111,7 @@ def minimize(model, tol: float, max_iter: int, f_base: float,
     iters = 0
     while residual > tol and iters < max_iter:
         iters += 1
-        step = _newton_step(model.hess(*z), g)
+        step = _newton_step(model.hess(*z, grad=g), g)
         decrease = -sum(map(operator.mul, g, step))  # twice the predicted one
         h, tested = 1.0, False
         while True:

@@ -30,7 +30,11 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -102,7 +106,7 @@ class SolverConfig:
 
 @dataclass
 class IterateRecord:
-    """Telemetry for one iterate.
+    """Telemetry for one iterate, as :class:`IterateRecords` hands it out.
 
     ``t_k``, ``sin2_theta`` and ``li_flag`` describe the step taken *from*
     this iterate and stay ``None`` on the final record and for non-ellipcenter
@@ -125,6 +129,90 @@ class IterateRecord:
     restricted_evals_total: int = 0
 
 
+NO_STEP = 2  # the li_flag byte of an iterate with no step recorded
+_LI_FLAG = (False, True, None)  # li_flag by its byte
+_STEP = ("t_k", "sin2_theta", "li_flag")
+_COUNTS = ("grad_evals_total", "value_evals_total", "restricted_evals_total")
+
+
+class IterateRecords(Sequence):
+    """A run's :class:`IterateRecord` telemetry in typed columns, 40 B per
+    iterate: floats in ``array('d')``, counts in ``array('q')``, ``li_flag``
+    in bytes.  ``k`` and ``grad_evals_outer`` follow from the index.  Step
+    columns reach the last step written (``NO_STEP`` where an iterate has
+    none), ``ratio`` (NaN for ``None``) what :meth:`set_ratios` wrote.  A
+    read-only sequence of the records; ``column(name)`` reads one field."""
+
+    def __init__(self, outer_grads: int = 1):
+        self._outer = outer_grads
+        self._cols = {name: array("q" if name in _COUNTS else "d") for name in
+                      ("f_val", "grad_norm", "t_k", "sin2_theta", "ratio",
+                       *_COUNTS)}
+        self._cols["li_flag"] = array("B")
+
+    def append(self, f_val: float, grad_norm: float, *counts: int) -> None:
+        """Add an iterate, with no step: f, ||grad f|| and its counts."""
+        cols = self._cols
+        cols["f_val"].append(f_val)
+        cols["grad_norm"].append(grad_norm)
+        for name, count in zip(_COUNTS, counts):
+            cols[name].append(count)
+
+    def set_step(self, t: float, sin2_theta: float, li_flag: bool) -> None:
+        """Write the step taken from the last iterate."""
+        cols = self._cols
+        pad = len(cols["f_val"]) - 1 - len(cols["li_flag"])
+        for name, value in zip(_STEP, (t, sin2_theta, 1 if li_flag else 0)):
+            if pad:
+                cols[name].extend(repeat(NO_STEP, pad))
+            cols[name].append(value)
+
+    def set_ratios(self, ratios: Sequence[Optional[float]]) -> None:
+        """Write the ratio column, from the first iterate on."""
+        self._cols["ratio"] = array(
+            "d", [math.nan if r is None else r for r in ratios])
+
+    def column(self, name: str) -> list:
+        """Field ``name`` of every iterate, ``None`` where a record has it."""
+        n, cols = len(self), self._cols
+        if name == "k":
+            return list(range(1, n + 1))
+        if name == "grad_evals_outer":
+            return [self._outer * i for i in range(n)]
+        if name == "li_flag":
+            values = [_LI_FLAG[b] for b in cols[name]]
+        elif name in _STEP:
+            values = [None if b == NO_STEP else v
+                      for v, b in zip(cols[name], cols["li_flag"])]
+        else:
+            values = [None if v != v else v for v in cols[name]] \
+                if name == "ratio" else cols[name].tolist()
+        return values + [None] * (n - len(values))
+
+    def __len__(self) -> int:
+        return len(self._cols["f_val"])
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]  # IndexError and TypeError as a list's
+        return list(map(self._record, i)) if isinstance(i, range) else \
+            self._record(i)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def _record(self, i: int) -> IterateRecord:
+        cols = self._cols
+        li = cols["li_flag"][i] if i < len(cols["li_flag"]) else NO_STEP
+        step = [None if li == NO_STEP else cols[n][i] for n in _STEP[:2]]
+        ratio = cols["ratio"][i] if i < len(cols["ratio"]) else math.nan
+        return IterateRecord(
+            i + 1, cols["f_val"][i], cols["grad_norm"][i], *step, _LI_FLAG[li],
+            None if ratio != ratio else ratio, self._outer * i,
+            *(cols[name][i] for name in _COUNTS))
+
+
 @dataclass
 class StepVectors:
     """The vectors of ellipcenter step ``k``, from iterate k to k + 1, handed
@@ -144,13 +232,13 @@ class StepVectors:
 
 @dataclass
 class RunTrace:
-    """Record of one solver run: O(1) telemetry per iterate and the final
-    iterate.  ``iterates`` and ``step_data`` remain for callers that read
-    them and stay empty; a caller that wants the history passes a
-    :class:`History` observer to the run."""
+    """Record of one solver run: :class:`IterateRecords`, 40 B per iterate,
+    and the final iterate.  ``iterates`` and ``step_data`` remain for
+    callers that read them and stay empty; a caller that wants the history
+    passes a :class:`History` observer to the run."""
 
     solver_id: SolverId
-    records: list[IterateRecord]
+    records: IterateRecords
     status: RunStatus
     x_final: np.ndarray
     config: SolverConfig
@@ -199,7 +287,7 @@ def _me_step(cf, k, x, f_x, v, cfg: SolverConfig):
     at x_next are full evaluations.  When the two gradients are parallel, by
     ``ld_threshold`` or by a singular plane Hessian, the plane is the line
     along v, and the step is the exact-linesearch step on the ray model."""
-    ray = cf.restrict(x, v)
+    ray = cf.restrict(x, v, f_x=f_x, grad_x=v)
     comp = companion_point(ray, tol=cfg.companion_tol, f_x=f_x)
     w = cf.grad(comp.y)
     plane = ray.extend(w)
@@ -241,7 +329,7 @@ def _exact_linesearch(ray, f_x, cfg):
 
 def _gd_exact_step(cf, k, x, f_x, v, cfg):
     """Step to the minimizer of f along the negative gradient."""
-    return _exact_linesearch(cf.restrict(x, v), f_x, cfg), None, None
+    return _exact_linesearch(cf.restrict(x, v, grad_x=v), f_x, cfg), None, None
 
 
 def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
@@ -275,30 +363,30 @@ def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
     """
     cfg = cfg or SolverConfig()
     cf = CountingObjective(f)
-    records: list[IterateRecord] = []
+    records = IterateRecords(outer_grads)
 
-    def record_iterate(x, f_x, g, info):
-        records.append(IterateRecord(
-            k=len(records) + 1, f_val=f_x, grad_norm=cf.grad_norm(g),
-            grad_evals_outer=outer_grads * len(records),
-            grad_evals_total=cf.grad_evals, value_evals_total=cf.value_evals,
-            restricted_evals_total=cf.restricted_evals))
+    def record_iterate(k, x, f_x, g, info) -> float:
+        grad_norm = cf.grad_norm(g)
+        records.append(f_x, grad_norm, cf.grad_evals, cf.value_evals,
+                       cf.restricted_evals)
         if observe is not None:
-            observe(len(records), x, f_x, g, info)
+            observe(k, x, f_x, g, info)
+        return grad_norm
 
     with np.errstate(over="ignore"):  # ||g||^2 may overflow to inf
         x = np.asarray(x1, dtype=float).copy()
         cf.restrict(x)
         fx = cf.value(x)
         v = cf.grad(x)
-        record_iterate(x, fx, v, None)
+        k = 1
+        grad_norm = record_iterate(k, x, fx, v, None)
         status = RunStatus.CONVERGED
-        while records[-1].grad_norm > cfg.eps:
-            if len(records) > cfg.max_outer:
+        while grad_norm > cfg.eps:
+            if k > cfg.max_outer:
                 status = RunStatus.MAX_ITERATIONS
                 break
             try:
-                x_next, v_next, info = step(cf, len(records), x, fx, v, cfg)
+                x_next, v_next, info = step(cf, k, x, fx, v, cfg)
                 f_next = cf.value(x_next)
                 if (not non_monotone_ok and f_next >= fx
                         and np.array_equal(x_next, x)):
@@ -319,11 +407,9 @@ def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
                 status = RunStatus.NON_FINITE
                 break
             if info is not None:
-                records[-1].t_k = info.t
-                records[-1].sin2_theta = info.sin2_theta
-                records[-1].li_flag = info.li_flag
-            x, fx, v = x_next, f_next, v_next
-            record_iterate(x, fx, v, info)
+                records.set_step(info.t, info.sin2_theta, info.li_flag)
+            x, fx, v, k = x_next, f_next, v_next, k + 1
+            grad_norm = record_iterate(k, x, fx, v, info)
     return RunTrace(solver_id, records, status, x, replace(cfg),
                     non_monotone_ok=non_monotone_ok)
 

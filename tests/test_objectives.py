@@ -641,6 +641,19 @@ class TestRestriction:
             assert both.value(*z) == extended.value(*z)
             assert_bitwise(both.grad(*z), extended.grad(*z))
 
+    def test_value_and_gradient_given_at_x_change_nothing(self, kind, rng):
+        """``f_x`` and ``grad_x`` spare a model forming them; with the
+        gradient as the first direction, as a solver restricts, the model
+        is the same to the bit."""
+        _, f, x, _, w = self.build(kind, rng)
+        f_x, g = f.value(x), f.grad(x)
+        given = f.restrict(x, g, w, f_x=f_x, grad_x=g)
+        formed = f.restrict(x, g, w)
+        assert_bitwise(given.gram, formed.gram)
+        for z in [(0.0, 0.0), (0.4, -1.3)]:
+            assert given.value(*z) == formed.value(*z)
+            assert_bitwise(given.grad(*z), formed.grad(*z))
+
     def test_full_gradient_at_a_model_point(self, kind, rng):
         """The problem's gradient at a model point reuses the product the
         model handed over; it agrees with the direct formula."""
@@ -942,6 +955,22 @@ class TestHessian:
         exact = p.restrict(x, *dirs).hess(*z)
         npt.assert_allclose(plain(p).restrict(x, *dirs).hess(*z), exact,
                             rtol=1e-5)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_forward_differences_reuse_a_given_gradient(self, k):
+        """A caller's restricted gradient at z gives the same Hessian, one
+        full gradient cheaper."""
+        p = generate_logreg(30, 20, 1e2, 1)
+        (x, *dirs), z = self.model(p, 1, k)
+        cf = CountingObjective(plain(p))
+        model = cf.restrict(x, *dirs)
+        g = model.grad(*z)
+        before = cf.grad_evals
+        fresh = model.hess(*z)
+        assert cf.grad_evals - before == k + 1
+        before = cf.grad_evals
+        npt.assert_array_equal(model.hess(*z, grad=g), fresh)
+        assert cf.grad_evals - before == k
 
     def test_logistic_is_counted_and_checked(self):
         p = generate_logreg(30, 20, 1e2, 0)

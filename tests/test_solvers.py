@@ -443,13 +443,15 @@ def test_restricted_steps_make_only_the_methods_gradients(family):
 
 
 # A plain Objective has no restricted model: its searches evaluate in full.
-# Each Newton step of a search takes the gradient at its point and, for the
-# forward-difference Hessian, one more per direction; the Armijo test takes
-# values.  The counts follow the last bits of the probed values and
-# gradients, so they move when a product's rounding does.
+# Each Newton step of a search takes the gradient at its point, which the
+# forward-difference Hessian reuses, and one more per direction for that
+# Hessian; the Armijo test takes values.  The counts follow the last bits of
+# the probed values and gradients, so they move when a product's rounding
+# does.  Before the Hessian reused the gradient, it formed that gradient
+# again: (125, 246) and (1343, 6190) gradients for the same iterates.
 PLAIN_COST_MODEL = {
-    "logreg": {"me": (10, 125, 269), "gd_exact": (26, 246, 71)},
-    "quadratic": {"me": (161, 1343, 2620), "gd_exact": (630, 6190, 1262)},
+    "logreg": {"me": (10, 99, 269), "gd_exact": (26, 173, 71)},
+    "quadratic": {"me": (161, 1088, 2620), "gd_exact": (630, 4337, 1262)},
 }
 
 
