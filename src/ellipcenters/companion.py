@@ -1,26 +1,23 @@
-"""Companion-point location on the current level set, and the ray search
-behind it.
+"""Companion-point location on the current level set.
 
 Starting from a non-stationary ``x`` with gradient ``v``, the ray
 ``x - t v`` (t > 0) re-crosses the level set {f = f(x)} at exactly one
 point, because a strongly convex function meets any line in at most two
-points and is coercive along every ray.  ``companion_point`` locates that
-crossing on a model of f along the ray (``Objective.restrict(x, v)``): in
-closed form when the model is an exact quadratic, else with ``ray_root`` on
-the level residual.  The exact linesearch along the same ray is a
-minimization, not a root search, and lives in :mod:`.plane2d`.
+points and is coercive along every ray.  ``companion_point`` finds it by
+one root search on a model of f along the ray, ``f.restrict(x, v)``; the
+exact linesearch there is a minimization, in :mod:`.plane2d`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalFailureError, PrecisionFloorError
 
-MAX_DOUBLINGS = 200
-MAX_BISECTIONS = 200
+MAX_STEPS = 200  # probes after the first step, doublings included
 WIDTH_FLOOR = 1e-15  # stop when the bracket narrows below WIDTH_FLOOR * hi
 
 
@@ -30,7 +27,8 @@ class CompanionResult:
 
     ``t`` is the positive step along the negative gradient, ``y = x - t v``
     the located point, and ``level_residual`` the achieved value residual
-    |f(y) - f(x)| / max(1, |f(x)|).
+    |f(y) - f(x)| / max(1, |f(x)|).  ``bisection_iters`` counts the probes
+    after the first step, 0 when that step lands on the level set.
     """
 
     t: float
@@ -39,70 +37,28 @@ class CompanionResult:
     bisection_iters: int
 
 
-def ray_root(probe, t: float, tol: float):
-    """Root of a sign function along a ray t > 0, by doubling then bisection.
-
-    ``probe(t)`` returns s, with s < 0 below the root and s > 0 above it.
-    Doubles ``t`` until s > 0; the left end of the bracket is the last probe
-    with s < 0, else 0.  A doubling probe is never accepted, since s may
-    also vanish at the ray's start.  Then bisects until |s| <= tol or the
-    bracket is narrower than ``WIDTH_FLOOR * hi``, and returns ``(t, |s|)``
-    of the smallest-|s| probe among the right end and the midpoints, plus
-    the number of bisections; the caller judges the residual.
-    Raises :class:`NumericalFailureError` when s never turns positive or the
-    bisection budget runs out.
-    """
-    lo = 0.0
-    for _ in range(MAX_DOUBLINGS):
-        s = probe(t)
-        if s > 0.0:
-            break
-        if s < 0.0:
-            lo = t
-        t *= 2.0
-    else:
-        raise NumericalFailureError(
-            f"no sign change after {MAX_DOUBLINGS} doublings; "
-            "objective does not look coercive")
-    hi = t
-    best = (t, abs(s))
-    for iters in range(1, MAX_BISECTIONS + 1):
-        mid = 0.5 * (lo + hi)
-        s = probe(mid)
-        if abs(s) < best[1]:
-            best = (mid, abs(s))
-        if abs(s) <= tol:
-            break
-        if s < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if (hi - lo) < WIDTH_FLOOR * hi:
-            break
-    else:
-        raise NumericalFailureError(
-            f"bisection did not converge in {MAX_BISECTIONS} steps")
-    return (*best, iters)
-
-
 def companion_point(ray, tol: float = 1e-12,
                     f_x: float | None = None) -> CompanionResult:
     """Locate the second level-set crossing along ``-v`` from ``x``.
 
-    ``ray`` is a model of f on ``x + span(v)`` (``f.restrict(x, v)``), with
-    ``v`` the gradient at ``x``.  With an exact quadratic model the crossing
-    is t = 2 <grad f(x), v> / (v'Av).  Otherwise ``ray_root`` runs on
-    s(t) = (f(x - t v) - f(x)) / max(1, |f(x)|) from t = 2/lip until
-    |s| <= tol, and :class:`PrecisionFloorError` is raised when the bracket
-    collapses to machine width first, since the level set is then finer
-    than double precision resolves along the ray.  ``y`` comes
-    from ``ray.point``, so a problem's gradient at it reuses the carried
-    product.
+    ``ray`` is a model of f on ``x + span(v)``, ``v`` the gradient at ``x``.
+    The search drives s(t) = (f(x - t v) - f(x)) / max(1, |f(x)|) to
+    |s| <= tol.  Its first step, t = 2 ||v||^2 / phi''(0) with phi''(0) the
+    curvature ``ray.hess`` at x, is the crossing itself on an exact quadratic
+    model.  Then it doubles t until s > 0 and runs the Illinois secant
+    (Dowell and Jarratt, BIT 11, 1971) on psi(t) = s(t) / t, which rises
+    from psi(0) = -||v||^2 / max(1, |f(x)|), known without a probe; a step
+    outside the bracket is replaced by its midpoint.  A bracket narrower
+    than ``WIDTH_FLOOR * hi`` raises :class:`PrecisionFloorError`: double
+    precision cannot resolve the level set along the ray.  A curvature
+    phi''(0) <= 0, a NaN residual or ``MAX_STEPS`` probes past the first
+    raise :class:`NumericalFailureError`.  ``y`` is ``ray.point(-t)``, so a
+    problem's gradient there reuses the carried product.
 
     Parameters
     ----------
     ray : Restriction
-        Model along one direction ``v``; ``||v|| > 0`` required.
+        Model along one direction ``v``; ``||v||^2 > 0`` required.
     tol : float
         Relative level-residual target.
     f_x : float, optional
@@ -110,24 +66,42 @@ def companion_point(ray, tol: float = 1e-12,
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    # <v, v> > 0 settles it without a pass over v, and the plane reuses it
-    if not (ray.gram[0][0] > 0.0 or ray.dirs[0].any()):
-        raise ValueError("gradient is zero; companion point is undefined")
+    vv = ray.gram[0][0]
+    if not vv > 0.0:
+        raise ValueError("||v||^2 is zero; companion point is undefined")
     g0 = ray.value(0.0) if f_x is None else f_x
     denom = max(1.0, abs(g0))
-    if ray.hessian is not None:
-        curv = ray.hessian[0][0]
-        if not curv > 0.0:
-            raise NumericalFailureError(f"v'Av = {curv:.3e} is not positive")
-        t = 2.0 * ray.grad(0.0)[0] / curv
-        res = abs(ray.value(-t) - g0) / denom
-        return CompanionResult(t, ray.point(-t), res, 0)
-
-    def level(t):
-        return (ray.value(-t) - g0) / denom
-
-    t, res, iters = ray_root(level, 2.0 / ray.lip, tol)
-    if res > tol:
-        raise PrecisionFloorError(
-            f"bracket at machine width with level residual {res:.3e} > {tol:.3e}")
-    return CompanionResult(t, ray.point(-t), res, iters)
+    curv = ray.hess(0.0, grad=(vv,))[0][0]
+    if not curv > 0.0:
+        raise NumericalFailureError(f"curvature {curv:.3e} along v is not positive")
+    t = 2.0 * vv / curv
+    s = (ray.value(-t) - g0) / denom
+    lo, psi_lo = 0.0, -vv / denom
+    hi = psi_hi = math.inf  # no probe above the level yet
+    side = steps = 0  # side: the end the last probe replaced, -1 lo, 1 hi
+    while not abs(s) <= tol:
+        if s > 0.0:
+            if side > 0:  # Illinois: the same end twice, halve the other
+                psi_lo *= 0.5
+            hi, psi_hi, side = t, s / t, 1
+        elif s < 0.0:
+            if side < 0:
+                psi_hi *= 0.5
+            lo, psi_lo, side = t, s / t, -1
+        else:
+            raise NumericalFailureError("level residual is NaN")
+        if steps == MAX_STEPS:
+            raise NumericalFailureError(
+                f"level residual {abs(s):.3e} > {tol:.3e} after {MAX_STEPS} probes")
+        if hi == math.inf:
+            t *= 2.0
+        elif hi - lo <= WIDTH_FLOOR * hi:
+            raise PrecisionFloorError(f"bracket at machine width with level "
+                                      f"residual {abs(s):.3e} > {tol:.3e}")
+        else:
+            t = lo + (hi - lo) * psi_lo / (psi_lo - psi_hi)
+            if not lo < t < hi:
+                t = 0.5 * (lo + hi)
+        steps += 1
+        s = (ray.value(-t) - g0) / denom
+    return CompanionResult(t, ray.point(-t), abs(s), steps)

@@ -2,10 +2,10 @@
 
 
 class NumericalFailureError(RuntimeError):
-    """The companion search's bracketing or bisection loop exceeded its
-    iteration budget, or a curvature along the gradient was not positive
-    (v'Av in ``companion_point`` on a quadratic model, the model Hessian in
-    the exact linesearch).
+    """The companion search found no level crossing within its probe cap
+    or met a NaN level residual, or a curvature along the gradient was not
+    positive (the model's curvature at the companion search's start, or in
+    a Newton step of the exact linesearch).
 
     This cannot happen for a genuinely smooth, strongly convex objective;
     it signals a bad objective or inconsistent constants.
@@ -13,10 +13,10 @@ class NumericalFailureError(RuntimeError):
 
 
 class PrecisionFloorError(NumericalFailureError):
-    """The companion bracket narrowed to machine width with the level
-    residual still above its tolerance: double precision cannot resolve the
-    level set, typically because f is large in absolute terms.  Outer loops
-    stop with status ``precision_floor``."""
+    """The companion search's bracket narrowed to machine width with the
+    level residual still above its tolerance: double precision cannot
+    resolve the level set, typically because f is large in absolute terms.
+    Outer loops stop with status ``precision_floor``."""
 
 
 class DegeneratePlaneError(RuntimeError):

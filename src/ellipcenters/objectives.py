@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
@@ -194,7 +195,7 @@ class Restriction:
         h = self._hess(z, grad)
         if self.counter is not None and not self.full:
             self.counter.restricted_evals += 1
-            if not np.isfinite(h).all():
+            if not all(map(math.isfinite, chain.from_iterable(h))):
                 raise NonFiniteError("model Hessian has a NaN or infinite entry")
         return h
 
@@ -709,11 +710,20 @@ def save_logreg(p: LogRegProblem, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_logreg(path) -> LogRegProblem:
-    """Inverse of :func:`save_logreg`."""
+def _instance_lines(path, fields: int) -> tuple[list[str], list[str]]:
+    """The header fields and all non-blank lines of an instance file, whose
+    header must hold ``fields`` fields; ``ValueError`` otherwise."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    header = lines[0].split()
+    header = lines[0].split() if lines else []
+    if len(header) != fields:
+        raise ValueError(f"expected a header of {fields} fields, found {header}")
+    return header, lines
+
+
+def load_logreg(path) -> LogRegProblem:
+    """Inverse of :func:`save_logreg`; a malformed file raises ``ValueError``."""
+    header, lines = _instance_lines(path, 3)
     n, m, mu = int(header[0]), int(header[1]), float(header[2])
     if len(lines) != 1 + 2 * m:
         raise ValueError(f"expected {1 + 2 * m} lines, found {len(lines)}")
@@ -736,10 +746,12 @@ def save_quadratic(p: QuadraticProblem, path) -> None:
 
 
 def load_quadratic(path) -> QuadraticProblem:
-    """Inverse of :func:`save_quadratic`."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    n = int(lines[0])
+    """Inverse of :func:`save_quadratic`; a malformed file raises
+    ``ValueError``."""
+    header, lines = _instance_lines(path, 1)
+    n = int(header[0])
+    if len(lines) != n + 3:
+        raise ValueError(f"expected {n + 3} lines, found {len(lines)}")
     a_matrix = np.array([[float(x) for x in lines[1 + i].split()] for i in range(n)])
     b = np.array([float(x) for x in lines[1 + n].split()])
     c = float(lines[2 + n])

@@ -58,13 +58,13 @@ class RunStatus(str, enum.Enum):
 
     ``converged``: ||grad f|| <= eps.  ``max_iterations``: ``max_outer``
     steps without that.  ``inner_stall``: the plane search ended far from
-    its tolerance.  ``numeric_failure``: the companion search found no
-    bracket or ran out of bisections, or a curvature along the gradient was
-    not positive.  ``non_finite``: a NaN or infinite value or gradient.
-    ``precision_floor``: double precision cannot resolve the step: the
-    companion bracket reached machine width above ``companion_tol``, or a
-    step of ``me``, ``gd_exact`` or ``gd_l`` left the iterate bit-for-bit
-    where it was.
+    its tolerance.  ``numeric_failure``: the companion search found no level
+    crossing within its probe cap or met a NaN level, or a curvature along
+    the gradient was not positive.  ``non_finite``: a NaN or infinite value
+    or gradient.  ``precision_floor``: double precision cannot resolve the
+    step: the companion search's bracket reached machine width above
+    ``companion_tol``, or a step of ``me``, ``gd_exact`` or ``gd_l`` left
+    the iterate bit-for-bit where it was.
     """
 
     CONVERGED = "converged"

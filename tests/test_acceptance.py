@@ -190,7 +190,8 @@ def test_criterion_6_quadratic_reduction():
         v = f.grad(x)
         # the closed-form step the method takes, t = 2 ||v||^2 / (v'Av)
         t_exact = run_me(f, x, SolverConfig(max_outer=1)).records[0].t_k
-        # a plain Objective has no exact model: bracket + bisection
+        # a plain Objective has no exact model: a forward-difference first
+        # step, then the bracketed secant
         blind = Objective(q.dim, q.mu, q.lip, q.value, q.grad)
         res: CompanionResult = companion_point(blind.restrict(x, v))
         assert abs(res.t - t_exact) <= 1e-9 * t_exact, seed
@@ -200,7 +201,7 @@ def test_criterion_6_quadratic_reduction():
         newton = minimize(blind.restrict(x, v, w), tol, 10000, f.value(x))
         assert abs(newton[0] - exact[0]) <= 1e-8, seed
         assert abs(newton[1] - exact[1]) <= 1e-8, seed
-    print("\nACCEPTANCE 6 PASS: bisection matched the closed-form step and "
+    print("\nACCEPTANCE 6 PASS: the generic search matched the closed-form step and "
           "damped Newton matched the closed-form plane solve on 20 instances")
 
 

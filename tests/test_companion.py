@@ -5,19 +5,20 @@ import numpy.testing as npt
 import pytest
 
 from ellipcenters import (Objective, QuadraticProblem, RunStatus,
-                          SolverConfig, generate_quadratic, run_gd_exact,
-                          run_me)
-from ellipcenters.companion import companion_point, ray_root
+                          SolverConfig, generate_logreg, generate_quadratic,
+                          run_gd_exact, run_me)
+from ellipcenters.companion import MAX_STEPS, companion_point
 from ellipcenters.errors import NumericalFailureError, PrecisionFloorError
+from ellipcenters.objectives import CountingObjective
 from ellipcenters.solvers import History
 
 ONE_STEP = SolverConfig(max_outer=1)
 
 
 def plain(q: QuadraticProblem) -> Objective:
-    """``q`` as a plain Objective: its model is the generic one, so the
-    companion search brackets and bisects instead of taking the closed
-    form."""
+    """``q`` as a plain Objective: its model is the generic one, whose
+    curvature is a forward difference, so the companion search's first step
+    is not the closed form."""
     return Objective(q.dim, q.mu, q.lip, q.value, q.grad)
 
 
@@ -64,88 +65,24 @@ class TestClosedForm:
         assert trace.iterations == 0
 
 
-def recording(fn):
-    """``fn`` as a probe that also appends every ``(t, s)`` it is asked."""
-    calls = []
-
-    def probe(t):
-        s = fn(t)
-        calls.append((t, s))
-        return s
-
-    return probe, calls
-
-
-class TestRayRoot:
-    def test_root_found_from_below(self):
-        probe, calls = recording(lambda t: t - 3.7)
-        t, res, iters = ray_root(probe, 1.0, 1e-12)
-        assert abs(t - 3.7) <= 1e-12 and res == abs(t - 3.7)
-        # doubling 1, 2, 4: the bisection starts from [2, 4]
-        assert [c[0] for c in calls[:4]] == [1.0, 2.0, 4.0, 3.0]
-        assert iters == len(calls) - 3
-
-    def test_first_probe_past_root_brackets_from_zero(self):
-        probe, calls = recording(lambda t: t - 0.3)
-        t, res, _ = ray_root(probe, 5.0, 1e-12)
-        assert calls[1][0] == 2.5  # midpoint of [0, 5]
-        assert abs(t - 0.3) <= 1e-12 and res <= 1e-12
-
-    def test_doubling_probe_is_never_accepted(self):
-        """A doubling probe inside the tolerance is passed over, since the
-        companion's residual also vanishes at the start of the ray."""
-        probe, calls = recording(lambda t: t - 1.0)
-        t, res, iters = ray_root(probe, 1.0 - 1e-14, 1e-12)
-        assert abs(calls[0][1]) <= 1e-12
-        assert iters >= 1 and t != calls[0][0]
-        assert abs(t - 1.0) <= 1e-12 and res <= 1e-12
-
-    def test_best_probe_is_returned(self):
-        """|s| jumps to 0.5 near the root, so the bracket collapses there
-        while the smallest |s| stays with an earlier probe; that probe is
-        returned."""
-        def plateau(t):
-            d = t - 0.3
-            return d if abs(d) > 0.01 else math.copysign(0.5, d)
-
-        probe, calls = recording(plateau)
-        t, res, iters = ray_root(probe, 1.0, 1e-12)
-        searched = calls[-(iters + 1):]
-        best_t, best_s = min(searched, key=lambda c: abs(c[1]))
-        assert (t, res) == (best_t, abs(best_s))
-        assert t != calls[-1][0]
-
-    def test_no_sign_change_raises(self):
-        probe, calls = recording(lambda t: -1.0)
-        with pytest.raises(NumericalFailureError):
-            ray_root(probe, 1.0, 1e-12)
-        assert len(calls) == 200
-
-    def test_nan_residual_never_brackets(self):
-        with pytest.raises(NumericalFailureError):
-            ray_root(lambda t: float("nan"), 1.0, 1e-12)
-
-
 class TestBracket:
-    """The doubling bracket of the companion search, seen through its probes."""
+    """The companion search, seen through its probes and its exits."""
 
-    def test_isotropic_bracket_straddles_two(self):
-        """The first probe t = 2/lip sits on the level set and is passed
-        over; doubling to 4 brackets the crossing from [0, 4], and the first
-        midpoint returns to t = 2 exactly."""
-        f = plain(QuadraticProblem(np.eye(2), np.zeros(2)))
-        x = np.array([1.0, 0.0])
-        v = f.grad(x)
-        probe, calls = recording(lambda t: f.value(x - t * v) - 0.5)
-        t, res, iters = ray_root(probe, 2.0 / f.lip, 1e-12)
-        assert [c[0] for c in calls] == [2.0, 4.0, 2.0]
-        assert (t, res, iters) == (2.0, 0.0, 1)
-        comp = companion_point(f.restrict(x, v))
-        assert (comp.t, comp.bisection_iters, comp.level_residual) == (2.0, 1, 0.0)
+    def test_first_step_is_the_quadratic_crossing(self, small_quadratic, rng):
+        """On the exact quadratic model the first step 2 ||v||^2 / (v'Av)
+        lands on the level set: one curvature and one value, no more."""
+        f = CountingObjective(small_quadratic)
+        x = rng.standard_normal(10)
+        v, f_x = f.grad(x), f.value(x)
+        res = companion_point(f.restrict(x, v, f_x=f_x, grad_x=v), f_x=f_x)
+        assert res.t == pytest.approx(
+            2.0 * (v @ v) / (v @ small_quadratic.a_matrix @ v), rel=1e-14)
+        assert res.bisection_iters == 0 and f.restricted_evals == 2
 
     def test_diag_bracket_contains_root(self, diag_quadratic):
-        """lip = 1 understates diag(1, 4): the first probe 2/lip = 2 is
-        already past the crossing 34/65, and bisection from [0, 2] finds it."""
+        """lip = 1 understates diag(1, 4); the generic model's first step
+        comes from a forward-difference curvature, and the search still
+        ends at the crossing 34/65."""
         q = QuadraticProblem(diag_quadratic.a_matrix, diag_quadratic.b, lip=1.0)
         x = np.array([1.0, 1.0])
         res = companion_point(plain(q).restrict(x, q.grad(x)))
@@ -176,11 +113,51 @@ class TestBracket:
             elif t > res.t * (1 + 1e-9):
                 assert fy > g0
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_lip_does_not_move_the_step(self, seed, rng):
+        """The search reads no ``lip``: on a logistic model with ``lip``
+        scaled by 1e-1 or 1e3, under- or overstating the curvature, the
+        companion step is the same to the bit."""
+        p = generate_logreg(30, 20, 1e3, seed)
+        for x in (np.zeros(30), 0.3 * rng.standard_normal(30)):
+            v, f_x = p.grad(x), p.value(x)
+            steps = set()
+            for scale in (1.0, 1e-1, 1e3):
+                ray = p.restrict(x, v, f_x=f_x, grad_x=v)
+                ray.lip *= scale
+                res = companion_point(ray, f_x=f_x)
+                assert res.bisection_iters > 0
+                steps.add(res.t)
+            assert len(steps) == 1
+
     def test_noncoercive_objective_fails(self):
+        """A linear f has no curvature along the ray."""
         f = Objective(1, 1.0, 1.0, lambda x: float(x[0]),
                       lambda x: np.ones(1))
         with pytest.raises(NumericalFailureError):
             companion_point(f.restrict(np.zeros(1), np.ones(1)))
+
+    def test_level_never_regained_fails(self):
+        """exp(-x) curves up along the ray but never returns to its level:
+        the search doubles until its probe cap runs out."""
+        calls = []
+
+        def value(x):
+            calls.append(x)
+            return math.exp(-x[0])
+
+        f = Objective(1, 1.0, 1.0, value, lambda x: -np.exp(-x))
+        with pytest.raises(NumericalFailureError):
+            companion_point(f.restrict(np.zeros(1), -np.ones(1)), f_x=1.0)
+        assert len(calls) == 1 + MAX_STEPS
+
+    def test_nan_level_is_numeric_failure(self):
+        """A model with no counter does not check its values; a NaN level
+        residual is never taken for a converged one."""
+        f = Objective(2, 1.0, 1.0, lambda x: math.nan, lambda x: x)
+        x = np.array([1.0, 2.0])
+        with pytest.raises(NumericalFailureError):
+            companion_point(f.restrict(x, f.grad(x)))
 
 
 class TestCompanionPoint:

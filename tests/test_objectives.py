@@ -237,6 +237,38 @@ class TestSerialization:
         npt.assert_array_equal(p.b, q.b)
         assert p.c == q.c
 
+    @pytest.mark.parametrize("load", [load_logreg, load_quadratic])
+    def test_empty_file_rejected(self, load, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("\n")
+        with pytest.raises(ValueError):
+            load(path)
+
+    def test_truncated_quadratic_rejected(self, tmp_path):
+        path = tmp_path / "quad.txt"
+        save_quadratic(generate_quadratic(5, 9.0, 21), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-2]) + "\n")  # no b, no c
+        with pytest.raises(ValueError, match="expected 8 lines"):
+            load_quadratic(path)
+
+    def test_quadratic_trailing_lines_rejected(self, tmp_path):
+        path = tmp_path / "quad.txt"
+        save_quadratic(generate_quadratic(5, 9.0, 21), path)
+        with open(path, "a") as fh:
+            fh.write("1.5\n")
+        with pytest.raises(ValueError, match="expected 8 lines"):
+            load_quadratic(path)
+
+    def test_two_field_logistic_header_rejected(self, tmp_path):
+        path = tmp_path / "instance.txt"
+        save_logreg(generate_logreg(7, 4, 6.0, 13), path)
+        lines = path.read_text().splitlines()
+        lines[0] = " ".join(lines[0].split()[:2])  # n m, no mu
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="header of 3 fields"):
+            load_logreg(path)
+
 
 def test_objective_rejects_bad_constants():
     with pytest.raises(ValueError):
@@ -733,7 +765,9 @@ def test_non_finite_model_evaluations_raise():
         ray.value(1.0)
     with pytest.raises(NonFiniteError):
         ray.grad(1.0)
-    assert (cf.value_evals, cf.grad_evals, cf.restricted_evals) == (0, 0, 2)
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
+        ray.hess(1.0)
+    assert (cf.value_evals, cf.grad_evals, cf.restricted_evals) == (0, 0, 3)
 
 
 def test_carried_product_drift_stays_small():

@@ -19,3 +19,35 @@ def test_readme_blocks_run(tmp_path):
     proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def table_rows(heading: str) -> dict:
+    """The rows of the first table after the README line ``heading``, by
+    their first cell with its backticks removed; each row's other cells."""
+    text = (ROOT / "README.md").read_text()
+    lines = text[text.index(heading):].splitlines()
+    start = next(i for i, ln in enumerate(lines) if ln.startswith("|"))
+    rows = {}
+    for ln in lines[start + 2:]:  # past the header and its rule
+        if not ln.startswith("|"):
+            break
+        first, *rest = [cell.strip() for cell in ln.strip("|").split("|")]
+        assert first.strip("`") not in rows, f"{first} is listed twice"
+        rows[first.strip("`")] = rest
+    return rows
+
+
+def test_status_table_lists_every_status_once():
+    from ellipcenters import RunStatus
+    rows = table_rows("| status | meaning |")
+    assert sorted(rows) == sorted(s.value for s in RunStatus)
+
+
+def test_tolerance_table_lists_every_setting_with_its_default():
+    from dataclasses import fields
+
+    from ellipcenters import SolverConfig
+    rows = table_rows("## Tolerances")
+    assert sorted(rows) == sorted(f.name for f in fields(SolverConfig))
+    for f in fields(SolverConfig):
+        assert float(rows[f.name][0]) == f.default, f.name
