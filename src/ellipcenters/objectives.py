@@ -40,7 +40,6 @@ from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import NonFiniteError
 
@@ -71,9 +70,16 @@ def _store(prob, state: tuple, key: bytes, product: np.ndarray,
 
 @functools.cache
 def _symv():
-    """BLAS ``dsymv``, imported on first use: ``scipy.linalg`` takes ~55 ms."""
+    """BLAS ``dsymv``, imported on first use: ``scipy.linalg`` takes ~0.3 s."""
     from scipy.linalg.blas import dsymv
     return dsymv
+
+
+@functools.cache
+def _expit():
+    """``scipy.special.expit``, imported on first use: it takes ~0.3 s."""
+    from scipy.special import expit
+    return expit
 
 
 def _data_product(prob, x: np.ndarray, fresh: bool = False):
@@ -331,7 +337,7 @@ class _LogRegRestriction(_DataRestriction):
 
     def _grad(self, z) -> np.ndarray:
         prob = self.f
-        weights = prob.labels * expit(-prob.labels * self._carried(z))
+        weights = prob.labels * _expit()(-prob.labels * self._carried(z))
         data_part = np.array([float(ad.dot(weights)) for ad in self._data_dirs])
         z = np.array(z, dtype=float)
         return (-data_part / prob.m
@@ -341,7 +347,7 @@ class _LogRegRestriction(_DataRestriction):
         # (1/m) D' diag(s') D + mu Gram, D = [a d_i], s' the logistic
         # derivative at the margins (the labels square to 1)
         prob = self.f
-        s = expit(-prob.labels * self._carried(z))
+        s = _expit()(-prob.labels * self._carried(z))
         curv = s * (1.0 - s)
         dd = self._data_dirs
         data_part = np.array([[float((curv * ai).dot(aj)) for aj in dd]
@@ -639,8 +645,11 @@ class LogRegProblem(_DataProblem):
     def grad(self, x: np.ndarray) -> np.ndarray:
         x, ax, _ = _data_product(self, x)
         margins = -self.labels * ax
-        weights = self.labels * expit(margins)
-        return -(self.a.T @ weights) / self.m + self.mu * x
+        weights = self.labels * _expit()(margins)
+        g = self.a.T @ weights  # -g / m + mu x, in g's buffer
+        np.divide(np.negative(g, out=g), self.m, out=g)
+        g += self.mu * x
+        return g
 
 
 def _sum_squares(a: np.ndarray) -> float:

@@ -216,8 +216,8 @@ class IterateRecords(Sequence):
 @dataclass
 class StepVectors:
     """The vectors of ellipcenter step ``k``, from iterate k to k + 1, handed
-    to the run's observer with iterate k + 1.  They feed the orthogonality,
-    Lipschitz-displacement and level-set audits."""
+    to the run's observer with iterate k + 1, and formed only for one.  They
+    feed the orthogonality, Lipschitz-displacement and level-set audits."""
 
     k: int
     v: np.ndarray
@@ -286,10 +286,14 @@ def _me_step(cf, k, x, f_x, v, cfg: SolverConfig):
     :class:`InnerStallError`.  Only the gradients at the companion point and
     at x_next are full evaluations.  When the two gradients are parallel, by
     ``ld_threshold`` or by a singular plane Hessian, the plane is the line
-    along v, and the step is the exact-linesearch step on the ray model."""
+    along v, and the step is the exact-linesearch step on the ray model.
+    The step's ``info`` is ``(w, t, li_flag, sin2_theta, level_residual)``;
+    y goes once w is formed, and the models before the gradient at x_next."""
     ray = cf.restrict(x, v, f_x=f_x, grad_x=v)
     comp = companion_point(ray, tol=cfg.companion_tol, f_x=f_x)
+    t, level_residual = comp.t, comp.level_residual
     w = cf.grad(comp.y)
+    del comp  # and with it y
     plane = ray.extend(w)
     sin2_theta = plane.sin2_theta
     li = sin2_theta >= cfg.ld_threshold
@@ -303,10 +307,8 @@ def _me_step(cf, k, x, f_x, v, cfg: SolverConfig):
             li = False
     if not li:
         x_next = _exact_linesearch(ray, f_x, cfg)
-    g_next = cf.grad(x_next)
-    return x_next, g_next, StepVectors(
-        k=k, v=v, w=w, grad_next=g_next, dx=x_next - x, t=comp.t, li_flag=li,
-        sin2_theta=sin2_theta, level_residual=comp.level_residual)
+    del ray, plane  # the models and their data products
+    return x_next, cf.grad(x_next), (w, t, li, sin2_theta, level_residual)
 
 
 def _gd_l_step(cf, k, x, f_x, v, cfg):
@@ -340,13 +342,15 @@ def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
     Evaluates ``x1``, then runs ``step(cf, k, x_k, f(x_k), grad f(x_k), cfg)
     -> (x_next, g_next, info)`` for k = 1, 2, ... until ||grad f|| <= eps or
     ``max_outer`` steps.  ``g_next`` is the gradient at ``x_next`` if the step
-    has it, else ``None``; ``info`` is the ellipcenter step's
-    :class:`StepVectors`, else ``None``.  Each step adds ``outer_grads`` to
+    has it, else ``None``; ``info`` is the ellipcenter step's w and scalars
+    (see :func:`_me_step`), else ``None``.  Each step adds ``outer_grads`` to
     ``grad_evals_outer``.  The run starts from a model at ``x1`` with no
     direction, so its first data product is formed exactly whatever the
     objective evaluated before.  Each accepted iterate k goes to
-    ``observe(k, x_k, f(x_k), grad f(x_k), info)``, with ``info`` the step
-    that produced it (``None`` for k = 1); the loop keeps no earlier vector.
+    ``observe(k, x_k, f(x_k), grad f(x_k), step)``, with ``step`` the
+    :class:`StepVectors` of the step that produced it, formed only for an
+    observer (``None`` for k = 1 and the baselines).  The loop keeps no
+    earlier vector: step k's are released before step k + 1 runs.
     An inner stall, a numerical failure, a level set below double precision
     or a non-finite value or gradient ends the run at the last good iterate
     with the matching status; a non-finite start raises
@@ -407,9 +411,14 @@ def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
                 status = RunStatus.NON_FINITE
                 break
             if info is not None:
-                records.set_step(info.t, info.sin2_theta, info.li_flag)
+                t, li, sin2_theta, level_residual = info[1:]
+                records.set_step(t, sin2_theta, li)
+                info = None if observe is None else StepVectors(
+                    k, v, info[0], v_next, x_next - x, t, li, sin2_theta,
+                    level_residual)
             x, fx, v, k = x_next, f_next, v_next, k + 1
             grad_norm = record_iterate(k, x, fx, v, info)
+            del info  # step k's vectors die before step k + 1 runs
     return RunTrace(solver_id, records, status, x, replace(cfg),
                     non_monotone_ok=non_monotone_ok)
 
@@ -469,7 +478,8 @@ def run_fast_gd(f: Objective, x1: np.ndarray, cfg: SolverConfig | None = None,
             z = cf.extrapolate(x, x_prev, momentum)
             gz = cf.grad(z)
         x_prev = x
-        return z - gz / cf.lip, None, None
+        x_next = gz / cf.lip
+        return np.subtract(z, x_next, out=x_next), None, None
 
     return _drive(SolverId.FAST_GD, f, x1, cfg, step, observe,
                   non_monotone_ok=True)

@@ -4,17 +4,35 @@ a logistic instance holds its data matrix once.
 Peak memory is traced around the solver call only, so the instance itself
 (32 MB of matrix at n = 2000) is not counted.  Keeping every iterate would
 cost 16 KB a step for ``gd_l`` at n = 2000 (48 MB over 3,000 steps) and four
-more n-vectors a step for ``me``.
+more n-vectors a step for ``me``.  Each solver's peak working set is
+budgeted in buffers of n floats, and for a logistic run of m floats too
+(margins and data products); README's memory table lists the same budgets.
 """
 
+import copy
+import functools
 import tracemalloc
+import weakref
 
 import numpy as np
+import pytest
 
-from ellipcenters import (SolverConfig, generate_logreg, generate_quadratic,
-                          run_fast_gd, run_gd_l, run_me)
+from ellipcenters import (Objective, SolverConfig, SolverId, generate_logreg,
+                          generate_quadratic, run_fast_gd, run_gd_l, run_me)
+from ellipcenters.solvers import RUNNERS
 
 LIMIT_BYTES = 2_000_000
+# solver: its peak in n-vectors on a quadratic, and in n- and m-vectors on a
+# logistic problem; the product slot's byte keys count as n-vectors
+WORKING_SET = {
+    "me": (14, 8, 9),
+    "gd_l": (9, 7, 5),
+    "gd_exact": (10, 7, 6),
+    "fast_gd": (11, 8, 5),
+}
+# what a 10-step run holds beside its vectors: its telemetry, its Python
+# objects and the free lists they leave (2-10 KB measured)
+RUN_OVERHEAD = 12_000
 
 
 def traced_peak(call):
@@ -28,16 +46,28 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
-def quadratic(n: int):
-    """A test quadratic after its first product, which imports
-    ``scipy.linalg``: that import is not a run's memory."""
-    f = generate_quadratic(n, 1e3, 0).objective()
-    f.grad(np.zeros(n))
-    return f
+@pytest.fixture(autouse=True, scope="module")
+def scipy_loaded():
+    """The first products import ``scipy.linalg`` and ``scipy.special``,
+    which is not a run's memory."""
+    generate_quadratic(2, 10.0, 0).grad(np.zeros(2))
+    generate_logreg(2, 2, 10.0, 0).grad(np.zeros(2))
+
+
+@functools.cache
+def _generated(n: int, m: int | None):
+    return generate_quadratic(n, 1e3, 0) if m is None else \
+        generate_logreg(n, m, 1e4, 0)
+
+
+def problem(n: int, m: int | None = None):
+    """A test quadratic (``m`` None) or logistic problem that has evaluated
+    nothing, so it holds no data product: a copy of one generated once."""
+    return copy.copy(_generated(n, m))
 
 
 def test_gd_l_keeps_no_iterates():
-    f = quadratic(2000)
+    f = problem(2000)
     trace, peak = traced_peak(
         lambda: run_gd_l(f, np.zeros(2000), SolverConfig(max_outer=3000)))
     assert trace.iterations == 3000
@@ -47,7 +77,7 @@ def test_gd_l_keeps_no_iterates():
 def test_gd_l_telemetry_per_iterate():
     """Telemetry is a few typed columns, ~40 B an iterate; one record
     object per iterate took ~350 B."""
-    f = quadratic(10)
+    f = problem(10)
     trace, peak = traced_peak(
         lambda: run_gd_l(f, np.zeros(10), SolverConfig(max_outer=20000)))
     assert trace.iterations > 10000
@@ -55,7 +85,7 @@ def test_gd_l_telemetry_per_iterate():
 
 
 def test_me_keeps_no_step_vectors():
-    f = quadratic(500)
+    f = problem(500)
     trace, peak = traced_peak(lambda: run_me(f, np.zeros(500)))
     assert trace.converged and trace.iterations == 1875
     assert peak < LIMIT_BYTES, f"peak {peak / 1e6:.2f} MB"
@@ -64,7 +94,7 @@ def test_me_keeps_no_step_vectors():
 def test_fast_gd_keeps_no_iterates():
     """A momentum run keeps x_{k-1}, and its problem one more data product;
     nothing grows per step."""
-    f = quadratic(2000)
+    f = problem(2000)
     trace, peak = traced_peak(lambda: run_fast_gd(f, np.zeros(2000)))
     assert trace.converged
     assert peak < LIMIT_BYTES, f"peak {peak / 1e6:.2f} MB"
@@ -74,3 +104,45 @@ def test_logistic_instance_holds_one_data_matrix():
     """The squared-norm sum behind mu and lip forms no copy of the data."""
     p, peak = traced_peak(lambda: generate_logreg(2000, 1000, 1e3, 0))
     assert peak < 1.1 * p.a.nbytes, f"peak {peak / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("sid", sorted(WORKING_SET))
+@pytest.mark.parametrize("n, m", [(2000, None), (20000, 100), (100, 20000)])
+def test_working_set_budget(sid, n, m):
+    """Peak of a 10-step run within the solver's budget of n-vectors (and
+    m-vectors), at sizes where one vector outweighs the run's overhead: a
+    budget one vector short fails.  A first, untraced run fills the free
+    lists."""
+    quad_n, log_n, log_m = WORKING_SET[sid]
+    budget = 8 * (quad_n * n if m is None else log_n * n + log_m * m)
+    run, cfg, x1 = RUNNERS[SolverId(sid)], SolverConfig(max_outer=10), \
+        np.zeros(n)
+    run(problem(n, m), x1, cfg)
+    f = problem(n, m)
+    trace, peak = traced_peak(lambda: run(f, x1, cfg))
+    assert trace.iterations >= 2
+    assert budget - 8 * max(n, m or 0) < peak <= budget + RUN_OVERHEAD, \
+        f"peak {peak} B, budget {budget} B"
+
+
+def test_a_step_s_vectors_die_before_the_next_step():
+    """Step k's vectors, once observed, are released before step k + 1
+    evaluates anything: its StepVectors, v_k, w_k and the displacement."""
+    p = generate_quadratic(20, 1e2, 0)
+    alive = []
+    last_step = ()
+
+    def observe(k, x, f_x, g, step):
+        nonlocal last_step
+        last_step = () if step is None else [
+            weakref.ref(obj) for obj in (step, step.v, step.w, step.dx)]
+
+    def grad(x):
+        alive.append([ref() is not None for ref in last_step])
+        return p.grad(x)
+
+    f = Objective(p.dim, p.mu, p.lip, p.value, grad)
+    trace = run_me(f, np.zeros(p.dim), SolverConfig(max_outer=5),
+                   observe=observe)
+    assert trace.iterations == 5 and len(alive) > 10
+    assert not any(map(any, alive))

@@ -51,3 +51,10 @@ def test_tolerance_table_lists_every_setting_with_its_default():
     assert sorted(rows) == sorted(f.name for f in fields(SolverConfig))
     for f in fields(SolverConfig):
         assert float(rows[f.name][0]) == f.default, f.name
+
+
+def test_working_set_table_is_the_memory_budgets():
+    from test_memory import WORKING_SET
+    rows = table_rows("| solver | quadratic, n-vectors |")
+    assert {sid: tuple(map(int, cells)) for sid, cells in rows.items()} == \
+        WORKING_SET
