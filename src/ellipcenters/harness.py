@@ -39,7 +39,8 @@ class ExperimentSpec:
     """One experiment: a seeded instance plus the solvers to run on it.
 
     ``m`` defaults to n//2 for logistic instances and is ignored for
-    quadratics.  ``output_dir=None`` keeps everything in memory.
+    quadratics.  A solver listed twice runs once, where it is first listed.
+    ``output_dir=None`` keeps everything in memory.
     """
 
     problem: str
@@ -60,7 +61,7 @@ class ExperimentSpec:
             raise ValueError(f"n must be positive, got {self.n}")
         if self.m is None and self.problem == "logreg":
             self.m = max(1, self.n // 2)
-        self.solvers = [SolverId(s) for s in self.solvers]
+        self.solvers = list(dict.fromkeys(map(SolverId, self.solvers)))
         if self.output_dir is not None:
             self.output_dir = Path(self.output_dir)
 

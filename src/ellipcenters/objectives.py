@@ -176,9 +176,12 @@ class Restriction:
         return min(1.0, max(0.0, (denom - vw * vw) / denom))
 
     def point(self, *z) -> np.ndarray:
-        p = self.base
-        for zi, d in zip(z, self.dirs):
-            p = p + zi * d
+        if not z:
+            return self.base
+        p = z[0] * self.dirs[0]  # the one new array; IEEE + commutes
+        p += self.base
+        for zi, d in zip(z[1:], self.dirs[1:]):
+            p += zi * d
         return p
 
     def value(self, *z) -> float:
@@ -251,9 +254,12 @@ class _DataRestriction(Restriction):
         super()._add(d)
 
     def _carried(self, z) -> np.ndarray:
-        product = self._product
-        for zi, ad in zip(z, self._data_dirs):
-            product = product + zi * ad
+        if not z:
+            return self._product
+        product = z[0] * self._data_dirs[0]  # summed in place, as point's
+        product += self._product
+        for zi, ad in zip(z[1:], self._data_dirs[1:]):
+            product += zi * ad
         return product
 
     def point(self, *z) -> np.ndarray:
@@ -420,7 +426,10 @@ class Objective:
         of ``x`` and ``x_prev`` also hands over z's product, combined from
         them, so the next ``value`` or ``grad`` at z makes no new data pass.
         """
-        return x + beta * (x - x_prev)
+        z = np.subtract(x, x_prev, dtype=float)  # in place: IEEE + commutes
+        z *= beta
+        z += x
+        return z
 
 
 def _checked_sq(g: np.ndarray) -> float:
@@ -522,11 +531,16 @@ class _DataProblem(Objective):
         ``A x + beta (A x - A x_prev)`` (one carried update) when the stored
         products are those of ``x``, formed exactly, and ``x_prev``."""
         x, x_prev = self._check(x), self._check(x_prev)
-        z = x + beta * (x - x_prev)
+        z = np.subtract(x, x_prev)  # in place, as Objective.extrapolate
+        z *= beta
+        z += x
         state = self._product
         key, ax, carried, prev_key, prev_ax = state
         if carried == 0 and key == x.tobytes() and prev_key == x_prev.tobytes():
-            _store(self, state, z.tobytes(), ax + beta * (ax - prev_ax), 1)
+            az = np.subtract(ax, prev_ax)
+            az *= beta
+            az += ax
+            _store(self, state, z.tobytes(), az, 1)
         return z
 
     def _check(self, x: np.ndarray) -> np.ndarray:

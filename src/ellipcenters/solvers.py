@@ -34,7 +34,7 @@ import operator
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from itertools import accumulate, count, islice, repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -136,27 +136,39 @@ _COUNTS = ("grad_evals_total", "value_evals_total", "restricted_evals_total")
 
 
 class IterateRecords(Sequence):
-    """A run's :class:`IterateRecord` telemetry in typed columns, 40 B per
-    iterate: floats in ``array('d')``, counts in ``array('q')``, ``li_flag``
-    in bytes.  ``k`` and ``grad_evals_outer`` follow from the index.  Step
-    columns reach the last step written (``NO_STEP`` where an iterate has
-    none), ``ratio`` (NaN for ``None``) what :meth:`set_ratios` wrote.  A
-    read-only sequence of the records; ``column(name)`` reads one field."""
+    """A run's :class:`IterateRecord` telemetry in typed columns: floats in
+    ``array('d')``, ``li_flag`` in bytes, and each cumulative count as its
+    per-step increments, one byte each (``array('B')``, widened once to
+    ``array('q')`` by the first increment that does not fit) beside its
+    running total: 19 B per iterate, and 17 B more for a step.  ``k`` and
+    ``grad_evals_outer`` follow from the index.  Step columns reach the last
+    step written (``NO_STEP`` where an iterate has none), ``ratio`` (NaN for
+    ``None``) what :meth:`set_ratios` wrote.  A read-only sequence of the
+    records; ``column(name)`` reads one field.  The last record comes from
+    the totals in O(1); iteration, slices, ``==``, ``index`` and ``column``
+    sum each count column once, in one pass, ``reversed`` subtracts back
+    from the totals, and any other index sums its prefix."""
 
     def __init__(self, outer_grads: int = 1):
         self._outer = outer_grads
-        self._cols = {name: array("q" if name in _COUNTS else "d") for name in
+        self._cols = {name: array("B" if name in _COUNTS else "d") for name in
                       ("f_val", "grad_norm", "t_k", "sin2_theta", "ratio",
                        *_COUNTS)}
         self._cols["li_flag"] = array("B")
+        self._totals = (0,) * len(_COUNTS)
 
     def append(self, f_val: float, grad_norm: float, *counts: int) -> None:
         """Add an iterate, with no step: f, ||grad f|| and its counts."""
         cols = self._cols
         cols["f_val"].append(f_val)
         cols["grad_norm"].append(grad_norm)
-        for name, count in zip(_COUNTS, counts):
-            cols[name].append(count)
+        for name, step in zip(_COUNTS, map(operator.sub, counts, self._totals)):
+            try:
+                cols[name].append(step)
+            except OverflowError:  # past one byte: widen the column, once
+                cols[name] = array("q", cols[name])
+                cols[name].append(step)
+        self._totals = counts
 
     def set_step(self, t: float, sin2_theta: float, li_flag: bool) -> None:
         """Write the step taken from the last iterate."""
@@ -179,6 +191,8 @@ class IterateRecords(Sequence):
             return list(range(1, n + 1))
         if name == "grad_evals_outer":
             return [self._outer * i for i in range(n)]
+        if name in _COUNTS:
+            return list(accumulate(cols[name]))
         if name == "li_flag":
             values = [_LI_FLAG[b] for b in cols[name]]
         elif name in _STEP:
@@ -192,25 +206,49 @@ class IterateRecords(Sequence):
     def __len__(self) -> int:
         return len(self._cols["f_val"])
 
+    def __iter__(self):
+        return map(self._record, count(),
+                   *(accumulate(self._cols[name]) for name in _COUNTS))
+
+    def __reversed__(self):  # back from the totals, one increment a step
+        return map(self._record, reversed(range(len(self))), *(
+            accumulate(self._cols[name][:0:-1], operator.sub, initial=total)
+            for name, total in zip(_COUNTS, self._totals)))
+
+    def index(self, value, start: int = 0, stop: int | None = None) -> int:
+        """As a list's ``index``, in one pass."""
+        window = range(len(self))[start:stop]
+        for i, record in zip(window, islice(self, window.start, window.stop)):
+            if record is value or record == value:
+                return i
+        raise ValueError(f"{value!r} is not in the records")
+
     def __getitem__(self, i):
         i = range(len(self))[i]  # IndexError and TypeError as a list's
-        return list(map(self._record, i)) if isinstance(i, range) else \
-            self._record(i)
+        if isinstance(i, range):  # one pass, either way
+            if i.step > 0:
+                return list(islice(self, i.start, i.stop, i.step))
+            last = len(self) - 1
+            return list(islice(reversed(self), last - i.start, last - i.stop,
+                               -i.step))
+        if i == len(self) - 1:
+            return self._record(i, *self._totals)
+        return self._record(i, *(sum(self._cols[name][:i + 1])
+                                 for name in _COUNTS))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
             return NotImplemented
         return len(self) == len(other) and all(map(operator.eq, self, other))
 
-    def _record(self, i: int) -> IterateRecord:
+    def _record(self, i: int, *counts: int) -> IterateRecord:
         cols = self._cols
         li = cols["li_flag"][i] if i < len(cols["li_flag"]) else NO_STEP
         step = [None if li == NO_STEP else cols[n][i] for n in _STEP[:2]]
         ratio = cols["ratio"][i] if i < len(cols["ratio"]) else math.nan
         return IterateRecord(
             i + 1, cols["f_val"][i], cols["grad_norm"][i], *step, _LI_FLAG[li],
-            None if ratio != ratio else ratio, self._outer * i,
-            *(cols[name][i] for name in _COUNTS))
+            None if ratio != ratio else ratio, self._outer * i, *counts)
 
 
 @dataclass
@@ -232,10 +270,11 @@ class StepVectors:
 
 @dataclass
 class RunTrace:
-    """Record of one solver run: :class:`IterateRecords`, 40 B per iterate,
-    and the final iterate.  ``iterates`` and ``step_data`` remain for
-    callers that read them and stay empty; a caller that wants the history
-    passes a :class:`History` observer to the run."""
+    """Record of one solver run: :class:`IterateRecords`, ~20 B per iterate
+    (``gd_l``, ``gd_exact``; ``me`` adds 17 B for its step), and the final
+    iterate.  ``iterates`` and ``step_data`` remain for callers that read
+    them and stay empty; a caller that wants the history passes a
+    :class:`History` observer to the run."""
 
     solver_id: SolverId
     records: IterateRecords

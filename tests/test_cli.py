@@ -94,6 +94,23 @@ def test_compare_prints_all_solvers(capsys):
         assert solver in out
 
 
+def test_a_repeated_solver_runs_once(tmp_path, capsys):
+    """``--solver me --solver me`` runs ``me`` once: one printed row and one
+    summary.csv row, in the order first given."""
+    code = main(["compare", "--problem", "quadratic", "--n", "6",
+                 "--kappa", "10", "--seed", "2", "--solver", "me",
+                 "--solver", "gd_l", "--solver", "me", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    with open(tmp_path / "summary.csv", newline="") as fh:
+        assert [row["solver"] for row in csv.DictReader(fh)] == ["me", "gd_l"]
+    assert [ln.split()[0] for ln in out.splitlines()
+            if ln.split()[:1] in (["me"], ["gd_l"])] == ["me", "gd_l"]
+    spec = harness.ExperimentSpec(problem="quadratic", n=6, kappa=10.0,
+                                  seed=2, solvers=["me", "me"])
+    assert spec.solvers == ["me"]
+
+
 def test_bad_kappa_is_usage_error():
     assert main(["run", "--problem", "quadratic", "--n", "4",
                  "--kappa", "0.5", "--seed", "1"]) == 64

@@ -58,3 +58,15 @@ def test_working_set_table_is_the_memory_budgets():
     rows = table_rows("| solver | quadratic, n-vectors |")
     assert {sid: tuple(map(int, cells)) for sid, cells in rows.items()} == \
         WORKING_SET
+
+
+def test_telemetry_bound_is_the_memory_test_s():
+    """README's bytes per iterate for ``gd_l`` are the bound that
+    ``test_gd_l_telemetry_per_iterate`` enforces, and its measured figures
+    lie within it."""
+    from test_memory import TELEMETRY_BYTES
+    text = " ".join((ROOT / "README.md").read_text().split())
+    bound = re.search(r"holds `gd_l` to (\d+) B per iterate", text)
+    assert bound and int(bound[1]) == TELEMETRY_BYTES
+    measured = re.search(r"peaks at ([\d.]+) B per iterate for `gd_l`", text)
+    assert measured and float(measured[1]) <= TELEMETRY_BYTES

@@ -3,6 +3,7 @@ typed columns, equal record by record to what a run observed."""
 
 import dataclasses
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -105,3 +106,38 @@ def test_fill_ratios_persist_and_round_trip(tmp_path, quadratic, traces):
     records, gaps = read_trace_csv(path)
     assert records == trace.records
     assert gaps == [r.f_val - f_star for r in trace.records]
+
+
+def test_count_increments_cross_every_width():
+    """Counts are kept as per-step increments; steps of 256, 65,536 and 2**40
+    do not fit a byte and widen the column, and every read gives back the
+    cumulative counts."""
+    totals = list(accumulate([0, 1, 255, 256, 65_536, 2**40, 0, 1]))
+    records = IterateRecords()
+    for i, total in enumerate(totals):
+        records.append(float(i), 1.0, total, 2 * total, total + i)
+    counts = {"grad_evals_total": totals,
+              "value_evals_total": [2 * t for t in totals],
+              "restricted_evals_total": [t + i for i, t in enumerate(totals)]}
+    expected = [IterateRecord(i + 1, float(i), 1.0, grad_evals_outer=i,
+                              **{name: col[i] for name, col in counts.items()})
+                for i in range(len(totals))]
+    for name, col in counts.items():
+        assert records.column(name) == col
+    assert list(records) == expected
+    assert records == expected and expected == records
+    n = len(expected)
+    for i in range(-n, n):
+        assert records[i] == expected[i], i
+    assert records[-1] == expected[-1]
+    assert list(reversed(records)) == expected[::-1]
+    assert [records.index(r) for r in expected] == list(range(n))
+    assert records.index(expected[-2], -3) == n - 2
+    with pytest.raises(ValueError):
+        records.index(expected[3], 4)
+    for s in (slice(2, 6), slice(None, None, -1), slice(-2, 1, -2),
+              slice(1, None, 3), slice(5, 2), slice(None, None, -4),
+              slice(2, 5, -1), slice(n, None, -1), slice(-n - 5, 3)):
+        assert records[s] == expected[s], s
+    assert records != expected[:-1] + [dataclasses.replace(
+        expected[-1], grad_evals_total=totals[-1] + 1)]
