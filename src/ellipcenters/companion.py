@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import NumericalFailureError, PrecisionFloorError
 
+TOL = 1e-12  # target relative level residual |s|
 MAX_STEPS = 200  # probes after the first step, doublings included
 WIDTH_FLOOR = 1e-15  # stop when the bracket narrows below WIDTH_FLOOR * hi
 
@@ -37,18 +38,17 @@ class CompanionResult:
     bisection_iters: int
 
 
-def companion_point(ray, tol: float = 1e-12,
-                    f_x: float | None = None) -> CompanionResult:
+def companion_point(ray, f_x: float | None = None) -> CompanionResult:
     """Locate the second level-set crossing along ``-v`` from ``x``.
 
     ``ray`` is a model of f on ``x + span(v)``, ``v`` the gradient at ``x``.
     The search drives s(t) = (f(x - t v) - f(x)) / max(1, |f(x)|) to
-    |s| <= tol.  Its first step, t = 2 ||v||^2 / phi''(0) with phi''(0) the
-    curvature ``ray.hess`` at x, is the crossing itself on an exact quadratic
-    model.  Then it doubles t until s > 0 and runs the Illinois secant
-    (Dowell and Jarratt, BIT 11, 1971) on psi(t) = s(t) / t, which rises
-    from psi(0) = -||v||^2 / max(1, |f(x)|), known without a probe; a step
-    outside the bracket is replaced by its midpoint.  A bracket narrower
+    |s| <= ``TOL``.  Its first step, t = 2 ||v||^2 / phi''(0) with phi''(0)
+    the curvature ``ray.hess`` at x, is the crossing itself on an exact
+    quadratic model.  Then it doubles t until s > 0 and runs the Illinois
+    secant (Dowell and Jarratt, BIT 11, 1971) on psi(t) = s(t) / t, which
+    rises from psi(0) = -||v||^2 / max(1, |f(x)|), known without a probe; a
+    step outside the bracket is replaced by its midpoint.  A bracket narrower
     than ``WIDTH_FLOOR * hi`` raises :class:`PrecisionFloorError`: double
     precision cannot resolve the level set along the ray.  A curvature
     phi''(0) <= 0, a NaN residual or ``MAX_STEPS`` probes past the first
@@ -59,13 +59,9 @@ def companion_point(ray, tol: float = 1e-12,
     ----------
     ray : Restriction
         Model along one direction ``v``; ``||v||^2 > 0`` required.
-    tol : float
-        Relative level-residual target.
     f_x : float, optional
         Known value f(x); saves one evaluation.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
     vv = ray.gram[0][0]
     if not vv > 0.0:
         raise ValueError("||v||^2 is zero; companion point is undefined")
@@ -79,7 +75,7 @@ def companion_point(ray, tol: float = 1e-12,
     lo, psi_lo = 0.0, -vv / denom
     hi = psi_hi = math.inf  # no probe above the level yet
     side = steps = 0  # side: the end the last probe replaced, -1 lo, 1 hi
-    while not abs(s) <= tol:
+    while not abs(s) <= TOL:
         if s > 0.0:
             if side > 0:  # Illinois: the same end twice, halve the other
                 psi_lo *= 0.5
@@ -92,12 +88,12 @@ def companion_point(ray, tol: float = 1e-12,
             raise NumericalFailureError("level residual is NaN")
         if steps == MAX_STEPS:
             raise NumericalFailureError(
-                f"level residual {abs(s):.3e} > {tol:.3e} after {MAX_STEPS} probes")
+                f"level residual {abs(s):.3e} > {TOL:.3e} after {MAX_STEPS} probes")
         if hi == math.inf:
             t *= 2.0
         elif hi - lo <= WIDTH_FLOOR * hi:
             raise PrecisionFloorError(f"bracket at machine width with level "
-                                      f"residual {abs(s):.3e} > {tol:.3e}")
+                                      f"residual {abs(s):.3e} > {TOL:.3e}")
         else:
             t = lo + (hi - lo) * psi_lo / (psi_lo - psi_hi)
             if not lo < t < hi:

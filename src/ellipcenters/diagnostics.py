@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import companion, solvers
 from .objectives import Objective
 from .solvers import (RunStatus, RunTrace, SolverConfig, SolverId,
                       StepVectors, run_gd_exact, run_me)
@@ -207,12 +208,11 @@ def certify_rates(trace: RunTrace, f_star: float, mu: float, lip: float,
     return cert, report
 
 
-def audit_orthogonality(step_data: list[StepVectors], inner_tol: float,
-                        lip: float) -> AuditReport:
+def audit_orthogonality(step_data: list[StepVectors], lip: float) -> AuditReport:
     """Check gradient orthogonality at plane minimizers (independent steps).
 
     Both inner products of the new gradient with the spanning gradients must
-    be within ``eps_orth = 10 * inner_tol * max(||v||, ||w||)``; the
+    be within ``eps_orth = 10 * solvers.INNER_TOL * max(||v||, ||w||)``; the
     Pythagorean expansion of ||g' - v||^2 must match to the accuracy those
     inner products allow; and ||g' - v|| must respect Lipschitz continuity
     over the step actually taken.
@@ -224,7 +224,7 @@ def audit_orthogonality(step_data: list[StepVectors], inner_tol: float,
         # bit for bit as np.linalg.norm, np.sum and @, with fewer numpy calls
         nv = math.sqrt(sd.v.dot(sd.v))
         nw = math.sqrt(sd.w.dot(sd.w))
-        eps_orth = 10.0 * inner_tol * max(nv, nw)
+        eps_orth = 10.0 * solvers.INNER_TOL * max(nv, nw)
         g = sd.grad_next
         report.check("orth_v", sd.k, abs(float(g.dot(sd.v))), eps_orth)
         report.check("orth_w", sd.k, abs(float(g.dot(sd.w))), eps_orth)
@@ -258,12 +258,12 @@ def audit_bh_descent(trace: RunTrace, lip: float) -> AuditReport:
     return report
 
 
-def audit_level_sets(step_data: list[StepVectors], companion_tol: float) -> AuditReport:
+def audit_level_sets(step_data: list[StepVectors]) -> AuditReport:
     """Every companion point must sit on the iterate's level set to within
-    the configured relative residual."""
+    the companion search's relative residual, ``companion.TOL``."""
     report = AuditReport()
     for sd in step_data:
-        report.check("level_residual", sd.k, sd.level_residual, companion_tol)
+        report.check("level_residual", sd.k, sd.level_residual, companion.TOL)
     return report
 
 

@@ -14,7 +14,7 @@ class NumericalFailureError(RuntimeError):
 
 class PrecisionFloorError(NumericalFailureError):
     """The companion search's bracket narrowed to machine width with the
-    level residual still above its tolerance: double precision cannot
+    level residual still above ``companion.TOL``: double precision cannot
     resolve the level set, typically because f is large in absolute terms.
     Outer loops stop with status ``precision_floor``."""
 
@@ -26,10 +26,10 @@ class DegeneratePlaneError(RuntimeError):
 
 
 class InnerStallError(RuntimeError):
-    """The plane search ended, at its Newton-step cap or at its rounding
-    floor, with a restricted gradient above ``STALL_FACTOR`` times its
-    tolerance.  Outer loops abort rather than silently accept an inexact
-    plane minimizer."""
+    """The plane search ended, at ``plane2d.MAX_NEWTON`` Newton steps or at
+    its rounding floor, with a restricted gradient above ``STALL_FACTOR``
+    times its tolerance.  Outer loops abort rather than silently accept an
+    inexact plane minimizer."""
 
 
 class NonFiniteError(RuntimeError):

@@ -10,6 +10,7 @@ summary varies between reruns.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -55,8 +56,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.problem not in ("quadratic", "logreg"):
             raise ValueError(f"unknown problem family {self.problem!r}")
-        if not self.kappa > 1.0:
-            raise ValueError(f"kappa must exceed 1, got {self.kappa}")
+        if not 1.0 < self.kappa < math.inf:
+            raise ValueError(f"kappa must exceed 1 and be finite, got {self.kappa}")
         if self.n < 1:
             raise ValueError(f"n must be positive, got {self.n}")
         if self.m is None and self.problem == "logreg":
@@ -290,7 +291,6 @@ def verify_experiment(spec: ExperimentSpec):
     spec = replace(spec, solvers=[SolverId.ME])
     f = build_problem(spec)
     ref = compute_reference(f)
-    cfg = spec.config
     dist2: list[float] = []
     gaps = [] if isinstance(f, QuadraticProblem) else None
     orthogonality, level_sets = AuditReport(), AuditReport()
@@ -301,9 +301,8 @@ def verify_experiment(spec: ExperimentSpec):
         if gaps is not None:
             gaps.append(0.5 * float(d.dot(g)))
         if step is not None:
-            orthogonality.extend(audit_orthogonality([step], cfg.inner_tol,
-                                                     f.lip))
-            level_sets.extend(audit_level_sets([step], cfg.companion_tol))
+            orthogonality.extend(audit_orthogonality([step], f.lip))
+            level_sets.extend(audit_level_sets([step]))
 
     result = _run_on(spec, f, ref, audit_step)
     trace = result.traces[SolverId.ME.value]

@@ -386,8 +386,8 @@ class Objective:
                  grad_fn: Callable[[np.ndarray], np.ndarray]):
         if dim < 1:
             raise ValueError(f"dim must be positive, got {dim}")
-        if not (0.0 < mu <= lip):
-            raise ValueError(f"need 0 < mu <= lip, got mu={mu}, lip={lip}")
+        if not (0.0 < mu <= lip < math.inf):
+            raise ValueError(f"need 0 < mu <= lip < inf, got mu={mu}, lip={lip}")
         self.dim = int(dim)
         self.mu = float(mu)
         self.lip = float(lip)
@@ -397,6 +397,12 @@ class Objective:
     @property
     def kappa(self) -> float:
         return self.lip / self.mu
+
+    def _check(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):
+            raise ValueError(f"x must have shape ({self.dim},), got {x.shape}")
+        return x
 
     def value(self, x: np.ndarray) -> float:
         return float(self._value_fn(x))
@@ -501,11 +507,11 @@ class CountingObjective:
 
 
 class _DataProblem(Objective):
-    """What the problem families share: the checked point, and the model
-    (``model``, the family's :class:`Restriction`) and the momentum point
-    built on the stored data product, formed by ``_matvec`` on a checked x.
-    A family's ``__init__`` ends in ``Objective.__init__``, which checks
-    ``dim`` and ``0 < mu <= lip``; its ``value`` and ``grad`` override the
+    """What the problem families share: the model (``model``, the family's
+    :class:`Restriction`) and the momentum point built on the stored data
+    product, formed by ``_matvec`` on a checked x.  A family's ``__init__``
+    ends in ``Objective.__init__``, which checks ``dim`` and
+    ``0 < mu <= lip < inf``; its ``value`` and ``grad`` override the
     callables, so it passes none."""
 
     model = _DataRestriction
@@ -543,12 +549,6 @@ class _DataProblem(Objective):
             _store(self, state, z.tobytes(), az, 1)
         return z
 
-    def _check(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"x must have shape ({self.dim},), got {x.shape}")
-        return x
-
 
 class QuadraticProblem(_DataProblem):
     """f(x) = 0.5 x'Ax - b'x + c with A symmetric positive definite.
@@ -574,6 +574,9 @@ class QuadraticProblem(_DataProblem):
         if b.shape != (n,):
             raise ValueError(f"b must have shape ({n},), got {b.shape}")
         scale = np.abs(a_matrix).max()
+        for name, size in (("A", scale), ("b", np.abs(b).max()), ("c", c)):
+            if not math.isfinite(size):
+                raise ValueError(f"{name} has a NaN or infinite value")
         if not np.allclose(a_matrix, a_matrix.T, atol=1e-12 * max(scale, 1.0)):
             raise ValueError("A is not symmetric to machine tolerance")
         if not np.array_equal(a_matrix, a_matrix.T):
@@ -643,7 +646,11 @@ class LogRegProblem(_DataProblem):
         self.labels = _read_only(labels)
         self.m = m
         self.n = n
-        lip = float(_sum_squares(a) / (4.0 * m) + mu)
+        sum_sq = _sum_squares(a)
+        if not math.isfinite(sum_sq):
+            raise ValueError("a has a NaN or infinite value, or its sum of "
+                             "squares overflows")
+        lip = float(sum_sq / (4.0 * m) + mu)
         super().__init__(n, mu, lip, None, None)
 
     def _matvec(self, x: np.ndarray) -> np.ndarray:
@@ -678,11 +685,11 @@ def mu_for_kappa(data: np.ndarray, kappa: float) -> float:
     mu = sum ||a_i||^2 / (4 m (kappa - 1)) gives L/mu = kappa exactly.
     """
     data = np.asarray(data, dtype=float)
-    if kappa <= 1.0:
-        raise ValueError(f"kappa must exceed 1, got {kappa}")
+    if not 1.0 < kappa < math.inf:
+        raise ValueError(f"kappa must exceed 1 and be finite, got {kappa}")
     total = _sum_squares(data)
-    if total <= 0.0:
-        raise ValueError("data matrix has zero energy; kappa is undefined")
+    if not 0.0 < total < math.inf:
+        raise ValueError(f"data matrix has energy {total}; kappa is undefined")
     m = data.shape[0]
     return total / (4.0 * m * (kappa - 1.0))
 
@@ -709,8 +716,8 @@ def generate_quadratic(n: int, kappa: float, seed: int) -> QuadraticProblem:
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    if kappa < 1.0:
-        raise ValueError(f"kappa must be at least 1, got {kappa}")
+    if not 1.0 <= kappa < math.inf:
+        raise ValueError(f"kappa must be at least 1 and be finite, got {kappa}")
     rng = np.random.Generator(np.random.PCG64(seed))
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     eigs = np.linspace(1.0, kappa, n)

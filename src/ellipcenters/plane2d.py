@@ -28,6 +28,7 @@ from .errors import DegeneratePlaneError, InnerStallError, NumericalFailureError
 
 ARMIJO_DECREASE = 1e-4
 STALL_FACTOR = 1e3  # a plane residual above STALL_FACTOR * tol is a stall
+MAX_NEWTON = 10000  # cap on the Newton steps of one search
 ROUNDING = 4.0 * np.finfo(float).eps  # relative rounding floor of a value
 
 
@@ -76,8 +77,7 @@ def _solve_exact(model) -> tuple:
     return alpha, beta
 
 
-def minimize(model, tol: float, max_iter: int, f_base: float,
-             stall: bool = False) -> tuple:
+def minimize(model, tol: float, f_base: float, stall: bool = False) -> tuple:
     """Minimizer z of f over the line or plane of ``model``, whose first
     direction is the gradient at its base.
 
@@ -91,7 +91,7 @@ def minimize(model, tol: float, max_iter: int, f_base: float,
     floor, ``ROUNDING`` times the larger of |f_base| and that value,
     comparisons carry no information and the step is taken untested.  The
     search stops when the norm of the restricted gradient, the residual,
-    is at most ``tol``, after ``max_iter`` Newton steps, or when an
+    is at most ``tol``, after ``MAX_NEWTON`` Newton steps, or when an
     untested step does not lower the residual; that step is then dropped,
     while a tested one is kept whatever its residual.
 
@@ -109,7 +109,7 @@ def minimize(model, tol: float, max_iter: int, f_base: float,
     f, f_abs = f_base, abs(f_base)
     floor = ROUNDING * max(f_abs, 1e-300)
     iters = 0
-    while residual > tol and iters < max_iter:
+    while residual > tol and iters < MAX_NEWTON:
         iters += 1
         step = _newton_step(model.hess(*z, grad=g), g)
         decrease = -sum(map(operator.mul, g, step))  # twice the predicted one

@@ -45,6 +45,9 @@ from .errors import (DegeneratePlaneError, InnerStallError, NonFiniteError,
 from .objectives import CountingObjective, Objective
 from .plane2d import minimize
 
+INNER_TOL = 1e-12  # plane search stop, relative to the larger gradient norm
+LD_THRESHOLD = 1e-12  # sin^2 below which the two gradients count as parallel
+
 
 class SolverId(str, enum.Enum):
     ME = "me"
@@ -57,13 +60,13 @@ class RunStatus(str, enum.Enum):
     """How a run ended.
 
     ``converged``: ||grad f|| <= eps.  ``max_iterations``: ``max_outer``
-    steps without that.  ``inner_stall``: the plane search ended far from
-    its tolerance.  ``numeric_failure``: the companion search found no level
+    steps without that.  ``inner_stall``: the plane search ended far above
+    ``INNER_TOL``.  ``numeric_failure``: the companion search found no level
     crossing within its probe cap or met a NaN level, or a curvature along
     the gradient was not positive.  ``non_finite``: a NaN or infinite value
     or gradient.  ``precision_floor``: double precision cannot resolve the
     step: the companion search's bracket reached machine width above
-    ``companion_tol``, or a step of ``me``, ``gd_exact`` or ``gd_l`` left
+    ``companion.TOL``, or a step of ``me``, ``gd_exact`` or ``gd_l`` left
     the iterate bit-for-bit where it was.
     """
 
@@ -77,31 +80,21 @@ class RunStatus(str, enum.Enum):
 
 @dataclass
 class SolverConfig:
-    """Tolerances and iteration caps shared by all solvers.
-
-    ``eps`` is the outer stopping threshold on the gradient norm;
-    ``companion_tol`` the relative level residual for the companion search;
-    ``inner_tol`` the plane search's tolerance on its restricted gradient
-    (scaled by the larger of the two spanning gradient norms);
-    ``max_inner`` the cap on the Newton steps of the plane search and of the
-    exact linesearch; ``ld_threshold`` the sin^2 cutoff below which the two
-    gradients are treated as parallel.
+    """The two settings of a run, shared by all solvers: ``eps``, the outer
+    stopping threshold on the gradient norm, and ``max_outer``, the cap on
+    the outer steps.  The inner searches' tolerances and caps are module
+    constants: ``companion.TOL``, ``plane2d.MAX_NEWTON``, ``INNER_TOL`` and
+    ``LD_THRESHOLD``.
     """
 
     eps: float = 1e-6
     max_outer: int = 100000
-    companion_tol: float = 1e-12
-    inner_tol: float = 1e-12
-    max_inner: int = 10000
-    ld_threshold: float = 1e-12
 
     def __post_init__(self):
-        for name in ("eps", "companion_tol", "inner_tol", "ld_threshold"):
-            value = getattr(self, name)
-            if not (value > 0.0) or value == math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        if not (self.max_outer >= 1 and self.max_inner >= 1):
-            raise ValueError("iteration caps must be positive")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
+        if not self.max_outer >= 1:
+            raise ValueError(f"max_outer must be at least 1, got {self.max_outer}")
 
 
 @dataclass
@@ -314,63 +307,64 @@ class History:
             self.step_data.append(step)
 
 
-def _me_step(cf, k, x, f_x, v, cfg: SolverConfig):
-    """Ellipcenter step k from (x, v = grad f(x)), on models of f only.
+def _me_step(cf, x, f_x, v):
+    """Ellipcenter step from (x, v = grad f(x)), on models of f only.
 
     The ray model ``cf.restrict(x, v)`` gives the companion point; the full
     gradient w there reuses the model's product.  The plane model, the ray
     extended by w, gives x_next through :func:`~.plane2d.minimize`, to
-    ``inner_tol * max(||v||, ||w||)`` in at most ``max_inner`` Newton steps;
-    a residual above ``STALL_FACTOR`` times that raises
+    ``INNER_TOL * max(||v||, ||w||)`` in at most ``plane2d.MAX_NEWTON``
+    Newton steps; a residual above ``STALL_FACTOR`` times that raises
     :class:`InnerStallError`.  Only the gradients at the companion point and
     at x_next are full evaluations.  When the two gradients are parallel, by
-    ``ld_threshold`` or by a singular plane Hessian, the plane is the line
+    ``LD_THRESHOLD`` or by a singular plane Hessian, the plane is the line
     along v, and the step is the exact-linesearch step on the ray model.
     The step's ``info`` is ``(w, t, li_flag, sin2_theta, level_residual)``;
     y goes once w is formed, and the models before the gradient at x_next."""
     ray = cf.restrict(x, v, f_x=f_x, grad_x=v)
-    comp = companion_point(ray, tol=cfg.companion_tol, f_x=f_x)
+    comp = companion_point(ray, f_x=f_x)
     t, level_residual = comp.t, comp.level_residual
     w = cf.grad(comp.y)
     del comp  # and with it y
     plane = ray.extend(w)
     sin2_theta = plane.sin2_theta
-    li = sin2_theta >= cfg.ld_threshold
+    li = sin2_theta >= LD_THRESHOLD
     if li:
         (vv, _), (_, ww) = plane.gram
-        tol = cfg.inner_tol * math.sqrt(max(vv, ww))
+        tol = INNER_TOL * math.sqrt(max(vv, ww))
         try:
-            z = minimize(plane, tol, cfg.max_inner, f_x, stall=True)
+            z = minimize(plane, tol, f_x, stall=True)
             x_next = plane.point(*z)
         except DegeneratePlaneError:
             li = False
     if not li:
-        x_next = _exact_linesearch(ray, f_x, cfg)
+        x_next = _exact_linesearch(ray, f_x)
     del ray, plane  # the models and their data products
     return x_next, cf.grad(x_next), (w, t, li, sin2_theta, level_residual)
 
 
-def _gd_l_step(cf, k, x, f_x, v, cfg):
+def _gd_l_step(cf, x, f_x, v):
     """Fixed step 1/lip along the negative gradient."""
     return x - v / cf.lip, None, None
 
 
-def _exact_linesearch(ray, f_x, cfg):
+def _exact_linesearch(ray, f_x):
     """``x - t* v`` on the ray model ``x + span(v)``, t* the root of
     <grad f(x - t v), v>, by :func:`~.plane2d.minimize`.
 
     An exact quadratic model gives t* = <grad f(x), v> / (v'Av).  Otherwise
-    the search targets |<g, v>| <= 1e-12 ||v||^2 in at most ``max_inner``
-    Newton steps; when rounding keeps the slope above that, it ends at its
-    rounding floor and takes its best point, never a stall.
+    the search targets |<g, v>| <= 1e-12 ||v||^2 in at most
+    ``plane2d.MAX_NEWTON`` Newton steps; when rounding keeps the slope above
+    that, it ends at its rounding floor and takes its best point, never a
+    stall.
     """
-    z = minimize(ray, 1e-12 * ray.gram[0][0], cfg.max_inner, f_x)
+    z = minimize(ray, 1e-12 * ray.gram[0][0], f_x)
     return ray.point(*z)
 
 
-def _gd_exact_step(cf, k, x, f_x, v, cfg):
+def _gd_exact_step(cf, x, f_x, v):
     """Step to the minimizer of f along the negative gradient."""
-    return _exact_linesearch(cf.restrict(x, v, grad_x=v), f_x, cfg), None, None
+    return _exact_linesearch(cf.restrict(x, v, grad_x=v), f_x), None, None
 
 
 def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
@@ -378,8 +372,8 @@ def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
            outer_grads: int = 1, non_monotone_ok: bool = False) -> RunTrace:
     """The outer loop of every solver.
 
-    Evaluates ``x1``, then runs ``step(cf, k, x_k, f(x_k), grad f(x_k), cfg)
-    -> (x_next, g_next, info)`` for k = 1, 2, ... until ||grad f|| <= eps or
+    Evaluates ``x1``, then runs ``step(cf, x_k, f(x_k), grad f(x_k)) ->
+    (x_next, g_next, info)`` for k = 1, 2, ... until ||grad f|| <= eps or
     ``max_outer`` steps.  ``g_next`` is the gradient at ``x_next`` if the step
     has it, else ``None``; ``info`` is the ellipcenter step's w and scalars
     (see :func:`_me_step`), else ``None``.  Each step adds ``outer_grads`` to
@@ -393,8 +387,9 @@ def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
     An inner stall, a numerical failure, a level set below double precision
     or a non-finite value or gradient ends the run at the last good iterate
     with the matching status; a non-finite start raises
-    :class:`NonFiniteError`.  The run sits in ``np.errstate(over="ignore")``,
-    entered once, so a finite gradient whose ||g||^2 overflows is recorded
+    :class:`NonFiniteError`, and one not of shape ``(f.dim,)``
+    ``ValueError``.  The run sits in ``np.errstate(over="ignore")``, entered
+    once, so a finite gradient whose ||g||^2 overflows is recorded
     with norm inf instead of raising under warnings-as-errors.  Unless
     ``non_monotone_ok``, a step that returns ``x_next`` bit-equal to ``x_k``
     without lowering f also ends the run there, ``precision_floor``: such a
@@ -417,7 +412,7 @@ def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
         return grad_norm
 
     with np.errstate(over="ignore"):  # ||g||^2 may overflow to inf
-        x = np.asarray(x1, dtype=float).copy()
+        x = f._check(x1).copy()
         cf.restrict(x)
         fx = cf.value(x)
         v = cf.grad(x)
@@ -429,7 +424,7 @@ def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
                 status = RunStatus.MAX_ITERATIONS
                 break
             try:
-                x_next, v_next, info = step(cf, k, x, fx, v, cfg)
+                x_next, v_next, info = step(cf, x, fx, v)
                 f_next = cf.value(x_next)
                 if (not non_monotone_ok and f_next >= fx
                         and np.array_equal(x_next, x)):
@@ -509,9 +504,9 @@ def run_fast_gd(f: Objective, x1: np.ndarray, cfg: SolverConfig | None = None,
     momentum = (sqrt_kappa - 1.0) / (sqrt_kappa + 1.0)
     x_prev = None
 
-    def step(cf, k, x, f_x, v, cfg):
+    def step(cf, x, f_x, v):
         nonlocal x_prev
-        if k == 1:  # z1 = x1, so reuse the first gradient
+        if x_prev is None:  # z1 = x1, so reuse the first gradient
             z, gz = x, v
         else:
             z = cf.extrapolate(x, x_prev, momentum)

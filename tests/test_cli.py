@@ -1,11 +1,11 @@
 import csv
 import io
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
-from ellipcenters import cli, harness
+from ellipcenters import SolverConfig, cli, harness
 from ellipcenters.cli import main
 from ellipcenters.harness import compute_reference, verify_experiment
 from ellipcenters.objectives import load_logreg, load_quadratic
@@ -137,6 +137,25 @@ def test_gen_quadratic_roundtrip(tmp_path):
     assert code == 0
     q = load_quadratic(path)
     assert q.dim == 4
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_every_solver_setting_has_a_caller(source, tmp_path):
+    """Each ``SolverConfig`` field can be set by its flag and by its key in
+    a ``--config`` file, and reaches the experiment's config: a setting
+    that neither sets is a knob with no caller."""
+    for field in fields(SolverConfig):
+        value = 2 * field.default
+        argv = ["run"]
+        if source == "flag":
+            argv += [f"--{field.name.replace('_', '-')}", str(value)]
+        else:
+            path = tmp_path / f"{field.name}.json"
+            path.write_text(json.dumps({field.name: value}))
+            argv += ["--config", str(path)]
+        settings = cli._resolve(cli.build_parser().parse_args(argv))
+        config = cli._make_spec(settings, []).config
+        assert getattr(config, field.name) == value, field.name
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ellipcenters import (QuadraticProblem, SolverConfig, certify_rates,
-                          compute_reference, generate_logreg,
-                          generate_quadratic, run_gd_l, run_me,
-                          theoretical_iteration_bound)
+from ellipcenters import (QuadraticProblem, certify_rates, compute_reference,
+                          generate_logreg, generate_quadratic, plane2d,
+                          run_gd_l, run_me, theoretical_iteration_bound)
 from ellipcenters.diagnostics import (audit_dominance, audit_orthogonality,
                                       contraction_ratios)
 from ellipcenters.harness import fill_ratios
@@ -128,7 +127,7 @@ class TestOrthogonalityAudit:
         f = small_quadratic.objective()
         history = History()
         run_me(f, np.zeros(10), observe=history)
-        report = audit_orthogonality(history.step_data, 1e-12, f.lip)
+        report = audit_orthogonality(history.step_data, f.lip)
         assert report.passed, report.to_text()
         # while the gradient is large the residual of the exact 2x2 solve is
         # visible in the fresh gradient too; below that, rounding dominates
@@ -141,7 +140,7 @@ class TestOrthogonalityAudit:
         history = History()
         run_me(f, np.array([1.0, 0.0, 0.0]), observe=history)
         assert any(not sd.li_flag for sd in history.step_data)
-        report = audit_orthogonality(history.step_data, 1e-12, f.lip)
+        report = audit_orthogonality(history.step_data, f.lip)
         audited_steps = {r.step for r in report.rows}
         for sd in history.step_data:
             if not sd.li_flag:
@@ -151,7 +150,7 @@ class TestOrthogonalityAudit:
         f = small_logreg.objective()
         history = History()
         run_me(f, np.zeros(50), observe=history)
-        report = audit_orthogonality(history.step_data, 1e-12, f.lip)
+        report = audit_orthogonality(history.step_data, f.lip)
         assert report.passed, report.to_text()
 
 
@@ -176,12 +175,12 @@ class TestDominance:
         _, _, ok = audit_dominance(small_logreg.objective(), np.zeros(50))
         assert ok
 
-    def test_stalled_step_fails(self):
+    def test_stalled_step_fails(self, monkeypatch):
         # with one inner iteration the plane solve stalls, so the ellipcenter
         # side takes no step and must not pass as dominating
         p = generate_logreg(30, 15, 40.0, 4)
-        f_me, f_gd, ok = audit_dominance(p.objective(), np.zeros(30),
-                                         SolverConfig(max_inner=1))
+        monkeypatch.setattr(plane2d, "MAX_NEWTON", 1)
+        f_me, f_gd, ok = audit_dominance(p.objective(), np.zeros(30))
         assert not ok
         assert math.isnan(f_me)
         assert f_gd < p.value(np.zeros(30))

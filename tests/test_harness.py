@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -8,6 +9,7 @@ from ellipcenters import (ExperimentSpec, QuadraticProblem, RunStatus,
                           SolverConfig, SolverId, compute_reference,
                           generate_logreg, run_experiment, run_fast_gd,
                           verify_experiment)
+from ellipcenters import companion, solvers
 from ellipcenters.diagnostics import (audit_bh_descent, audit_level_sets,
                                       audit_orthogonality, certify_rates)
 from ellipcenters.harness import (build_problem, format_summary_table,
@@ -116,6 +118,9 @@ class TestRunExperiment:
     def test_rejects_bad_spec(self):
         with pytest.raises(ValueError):
             ExperimentSpec(problem="logreg", n=10, kappa=0.5, seed=0)
+        for kappa in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="exceed 1 and be finite"):
+                ExperimentSpec(problem="quadratic", n=10, kappa=kappa, seed=0)
         with pytest.raises(ValueError):
             ExperimentSpec(problem="banana", n=10, kappa=5.0, seed=0)
 
@@ -198,11 +203,9 @@ class TestVerify:
                     for x, g in zip(history.iterates, grads)]
         post = certify_rates(trace, ref.f_star, f.mu, f.lip, dist2=dist2,
                              gaps=gaps)[1]
-        post.extend(audit_orthogonality(history.step_data,
-                                        spec.config.inner_tol, f.lip))
+        post.extend(audit_orthogonality(history.step_data, f.lip))
         post.extend(audit_bh_descent(trace, f.lip))
-        post.extend(audit_level_sets(history.step_data,
-                                     spec.config.companion_tol))
+        post.extend(audit_level_sets(history.step_data))
 
         def bits(rows):
             return [(r.name, r.step, r.value.hex(), r.bound.hex(), r.passed)
@@ -213,6 +216,21 @@ class TestVerify:
         assert {"iterate_distance_bound", "orth_v", "pythagoras",
                 "lipschitz_displacement", "level_residual"} <= {
                     r.name for r in streamed}
+
+
+def test_a_patched_constant_moves_the_run_and_its_audit(monkeypatch):
+    """The audits read the solvers' constants through their modules, so a
+    patched constant moves the run and ``verify``'s audit of it together:
+    the companion search stops above the default 1e-12, and the looser plane
+    search still passes its orthogonality audit."""
+    monkeypatch.setattr(companion, "TOL", 1e-6)
+    monkeypatch.setattr(solvers, "INNER_TOL", 1e-9)
+    _, report = verify_experiment(ExperimentSpec(problem="logreg", n=30,
+                                                 kappa=20.0, seed=1))
+    level = [r for r in report.rows if r.name == "level_residual"]
+    assert all(r.bound == 1e-6 for r in level)
+    assert any(r.value > 1e-12 for r in level)
+    assert report.passed, report.to_text()
 
 
 def test_write_read_trace_handles_empty_fields(tmp_path, small_logreg):

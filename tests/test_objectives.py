@@ -136,14 +136,17 @@ class TestMuForKappa:
         mu_scaled = mu_for_kappa(3.0 * data, 10.0)
         assert mu_scaled == pytest.approx(9.0 * mu)
 
-    @pytest.mark.parametrize("kappa", [1.0, 0.5, -2.0])
+    @pytest.mark.parametrize("kappa", [1.0, 0.5, -2.0, math.inf, math.nan])
     def test_rejects_kappa_at_most_one(self, kappa):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must exceed 1 and be finite"):
             mu_for_kappa(np.ones((2, 2)), kappa)
 
     def test_rejects_zero_data(self):
         with pytest.raises(ValueError):
             mu_for_kappa(np.zeros((2, 2)), 5.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="energy"):
+                mu_for_kappa(np.array([[1.0, bad]]), 5.0)
 
 
 class TestGenerators:
@@ -168,6 +171,11 @@ class TestGenerators:
         eigs = np.linalg.eigvalsh(p.a_matrix)
         npt.assert_allclose(eigs[0], 1.0, rtol=1e-10)
         npt.assert_allclose(eigs[-1], 50.0, rtol=1e-10)
+
+    @pytest.mark.parametrize("kappa", [0.5, math.inf, math.nan])
+    def test_quadratic_rejects_kappa_below_one_or_non_finite(self, kappa):
+        with pytest.raises(ValueError, match="at least 1 and be finite"):
+            generate_quadratic(3, kappa, 0)
 
     def test_quadratic_deterministic(self):
         p1 = generate_quadratic(8, 12.0, 3)
@@ -268,6 +276,50 @@ class TestSerialization:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="header of 3 fields"):
             load_logreg(path)
+
+
+class TestNonFiniteData:
+    """A NaN or infinite entry in a problem's data is rejected at
+    construction, by the name of the array that holds it."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["A", "b", "c"])
+    def test_quadratic(self, name, bad):
+        data = {"A": np.eye(3), "b": np.zeros(3), "c": 0.0}
+        if name == "c":
+            data["c"] = bad
+        else:
+            data[name].flat[1] = bad  # A's (0, 1), b's second entry
+        with pytest.raises(ValueError, match=f"^{name} has a NaN or infinite"):
+            QuadraticProblem(data["A"], data["b"], data["c"])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_logistic(self, bad):
+        a = np.ones((4, 3))
+        a[2, 1] = bad
+        with pytest.raises(ValueError, match="^a has a NaN or infinite"):
+            LogRegProblem(a, np.ones(4), 1.0)
+        with pytest.raises(ValueError, match="mu <= lip < inf"):
+            LogRegProblem(np.ones((4, 3)), np.ones(4), abs(bad))
+
+    @pytest.mark.parametrize("family", ["quadratic", "logreg"])
+    def test_loaded_files(self, family, tmp_path):
+        """``nan`` and ``inf`` parse as floats, so a file reaches the
+        constructor's check."""
+        path = tmp_path / "instance.txt"
+        if family == "quadratic":
+            save_quadratic(generate_quadratic(3, 5.0, 0), path)
+            load, rows = load_quadratic, {1: "A", 4: "b", 5: "c"}
+        else:
+            save_logreg(generate_logreg(3, 2, 5.0, 0), path)
+            load, rows = load_logreg, {1: "a", 2: "a"}
+        lines = path.read_text().splitlines()
+        for row, name in rows.items():
+            for bad in ("nan", "inf"):
+                edited = lines[:row] + [" ".join([bad, *lines[row].split()[1:]])]
+                path.write_text("\n".join(edited + lines[row + 1:]) + "\n")
+                with pytest.raises(ValueError, match=f"^{name} has"):
+                    load(path)
 
 
 def test_objective_rejects_bad_constants():

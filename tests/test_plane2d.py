@@ -5,13 +5,19 @@ import pytest
 from ellipcenters import (Objective, QuadraticProblem, SolverConfig,
                           generate_logreg, generate_quadratic, run_gd_exact,
                           run_me)
+from ellipcenters import plane2d, solvers
 from ellipcenters.companion import companion_point
 from ellipcenters.errors import DegeneratePlaneError, InnerStallError
 from ellipcenters.objectives import CountingObjective
 from ellipcenters.plane2d import minimize
 
-# sin^2 of two gradients never reaches 1.0 here, so every step is degenerate
-LINE_STEP = SolverConfig(eps=1e-300, max_outer=1, ld_threshold=1.0)
+
+@pytest.fixture
+def line_step(monkeypatch):
+    """A one-step config under which every ellipcenter step is degenerate:
+    sin^2 of two gradients never reaches ``LD_THRESHOLD = 1.0`` here."""
+    monkeypatch.setattr(solvers, "LD_THRESHOLD", 1.0)
+    return SolverConfig(eps=1e-300, max_outer=1)
 
 
 def build_plane(prob, x):
@@ -29,12 +35,12 @@ def plain(prob):
     return Objective(prob.dim, prob.mu, prob.lip, prob.value, prob.grad)
 
 
-def solve(sp, inner_tol=1e-12, max_iter=10000, stall=True):
+def solve(sp, stall=True):
     """The plane step's search on ``sp``: ``(alpha, beta, x_next)`` to the
-    tolerance ``inner_tol * max(||v||, ||w||)``, from f(base) evaluated
-    uncounted."""
-    tol = inner_tol * max(np.linalg.norm(d) for d in sp.dirs)
-    alpha, beta = minimize(sp, tol, max_iter, sp.f.value(sp.base), stall)
+    tolerance ``solvers.INNER_TOL * max(||v||, ||w||)``, from f(base)
+    evaluated uncounted."""
+    tol = solvers.INNER_TOL * max(np.linalg.norm(d) for d in sp.dirs)
+    alpha, beta = minimize(sp, tol, sp.f.value(sp.base), stall)
     return alpha, beta, sp.point(alpha, beta)
 
 
@@ -121,7 +127,7 @@ class TestArmijoDescent:
     def test_logistic_first_step_meets_tolerance(self):
         p = generate_logreg(40, 20, 50.0, 2)
         f, sp, _ = build_plane(p, np.zeros(40))
-        alpha, beta, _ = solve(sp, inner_tol=1e-12)
+        alpha, beta, _ = solve(sp)
         scale = max(np.linalg.norm(d) for d in sp.dirs)
         assert residual(sp, alpha, beta) <= 1e-12 * scale
 
@@ -148,19 +154,20 @@ class TestArmijoDescent:
             counts.append(trace.records[-1].value_evals_total)
         assert counts[0] <= 2 * counts[1]
 
-    def test_stall_raises(self):
+    def test_stall_raises(self, monkeypatch):
         p = generate_logreg(30, 15, 40.0, 4)
         f, sp, _ = build_plane(p, np.zeros(30))
+        monkeypatch.setattr(plane2d, "MAX_NEWTON", 1)
         with pytest.raises(InnerStallError):
-            solve(sp, max_iter=1)
-        alpha, beta, _ = solve(sp, max_iter=1, stall=False)
+            solve(sp)
+        alpha, beta, _ = solve(sp, stall=False)
         assert residual(sp, alpha, beta) > \
             1e3 * 1e-12 * max(np.linalg.norm(d) for d in sp.dirs)
 
     def test_orthogonality_and_pythagoras_at_solution(self):
         p = generate_logreg(40, 20, 30.0, 6)
         f, sp, _ = build_plane(p, np.zeros(40))
-        _, _, x_next = solve(sp, inner_tol=1e-12)
+        _, _, x_next = solve(sp)
         g = f.grad(x_next)
         v, w = sp.dirs
         eps_orth = 10.0 * 1e-12 * max(np.linalg.norm(v), np.linalg.norm(w))
@@ -201,11 +208,12 @@ class TestSegmentMinimizer:
         assert trace.records[0].li_flag is False
         npt.assert_allclose(trace.x_final, [0.0, 0.0], atol=1e-12)
 
-    def test_diag_example_beats_midpoint_and_endpoint(self, diag_quadratic):
+    def test_diag_example_beats_midpoint_and_endpoint(self, diag_quadratic,
+                                                       line_step):
         f = diag_quadratic.objective()
         x = np.array([1.0, 1.0])
         y = np.array([31.0 / 65.0, -71.0 / 65.0])  # the companion point
-        trace = run_me(f, x, LINE_STEP)
+        trace = run_me(f, x, line_step)
         assert trace.records[0].li_flag is False
         out = trace.x_final
         npt.assert_allclose(out, x - 17.0 / 65.0 * f.grad(x), rtol=1e-15)
@@ -215,20 +223,20 @@ class TestSegmentMinimizer:
                    for lam in np.linspace(0.0, 1.0, 2001))
         assert f.value(out) <= grid + 1e-15
 
-    def test_strict_descent_on_logistic(self, small_logreg):
+    def test_strict_descent_on_logistic(self, small_logreg, line_step):
         f = small_logreg.objective()
         x = np.zeros(50)
         x[0] = 0.7
-        trace = run_me(f, x, LINE_STEP)
+        trace = run_me(f, x, line_step)
         assert trace.records[0].li_flag is False
         assert f.value(trace.x_final) < f.value(x)
 
     @pytest.mark.parametrize("family", ["logreg", "quadratic"])
     def test_same_point_as_exact_linesearch(self, family, small_logreg,
-                                            small_quadratic):
+                                            small_quadratic, line_step):
         p = small_logreg if family == "logreg" else small_quadratic
         f = p.objective()
         x = np.full(p.dim, 0.7)
-        me = run_me(f, x, LINE_STEP)
+        me = run_me(f, x, line_step)
         assert me.records[0].li_flag is False
-        npt.assert_array_equal(me.x_final, run_gd_exact(f, x, LINE_STEP).x_final)
+        npt.assert_array_equal(me.x_final, run_gd_exact(f, x, line_step).x_final)

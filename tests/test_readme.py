@@ -53,6 +53,20 @@ def test_tolerance_table_lists_every_setting_with_its_default():
         assert float(rows[f.name][0]) == f.default, f.name
 
 
+def test_constant_table_gives_each_constant_its_value():
+    """Every row of the constant table is ``module.NAME`` in the package,
+    with the value it has there; the inner searches' tolerances and caps
+    are among them."""
+    import importlib
+    rows = table_rows("| constant | value | meaning |")
+    for name, (value, _) in rows.items():
+        module, attr = name.split(".")
+        actual = getattr(importlib.import_module(f"ellipcenters.{module}"), attr)
+        assert float(value) == actual, name
+    assert {"companion.TOL", "plane2d.MAX_NEWTON", "solvers.INNER_TOL",
+            "solvers.LD_THRESHOLD"} <= set(rows)
+
+
 def test_working_set_table_is_the_memory_budgets():
     from test_memory import WORKING_SET
     rows = table_rows("| solver | quadratic, n-vectors |")

@@ -10,6 +10,7 @@ from ellipcenters import (Objective, QuadraticProblem, RunStatus, SolverConfig,
                           SolverId, compute_reference, generate_logreg,
                           generate_quadratic, run_fast_gd, run_gd_exact,
                           run_gd_l, run_me)
+from ellipcenters import companion, plane2d
 from ellipcenters.solvers import RUNNERS, History
 
 ONE_STEP = SolverConfig(max_outer=1)
@@ -93,12 +94,11 @@ class TestRunMe:
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_level_set_equality_every_iteration(self, small_logreg):
-        cfg = SolverConfig()
         history = History()
-        run_me(small_logreg.objective(), np.zeros(50), cfg, observe=history)
+        run_me(small_logreg.objective(), np.zeros(50), observe=history)
         assert history.step_data
         for sd in history.step_data:
-            assert sd.level_residual <= cfg.companion_tol
+            assert sd.level_residual <= companion.TOL
 
     def test_bh_descent_at_li_steps(self, small_logreg):
         f = small_logreg.objective()
@@ -119,10 +119,10 @@ class TestRunMe:
             assert f.value(x_me) <= f.value(x_gd) + 1e-12 * max(1.0, abs(f.value(x)))
             x = x_me
 
-    def test_inner_stall_aborts_run(self):
+    def test_inner_stall_aborts_run(self, monkeypatch):
         p = generate_logreg(30, 15, 40.0, 4)
-        cfg = SolverConfig(max_inner=1)
-        trace = run_me(p.objective(), np.zeros(30), cfg)
+        monkeypatch.setattr(plane2d, "MAX_NEWTON", 1)
+        trace = run_me(p.objective(), np.zeros(30))
         assert trace.status is RunStatus.INNER_STALL
 
     def test_determinism(self, small_logreg):
@@ -244,15 +244,26 @@ class TestFastGd:
         assert last.grad_evals_total == 2 * trace.iterations
 
 
+@pytest.mark.parametrize("sid", list(SolverId))
+def test_a_start_point_of_the_wrong_shape_is_rejected(sid):
+    """Every run checks its start point's shape, on a plain Objective as on
+    a problem, with the problems' message."""
+    plain = Objective(3, 1.0, 1.0, lambda x: 0.5 * float(x @ x),
+                      lambda x: x.copy())
+    for f in (plain, generate_quadratic(3, 10.0, 0)):
+        with pytest.raises(ValueError,
+                           match=r"^x must have shape \(3,\), got \(5,\)$"):
+            RUNNERS[sid](f, np.ones(5))
+
+
 class TestConfig:
-    @pytest.mark.parametrize("name", ["eps", "companion_tol", "inner_tol",
-                                      "ld_threshold"])
+    @pytest.mark.parametrize("name", ["eps"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1e-3])
     def test_rejects_non_positive_or_non_finite_tolerance(self, name, bad):
         with pytest.raises(ValueError, match=name):
             SolverConfig(**{name: bad})
 
-    @pytest.mark.parametrize("name", ["max_outer", "max_inner"])
+    @pytest.mark.parametrize("name", ["max_outer"])
     def test_rejects_nan_iteration_cap(self, name):
         with pytest.raises(ValueError):
             SolverConfig(**{name: float("nan")})
@@ -260,8 +271,6 @@ class TestConfig:
     def test_rejects_nonpositive_tolerances(self):
         with pytest.raises(ValueError):
             SolverConfig(eps=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(inner_tol=-1.0)
         with pytest.raises(ValueError):
             SolverConfig(max_outer=0)
 
