@@ -15,6 +15,10 @@ A problem remembers the data product of the last point it evaluated, so a
 exact product of the point before, for ``extrapolate``.  The two are
 replaced together as one tuple, so concurrent callers still get correct
 results (to the rounding of a carried product) and at worst lose reuses.
+The points the package makes (model points, momentum points, a run's
+iterates) are read-only and own their data: the slot knows them by identity
+and holds them by weak reference.  It keeps a copy of a caller's array, a
+read-only view of a writable one included, and compares it bit for bit.
 
 ``restrict(x, v[, w])`` returns a :class:`Restriction`, a model of f on
 ``x + span(v[, w])``: O(m) per evaluation for logistic, O(1) and exact for
@@ -36,6 +40,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import weakref
 from itertools import chain
 from typing import Callable, Optional
 
@@ -54,18 +59,32 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return view
 
 
-def _store(prob, state: tuple, key: bytes, product: np.ndarray,
+def _own(x: np.ndarray) -> bool:
+    """Whether ``x`` is known by identity, as every point the package makes
+    is: it owns its data and rejects writes, so it cannot change unless its
+    owner makes it writable again (a read-only view can change)."""
+    return x.base is None and not x.flags.writeable
+
+
+def _is(point: Optional[np.ndarray], x: np.ndarray) -> bool:
+    """Whether ``x`` is the stored ``point``: by identity if the package
+    made ``x``, bit for bit if it is a caller's array."""
+    return x is point or (point is not None and not _own(x)
+                          and x.tobytes() == point.tobytes())
+
+
+def _store(prob, state: tuple, hold, product: np.ndarray,
            carried: int) -> None:
     """Replace ``prob._product``, read before as ``state``, by the product of
-    the point with bytes ``key``.
+    the point that calling ``hold`` returns.
 
-    The slot is a ``(key, product, carried updates, previous key, previous
-    product)`` tuple.  The product it held moves to the previous slot if it
-    was formed exactly; otherwise the previous slot is kept."""
-    old_key, old_product, old_carried, prev_key, prev_product = state
+    The slot is a ``(hold, product, carried updates, previous hold,
+    previous product)`` tuple.  The product it held moves to the previous
+    slot if it was formed exactly; otherwise the previous slot is kept."""
+    old_hold, old_product, old_carried, prev_hold, prev_product = state
     if old_carried == 0:
-        prev_key, prev_product = old_key, old_product
-    prob._product = (key, product, carried, prev_key, prev_product)
+        prev_hold, prev_product = old_hold, old_product
+    prob._product = (hold, product, carried, prev_hold, prev_product)
 
 
 @functools.cache
@@ -83,19 +102,24 @@ def _expit():
 
 
 def _data_product(prob, x: np.ndarray, fresh: bool = False):
-    """The checked ``x``, its data product and its number of carried updates.
+    """``x``, its data product and its number of carried updates.
 
-    The product is reused when ``x`` has the same bytes as the point stored
-    in ``prob._product``, unless ``fresh``; otherwise it is computed and
-    stored with 0 carried updates."""
-    x = prob._check(x)
-    key = x.tobytes()
+    The stored product is reused, unless ``fresh``, when ``x`` is the stored
+    point (see :func:`_is`), which is not checked again.  Otherwise ``x`` is
+    checked, and its product formed and stored with 0 carried updates, with
+    ``x`` held by weak reference if the package made it, else copied."""
     state = prob._product
-    if fresh or state[0] != key:
-        product = prob._matvec(x)
-        _store(prob, state, key, product, 0)
-        return x, product, 0
-    return x, state[1], state[2]
+    point = state[0]()
+    if x is point and not fresh:
+        return x, state[1], state[2]
+    x = prob._check(x)
+    own = _own(x)
+    if not (fresh or own or point is None) and x.tobytes() == point.tobytes():
+        return x, state[1], state[2]
+    product = prob._matvec(x)
+    hold = weakref.ref(x) if own else functools.partial(_read_only, x.copy())
+    _store(prob, state, hold, product, 0)
+    return x, product, 0
 
 
 def _directions(v, w) -> tuple:
@@ -105,29 +129,33 @@ def _directions(v, w) -> tuple:
     return () if v is None else (v,) if w is None else (v, w)
 
 
-def _border(rows: tuple, left, right) -> tuple:
-    """The symmetric matrix ``rows``, a tuple of rows of floats, bordered by
-    the row and column ``<left[i], right>``, whose last entry is diagonal."""
-    col = tuple([float(right.dot(e)) for e in left])
-    return (*[r + (c,) for r, c in zip(rows, col)], col)
+def _combine(start: np.ndarray, z, vecs) -> np.ndarray:
+    """``start + sum_i z_i vecs_i`` in one new array: the first term, then
+    each sum in place (IEEE + commutes)."""
+    out = z[0] * vecs[0]
+    out += start
+    for i in range(1, len(z)):
+        out += z[i] * vecs[i]
+    return out
 
 
 class Restriction:
     """A model of f on the affine set ``base + span(dirs)``, in the
     coordinates z of its directions (one or two).
 
-    ``value(*z)`` is f at ``point(*z) = base + sum_i z_i d_i``; ``grad(*z)``
-    the restricted gradient ``(<grad f(p), d_i>)_i``, a tuple of floats on
-    the exact quadratic model and an array otherwise; ``hess(*z)`` the
-    restricted Hessian ``(<d_i, hess f(p) d_j>)_ij``, the stored ``hessian``
-    on the exact quadratic model and an array otherwise, with ``grad=`` the
-    restricted gradient at z if the caller holds it; ``extend(w)`` the
-    model with ``w`` as one more direction.  ``gram`` is the Gram matrix of
-    the directions, a tuple of rows of Python floats; each direction adds
-    its row and column when it is added, so an extended model forms only
-    the new entries.  ``sin2_theta`` is its normalized determinant, ``lip``
-    the gradient Lipschitz constant of f, and ``hessian`` the exact Hessian
-    in z when f is quadratic, formed the same way, else None.
+    ``value(*z)`` is f at ``point(*z) = base + sum_i z_i d_i``, a read-only
+    array; ``grad(*z)`` the restricted gradient ``(<grad f(p), d_i>)_i``, a
+    tuple of floats on the exact quadratic model and an array otherwise;
+    ``hess(*z)`` the restricted Hessian ``(<d_i, hess f(p) d_j>)_ij``, the
+    stored ``hessian`` on the exact quadratic model and an array otherwise,
+    with ``grad=`` the restricted gradient at z if the caller holds it;
+    ``extend(w)`` the model with ``w`` as one more direction.  ``gram`` is
+    the Gram matrix of the directions, a tuple of rows of Python floats;
+    each direction adds its row and column when it is added, so an extended
+    model forms only the new entries.  ``sin2_theta`` is its normalized
+    determinant, ``lip`` the gradient Lipschitz constant of f, and
+    ``hessian`` the exact Hessian in z when f is quadratic, formed the same
+    way, else None.  ``restrict`` and ``extend`` check their directions.
 
     A subclass evaluates in ``_value(z)``, ``_grad(z)`` and ``_hess(z,
     grad)``.  This generic form, which a plain :class:`Objective` returns,
@@ -154,16 +182,17 @@ class Restriction:
             self._add(d)
 
     def _add(self, d: np.ndarray) -> None:
-        """Append the direction ``d`` and its row of the Gram matrix;
-        subclasses extend their own data."""
+        """Append the checked direction ``d``, and its row and column (whose
+        last entry is diagonal) to the Gram matrix."""
         self.dirs += (d,)
-        self.gram = _border(self.gram, self.dirs, d)
+        col = tuple([float(d.dot(e)) for e in self.dirs])
+        self.gram = (*[r + (c,) for r, c in zip(self.gram, col)], col)
 
     def extend(self, w: np.ndarray) -> "Restriction":
         # a shallow copy: _add rebinds the per-direction data, never mutates it
         model = object.__new__(type(self))
         model.__dict__.update(self.__dict__)
-        model._add(np.asarray(w, dtype=float))
+        model._add(self.f._check(w))
         return model
 
     @property
@@ -178,10 +207,8 @@ class Restriction:
     def point(self, *z) -> np.ndarray:
         if not z:
             return self.base
-        p = z[0] * self.dirs[0]  # the one new array; IEEE + commutes
-        p += self.base
-        for zi, d in zip(z[1:], self.dirs[1:]):
-            p += zi * d
+        p = _combine(self.base, z, self.dirs)
+        p.setflags(write=False)
         return p
 
     def value(self, *z) -> float:
@@ -233,44 +260,37 @@ class Restriction:
 
 
 class _DataRestriction(Restriction):
-    """A problem's model.  It keeps the data products ``A base`` and ``A d_i``
-    (from the problem's ``_matvec``), so the product at a model point is
-    ``A base + sum_i z_i A d_i``.  ``point`` stores that carried product in
-    the problem's slot, or ``A p`` formed exactly once ``REFRESH_EVERY``
-    carried updates have piled up since the last exact one."""
+    """A problem's model: its family's ``_add`` forms each direction's data
+    product and rows, in one layer.  It keeps ``A base`` and the ``A d_i``
+    (from the problem's ``_matvec``), and f and its gradient at the base if
+    the caller gave them.  ``point`` stores the point's carried product
+    ``A base + sum_i z_i A d_i`` in the problem's slot, or ``A p`` formed
+    exactly once ``REFRESH_EVERY`` carried updates have piled up since the
+    last exact one."""
 
     full = False
     _data_dirs = ()
 
-    def __init__(self, prob, base, dirs, product, carried, f_x=None,
-                 grad_x=None):
+    def __init__(self, prob, base, product, carried, f_x=None, grad_x=None):
+        self.f = prob
+        self.base = base
+        self.lip = prob.lip
         self._product = product
         self._carried_updates = carried
-        super().__init__(prob, base, dirs)
-
-    def _add(self, d):
-        d = self.f._check(d)
-        self._data_dirs += (self.f._matvec(d),)
-        super()._add(d)
-
-    def _carried(self, z) -> np.ndarray:
-        if not z:
-            return self._product
-        product = z[0] * self._data_dirs[0]  # summed in place, as point's
-        product += self._product
-        for zi, ad in zip(z[1:], self._data_dirs[1:]):
-            product += zi * ad
-        return product
+        self._f0 = f_x
+        self._grad_base = grad_x
 
     def point(self, *z) -> np.ndarray:
-        p = super().point(*z)
-        carried = self._carried_updates + 1
-        prob = self.f
-        if carried >= REFRESH_EVERY:
-            product, carried = prob._matvec(p), 0
+        if not z:
+            return self.base
+        p = _combine(self.base, z, self.dirs)
+        p.setflags(write=False)
+        prob, carried = self.f, self._carried_updates + 1
+        if carried < REFRESH_EVERY:
+            product = _combine(self._product, z, self._data_dirs)
         else:
-            product = self._carried(z)
-        _store(prob, prob._product, p.tobytes(), product, carried)
+            product, carried = prob._matvec(p), 0
+        _store(prob, prob._product, weakref.ref(p), product, carried)
         return p
 
 
@@ -278,26 +298,32 @@ class _QuadraticRestriction(_DataRestriction):
     """The exact model f0 + z.g0 + z'Hz/2, with g0 = (<A x - b, d_i>)_i and
     H = (<d_i, A d_j>)_ij, on Python floats: every evaluation is O(1) and
     makes no numpy call.  Each entry is one dot, formed once: adding a
-    direction forms its entry of g0 and its row of H only; when ``grad_x``
-    is the first direction, as on a solver's ray and plane, g0 is the Gram's
-    first column.  f0 = f(x) is ``f_x``, else formed on the first ``value``;
-    the exact linesearch never asks for it."""
+    direction forms its data product, its entry of g0 and its rows of the
+    Gram matrix and H only; when ``grad_x`` is the first direction, as on a
+    solver's ray and plane, g0 is the Gram's first column.  f0 = f(x) is
+    ``f_x``, else formed on the first ``value``; the exact linesearch never
+    asks for it."""
 
     hessian = ()
     _g0 = ()
 
-    def __init__(self, prob, base, dirs, product, carried, f_x=None,
-                 grad_x=None):
-        self._f0 = f_x
-        self._grad_base = product - prob.b if grad_x is None else grad_x
-        super().__init__(prob, base, dirs, product, carried)
-
     def _add(self, d):
-        super()._add(d)
+        # a model has one or two directions, so each entry is written out
+        ad = self.f._matvec(d)
+        dd, dad = float(d.dot(d)), float(ad.dot(d))
         g = self._grad_base
-        self._g0 += (self.gram[-1][0] if g is self.dirs[0]
-                     else float(g.dot(self.dirs[-1])),)
-        self.hessian = _border(self.hessian, self.dirs, self._data_dirs[-1])
+        if g is None:
+            g = self._grad_base = self._product - self.f.b
+        if self.dirs:  # border the first direction's entries
+            (v,), ((vv,),), ((vav,),) = self.dirs, self.gram, self.hessian
+            dv, adv = float(d.dot(v)), float(ad.dot(v))
+            self.gram = ((vv, dv), (dv, dd))
+            self.hessian = ((vav, adv), (adv, dad))
+        else:
+            v, dv = d, dd
+            self.gram, self.hessian = ((dd,),), ((dad,),)
+        self.dirs, self._data_dirs = self.dirs + (d,), self._data_dirs + (ad,)
+        self._g0 += (dv if g is v else float(g.dot(d)),)
 
     def _value(self, z) -> float:
         f0 = self._f0
@@ -324,10 +350,13 @@ class _LogRegRestriction(_DataRestriction):
     _gram_matrix = _read_only(np.empty((0, 0)))
 
     def _add(self, d):
+        self._data_dirs += (self.f._matvec(d),)
         super()._add(d)
-        xd = self.base.dot(self.dirs[-1])
-        self._xd = np.array(self._xd.tolist() + [float(xd)])
+        self._xd = np.array(self._xd.tolist() + [float(self.base.dot(d))])
         self._gram_matrix = np.array(self.gram)
+
+    def _carried(self, z) -> np.ndarray:
+        return _combine(self._product, z, self._data_dirs) if z else self._product
 
     def _value(self, z) -> float:
         prob = self.f
@@ -422,11 +451,11 @@ class Objective:
         data products instead (see :meth:`_DataProblem.restrict`).
         """
         return Restriction(self, np.asarray(x, dtype=float),
-                           [np.asarray(d, dtype=float) for d in _directions(v, w)])
+                           [self._check(d) for d in _directions(v, w)])
 
     def extrapolate(self, x: np.ndarray, x_prev: np.ndarray,
                     beta: float) -> np.ndarray:
-        """The momentum point ``x + beta * (x - x_prev)``.
+        """The momentum point ``x + beta * (x - x_prev)``, read-only.
 
         Nothing is evaluated.  A problem that holds the exact data products
         of ``x`` and ``x_prev`` also hands over z's product, combined from
@@ -435,6 +464,7 @@ class Objective:
         z = np.subtract(x, x_prev, dtype=float)  # in place: IEEE + commutes
         z *= beta
         z += x
+        z.setflags(write=False)
         return z
 
 
@@ -515,38 +545,41 @@ class _DataProblem(Objective):
     callables, so it passes none."""
 
     model = _DataRestriction
-    # (x.tobytes(), A @ x, carried updates, previous key, previous A @ x)
-    _product = (None, None, 0, None, None)
+    # (hold of x, A @ x, carried updates, hold of the last exact x, its A @ x);
+    # a hold returns its point, or None once the point is gone
+    _product = ((lambda: None), None, 0, (lambda: None), None)
 
     def objective(self) -> "_DataProblem":
         """The problem itself, which is an :class:`Objective`."""
         return self
 
     def restrict(self, x: np.ndarray, v: Optional[np.ndarray] = None,
-                 w: Optional[np.ndarray] = None, **at_x) -> Restriction:
+                 w: Optional[np.ndarray] = None, *, f_x: float | None = None,
+                 grad_x: Optional[np.ndarray] = None) -> Restriction:
         """The family's model of f on ``x + span(v[, w])``, on the stored
         product of ``x``, or on ``A x`` formed exactly (none stored, or no
         direction); ``f_x`` and ``grad_x`` as for ``Objective.restrict``."""
         dirs = _directions(v, w)
         x, product, carried = _data_product(self, x, fresh=not dirs)
-        return self.model(self, x, dirs, product, carried, **at_x)
+        model = self.model(self, x, product, carried, f_x, grad_x)
+        for d in dirs:
+            model._add(self._check(d))
+        return model
 
     def extrapolate(self, x: np.ndarray, x_prev: np.ndarray,
                     beta: float) -> np.ndarray:
-        """``z = x + beta (x - x_prev)``, handing over z's product
+        """``z = x + beta (x - x_prev)``, read-only, handing over z's product
         ``A x + beta (A x - A x_prev)`` (one carried update) when the stored
         products are those of ``x``, formed exactly, and ``x_prev``."""
         x, x_prev = self._check(x), self._check(x_prev)
-        z = np.subtract(x, x_prev)  # in place, as Objective.extrapolate
-        z *= beta
-        z += x
+        z = super().extrapolate(x, x_prev, beta)
         state = self._product
-        key, ax, carried, prev_key, prev_ax = state
-        if carried == 0 and key == x.tobytes() and prev_key == x_prev.tobytes():
+        hold, ax, carried, prev_hold, prev_ax = state
+        if carried == 0 and _is(hold(), x) and _is(prev_hold(), x_prev):
             az = np.subtract(ax, prev_ax)
             az *= beta
             az += ax
-            _store(self, state, z.tobytes(), az, 1)
+            _store(self, state, weakref.ref(z), az, 1)
         return z
 
 

@@ -8,10 +8,10 @@ turns the current iterate, its value and its gradient into the next iterate.
 A single step from ``x`` is the run ``run_*(f, x, replace(cfg, max_outer=1))``.
 
 Memory.  A run keeps O(n) arrays plus O(1) telemetry per iterate.  Each
-accepted iterate, and the ellipcenter step's vectors, go to an optional
-observer, ``run_*(f, x1, cfg, observe=fn)``, called as
-``fn(k, x_k, f(x_k), grad f(x_k), step)``; :class:`History` is the observer
-that keeps them all.
+accepted iterate (read-only, so a problem knows it by identity) and the
+ellipcenter step's vectors go to an optional observer,
+``run_*(f, x1, cfg, observe=fn)``, called as ``fn(k, x_k, f(x_k),
+grad f(x_k), step)``; :class:`History` is the observer that keeps them all.
 
 Evaluation accounting.  ``grad_evals_outer`` counts only the gradients the
 method itself is defined by: two per ellipcenter iteration (one at the
@@ -265,7 +265,7 @@ class StepVectors:
 class RunTrace:
     """Record of one solver run: :class:`IterateRecords`, ~20 B per iterate
     (``gd_l``, ``gd_exact``; ``me`` adds 17 B for its step), and the final
-    iterate.  ``iterates`` and ``step_data`` remain for callers that read
+    iterate, read-only like every iterate of a run.  ``iterates`` and ``step_data`` remain for callers that read
     them and stay empty; a caller that wants the history passes a
     :class:`History` observer to the run."""
 
@@ -293,9 +293,9 @@ Observer = Callable[[int, np.ndarray, float, np.ndarray, Optional[StepVectors]],
 
 @dataclass
 class History:
-    """Observer that keeps a run's history: a copy of every iterate and,
-    for an ellipcenter run, every step's :class:`StepVectors`.  It costs
-    O(n) memory per step, so a run keeps it only when asked,
+    """Observer that keeps a run's history: a writable copy of every
+    iterate and, for an ellipcenter run, every step's :class:`StepVectors`.
+    It costs O(n) memory per step, so a run keeps it only when asked,
     ``run_*(f, x1, observe=History())``."""
 
     iterates: list[np.ndarray] = field(default_factory=list)
@@ -413,6 +413,7 @@ def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
 
     with np.errstate(over="ignore"):  # ||g||^2 may overflow to inf
         x = f._check(x1).copy()
+        x.setflags(write=False)
         cf.restrict(x)
         fx = cf.value(x)
         v = cf.grad(x)
@@ -425,6 +426,7 @@ def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
                 break
             try:
                 x_next, v_next, info = step(cf, x, fx, v)
+                x_next.setflags(write=False)
                 f_next = cf.value(x_next)
                 if (not non_monotone_ok and f_next >= fx
                         and np.array_equal(x_next, x)):

@@ -30,12 +30,12 @@ from ellipcenters.solvers import RUNNERS
 
 LIMIT_BYTES = 2_000_000
 # solver: its peak in n-vectors on a quadratic, and in n- and m-vectors on a
-# logistic problem; the product slot's byte keys count as n-vectors
+# logistic problem
 WORKING_SET = {
-    "me": (13, 8, 8),
-    "gd_l": (9, 7, 5),
-    "gd_exact": (10, 7, 6),
-    "fast_gd": (10, 8, 5),
+    "me": (11, 6, 8),
+    "gd_l": (6, 5, 5),
+    "gd_exact": (7, 5, 6),
+    "fast_gd": (7, 6, 5),
 }
 # bytes per iterate that a long gd_l run may hold; README states the same
 TELEMETRY_BYTES = 24

@@ -588,6 +588,59 @@ def run_two_threads(worker):
     assert not any(t.is_alive() for t in threads)
 
 
+def read_only_view(x):
+    """A caller's read-only view of ``x``, which writes to ``x`` still
+    change."""
+    view = x.view()
+    view.flags.writeable = False
+    return view
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+class TestReadOnlyViewsAreCallersArrays:
+    """The product slot recognizes a point the package made by identity, and
+    a caller's array bit for bit against a copy.  A read-only view of an
+    array the caller can still write is a caller's array: after a write
+    through that array, every product is formed afresh."""
+
+    def test_value_grad_and_restrict(self, family, rng):
+        p = fresh_problem(family)
+        x, v = rng.standard_normal((2, p.dim))
+        xv = read_only_view(x)
+        p.value(xv)
+        x[0] += 1.0
+        assert_bitwise(p.value(xv), direct_value(p, x))
+        x[-1] *= -3.0
+        assert_bitwise(p.grad(xv), direct_grad(p, x))
+        x[1] -= 0.5
+        assert_bitwise(p.restrict(xv, v).value(0.0), direct_value(p, x))
+
+    @pytest.mark.parametrize("moved", ["x", "x_prev"])
+    def test_extrapolate(self, family, moved, rng):
+        p = fresh_problem(family)
+        x, x_prev = rng.standard_normal((2, p.dim))
+        xv, pv = read_only_view(x), read_only_view(x_prev)
+        p.value(pv)
+        p.value(xv)  # the stored products of both points, formed exactly
+        (x if moved == "x" else x_prev)[0] += 1.0
+        z = p.extrapolate(xv, pv, 0.5)
+        assert_bitwise(p.grad(z), direct_grad(p, x + 0.5 * (x - x_prev)))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_points_the_package_makes_are_read_only(family, rng):
+    """Model points and momentum points reject writes, from a problem and
+    from a plain Objective alike."""
+    p = fresh_problem(family)
+    x, y, v, w = rng.standard_normal((4, p.dim))
+    for f in (p, plain(p)):
+        points = [f.restrict(x, v).point(0.5),
+                  f.restrict(x, v, w).point(0.5, -0.2), f.extrapolate(x, y, 0.3)]
+        for point in points:
+            with pytest.raises(ValueError):
+                point[0] = 1.0
+
+
 # Per-step data products of every solver: ``(at the start, per step, points
 # handed over per step)``.  A quadratic me or gd_exact step forms A v (and,
 # for me, A w); a logistic step adds the transposed product of each full
