@@ -109,20 +109,21 @@ def compute_reference(f: Objective) -> ReferenceSolution:
     bound, over 250x the largest Hessian eigenvalue on the Gaussian
     instances of ``generate_logreg``.  At n=2000, kappa=1e3 the
     exact-linesearch run takes 41 steps where the accelerated one took
-    ~900.  ``f_star`` and ``residual`` come from ``A x*`` formed exactly at
-    the final iterate, not from the run's last record, whose product may
-    carry up to ``REFRESH_EVERY`` updates.
+    ~900.  ``f_star`` and ``residual`` are evaluated at a new read-only
+    copy of the final iterate, so they come from ``A x*`` formed exactly, not
+    from the run's last record, whose product may carry up to
+    ``REFRESH_EVERY`` updates.  ``x_star`` is read-only, so the gradient and
+    the value share one product.
     """
     if isinstance(f, QuadraticProblem):
-        x_star = f.minimizer()
-        residual = float(np.linalg.norm(f.grad(x_star)))
-        return ReferenceSolution(f.value(x_star), x_star, "linear_solve", residual)
-    cfg = SolverConfig(eps=1e-13, max_outer=500000)
-    x_star = run_gd_exact(f, np.zeros(f.dim), cfg).x_final
-    f.restrict(x_star)  # forms A x* exactly
+        x_star, method = f.minimizer(), "linear_solve"
+    else:
+        cfg = SolverConfig(eps=1e-13, max_outer=500000)
+        x_star = run_gd_exact(f, np.zeros(f.dim), cfg).x_final.copy()
+        method = "high_accuracy_run"
+    x_star.setflags(write=False)
     residual = float(np.linalg.norm(f.grad(x_star)))
-    return ReferenceSolution(f.value(x_star), x_star, "high_accuracy_run",
-                             residual)
+    return ReferenceSolution(f.value(x_star), x_star, method, residual)
 
 
 @dataclass
@@ -317,6 +318,7 @@ def verify_experiment(spec: ExperimentSpec):
     points = [np.zeros(spec.n)] + [0.5 * rng.standard_normal(spec.n)
                                    for _ in range(3)]
     for i, x in enumerate(points):
+        x.setflags(write=False)  # so evaluations at x reuse its product
         if float(np.linalg.norm(f.grad(x))) <= spec.config.eps:
             continue
         f_me, f_gd, _ = audit_dominance(f, x, spec.config)

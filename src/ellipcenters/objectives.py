@@ -15,18 +15,20 @@ A problem remembers the data product of the last point it evaluated, so a
 exact product of the point before, for ``extrapolate``.  The two are
 replaced together as one tuple, so concurrent callers still get correct
 results (to the rounding of a carried product) and at worst lose reuses.
-The points the package makes (model points, momentum points, a run's
-iterates) are read-only and own their data: the slot knows them by identity
-and holds them by weak reference.  It keeps a copy of a caller's array, a
-read-only view of a writable one included, and compares it bit for bit.
+The slot holds, by weak reference, only arrays that are read-only and own
+their data, as every point the package makes is (model points, momentum
+points, a run's iterates), and reuses a product only for the very point it
+stored while that point is still read-only.  Any other array, a caller's
+writable array or a read-only view of one, has its product formed at each
+call.
 
-``restrict(x, v[, w])`` returns a :class:`Restriction`, a model of f on
-``x + span(v[, w])``: O(m) per evaluation for logistic, O(1) and exact for
+``restrict(x, v)`` returns a :class:`Restriction`, a model of f on the line
+``x + span(v)``, and its ``extend(w)`` the model on the plane
+``x + span(v, w)``: O(m) per evaluation for logistic, O(1) and exact for
 quadratics.  A model's ``point`` hands the carried product
 ``A x + sum_i z_i A d_i`` to the problem, so ``value`` and ``grad`` there
 make no new data pass; it is formed exactly again after ``REFRESH_EVERY``
-carried updates, and ``restrict(x)`` with no direction forms ``A x``
-exactly, as every run starts.  An ``Objective`` built from callables has no
+carried updates.  An ``Objective`` built from callables has no
 data product, and its model evaluates f in full.  A solver run counts
 through a :class:`CountingObjective`, whose models count and check
 themselves.
@@ -60,17 +62,10 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def _own(x: np.ndarray) -> bool:
-    """Whether ``x`` is known by identity, as every point the package makes
-    is: it owns its data and rejects writes, so it cannot change unless its
-    owner makes it writable again (a read-only view can change)."""
+    """Whether the product slot may hold ``x``, as it holds every point the
+    package makes: ``x`` owns its data and rejects writes, so it cannot
+    change while it stays read-only (a read-only view can change)."""
     return x.base is None and not x.flags.writeable
-
-
-def _is(point: Optional[np.ndarray], x: np.ndarray) -> bool:
-    """Whether ``x`` is the stored ``point``: by identity if the package
-    made ``x``, bit for bit if it is a caller's array."""
-    return x is point or (point is not None and not _own(x)
-                          and x.tobytes() == point.tobytes())
 
 
 def _store(prob, state: tuple, hold, product: np.ndarray,
@@ -101,32 +96,21 @@ def _expit():
     return expit
 
 
-def _data_product(prob, x: np.ndarray, fresh: bool = False):
+def _data_product(prob, x: np.ndarray):
     """``x``, its data product and its number of carried updates.
 
-    The stored product is reused, unless ``fresh``, when ``x`` is the stored
-    point (see :func:`_is`), which is not checked again.  Otherwise ``x`` is
-    checked, and its product formed and stored with 0 carried updates, with
-    ``x`` held by weak reference if the package made it, else copied."""
+    The stored product is reused when ``x`` is the stored point and still
+    read-only; ``x`` is then not checked again.  Otherwise ``x`` is checked
+    and its product formed, and stored with 0 carried updates, by weak
+    reference, only if the slot may hold ``x`` (:func:`_own`)."""
     state = prob._product
-    point = state[0]()
-    if x is point and not fresh:
+    if x is state[0]() and not x.flags.writeable:
         return x, state[1], state[2]
     x = prob._check(x)
-    own = _own(x)
-    if not (fresh or own or point is None) and x.tobytes() == point.tobytes():
-        return x, state[1], state[2]
     product = prob._matvec(x)
-    hold = weakref.ref(x) if own else functools.partial(_read_only, x.copy())
-    _store(prob, state, hold, product, 0)
+    if _own(x):
+        _store(prob, state, weakref.ref(x), product, 0)
     return x, product, 0
-
-
-def _directions(v, w) -> tuple:
-    """The directions given to ``restrict(x, v, w)``, in order."""
-    if v is None and w is not None:
-        raise ValueError("a second direction needs a first")
-    return () if v is None else (v,) if w is None else (v, w)
 
 
 def _combine(start: np.ndarray, z, vecs) -> np.ndarray:
@@ -140,8 +124,9 @@ def _combine(start: np.ndarray, z, vecs) -> np.ndarray:
 
 
 class Restriction:
-    """A model of f on the affine set ``base + span(dirs)``, in the
-    coordinates z of its directions (one or two).
+    """A model of f on the line ``base + span(v)``, or, extended by ``w``,
+    on the plane ``base + span(v, w)``, in the coordinates z of its
+    directions ``dirs``.
 
     ``value(*z)`` is f at ``point(*z) = base + sum_i z_i d_i``, a read-only
     array; ``grad(*z)`` the restricted gradient ``(<grad f(p), d_i>)_i``, a
@@ -153,19 +138,19 @@ class Restriction:
     the Gram matrix of the directions, a tuple of rows of Python floats;
     each direction adds its row and column when it is added, so an extended
     model forms only the new entries.  ``sin2_theta`` is its normalized
-    determinant, ``lip`` the gradient Lipschitz constant of f, and
-    ``hessian`` the exact Hessian in z when f is quadratic, formed the same
-    way, else None.  ``restrict`` and ``extend`` check their directions.
+    determinant, and ``hessian`` the exact Hessian in z when f is
+    quadratic, formed the same way, else None.  ``restrict`` and ``extend``
+    check their directions.
 
     A subclass evaluates in ``_value(z)``, ``_grad(z)`` and ``_hess(z,
     grad)``.  This generic form, which a plain :class:`Objective` returns,
     evaluates at the full point (``full``), and its ``hess`` is forward
     differences of ``grad``, one more full gradient per direction (and one
-    at z if not given).  A model made by :meth:`CountingObjective.restrict`,
-    or extended from one, holds that ``counter``: a full model evaluates
-    through it, a problem's model counts each ``value``, ``grad`` and
-    ``hess`` as one restricted evaluation and raises
-    :class:`NonFiniteError` on a NaN or infinite result.
+    at z if not given), with a step that reads f's ``lip``.  A model made
+    by :meth:`CountingObjective.restrict`, or extended from one, holds that
+    ``counter``: a full model evaluates through it, a problem's model counts
+    each ``value``, ``grad`` and ``hess`` as one restricted evaluation and
+    raises :class:`NonFiniteError` on a NaN or infinite result.
     """
 
     full = True
@@ -174,12 +159,10 @@ class Restriction:
     dirs = ()
     gram = ()
 
-    def __init__(self, f, base: np.ndarray, dirs=()):
+    def __init__(self, f, base: np.ndarray, v: np.ndarray):
         self.f = f
         self.base = base
-        self.lip = f.lip
-        for d in dirs:
-            self._add(d)
+        self._add(v)
 
     def _add(self, d: np.ndarray) -> None:
         """Append the checked direction ``d``, and its row and column (whose
@@ -205,8 +188,6 @@ class Restriction:
         return min(1.0, max(0.0, (denom - vw * vw) / denom))
 
     def point(self, *z) -> np.ndarray:
-        if not z:
-            return self.base
         p = _combine(self.base, z, self.dirs)
         p.setflags(write=False)
         return p
@@ -253,7 +234,7 @@ class Restriction:
         cols = []
         for i, row in enumerate(self.gram):
             dz = z.copy()
-            dz[i] += SQRT_EPS * max(scale / math.sqrt(row[i]), 1.0 / self.lip)
+            dz[i] += SQRT_EPS * max(scale / math.sqrt(row[i]), 1.0 / self.f.lip)
             cols.append((self._grad(dz) - g) / (dz[i] - z[i]))
         h = np.array(cols)
         return 0.5 * (h + h.T)
@@ -274,15 +255,12 @@ class _DataRestriction(Restriction):
     def __init__(self, prob, base, product, carried, f_x=None, grad_x=None):
         self.f = prob
         self.base = base
-        self.lip = prob.lip
         self._product = product
         self._carried_updates = carried
         self._f0 = f_x
         self._grad_base = grad_x
 
     def point(self, *z) -> np.ndarray:
-        if not z:
-            return self.base
         p = _combine(self.base, z, self.dirs)
         p.setflags(write=False)
         prob, carried = self.f, self._carried_updates + 1
@@ -356,7 +334,7 @@ class _LogRegRestriction(_DataRestriction):
         self._gram_matrix = np.array(self.gram)
 
     def _carried(self, z) -> np.ndarray:
-        return _combine(self._product, z, self._data_dirs) if z else self._product
+        return _combine(self._product, z, self._data_dirs)
 
     def _value(self, z) -> float:
         prob = self.f
@@ -439,19 +417,19 @@ class Objective:
     def grad(self, x: np.ndarray) -> np.ndarray:
         return self._grad_fn(x)
 
-    def restrict(self, x: np.ndarray, v: Optional[np.ndarray] = None,
-                 w: Optional[np.ndarray] = None, *, f_x: float | None = None,
+    def restrict(self, x: np.ndarray, v: np.ndarray, *,
+                 f_x: float | None = None,
                  grad_x: Optional[np.ndarray] = None) -> Restriction:
-        """A :class:`Restriction` of f to ``x + span(v[, w])``; with no
-        direction, the point ``x`` itself.  ``f_x`` and ``grad_x``, f and its
-        gradient at ``x`` if the caller holds them, spare a model forming them.
+        """A :class:`Restriction` of f to the line ``x + span(v)``; its
+        ``extend(w)`` is the model on the plane ``x + span(v, w)``.  ``f_x``
+        and ``grad_x``, f and its gradient at ``x`` if the caller holds
+        them, spare a model forming them.
 
         This generic model evaluates f in full at its points, with the same
         arithmetic as the caller would use.  A problem's model works on its
         data products instead (see :meth:`_DataProblem.restrict`).
         """
-        return Restriction(self, np.asarray(x, dtype=float),
-                           [self._check(d) for d in _directions(v, w)])
+        return Restriction(self, np.asarray(x, dtype=float), self._check(v))
 
     def extrapolate(self, x: np.ndarray, x_prev: np.ndarray,
                     beta: float) -> np.ndarray:
@@ -523,9 +501,8 @@ class CountingObjective:
         last, sq = self._last_grad
         return math.sqrt(sq if g is last else _checked_sq(g))
 
-    def restrict(self, x: np.ndarray, v: Optional[np.ndarray] = None,
-                 w: Optional[np.ndarray] = None, **at_x) -> Restriction:
-        model = self._obj.restrict(x, v, w, **at_x)
+    def restrict(self, x: np.ndarray, v: np.ndarray, **at_x) -> Restriction:
+        model = self._obj.restrict(x, v, **at_x)
         model.counter = self
         return model
 
@@ -553,29 +530,29 @@ class _DataProblem(Objective):
         """The problem itself, which is an :class:`Objective`."""
         return self
 
-    def restrict(self, x: np.ndarray, v: Optional[np.ndarray] = None,
-                 w: Optional[np.ndarray] = None, *, f_x: float | None = None,
+    def restrict(self, x: np.ndarray, v: np.ndarray, *,
+                 f_x: float | None = None,
                  grad_x: Optional[np.ndarray] = None) -> Restriction:
-        """The family's model of f on ``x + span(v[, w])``, on the stored
-        product of ``x``, or on ``A x`` formed exactly (none stored, or no
-        direction); ``f_x`` and ``grad_x`` as for ``Objective.restrict``."""
-        dirs = _directions(v, w)
-        x, product, carried = _data_product(self, x, fresh=not dirs)
+        """The family's model of f on the line ``x + span(v)``, on the
+        stored product of ``x``, or on ``A x`` formed exactly when none is
+        stored; ``f_x`` and ``grad_x`` as for ``Objective.restrict``."""
+        x, product, carried = _data_product(self, x)
         model = self.model(self, x, product, carried, f_x, grad_x)
-        for d in dirs:
-            model._add(self._check(d))
+        model._add(self._check(v))
         return model
 
     def extrapolate(self, x: np.ndarray, x_prev: np.ndarray,
                     beta: float) -> np.ndarray:
         """``z = x + beta (x - x_prev)``, read-only, handing over z's product
         ``A x + beta (A x - A x_prev)`` (one carried update) when the stored
-        products are those of ``x``, formed exactly, and ``x_prev``."""
+        products are those of ``x``, formed exactly, and ``x_prev``, both
+        the very points stored and still read-only."""
         x, x_prev = self._check(x), self._check(x_prev)
         z = super().extrapolate(x, x_prev, beta)
         state = self._product
         hold, ax, carried, prev_hold, prev_ax = state
-        if carried == 0 and _is(hold(), x) and _is(prev_hold(), x_prev):
+        if (carried == 0 and hold() is x and prev_hold() is x_prev
+                and not (x.flags.writeable or x_prev.flags.writeable)):
             az = np.subtract(ax, prev_ax)
             az *= beta
             az += ax

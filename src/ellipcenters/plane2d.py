@@ -5,8 +5,9 @@ Gradient descent with exact linesearch minimizes f over the ray
 ``x + span(v)``, ``v`` the gradient at x; the ellipcenter step minimizes it
 over the plane ``x + span(v, w)``, ``w`` the gradient at the companion
 point.  Both are one problem, in dimension 1 and 2, solved by
-:func:`minimize` on a model of f there (``f.restrict(x, v[, w])``, an
-:class:`~.objectives.Restriction`) in the model's coordinates z, with
+:func:`minimize` on a model of f there (``f.restrict(x, v)``, an
+:class:`~.objectives.Restriction`, and its ``extend(w)`` on the plane) in
+the model's coordinates z, with
 ``point(*z) = x + z_1 v [+ z_2 w]``.  It forms no n-vector; the caller forms
 ``model.point(*z)``.
 

@@ -34,7 +34,7 @@ import operator
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, count, islice, repeat
+from itertools import accumulate, count, repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -138,9 +138,8 @@ class IterateRecords(Sequence):
     step written (``NO_STEP`` where an iterate has none), ``ratio`` (NaN for
     ``None``) what :meth:`set_ratios` wrote.  A read-only sequence of the
     records; ``column(name)`` reads one field.  The last record comes from
-    the totals in O(1); iteration, slices, ``==``, ``index`` and ``column``
-    sum each count column once, in one pass, ``reversed`` subtracts back
-    from the totals, and any other index sums its prefix."""
+    the totals in O(1); iteration, slices, ``==`` and ``column`` sum each
+    count column once, in one pass, and any other index sums its prefix."""
 
     def __init__(self, outer_grads: int = 1):
         self._outer = outer_grads
@@ -203,27 +202,10 @@ class IterateRecords(Sequence):
         return map(self._record, count(),
                    *(accumulate(self._cols[name]) for name in _COUNTS))
 
-    def __reversed__(self):  # back from the totals, one increment a step
-        return map(self._record, reversed(range(len(self))), *(
-            accumulate(self._cols[name][:0:-1], operator.sub, initial=total)
-            for name, total in zip(_COUNTS, self._totals)))
-
-    def index(self, value, start: int = 0, stop: int | None = None) -> int:
-        """As a list's ``index``, in one pass."""
-        window = range(len(self))[start:stop]
-        for i, record in zip(window, islice(self, window.start, window.stop)):
-            if record is value or record == value:
-                return i
-        raise ValueError(f"{value!r} is not in the records")
-
     def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
         i = range(len(self))[i]  # IndexError and TypeError as a list's
-        if isinstance(i, range):  # one pass, either way
-            if i.step > 0:
-                return list(islice(self, i.start, i.stop, i.step))
-            last = len(self) - 1
-            return list(islice(reversed(self), last - i.start, last - i.stop,
-                               -i.step))
         if i == len(self) - 1:
             return self._record(i, *self._totals)
         return self._record(i, *(sum(self._cols[name][:i + 1])
@@ -265,9 +247,9 @@ class StepVectors:
 class RunTrace:
     """Record of one solver run: :class:`IterateRecords`, ~20 B per iterate
     (``gd_l``, ``gd_exact``; ``me`` adds 17 B for its step), and the final
-    iterate, read-only like every iterate of a run.  ``iterates`` and ``step_data`` remain for callers that read
-    them and stay empty; a caller that wants the history passes a
-    :class:`History` observer to the run."""
+    iterate, read-only like every iterate of a run.  ``iterates`` and
+    ``step_data`` remain for callers that read them and stay empty; a caller
+    that wants the history passes a :class:`History` observer to the run."""
 
     solver_id: SolverId
     records: IterateRecords
@@ -377,8 +359,8 @@ def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
     ``max_outer`` steps.  ``g_next`` is the gradient at ``x_next`` if the step
     has it, else ``None``; ``info`` is the ellipcenter step's w and scalars
     (see :func:`_me_step`), else ``None``.  Each step adds ``outer_grads`` to
-    ``grad_evals_outer``.  The run starts from a model at ``x1`` with no
-    direction, so its first data product is formed exactly whatever the
+    ``grad_evals_outer``.  The run starts from a new read-only copy of
+    ``x1``, so its first data product is formed exactly whatever the
     objective evaluated before.  Each accepted iterate k goes to
     ``observe(k, x_k, f(x_k), grad f(x_k), step)``, with ``step`` the
     :class:`StepVectors` of the step that produced it, formed only for an
@@ -414,7 +396,6 @@ def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
     with np.errstate(over="ignore"):  # ||g||^2 may overflow to inf
         x = f._check(x1).copy()
         x.setflags(write=False)
-        cf.restrict(x)
         fx = cf.value(x)
         v = cf.grad(x)
         k = 1

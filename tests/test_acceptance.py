@@ -197,8 +197,8 @@ def test_criterion_6_quadratic_reduction():
         assert abs(res.t - t_exact) <= 1e-9 * t_exact, seed
         w = f.grad(x - t_exact * v)
         tol = INNER_TOL * max(np.linalg.norm(v), np.linalg.norm(w))
-        exact = minimize(f.restrict(x, v, w), tol, f.value(x))
-        newton = minimize(blind.restrict(x, v, w), tol, f.value(x))
+        exact = minimize(f.restrict(x, v).extend(w), tol, f.value(x))
+        newton = minimize(blind.restrict(x, v).extend(w), tol, f.value(x))
         assert abs(newton[0] - exact[0]) <= 1e-8, seed
         assert abs(newton[1] - exact[1]) <= 1e-8, seed
     print("\nACCEPTANCE 6 PASS: the generic search matched the closed-form step and "

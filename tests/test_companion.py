@@ -115,16 +115,18 @@ class TestBracket:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_lip_does_not_move_the_step(self, seed, rng):
-        """The search reads no ``lip``: on a logistic model with ``lip``
-        scaled by 1e-1 or 1e3, under- or overstating the curvature, the
-        companion step is the same to the bit."""
+        """The search reads no ``lip``: on the model of a logistic
+        problem whose ``lip`` is scaled by 1e-1 or 1e3, under- or
+        overstating the curvature, the companion step is the same to the
+        bit."""
         p = generate_logreg(30, 20, 1e3, seed)
+        lip = p.lip
         for x in (np.zeros(30), 0.3 * rng.standard_normal(30)):
             v, f_x = p.grad(x), p.value(x)
             steps = set()
             for scale in (1.0, 1e-1, 1e3):
+                p.lip = scale * lip
                 ray = p.restrict(x, v, f_x=f_x, grad_x=v)
-                ray.lip *= scale
                 res = companion_point(ray, f_x=f_x)
                 assert res.bisection_iters > 0
                 steps.add(res.t)

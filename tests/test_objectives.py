@@ -16,6 +16,7 @@ from ellipcenters import (LogRegProblem, Objective, QuadraticProblem,
                           SolverConfig, check_gradient, generate_logreg,
                           generate_quadratic, mu_for_kappa, run_fast_gd,
                           run_gd_exact, run_gd_l, run_me)
+from ellipcenters.cli import main
 from ellipcenters.errors import NonFiniteError
 from ellipcenters.objectives import (REFRESH_EVERY, CountingObjective,
                                      Restriction, central_difference_gradient,
@@ -457,7 +458,6 @@ class TestSymmetricKernel:
         good, bad = rng.standard_normal(12), rng.standard_normal(size)
         calls = [lambda: f.value(bad), lambda: f.grad(bad),
                  lambda: f.restrict(bad, good), lambda: f.restrict(good, bad),
-                 lambda: f.restrict(good, good, bad),
                  lambda: f.restrict(good, good).extend(bad),
                  lambda: f.extrapolate(bad, good, 0.5),
                  lambda: f.extrapolate(good, bad, 0.5)]
@@ -598,10 +598,10 @@ def read_only_view(x):
 
 @pytest.mark.parametrize("family", FAMILIES)
 class TestReadOnlyViewsAreCallersArrays:
-    """The product slot recognizes a point the package made by identity, and
-    a caller's array bit for bit against a copy.  A read-only view of an
-    array the caller can still write is a caller's array: after a write
-    through that array, every product is formed afresh."""
+    """The product slot holds only read-only arrays that own their data.  A
+    read-only view of an array the caller can still write is a caller's
+    array: after a write through that array, every product is formed
+    afresh."""
 
     def test_value_grad_and_restrict(self, family, rng):
         p = fresh_problem(family)
@@ -628,6 +628,32 @@ class TestReadOnlyViewsAreCallersArrays:
 
 
 @pytest.mark.parametrize("family", FAMILIES)
+class TestHandedOutPointMadeWritable:
+    """A point the package handed out, made writable again by its owner and
+    changed, is a caller's array: its products are formed afresh."""
+
+    def test_value_and_grad(self, family):
+        p = fresh_problem(family)
+        x = run_gd_l(p, np.zeros(p.dim), SolverConfig(max_outer=3)).x_final
+        x.flags.writeable = True
+        x[0] += 1.0
+        assert_bitwise(p.grad(x), direct_grad(p, x))
+        assert_bitwise(p.value(x), direct_value(p, x))
+
+    def test_extrapolate(self, family, rng):
+        p = fresh_problem(family)
+        x = run_gd_l(p, np.zeros(p.dim), SolverConfig(max_outer=3)).x_final
+        x_prev = rng.standard_normal(p.dim)
+        x_prev.setflags(write=False)
+        p.value(x_prev)
+        p.value(x)  # the stored products of both points, formed exactly
+        x.flags.writeable = True
+        x[0] += 1.0
+        z = p.extrapolate(x, x_prev, 0.5)
+        assert_bitwise(p.grad(z), direct_grad(p, z))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
 def test_points_the_package_makes_are_read_only(family, rng):
     """Model points and momentum points reject writes, from a problem and
     from a plain Objective alike."""
@@ -635,7 +661,7 @@ def test_points_the_package_makes_are_read_only(family, rng):
     x, y, v, w = rng.standard_normal((4, p.dim))
     for f in (p, plain(p)):
         points = [f.restrict(x, v).point(0.5),
-                  f.restrict(x, v, w).point(0.5, -0.2), f.extrapolate(x, y, 0.3)]
+                  f.restrict(x, v).extend(w).point(0.5, -0.2), f.extrapolate(x, y, 0.3)]
         for point in points:
             with pytest.raises(ValueError):
                 point[0] = 1.0
@@ -694,15 +720,25 @@ def count_products(p):
 
 class TestProductCount:
     def test_quadratic_value_and_grad_share_one_product(self, rng):
+        """A read-only array that owns its data, as every point the package
+        makes does, shares one product between ``value`` and ``grad``; a
+        caller's writable array, or a read-only view, forms one at each call
+        and leaves the stored point in place."""
         p = generate_quadratic(12, 30.0, 5)
         counter = count_products(p)
         x, y = rng.standard_normal(12), rng.standard_normal(12)
+        x.setflags(write=False)
         p.value(x)
         p.grad(x)
         assert counter.products == 1
         p.grad(y)
         p.value(y)
-        assert counter.products == 2
+        assert counter.products == 3
+        p.value(read_only_view(y))
+        p.grad(read_only_view(y))
+        assert counter.products == 5
+        p.grad(x)
+        assert counter.products == 5
 
     def test_quadratic_gd_l_makes_one_product_per_iterate(self):
         p = generate_quadratic(12, 30.0, 5)
@@ -729,19 +765,45 @@ class TestProductCount:
                                     + handed_over * (k // REFRESH_EVERY))
 
     def test_logreg_value_and_grad_make_two_products(self, rng):
+        """As for a quadratic; a logistic gradient adds its ``a.T`` pass."""
         p = generate_logreg(12, 20, 30.0, 5)
         counter = count_products(p)
         x, y = rng.standard_normal(12), rng.standard_normal(12)
+        x.setflags(write=False)
         p.value(x)
         p.grad(x)
         assert counter.products == 2  # a @ x, then a.T @ weights
         p.value(y)
-        assert counter.products == 3
+        p.grad(y)
+        assert counter.products == 5  # a @ y at each call, and a.T @ weights
+        p.value(x)
+        assert counter.products == 5
+
+    @pytest.mark.parametrize("family, products",
+                             [("logreg", 250), ("quadratic", 3508)])
+    def test_verify_products(self, family, products, monkeypatch, capsys):
+        """The forward products of one small ``verify``, pinned: the
+        reference and the dominance points are read-only, so each shares
+        one product between its gradient and its value."""
+        cls = LogRegProblem if family == "logreg" else QuadraticProblem
+        matvec, calls = cls._matvec, []
+        monkeypatch.setattr(cls, "_matvec",
+                            lambda p, x: calls.append(1) or matvec(p, x))
+        assert main(["verify", "--problem", family, "--n", "60", "--kappa",
+                     "1e3", "--seed", "3"]) == 0
+        assert len(calls) == products
 
 
 def plain(p):
     """``p`` as a plain Objective, with the generic full-evaluation model."""
     return Objective(p.dim, p.mu, p.lip, p.value, p.grad)
+
+
+def model_on(f, x, v, *w):
+    """``f``'s model on the line ``x + span(v)``, extended by ``w`` if
+    given."""
+    model = f.restrict(x, v)
+    return model.extend(*w) if w else model
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "logreg", "plain"])
@@ -756,7 +818,8 @@ class TestRestriction:
 
     def test_value_slope_and_plane_gradient(self, kind, rng):
         p, f, x, v, w = self.build(kind, rng)
-        ray, plane = f.restrict(x, v), f.restrict(x, v, w)
+        ray = f.restrict(x, v)
+        plane = ray.extend(w)
         for a, b in [(0.0, 0.0), (0.3, -0.2), (-1.1, 0.7), (2.5, 0.0)]:
             point = x + a * v + b * w
             assert_bitwise(plane.point(a, b), point)
@@ -773,23 +836,14 @@ class TestRestriction:
             assert abs(ray.grad(a)[0] - g @ v) <= \
                 1e-13 * np.linalg.norm(g) * np.linalg.norm(v)
 
-    def test_extend_equals_restrict_with_both_directions(self, kind, rng):
-        _, f, x, v, w = self.build(kind, rng)
-        both, extended = f.restrict(x, v, w), f.restrict(x, v).extend(w)
-        assert_bitwise(both.gram, extended.gram)
-        assert both.sin2_theta == extended.sin2_theta
-        for z in [(0.0, 0.0), (0.4, -1.3)]:
-            assert both.value(*z) == extended.value(*z)
-            assert_bitwise(both.grad(*z), extended.grad(*z))
-
     def test_value_and_gradient_given_at_x_change_nothing(self, kind, rng):
         """``f_x`` and ``grad_x`` spare a model forming them; with the
         gradient as the first direction, as a solver restricts, the model
         is the same to the bit."""
         _, f, x, _, w = self.build(kind, rng)
         f_x, g = f.value(x), f.grad(x)
-        given = f.restrict(x, g, w, f_x=f_x, grad_x=g)
-        formed = f.restrict(x, g, w)
+        given = f.restrict(x, g, f_x=f_x, grad_x=g).extend(w)
+        formed = f.restrict(x, g).extend(w)
         assert_bitwise(given.gram, formed.gram)
         for z in [(0.0, 0.0), (0.4, -1.3)]:
             assert given.value(*z) == formed.value(*z)
@@ -799,23 +853,16 @@ class TestRestriction:
         """The problem's gradient at a model point reuses the product the
         model handed over; it agrees with the direct formula."""
         p, f, x, v, w = self.build(kind, rng)
-        point = f.restrict(x, v, w).point(0.7, -0.4)
+        point = f.restrict(x, v).extend(w).point(0.7, -0.4)
         g = direct_grad(p, point)
         npt.assert_allclose(f.grad(point), g, rtol=0, atol=1e-13 * np.linalg.norm(g))
         assert abs(f.value(point) - direct_value(p, point)) <= \
             1e-13 * abs(direct_value(p, point))
 
-    def test_model_without_direction_is_the_point(self, kind, rng):
-        p, f, x, _, _ = self.build(kind, rng)
-        point = f.restrict(x)
-        assert point.dirs == () and len(point.grad()) == 0
-        want = direct_value(p, x)
-        assert abs(point.value() - want) <= 1e-13 * abs(want)
-
     def test_evaluations_are_counted_apart(self, kind, rng):
         _, f, x, v, w = self.build(kind, rng)
         cf = CountingObjective(f)
-        plane = cf.restrict(x, v, w)
+        plane = cf.restrict(x, v).extend(w)
         plane.value(0.1, 0.2)
         plane.grad(0.1, 0.2)
         plane.grad(0.0, 0.5)
@@ -864,8 +911,8 @@ def test_models_count_into_the_counter_that_made_them(family, rng):
 
 def test_non_finite_model_evaluations_raise():
     class NanObjective(Objective):
-        def restrict(self, x, v=None, w=None):
-            return NanModel(self, x, [v])
+        def restrict(self, x, v):
+            return NanModel(self, x, v)
 
     f = NanObjective(2, 1.0, 1.0, lambda x: 0.0, lambda x: np.zeros(2))
     cf = CountingObjective(f)
@@ -904,20 +951,28 @@ def test_carried_product_drift_stays_small():
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("sid", ["me", "gd_exact", "fast_gd"])
+@pytest.mark.parametrize("sid", ["me", "gd_l", "gd_exact", "fast_gd"])
 def test_run_ignores_what_the_instance_evaluated_before(family, sid):
-    """A run that starts where an earlier run left a carried product traces
-    exactly as the same run on a fresh instance."""
+    """A run restarted from a previous run's ``x_final``, whose product the
+    instance still holds (carried, after an ``me`` or ``gd_exact`` step),
+    from a writable copy of it and from a read-only copy traces exactly as
+    the same run on a fresh instance: each run forms its first product
+    exactly."""
     make = ((lambda: generate_quadratic(40, 1e2, 0)) if family == "quadratic"
             else (lambda: generate_logreg(60, 30, 1e2, 0)))
     run = RUNNERS[sid]
     used = make()
-    x = run(used.objective(), np.zeros(used.dim), SolverConfig(max_outer=5)).x_final
-    again = run(used.objective(), x)
-    fresh = run(make().objective(), x.copy())
-    assert again.iterations > 0
-    assert again.records == fresh.records
-    assert_bitwise(again.x_final, fresh.x_final)
+    x = run(used, np.zeros(used.dim), SolverConfig(max_outer=5)).x_final
+    hold, _, carried = used._product[:3]
+    assert hold() is x and (carried > 0) == (sid in ("me", "gd_exact"))
+    read_only = x.copy()
+    read_only.setflags(write=False)
+    fresh = run(make(), x.copy())
+    assert fresh.iterations > 0
+    for x1 in (x, x.copy(), read_only):
+        again = run(used, x1)
+        assert again.records == fresh.records
+        assert_bitwise(again.x_final, fresh.x_final)
 
 
 def textbook_run(p, fast, carried=True):
@@ -1077,7 +1132,7 @@ class TestHessian:
     def test_logistic_matches_central_differences(self, k, seed):
         p = generate_logreg(30, 20, 1e2, seed)
         (x, *dirs), z = self.model(p, seed, k)
-        model = p.restrict(x, *dirs)
+        model = model_on(p, x, *dirs)
         h = [1e-4 / np.linalg.norm(d) for d in dirs]
         npt.assert_allclose(model.hess(*z), central_hessian(model, z, h),
                             rtol=1e-6)
@@ -1086,7 +1141,7 @@ class TestHessian:
     def test_quadratic_is_the_stored_hessian(self, k):
         p = generate_quadratic(12, 30.0, 3)
         (x, *dirs), z = self.model(p, 3, k)
-        model = p.restrict(x, *dirs)
+        model = model_on(p, x, *dirs)
         assert model.hess(*z) is model.hessian
         assert len(model.hessian) == k
 
@@ -1095,8 +1150,8 @@ class TestHessian:
     def test_forward_differences_agree_with_the_exact_one(self, k, seed):
         p = generate_logreg(30, 20, 1e2, seed)
         (x, *dirs), z = self.model(p, seed, k)
-        exact = p.restrict(x, *dirs).hess(*z)
-        npt.assert_allclose(plain(p).restrict(x, *dirs).hess(*z), exact,
+        exact = model_on(p, x, *dirs).hess(*z)
+        npt.assert_allclose(model_on(plain(p), x, *dirs).hess(*z), exact,
                             rtol=1e-5)
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -1106,7 +1161,7 @@ class TestHessian:
         p = generate_logreg(30, 20, 1e2, 1)
         (x, *dirs), z = self.model(p, 1, k)
         cf = CountingObjective(plain(p))
-        model = cf.restrict(x, *dirs)
+        model = model_on(cf, x, *dirs)
         g = model.grad(*z)
         before = cf.grad_evals
         fresh = model.hess(*z)
@@ -1119,7 +1174,7 @@ class TestHessian:
         p = generate_logreg(30, 20, 1e2, 0)
         (x, v, w), z = self.model(p, 0, 2)
         cf = CountingObjective(p)
-        plane = cf.restrict(x, v, w)
+        plane = cf.restrict(x, v).extend(w)
         plane.hess(*z)
         assert (cf.value_evals, cf.grad_evals, cf.restricted_evals) == (0, 0, 1)
         with np.errstate(invalid="ignore"):

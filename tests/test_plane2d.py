@@ -27,7 +27,7 @@ def build_plane(prob, x):
     v = f.grad(x)
     comp = companion_point(f.restrict(x, v))
     w = f.grad(comp.y)
-    return f, f.restrict(x, v, w), comp
+    return f, f.restrict(x, v).extend(w), comp
 
 
 def plain(prob):
@@ -96,7 +96,7 @@ class TestNewtonPath:
         with pytest.raises(DegeneratePlaneError):
             solve(sp)
         with pytest.raises(DegeneratePlaneError):
-            solve(plain(q).restrict(x, *sp.dirs))
+            solve(plain(q).restrict(x, sp.dirs[0]).extend(sp.dirs[1]))
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_residual_small_on_random_spd(self, seed, rng):
@@ -104,7 +104,7 @@ class TestNewtonPath:
         x = rng.standard_normal(5)
         _, sp, _ = build_plane(q, x)
         cf = CountingObjective(q)
-        sp = cf.restrict(x, sp.dirs[0], sp.dirs[1])
+        sp = cf.restrict(x, sp.dirs[0]).extend(sp.dirs[1])
         alpha, beta, _ = solve(sp)
         assert cf.restricted_evals == 1  # the gradient at the origin
         assert residual(sp, alpha, beta) <= 1e-10 * sp.gram[0][0]
@@ -120,7 +120,7 @@ class TestArmijoDescent:
         x = rng.standard_normal(6)
         f, sp, _ = build_plane(q, x)
         exact = solve(sp)
-        newton = solve(plain(q).restrict(x, *sp.dirs))
+        newton = solve(plain(q).restrict(x, sp.dirs[0]).extend(sp.dirs[1]))
         assert abs(newton[0] - exact[0]) <= 1e-8
         assert abs(newton[1] - exact[1]) <= 1e-8
 
@@ -136,7 +136,7 @@ class TestArmijoDescent:
         x = np.ones(50) * 0.1
         w = cf.grad(x)
         tiny = 1e-13 * np.ones(50) / np.sqrt(50)
-        sp = cf.restrict(x, tiny, w)
+        sp = cf.restrict(x, tiny).extend(w)
         alpha, beta, _ = solve(sp)
         assert (alpha, beta) == (0.0, 0.0)
         assert cf.restricted_evals == 0
@@ -188,7 +188,7 @@ class TestArmijoDescent:
         v = f.grad(x)
         comp = companion_point(f.restrict(x, v))
         w = f.grad(comp.y)
-        _, _, x_next = solve(f.restrict(x, v, w))
+        _, _, x_next = solve(f.restrict(x, v).extend(w))
         x_gd = run_gd_exact(f, x, SolverConfig(max_outer=1)).x_final
         t_star = (x - x_gd) @ v / (v @ v)
         slack = 1e-12 * max(1.0, abs(f.value(x)))
