@@ -36,8 +36,8 @@ _SETTINGS = {
     "kappa": (10.0, (int, float), "a number"),
     "seed": (0, int, "an integer"),
     "solver": (None, (list, type(None)), "a list of solver names or null"),
-    "eps": (1e-6, (int, float), "a number"),
-    "max_outer": (100000, int, "an integer"),
+    "eps": (SolverConfig.eps, (int, float), "a number"),
+    "max_outer": (SolverConfig.max_outer, int, "an integer"),
     "out": (None, (str, type(None)), "a string or null"),
 }
 
@@ -125,23 +125,15 @@ def _make_spec(settings: dict, default_solvers: list[SolverId]) -> ExperimentSpe
         output_dir=settings["out"])
 
 
-def _cmd_run(settings: dict) -> int:
-    spec = _make_spec(settings, [SolverId.ME])
-    result = run_experiment(spec)
-    print(result.summary_text())
-    ok = all(t.status is RunStatus.CONVERGED for t in result.traces.values())
-    return 0 if ok else 1
-
-
 def _warn_on_reference(result) -> None:
     if result.reference.quality_warning:
         print(f"warning: reference residual {result.reference.residual:.3e} "
               "exceeds 1e-10; terminal gaps are approximate")
 
 
-def _cmd_compare(settings: dict) -> int:
-    spec = _make_spec(settings, list(SolverId))
-    result = run_experiment(spec)
+def _cmd_run(settings: dict, default_solvers: list[SolverId]) -> int:
+    """``run`` (``me`` by default) and ``compare`` (all four solvers)."""
+    result = run_experiment(_make_spec(settings, default_solvers))
     print(result.summary_text())
     _warn_on_reference(result)
     ok = all(t.status is RunStatus.CONVERGED for t in result.traces.values())
@@ -182,9 +174,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         settings = _resolve(args)
-        handler = {"run": _cmd_run, "compare": _cmd_compare,
-                   "verify": _cmd_verify, "gen": _cmd_gen}[args.command]
-        return handler(settings)
+        if args.command == "verify":
+            return _cmd_verify(settings)
+        if args.command == "gen":
+            return _cmd_gen(settings)
+        return _cmd_run(settings, list(SolverId) if args.command == "compare"
+                        else [SolverId.ME])
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

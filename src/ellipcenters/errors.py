@@ -1,4 +1,5 @@
-"""Exception types shared across the solver stack."""
+"""Exception types shared across the solver stack.  One that ends a run
+holds, as its class attribute ``status``, the ``RunStatus`` it ends with."""
 
 
 class NumericalFailureError(RuntimeError):
@@ -11,18 +12,22 @@ class NumericalFailureError(RuntimeError):
     it signals a bad objective or inconsistent constants.
     """
 
+    status = "numeric_failure"
+
 
 class PrecisionFloorError(NumericalFailureError):
     """The companion search's bracket narrowed to machine width with the
     level residual still above ``companion.TOL``: double precision cannot
-    resolve the level set, typically because f is large in absolute terms.
-    Outer loops stop with status ``precision_floor``."""
+    resolve the level set, typically because f is large in absolute terms."""
+
+    status = "precision_floor"
 
 
 class DegeneratePlaneError(RuntimeError):
     """The two gradient directions are numerically parallel, so the 2x2
     plane system is singular.  The plane is then the line along the
-    gradient, and the ellipcenter step takes the exact-linesearch step."""
+    gradient, and the ellipcenter step takes the exact-linesearch step.  It
+    never leaves the step, so it has no ``status``."""
 
 
 class InnerStallError(RuntimeError):
@@ -31,7 +36,11 @@ class InnerStallError(RuntimeError):
     times its tolerance.  Outer loops abort rather than silently accept an
     inexact plane minimizer."""
 
+    status = "inner_stall"
+
 
 class NonFiniteError(RuntimeError):
     """The objective returned a NaN or infinite value or gradient inside a
-    run.  Outer loops stop with status ``non_finite``."""
+    run."""
+
+    status = "non_finite"

@@ -446,16 +446,6 @@ class Objective:
         return z
 
 
-def _checked_sq(g: np.ndarray) -> float:
-    """``g @ g`` of a finite ``g``: a finite sum has finite entries, so they
-    are tested one by one only when it is not (or overflows, past ~1e154,
-    which a solver run lets pass as inf without a warning)."""
-    sq = float(g.dot(g))
-    if not math.isfinite(sq) and not np.isfinite(g).all():
-        raise NonFiniteError("gradient has a NaN or infinite entry")
-    return sq
-
-
 class CountingObjective:
     """Wraps an Objective, a problem included, and counts value/gradient
     evaluations.
@@ -468,8 +458,9 @@ class CountingObjective:
     instance as their ``counter``, which ``extend`` passes on, and count
     themselves (see :class:`Restriction`).  A NaN or infinite value or
     gradient, full or restricted, raises :class:`NonFiniteError`; a full
-    gradient is checked through its squared norm, which ``grad_norm``
-    reuses.  One instance per solver run; not shared across threads.
+    gradient is checked through its squared norm, from which ``grad_norm()``
+    gives the norm of the gradient ``grad`` returned last.  One instance per
+    solver run; not shared across threads.
     """
 
     def __init__(self, obj: Objective):
@@ -480,7 +471,6 @@ class CountingObjective:
         self.value_evals = 0
         self.grad_evals = 0
         self.restricted_evals = 0
-        self._last_grad = (None, 0.0)  # (last gradient, its squared norm)
 
     def value(self, x: np.ndarray) -> float:
         self.value_evals += 1
@@ -492,14 +482,18 @@ class CountingObjective:
     def grad(self, x: np.ndarray) -> np.ndarray:
         self.grad_evals += 1
         g = self._obj.grad(x)
-        self._last_grad = (g, _checked_sq(g))
+        # a finite g @ g has finite entries, so they are tested one by one
+        # only when it is not (or overflows, past ~1e154, which a solver run
+        # lets pass as inf without a warning)
+        self._grad_sq = sq = float(g.dot(g))
+        if not math.isfinite(sq) and not np.isfinite(g).all():
+            raise NonFiniteError("gradient has a NaN or infinite entry")
         return g
 
-    def grad_norm(self, g: np.ndarray) -> float:
-        """``||g||``, bit-equal to ``np.linalg.norm(g)`` (the square root of
-        ``g @ g``), from the check of ``grad`` if it returned ``g`` last."""
-        last, sq = self._last_grad
-        return math.sqrt(sq if g is last else _checked_sq(g))
+    def grad_norm(self) -> float:
+        """``||g||`` of the gradient ``g`` that ``grad`` returned last,
+        bit-equal to ``np.linalg.norm(g)`` (the square root of ``g @ g``)."""
+        return math.sqrt(self._grad_sq)
 
     def restrict(self, x: np.ndarray, v: np.ndarray, **at_x) -> Restriction:
         model = self._obj.restrict(x, v, **at_x)

@@ -34,7 +34,7 @@ import operator
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, count, repeat
+from itertools import accumulate, count
 from typing import Callable, Optional
 
 import numpy as np
@@ -122,8 +122,6 @@ class IterateRecord:
     restricted_evals_total: int = 0
 
 
-NO_STEP = 2  # the li_flag byte of an iterate with no step recorded
-_LI_FLAG = (False, True, None)  # li_flag by its byte
 _STEP = ("t_k", "sin2_theta", "li_flag")
 _COUNTS = ("grad_evals_total", "value_evals_total", "restricted_evals_total")
 
@@ -134,9 +132,10 @@ class IterateRecords(Sequence):
     per-step increments, one byte each (``array('B')``, widened once to
     ``array('q')`` by the first increment that does not fit) beside its
     running total: 19 B per iterate, and 17 B more for a step.  ``k`` and
-    ``grad_evals_outer`` follow from the index.  Step columns reach the last
-    step written (``NO_STEP`` where an iterate has none), ``ratio`` (NaN for
-    ``None``) what :meth:`set_ratios` wrote.  A read-only sequence of the
+    ``grad_evals_outer`` follow from the index.  Step columns hold one entry
+    per step, from the first iterate on (``li_flag`` as 0 or 1), so they
+    reach the last step written; ``ratio`` (NaN for ``None``) what
+    :meth:`set_ratios` wrote.  A read-only sequence of the
     records; ``column(name)`` reads one field.  The last record comes from
     the totals in O(1); iteration, slices, ``==`` and ``column`` sum each
     count column once, in one pass, and any other index sums its prefix."""
@@ -163,12 +162,12 @@ class IterateRecords(Sequence):
         self._totals = counts
 
     def set_step(self, t: float, sin2_theta: float, li_flag: bool) -> None:
-        """Write the step taken from the last iterate."""
+        """Write the step taken from the last iterate, once every earlier
+        iterate has its step (else ``ValueError``)."""
         cols = self._cols
-        pad = len(cols["f_val"]) - 1 - len(cols["li_flag"])
+        if len(cols["li_flag"]) != len(cols["f_val"]) - 1:
+            raise ValueError("a step is written once per iterate, in order")
         for name, value in zip(_STEP, (t, sin2_theta, 1 if li_flag else 0)):
-            if pad:
-                cols[name].extend(repeat(NO_STEP, pad))
             cols[name].append(value)
 
     def set_ratios(self, ratios: Sequence[Optional[float]]) -> None:
@@ -186,10 +185,7 @@ class IterateRecords(Sequence):
         if name in _COUNTS:
             return list(accumulate(cols[name]))
         if name == "li_flag":
-            values = [_LI_FLAG[b] for b in cols[name]]
-        elif name in _STEP:
-            values = [None if b == NO_STEP else v
-                      for v, b in zip(cols[name], cols["li_flag"])]
+            values = list(map(bool, cols[name]))
         else:
             values = [None if v != v else v for v in cols[name]] \
                 if name == "ratio" else cols[name].tolist()
@@ -218,11 +214,11 @@ class IterateRecords(Sequence):
 
     def _record(self, i: int, *counts: int) -> IterateRecord:
         cols = self._cols
-        li = cols["li_flag"][i] if i < len(cols["li_flag"]) else NO_STEP
-        step = [None if li == NO_STEP else cols[n][i] for n in _STEP[:2]]
+        step = (cols["t_k"][i], cols["sin2_theta"][i], bool(cols["li_flag"][i])) \
+            if i < len(cols["li_flag"]) else (None,) * 3
         ratio = cols["ratio"][i] if i < len(cols["ratio"]) else math.nan
         return IterateRecord(
-            i + 1, cols["f_val"][i], cols["grad_norm"][i], *step, _LI_FLAG[li],
+            i + 1, cols["f_val"][i], cols["grad_norm"][i], *step,
             None if ratio != ratio else ratio, self._outer * i, *counts)
 
 
@@ -297,12 +293,13 @@ def _me_step(cf, x, f_x, v):
     extended by w, gives x_next through :func:`~.plane2d.minimize`, to
     ``INNER_TOL * max(||v||, ||w||)`` in at most ``plane2d.MAX_NEWTON``
     Newton steps; a residual above ``STALL_FACTOR`` times that raises
-    :class:`InnerStallError`.  Only the gradients at the companion point and
-    at x_next are full evaluations.  When the two gradients are parallel, by
+    :class:`InnerStallError`.  Only the gradient at the companion point is a
+    full evaluation.  When the two gradients are parallel, by
     ``LD_THRESHOLD`` or by a singular plane Hessian, the plane is the line
     along v, and the step is the exact-linesearch step on the ray model.
     The step's ``info`` is ``(w, t, li_flag, sin2_theta, level_residual)``;
-    y goes once w is formed, and the models before the gradient at x_next."""
+    y goes once w is formed, and the models, which die when the step
+    returns, before ``_drive`` takes the gradient at x_next."""
     ray = cf.restrict(x, v, f_x=f_x, grad_x=v)
     comp = companion_point(ray, f_x=f_x)
     t, level_residual = comp.t, comp.level_residual
@@ -321,13 +318,12 @@ def _me_step(cf, x, f_x, v):
             li = False
     if not li:
         x_next = _exact_linesearch(ray, f_x)
-    del ray, plane  # the models and their data products
-    return x_next, cf.grad(x_next), (w, t, li, sin2_theta, level_residual)
+    return x_next, (w, t, li, sin2_theta, level_residual)
 
 
 def _gd_l_step(cf, x, f_x, v):
     """Fixed step 1/lip along the negative gradient."""
-    return x - v / cf.lip, None, None
+    return x - v / cf.lip, None
 
 
 def _exact_linesearch(ray, f_x):
@@ -346,7 +342,7 @@ def _exact_linesearch(ray, f_x):
 
 def _gd_exact_step(cf, x, f_x, v):
     """Step to the minimizer of f along the negative gradient."""
-    return _exact_linesearch(cf.restrict(x, v, grad_x=v), f_x), None, None
+    return _exact_linesearch(cf.restrict(x, v, grad_x=v), f_x), None
 
 
 def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
@@ -355,10 +351,11 @@ def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
     """The outer loop of every solver.
 
     Evaluates ``x1``, then runs ``step(cf, x_k, f(x_k), grad f(x_k)) ->
-    (x_next, g_next, info)`` for k = 1, 2, ... until ||grad f|| <= eps or
-    ``max_outer`` steps.  ``g_next`` is the gradient at ``x_next`` if the step
-    has it, else ``None``; ``info`` is the ellipcenter step's w and scalars
-    (see :func:`_me_step`), else ``None``.  Each step adds ``outer_grads`` to
+    (x_next, info)`` for k = 1, 2, ... until ||grad f|| <= eps or
+    ``max_outer`` steps; a step only moves the iterate, and the loop takes f
+    and then grad f at every ``x_next``, recording the norm of that last
+    gradient.  ``info`` is the ellipcenter step's w and scalars (see
+    :func:`_me_step`), else ``None``.  Each step adds ``outer_grads`` to
     ``grad_evals_outer``.  The run starts from a new read-only copy of
     ``x1``, so its first data product is formed exactly whatever the
     objective evaluated before.  Each accepted iterate k goes to
@@ -368,7 +365,7 @@ def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
     earlier vector: step k's are released before step k + 1 runs.
     An inner stall, a numerical failure, a level set below double precision
     or a non-finite value or gradient ends the run at the last good iterate
-    with the matching status; a non-finite start raises
+    with the error's ``status``; a non-finite start raises
     :class:`NonFiniteError`, and one not of shape ``(f.dim,)``
     ``ValueError``.  The run sits in ``np.errstate(over="ignore")``, entered
     once, so a finite gradient whose ||g||^2 overflows is recorded
@@ -386,7 +383,7 @@ def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
     records = IterateRecords(outer_grads)
 
     def record_iterate(k, x, f_x, g, info) -> float:
-        grad_norm = cf.grad_norm(g)
+        grad_norm = cf.grad_norm()
         records.append(f_x, grad_norm, cf.grad_evals, cf.value_evals,
                        cf.restricted_evals)
         if observe is not None:
@@ -406,26 +403,17 @@ def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
                 status = RunStatus.MAX_ITERATIONS
                 break
             try:
-                x_next, v_next, info = step(cf, x, fx, v)
+                x_next, info = step(cf, x, fx, v)
                 x_next.setflags(write=False)
                 f_next = cf.value(x_next)
                 if (not non_monotone_ok and f_next >= fx
                         and np.array_equal(x_next, x)):
                     raise PrecisionFloorError("the step left the iterate "
                                               "unchanged")
-                if v_next is None:
-                    v_next = cf.grad(x_next)
-            except InnerStallError:
-                status = RunStatus.INNER_STALL
-                break
-            except PrecisionFloorError:
-                status = RunStatus.PRECISION_FLOOR
-                break
-            except NumericalFailureError:
-                status = RunStatus.NUMERIC_FAILURE
-                break
-            except NonFiniteError:
-                status = RunStatus.NON_FINITE
+                v_next = cf.grad(x_next)
+            except (InnerStallError, NumericalFailureError,
+                    NonFiniteError) as exc:
+                status = RunStatus(exc.status)
                 break
             if info is not None:
                 t, li, sin2_theta, level_residual = info[1:]
@@ -496,7 +484,7 @@ def run_fast_gd(f: Objective, x1: np.ndarray, cfg: SolverConfig | None = None,
             gz = cf.grad(z)
         x_prev = x
         x_next = gz / cf.lip
-        return np.subtract(z, x_next, out=x_next), None, None
+        return np.subtract(z, x_next, out=x_next), None
 
     return _drive(SolverId.FAST_GD, f, x1, cfg, step, observe,
                   non_monotone_ok=True)

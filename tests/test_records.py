@@ -78,18 +78,22 @@ def test_step_fields_are_none_without_a_step(traces):
                        for name in (*STEP_FIELDS, "ratio"))
 
 
-def test_steps_written_after_stepless_iterates():
-    """Step columns reach the step written; the iterates before it read
-    ``None``."""
+def test_a_step_after_a_stepless_iterate_is_refused():
+    """Step columns hold one entry per step from the first iterate on, so
+    a step written after an iterate that has none, or written twice,
+    raises ``ValueError`` and leaves the columns as they were."""
     records = IterateRecords(outer_grads=2)
-    for i in range(3):
-        records.append(float(i), 1.0, i, i, 0)
+    records.append(0.0, 1.0, 0, 0, 0)
     records.set_step(0.5, math.nan, True)
-    records.append(3.0, 0.5, 3, 3, 0)
-    assert [r.li_flag for r in records] == [None, None, True, None]
-    assert [r.t_k for r in records] == [None, None, 0.5, None]
-    assert math.isnan(records[2].sin2_theta)
-    assert records[3].grad_evals_outer == 6
+    with pytest.raises(ValueError):
+        records.set_step(0.25, 0.5, False)
+    for i in (1, 2):
+        records.append(float(i), 1.0, i, i, 0)
+    with pytest.raises(ValueError):
+        records.set_step(0.25, 0.5, False)
+    assert [r.li_flag for r in records] == [True, None, None]
+    assert [r.t_k for r in records] == [0.5, None, None]
+    assert records.column("li_flag") == [True, None, None]
 
 
 def test_fill_ratios_persist_and_round_trip(tmp_path, quadratic, traces):

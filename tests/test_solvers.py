@@ -10,7 +10,9 @@ from ellipcenters import (Objective, QuadraticProblem, RunStatus, SolverConfig,
                           SolverId, compute_reference, generate_logreg,
                           generate_quadratic, run_fast_gd, run_gd_exact,
                           run_gd_l, run_me)
-from ellipcenters import companion, plane2d
+from ellipcenters import companion, plane2d, solvers
+from ellipcenters.errors import (InnerStallError, NonFiniteError,
+                                 NumericalFailureError, PrecisionFloorError)
 from ellipcenters.solvers import RUNNERS, History
 
 ONE_STEP = SolverConfig(max_outer=1)
@@ -296,6 +298,38 @@ def test_step_that_stands_still_ends_precision_floor():
     assert trace.records[-1].grad_norm < 1e-11
 
 
+def test_a_refused_step_takes_no_gradient_at_its_point():
+    """The run above takes one full gradient per recorded gradient, and
+    one more: the companion gradient of the step it refuses.  Its point is
+    never recorded, so no gradient is taken there."""
+    p = generate_logreg(200, 100, 1e2, 0)
+    calls = []
+    grad = p.grad
+    p.grad = lambda x: calls.append(1) or grad(x)
+    trace = run_me(p, np.zeros(200), SolverConfig(eps=1e-13, max_outer=200))
+    assert trace.status is RunStatus.PRECISION_FLOOR
+    assert len(calls) == trace.records[-1].grad_evals_total + 1
+
+
+@pytest.mark.parametrize("error, status", [
+    (NumericalFailureError, RunStatus.NUMERIC_FAILURE),
+    (PrecisionFloorError, RunStatus.PRECISION_FLOOR),
+    (InnerStallError, RunStatus.INNER_STALL),
+    (NonFiniteError, RunStatus.NON_FINITE)],
+    ids=["numeric_failure", "precision_floor", "inner_stall", "non_finite"])
+def test_each_error_ends_the_run_with_its_status(monkeypatch, error, status):
+    """An error raised in a step ends the run at its start with the error's
+    ``status``; ``PrecisionFloorError``, a ``NumericalFailureError``, ends
+    it ``precision_floor``, not ``numeric_failure``."""
+    def failing_step(cf, x, f_x, v):
+        raise error("raised by the step")
+
+    monkeypatch.setattr(solvers, "_gd_l_step", failing_step)
+    trace = run_gd_l(generate_quadratic(10, 1e2, 0), np.zeros(10))
+    assert trace.status is RunStatus(error.status) is status
+    assert trace.iterations == 0
+
+
 TIGHT_INSTANCES = {
     "logreg-200": lambda: generate_logreg(200, 100, 1e2, 0),
     "logreg-60": lambda: generate_logreg(60, 30, 1e4, 1),
@@ -413,8 +447,8 @@ def test_gradient_check_tells_overflow_from_nan(sid, spike, status):
 # counted value or gradient call changes these counts without changing the
 # computed iterates.  The me and gd_exact searches run on restricted models,
 # so their full counts are those of the method itself: me takes the
-# gradients at the companion point and at x_next, gd_exact the one at x_next,
-# and the outer loop the value at each iterate.  A companion search that
+# gradient at the companion point, and the outer loop the value and the
+# gradient at each iterate.  A companion search that
 # doubled from 2/lip and bisected made 310 restricted evaluations for me's
 # logistic run; its first step from the model's curvature and an Illinois
 # secant make 117.
