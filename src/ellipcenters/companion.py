@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NumericalFailureError, PrecisionFloorError
 
 TOL = 1e-12  # target relative level residual |s|
@@ -26,14 +24,15 @@ WIDTH_FLOOR = 1e-15  # stop when the bracket narrows below WIDTH_FLOOR * hi
 class CompanionResult:
     """Outcome of a companion-point search.
 
-    ``t`` is the positive step along the negative gradient, ``y = x - t v``
-    the located point, and ``level_residual`` the achieved value residual
+    ``t`` is the positive step along the negative gradient, ``y`` the
+    located point ``x - t v`` as the ray's point record, whose ``y.x`` is
+    the array, and ``level_residual`` the achieved value residual
     |f(y) - f(x)| / max(1, |f(x)|).  ``bisection_iters`` counts the probes
     after the first step, 0 when that step lands on the level set.
     """
 
     t: float
-    y: np.ndarray
+    y: tuple
     level_residual: float
     bisection_iters: int
 
@@ -52,8 +51,9 @@ def companion_point(ray, f_x: float | None = None) -> CompanionResult:
     than ``WIDTH_FLOOR * hi`` raises :class:`PrecisionFloorError`: double
     precision cannot resolve the level set along the ray.  A curvature
     phi''(0) <= 0, a NaN residual or ``MAX_STEPS`` probes past the first
-    raise :class:`NumericalFailureError`.  ``y`` is ``ray.point(-t)``, so a
-    problem's gradient there reuses the carried product.
+    raise :class:`NumericalFailureError`.  ``y`` is ``ray.point(-t)``, which
+    carries its data product, so a problem's gradient there makes no new
+    forward pass.
 
     Parameters
     ----------

@@ -5,33 +5,28 @@ Every solver in this package consumes an :class:`Objective`: ``value``,
 ``mu`` and the gradient Lipschitz constant ``lip``.  A user's f is an
 ``Objective`` built from value and gradient callables.  The problem
 families, :class:`QuadraticProblem` and :class:`LogRegProblem`, are
-``Objective`` subclasses that override all four methods, so a problem is
-itself what a solver runs on.  A problem holds its data as read-only views of
-the arrays it was given (changing those arrays afterwards is not supported).
+``Objective`` subclasses that override ``value``, ``grad`` and
+``restrict``, so a problem is itself what a solver runs on.  A problem
+holds its data as read-only views of the arrays it was given (changing
+those arrays afterwards is not supported).
 Every data product goes through the family's ``_matvec``: ``a @ x`` for
 logistic, one BLAS ``dsymv`` for a quadratic (see :class:`QuadraticProblem`).
-A problem remembers the data product of the last point it evaluated, so a
-``value`` and a ``grad`` at the same point share one matrix pass, and the
-exact product of the point before, for ``extrapolate``.  The two are
-replaced together as one tuple, so concurrent callers still get correct
-results (to the rounding of a carried product) and at worst lose reuses.
-The slot holds, by weak reference, only arrays that are read-only and own
-their data, as every point the package makes is (model points, momentum
-points, a run's iterates), and reuses a product only for the very point it
-stored while that point is still read-only.  Any other array, a caller's
-writable array or a read-only view of one, has its product formed at each
-call.
+A point carries its data product: every point the package makes (a model
+point, a momentum point, a run's iterate) is a private record
+``(x, product, carried)``, so a ``value`` and a ``grad`` at one record share
+one matrix pass.  ``value``, ``grad``, ``restrict`` and ``extrapolate`` take
+a record or an array, and an array has its product formed at each call.  A
+problem keeps nothing from one call to the next, so threads may share it.
 
 ``restrict(x, v)`` returns a :class:`Restriction`, a model of f on the line
 ``x + span(v)``, and its ``extend(w)`` the model on the plane
 ``x + span(v, w)``: O(m) per evaluation for logistic, O(1) and exact for
-quadratics.  A model's ``point`` hands the carried product
-``A x + sum_i z_i A d_i`` to the problem, so ``value`` and ``grad`` there
-make no new data pass; it is formed exactly again after ``REFRESH_EVERY``
-carried updates.  An ``Objective`` built from callables has no
-data product, and its model evaluates f in full.  A solver run counts
-through a :class:`CountingObjective`, whose models count and check
-themselves.
+quadratics.  A model's ``point`` carries the product
+``A x + sum_i z_i A d_i``, so ``value`` and ``grad`` there make no new data
+pass; it is formed exactly again after ``REFRESH_EVERY`` carried updates.
+An ``Objective`` built from callables has no data product, and its model
+evaluates f in full.  A solver run counts through a
+:class:`CountingObjective`, whose models count and check themselves.
 
 Synthetic instances are generated from a seeded PCG64 generator so that the
 same ``(n, m, kappa, seed)`` always yields the bit-identical problem.
@@ -42,7 +37,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import weakref
 from itertools import chain
 from typing import Callable, Optional
 
@@ -61,27 +55,6 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return view
 
 
-def _own(x: np.ndarray) -> bool:
-    """Whether the product slot may hold ``x``, as it holds every point the
-    package makes: ``x`` owns its data and rejects writes, so it cannot
-    change while it stays read-only (a read-only view can change)."""
-    return x.base is None and not x.flags.writeable
-
-
-def _store(prob, state: tuple, hold, product: np.ndarray,
-           carried: int) -> None:
-    """Replace ``prob._product``, read before as ``state``, by the product of
-    the point that calling ``hold`` returns.
-
-    The slot is a ``(hold, product, carried updates, previous hold,
-    previous product)`` tuple.  The product it held moves to the previous
-    slot if it was formed exactly; otherwise the previous slot is kept."""
-    old_hold, old_product, old_carried, prev_hold, prev_product = state
-    if old_carried == 0:
-        prev_hold, prev_product = old_hold, old_product
-    prob._product = (hold, product, carried, prev_hold, prev_product)
-
-
 @functools.cache
 def _symv():
     """BLAS ``dsymv``, imported on first use: ``scipy.linalg`` takes ~0.3 s."""
@@ -96,21 +69,21 @@ def _expit():
     return expit
 
 
-def _data_product(prob, x: np.ndarray):
-    """``x``, its data product and its number of carried updates.
+class _Point(tuple):
+    """A point with its data product, ``(x, product, carried)``: the array
+    ``x``, ``A x`` (None for a plain :class:`Objective`, which has no data
+    product) and the number of carried updates in it, 0 when it was formed
+    exactly.  A tuple, so making one runs no Python code."""
 
-    The stored product is reused when ``x`` is the stored point and still
-    read-only; ``x`` is then not checked again.  Otherwise ``x`` is checked
-    and its product formed, and stored with 0 carried updates, by weak
-    reference, only if the slot may hold ``x`` (:func:`_own`)."""
-    state = prob._product
-    if x is state[0]() and not x.flags.writeable:
-        return x, state[1], state[2]
-    x = prob._check(x)
-    product = prob._matvec(x)
-    if _own(x):
-        _store(prob, state, weakref.ref(x), product, 0)
-    return x, product, 0
+    __slots__ = ()
+    x = property(operator.itemgetter(0))
+    product = property(operator.itemgetter(1))
+    carried = property(operator.itemgetter(2))
+
+
+def _array(x):
+    """The array of a point: a record's ``x``, else ``x`` itself."""
+    return x.x if x.__class__ is _Point else x
 
 
 def _combine(start: np.ndarray, z, vecs) -> np.ndarray:
@@ -128,9 +101,10 @@ class Restriction:
     on the plane ``base + span(v, w)``, in the coordinates z of its
     directions ``dirs``.
 
-    ``value(*z)`` is f at ``point(*z) = base + sum_i z_i d_i``, a read-only
-    array; ``grad(*z)`` the restricted gradient ``(<grad f(p), d_i>)_i``, a
-    tuple of floats on the exact quadratic model and an array otherwise;
+    ``value(*z)`` is f at ``point(*z) = base + sum_i z_i d_i``, a point
+    record whose ``x`` is the array; ``grad(*z)`` the restricted gradient
+    ``(<grad f(p), d_i>)_i``, a tuple of floats on the exact quadratic
+    model and an array otherwise;
     ``hess(*z)`` the restricted Hessian ``(<d_i, hess f(p) d_j>)_ij``, the
     stored ``hessian`` on the exact quadratic model and an array otherwise,
     with ``grad=`` the restricted gradient at z if the caller holds it;
@@ -187,10 +161,8 @@ class Restriction:
             return 0.0
         return min(1.0, max(0.0, (denom - vw * vw) / denom))
 
-    def point(self, *z) -> np.ndarray:
-        p = _combine(self.base, z, self.dirs)
-        p.setflags(write=False)
-        return p
+    def point(self, *z) -> _Point:
+        return self.f._point(_combine(self.base, z, self.dirs))
 
     def value(self, *z) -> float:
         val = self._value(z)
@@ -229,7 +201,7 @@ class Restriction:
         which moves p well above its rounding, and 1/lip, a gradient step."""
         z = np.array(z, dtype=float)
         g = self._grad(z) if grad is None else np.asarray(grad)
-        p = self.point(*z)
+        p = self.point(*z).x
         scale = math.sqrt(float(p.dot(p)))
         cols = []
         for i, row in enumerate(self.gram):
@@ -242,12 +214,12 @@ class Restriction:
 
 class _DataRestriction(Restriction):
     """A problem's model: its family's ``_add`` forms each direction's data
-    product and rows, in one layer.  It keeps ``A base`` and the ``A d_i``
-    (from the problem's ``_matvec``), and f and its gradient at the base if
-    the caller gave them.  ``point`` stores the point's carried product
-    ``A base + sum_i z_i A d_i`` in the problem's slot, or ``A p`` formed
-    exactly once ``REFRESH_EVERY`` carried updates have piled up since the
-    last exact one."""
+    product and rows, in one layer.  It keeps ``A base``, the product the
+    base carried, and the ``A d_i`` (from the problem's ``_matvec``), and f
+    and its gradient at the base if the caller gave them.  ``point`` carries
+    the product ``A base + sum_i z_i A d_i``, or ``A p`` formed exactly once
+    ``REFRESH_EVERY`` carried updates have piled up since the last exact
+    one."""
 
     full = False
     _data_dirs = ()
@@ -255,21 +227,18 @@ class _DataRestriction(Restriction):
     def __init__(self, prob, base, product, carried, f_x=None, grad_x=None):
         self.f = prob
         self.base = base
-        self._product = product
+        self._base_product = product
         self._carried_updates = carried
         self._f0 = f_x
         self._grad_base = grad_x
 
-    def point(self, *z) -> np.ndarray:
+    def point(self, *z) -> _Point:
         p = _combine(self.base, z, self.dirs)
-        p.setflags(write=False)
-        prob, carried = self.f, self._carried_updates + 1
+        carried = self._carried_updates + 1
         if carried < REFRESH_EVERY:
-            product = _combine(self._product, z, self._data_dirs)
-        else:
-            product, carried = prob._matvec(p), 0
-        _store(prob, prob._product, weakref.ref(p), product, carried)
-        return p
+            return _Point((p, _combine(self._base_product, z, self._data_dirs),
+                           carried))
+        return _Point((p, self.f._matvec(p), 0))
 
 
 class _QuadraticRestriction(_DataRestriction):
@@ -291,7 +260,7 @@ class _QuadraticRestriction(_DataRestriction):
         dd, dad = float(d.dot(d)), float(ad.dot(d))
         g = self._grad_base
         if g is None:
-            g = self._grad_base = self._product - self.f.b
+            g = self._grad_base = self._base_product - self.f.b
         if self.dirs:  # border the first direction's entries
             (v,), ((vv,),), ((vav,),) = self.dirs, self.gram, self.hessian
             dv, adv = float(d.dot(v)), float(ad.dot(v))
@@ -306,7 +275,7 @@ class _QuadraticRestriction(_DataRestriction):
     def _value(self, z) -> float:
         f0 = self._f0
         if f0 is None:
-            f0 = self._f0 = self.f._value_at(self.base, self._product)
+            f0 = self._f0 = self.f._value_at(self.base, self._base_product)
         return f0 + sum([zi * (g + 0.5 * sum(map(operator.mul, row, z)))
                          for zi, g, row in zip(z, self._g0, self.hessian)])
 
@@ -334,7 +303,7 @@ class _LogRegRestriction(_DataRestriction):
         self._gram_matrix = np.array(self.gram)
 
     def _carried(self, z) -> np.ndarray:
-        return _combine(self._product, z, self._data_dirs)
+        return _combine(self._base_product, z, self._data_dirs)
 
     def _value(self, z) -> float:
         prob = self.f
@@ -372,8 +341,9 @@ class Objective:
     """A differentiable, strongly convex objective with known constants.
 
     This is the one protocol the solvers consume.  Built from callables, it
-    evaluates f in full everywhere; the problem families subclass it and
-    override ``value``, ``grad``, ``restrict`` and ``extrapolate``.
+    evaluates f in full everywhere, and its callables see arrays only; the
+    problem families subclass it and override ``value``, ``grad`` and
+    ``restrict``, and ``_matvec``, which forms a point's data product.
 
     Parameters
     ----------
@@ -411,11 +381,23 @@ class Objective:
             raise ValueError(f"x must have shape ({self.dim},), got {x.shape}")
         return x
 
+    def _matvec(self, x: np.ndarray) -> None:
+        """A plain objective has no data product."""
+        return None
+
+    def _point(self, x) -> _Point:
+        """``x`` as a point record: a record as it is, an array checked and
+        with its data product formed."""
+        if x.__class__ is _Point:
+            return x
+        x = self._check(x)
+        return _Point((x, self._matvec(x), 0))
+
     def value(self, x: np.ndarray) -> float:
-        return float(self._value_fn(x))
+        return float(self._value_fn(_array(x)))
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        return self._grad_fn(x)
+        return self._grad_fn(_array(x))
 
     def restrict(self, x: np.ndarray, v: np.ndarray, *,
                  f_x: float | None = None,
@@ -429,21 +411,31 @@ class Objective:
         arithmetic as the caller would use.  A problem's model works on its
         data products instead (see :meth:`_DataProblem.restrict`).
         """
-        return Restriction(self, np.asarray(x, dtype=float), self._check(v))
+        return Restriction(self, self._point(x).x, self._check(v))
 
     def extrapolate(self, x: np.ndarray, x_prev: np.ndarray,
-                    beta: float) -> np.ndarray:
-        """The momentum point ``x + beta * (x - x_prev)``, read-only.
+                    beta: float) -> _Point:
+        """The momentum point ``z = x + beta (x - x_prev)``, a point record.
 
-        Nothing is evaluated.  A problem that holds the exact data products
-        of ``x`` and ``x_prev`` also hands over z's product, combined from
-        them, so the next ``value`` or ``grad`` at z makes no new data pass.
+        When ``x`` and ``x_prev`` are records that carry exact data
+        products, as a run's iterates do, z carries the product
+        ``A x + beta (A x - A x_prev)`` (one carried update), so the next
+        ``value`` or ``grad`` at z makes no new data pass.  Otherwise z's
+        product is formed exactly (a plain objective has none).
         """
+        if (x.__class__ is x_prev.__class__ is _Point and x.product is not None
+                and not (x.carried or x_prev.carried)):
+            (x, ax, _), (x_prev, prev_ax, _) = x, x_prev
+            az = np.subtract(ax, prev_ax)
+            az *= beta
+            az += ax
+        else:
+            x, x_prev = self._check(_array(x)), self._check(_array(x_prev))
+            az = None
         z = np.subtract(x, x_prev, dtype=float)  # in place: IEEE + commutes
         z *= beta
         z += x
-        z.setflags(write=False)
-        return z
+        return self._point(z) if az is None else _Point((z, az, 1))
 
 
 class CountingObjective:
@@ -501,7 +493,7 @@ class CountingObjective:
         return model
 
     def extrapolate(self, x: np.ndarray, x_prev: np.ndarray,
-                    beta: float) -> np.ndarray:
+                    beta: float) -> _Point:
         """The wrapped objective's momentum point; not counted, since
         nothing is evaluated."""
         return self._obj.extrapolate(x, x_prev, beta)
@@ -509,16 +501,13 @@ class CountingObjective:
 
 class _DataProblem(Objective):
     """What the problem families share: the model (``model``, the family's
-    :class:`Restriction`) and the momentum point built on the stored data
-    product, formed by ``_matvec`` on a checked x.  A family's ``__init__``
-    ends in ``Objective.__init__``, which checks ``dim`` and
+    :class:`Restriction`), built on the data product a point carries, which
+    ``_matvec`` forms for an array.  A family's ``__init__`` ends in
+    ``Objective.__init__``, which checks ``dim`` and
     ``0 < mu <= lip < inf``; its ``value`` and ``grad`` override the
     callables, so it passes none."""
 
     model = _DataRestriction
-    # (hold of x, A @ x, carried updates, hold of the last exact x, its A @ x);
-    # a hold returns its point, or None once the point is gone
-    _product = ((lambda: None), None, 0, (lambda: None), None)
 
     def objective(self) -> "_DataProblem":
         """The problem itself, which is an :class:`Objective`."""
@@ -528,30 +517,11 @@ class _DataProblem(Objective):
                  f_x: float | None = None,
                  grad_x: Optional[np.ndarray] = None) -> Restriction:
         """The family's model of f on the line ``x + span(v)``, on the
-        stored product of ``x``, or on ``A x`` formed exactly when none is
-        stored; ``f_x`` and ``grad_x`` as for ``Objective.restrict``."""
-        x, product, carried = _data_product(self, x)
-        model = self.model(self, x, product, carried, f_x, grad_x)
+        product ``x`` carries, or on ``A x`` formed exactly for an array;
+        ``f_x`` and ``grad_x`` as for ``Objective.restrict``."""
+        model = self.model(self, *self._point(x), f_x, grad_x)
         model._add(self._check(v))
         return model
-
-    def extrapolate(self, x: np.ndarray, x_prev: np.ndarray,
-                    beta: float) -> np.ndarray:
-        """``z = x + beta (x - x_prev)``, read-only, handing over z's product
-        ``A x + beta (A x - A x_prev)`` (one carried update) when the stored
-        products are those of ``x``, formed exactly, and ``x_prev``, both
-        the very points stored and still read-only."""
-        x, x_prev = self._check(x), self._check(x_prev)
-        z = super().extrapolate(x, x_prev, beta)
-        state = self._product
-        hold, ax, carried, prev_hold, prev_ax = state
-        if (carried == 0 and hold() is x and prev_hold() is x_prev
-                and not (x.flags.writeable or x_prev.flags.writeable)):
-            az = np.subtract(ax, prev_ax)
-            az *= beta
-            az += ax
-            _store(self, state, weakref.ref(z), az, 1)
-        return z
 
 
 class QuadraticProblem(_DataProblem):
@@ -607,11 +577,11 @@ class QuadraticProblem(_DataProblem):
         return float(0.5 * x.dot(ax) - self.b.dot(x) + self.c)
 
     def value(self, x: np.ndarray) -> float:
-        x, ax, _ = _data_product(self, x)
+        x, ax, _ = self._point(x)
         return self._value_at(x, ax)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        x, ax, _ = _data_product(self, x)
+        x, ax, _ = self._point(x)
         return ax - self.b
 
     def minimizer(self) -> np.ndarray:
@@ -627,9 +597,9 @@ class LogRegProblem(_DataProblem):
     The softplus is evaluated in the overflow-safe branch form, so margins up
     to ~1e4 in magnitude are handled without warnings.  ``lip`` is the upper
     bound (1/(4m)) sum_i ||a_i||^2 + mu.  ``value`` and ``grad`` at the same
-    point share one product ``a @ x``; ``restrict`` returns a model on a line
-    or plane that evaluates in margin space, in O(m).  A gradient at the
-    momentum point of ``extrapolate`` makes only the ``a.T`` pass.
+    point record share one product ``a @ x``; ``restrict`` returns a model
+    on a line or plane that evaluates in margin space, in O(m).  A gradient
+    at the momentum point of ``extrapolate`` makes only the ``a.T`` pass.
     """
 
     model = _LogRegRestriction
@@ -661,14 +631,14 @@ class LogRegProblem(_DataProblem):
         return self.a @ x
 
     def value(self, x: np.ndarray) -> float:
-        x, ax, _ = _data_product(self, x)
+        x, ax, _ = self._point(x)
         margins = -self.labels * ax
         # logaddexp(0, u) = log(1 + e^u) = max(u, 0) + log1p(e^{-|u|})
         loss = float(np.mean(np.logaddexp(0.0, margins)))
         return loss + 0.5 * self.mu * float(x.dot(x))
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        x, ax, _ = _data_product(self, x)
+        x, ax, _ = self._point(x)
         margins = -self.labels * ax
         weights = self.labels * _expit()(margins)
         g = self.a.T @ weights  # -g / m + mu x, in g's buffer

@@ -8,8 +8,8 @@ turns the current iterate, its value and its gradient into the next iterate.
 A single step from ``x`` is the run ``run_*(f, x, replace(cfg, max_outer=1))``.
 
 Memory.  A run keeps O(n) arrays plus O(1) telemetry per iterate.  Each
-accepted iterate (read-only, so a problem knows it by identity) and the
-ellipcenter step's vectors go to an optional observer,
+accepted iterate (read-only, so an observer cannot write into the run's
+point) and the ellipcenter step's vectors go to an optional observer,
 ``run_*(f, x1, cfg, observe=fn)``, called as ``fn(k, x_k, f(x_k),
 grad f(x_k), step)``; :class:`History` is the observer that keeps them all.
 
@@ -243,7 +243,7 @@ class StepVectors:
 class RunTrace:
     """Record of one solver run: :class:`IterateRecords`, ~20 B per iterate
     (``gd_l``, ``gd_exact``; ``me`` adds 17 B for its step), and the final
-    iterate, read-only like every iterate of a run.  ``iterates`` and
+    iterate, read-only like every iterate a run hands out.  ``iterates`` and
     ``step_data`` remain for callers that read them and stay empty; a caller
     that wants the history passes a :class:`History` observer to the run."""
 
@@ -299,7 +299,8 @@ def _me_step(cf, x, f_x, v):
     along v, and the step is the exact-linesearch step on the ray model.
     The step's ``info`` is ``(w, t, li_flag, sin2_theta, level_residual)``;
     y goes once w is formed, and the models, which die when the step
-    returns, before ``_drive`` takes the gradient at x_next."""
+    returns, before ``_drive`` takes the gradient at x_next.  ``x`` and
+    x_next are point records, which carry their data products."""
     ray = cf.restrict(x, v, f_x=f_x, grad_x=v)
     comp = companion_point(ray, f_x=f_x)
     t, level_residual = comp.t, comp.level_residual
@@ -323,7 +324,7 @@ def _me_step(cf, x, f_x, v):
 
 def _gd_l_step(cf, x, f_x, v):
     """Fixed step 1/lip along the negative gradient."""
-    return x - v / cf.lip, None
+    return x.x - v / cf.lip, None
 
 
 def _exact_linesearch(ray, f_x):
@@ -356,9 +357,12 @@ def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
     and then grad f at every ``x_next``, recording the norm of that last
     gradient.  ``info`` is the ellipcenter step's w and scalars (see
     :func:`_me_step`), else ``None``.  Each step adds ``outer_grads`` to
-    ``grad_evals_outer``.  The run starts from a new read-only copy of
-    ``x1``, so its first data product is formed exactly whatever the
-    objective evaluated before.  Each accepted iterate k goes to
+    ``grad_evals_outer``.  The loop keeps x_k as a point record, which
+    carries its data product: a step gets it so, and returns x_next as a
+    record (a model point) or as an array, whose product the loop forms
+    once for both evaluations.  The run starts from a copy of ``x1``.
+    Each accepted iterate k is made read-only, so that an observer cannot
+    write into the run's own x_k, and goes to
     ``observe(k, x_k, f(x_k), grad f(x_k), step)``, with ``step`` the
     :class:`StepVectors` of the step that produced it, formed only for an
     observer (``None`` for k = 1 and the baselines).  The loop keeps no
@@ -382,17 +386,17 @@ def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
     cf = CountingObjective(f)
     records = IterateRecords(outer_grads)
 
-    def record_iterate(k, x, f_x, g, info) -> float:
+    def record_iterate(k, point, f_x, g, info) -> float:
         grad_norm = cf.grad_norm()
         records.append(f_x, grad_norm, cf.grad_evals, cf.value_evals,
                        cf.restricted_evals)
+        point.x.setflags(write=False)
         if observe is not None:
-            observe(k, x, f_x, g, info)
+            observe(k, point.x, f_x, g, info)
         return grad_norm
 
     with np.errstate(over="ignore"):  # ||g||^2 may overflow to inf
-        x = f._check(x1).copy()
-        x.setflags(write=False)
+        x = f._point(np.array(x1, dtype=float))
         fx = cf.value(x)
         v = cf.grad(x)
         k = 1
@@ -404,10 +408,10 @@ def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
                 break
             try:
                 x_next, info = step(cf, x, fx, v)
-                x_next.setflags(write=False)
+                x_next = f._point(x_next)
                 f_next = cf.value(x_next)
                 if (not non_monotone_ok and f_next >= fx
-                        and np.array_equal(x_next, x)):
+                        and np.array_equal(x_next.x, x.x)):
                     raise PrecisionFloorError("the step left the iterate "
                                               "unchanged")
                 v_next = cf.grad(x_next)
@@ -419,12 +423,12 @@ def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
                 t, li, sin2_theta, level_residual = info[1:]
                 records.set_step(t, sin2_theta, li)
                 info = None if observe is None else StepVectors(
-                    k, v, info[0], v_next, x_next - x, t, li, sin2_theta,
+                    k, v, info[0], v_next, x_next.x - x.x, t, li, sin2_theta,
                     level_residual)
             x, fx, v, k = x_next, f_next, v_next, k + 1
             grad_norm = record_iterate(k, x, fx, v, info)
             del info  # step k's vectors die before step k + 1 runs
-    return RunTrace(solver_id, records, status, x, replace(cfg),
+    return RunTrace(solver_id, records, status, x.x, replace(cfg),
                     non_monotone_ok=non_monotone_ok)
 
 
@@ -463,13 +467,11 @@ def run_fast_gd(f: Objective, x1: np.ndarray, cfg: SolverConfig | None = None,
     does not end the run ``precision_floor``, as it does for the other
     solvers: the momentum can still move the next one.
 
-    Step k forms z_k from (x_k, x_{k-1}) with ``f.extrapolate``, after the
-    loop has evaluated x_k.  A problem then holds the exact data products of
-    both iterates and hands z_k the product A x_k + beta (A x_k - A x_{k-1}),
-    so grad f(z_k) makes no new forward pass: a logistic step makes 3 passes
-    over the data (a @ x_{k+1} and two a.T products), a quadratic step 1
-    matvec.  If either product is missing, say because an observer
-    evaluated f elsewhere, grad f(z_k) forms A z_k exactly.
+    Step k forms z_k from (x_k, x_{k-1}) with ``f.extrapolate``.  Both
+    iterates carry the exact data products the loop formed for them, so z_k
+    carries A x_k + beta (A x_k - A x_{k-1}) and grad f(z_k) makes no new
+    forward pass: a logistic step makes 3 passes over the data (a @ x_{k+1}
+    and two a.T products), a quadratic step 1 matvec.
     """
     sqrt_kappa = np.sqrt(f.lip / f.mu)
     momentum = (sqrt_kappa - 1.0) / (sqrt_kappa + 1.0)
@@ -477,14 +479,11 @@ def run_fast_gd(f: Objective, x1: np.ndarray, cfg: SolverConfig | None = None,
 
     def step(cf, x, f_x, v):
         nonlocal x_prev
-        if x_prev is None:  # z1 = x1, so reuse the first gradient
-            z, gz = x, v
-        else:
-            z = cf.extrapolate(x, x_prev, momentum)
-            gz = cf.grad(z)
-        x_prev = x
+        z = x if x_prev is None else cf.extrapolate(x, x_prev, momentum)
+        x_prev = x  # x_{k-1} and its product go before grad f(z) is formed
+        gz = v if z is x else cf.grad(z)  # z1 = x1: reuse the first gradient
         x_next = gz / cf.lip
-        return np.subtract(z, x_next, out=x_next), None
+        return np.subtract(z.x, x_next, out=x_next), None
 
     return _drive(SolverId.FAST_GD, f, x1, cfg, step, observe,
                   non_monotone_ok=True)

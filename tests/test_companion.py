@@ -168,7 +168,7 @@ class TestCompanionPoint:
         x = np.array([1.0, 0.0])
         res = companion_point(f.restrict(x, f.grad(x)))
         assert res.t == pytest.approx(2.0, abs=1e-9)
-        npt.assert_allclose(res.y, [-1.0, 0.0], atol=1e-9)
+        npt.assert_allclose(res.y.x, [-1.0, 0.0], atol=1e-9)
         assert f.value(res.y) == pytest.approx(0.5, abs=1e-12)
 
     def test_diag_example_closed_form(self, diag_quadratic):

@@ -61,8 +61,8 @@ class TestReference:
                                                rel=1e-15)
 
     def test_logistic_reference_ignores_earlier_evaluations(self, rng):
-        """Evaluations at unrelated points, one leaving a carried product at
-        the origin where the reference run starts, change nothing."""
+        """Evaluations at unrelated points and at a momentum point at the
+        origin, where the reference run starts, change nothing."""
         ref = compute_reference(generate_logreg(60, 30, 1e2, 0).objective())
         p = generate_logreg(60, 30, 1e2, 0)
         f = p.objective()
@@ -70,7 +70,7 @@ class TestReference:
         f.grad(5.0 * u)
         f.value(u)
         origin = f.extrapolate(u, 5.0 * u, 0.25)  # u - (4u)/4 = 0 exactly
-        assert not origin.any()
+        assert not origin.x.any()
         assert f.value(origin) != np.log(2.0)  # a @ 0 = 0 gives log 2
         again = compute_reference(f)
         npt.assert_array_equal(again.x_star, ref.x_star)

@@ -32,10 +32,10 @@ LIMIT_BYTES = 2_000_000
 # solver: its peak in n-vectors on a quadratic, and in n- and m-vectors on a
 # logistic problem
 WORKING_SET = {
-    "me": (11, 6, 8),
+    "me": (9, 6, 6),
     "gd_l": (6, 5, 5),
-    "gd_exact": (7, 5, 6),
-    "fast_gd": (7, 6, 5),
+    "gd_exact": (6, 5, 5),
+    "fast_gd": (7, 5, 5),
 }
 # bytes per iterate that a long gd_l run may hold; README states the same
 TELEMETRY_BYTES = 24
@@ -122,8 +122,8 @@ def test_me_keeps_no_step_vectors():
 
 
 def test_fast_gd_keeps_no_iterates():
-    """A momentum run keeps x_{k-1}, and its problem one more data product;
-    nothing grows per step."""
+    """A momentum run keeps x_{k-1} and its data product; nothing grows per
+    step."""
     f = problem(2000)
     trace, peak = traced_peak(lambda: run_fast_gd(f, np.zeros(2000)))
     assert trace.converged

@@ -350,7 +350,7 @@ FAMILIES = ["quadratic", "logreg"]
 
 
 def fresh_problem(family):
-    """A new instance per test, so no stored product leaks between tests."""
+    """A small instance of ``family``, new for each test."""
     if family == "quadratic":
         return generate_quadratic(12, 30.0, 5)
     return generate_logreg(12, 20, 30.0, 5)
@@ -493,8 +493,8 @@ def test_scipy_linalg_loads_on_the_first_quadratic_product():
 
 @pytest.mark.parametrize("family", FAMILIES)
 class TestDataProductReuse:
-    """``value`` and ``grad`` share the last point's data product; every
-    result must still equal the direct formula bit for bit."""
+    """``value`` and ``grad`` at arrays, in any order and from two threads,
+    equal the direct formulas bit for bit: each call forms its product."""
 
     def test_matches_direct_formulas_in_any_order(self, family, rng):
         p = fresh_problem(family)
@@ -552,8 +552,8 @@ class TestDataProductReuse:
         assert wrong == []
 
     def test_two_threads_extrapolating(self, family, rng):
-        """Momentum products handed over while another thread evaluates
-        elsewhere still give gradients correct to rounding."""
+        """Momentum points made while another thread evaluates elsewhere
+        give gradients correct to rounding."""
         p = fresh_problem(family)
         pairs = [rng.standard_normal((2, p.dim)) for _ in range(2)]
         want = [direct_grad(p, y + 0.5 * (y - x)) for x, y in pairs]
@@ -598,10 +598,9 @@ def read_only_view(x):
 
 @pytest.mark.parametrize("family", FAMILIES)
 class TestReadOnlyViewsAreCallersArrays:
-    """The product slot holds only read-only arrays that own their data.  A
-    read-only view of an array the caller can still write is a caller's
-    array: after a write through that array, every product is formed
-    afresh."""
+    """A read-only view of an array the caller can still write is an array
+    like any other: after a write through that array, every product is
+    formed afresh."""
 
     def test_value_grad_and_restrict(self, family, rng):
         p = fresh_problem(family)
@@ -621,7 +620,7 @@ class TestReadOnlyViewsAreCallersArrays:
         x, x_prev = rng.standard_normal((2, p.dim))
         xv, pv = read_only_view(x), read_only_view(x_prev)
         p.value(pv)
-        p.value(xv)  # the stored products of both points, formed exactly
+        p.value(xv)  # both points evaluated before the write
         (x if moved == "x" else x_prev)[0] += 1.0
         z = p.extrapolate(xv, pv, 0.5)
         assert_bitwise(p.grad(z), direct_grad(p, x + 0.5 * (x - x_prev)))
@@ -630,7 +629,8 @@ class TestReadOnlyViewsAreCallersArrays:
 @pytest.mark.parametrize("family", FAMILIES)
 class TestHandedOutPointMadeWritable:
     """A point the package handed out, made writable again by its owner and
-    changed, is a caller's array: its products are formed afresh."""
+    changed, is an array like any other, read-only again or not: its
+    products are formed afresh."""
 
     def test_value_and_grad(self, family):
         p = fresh_problem(family)
@@ -640,31 +640,28 @@ class TestHandedOutPointMadeWritable:
         assert_bitwise(p.grad(x), direct_grad(p, x))
         assert_bitwise(p.value(x), direct_value(p, x))
 
+    def test_made_read_only_again(self, family):
+        """A problem that kept the product of the points it evaluated
+        served the stale one here."""
+        p = fresh_problem(family)
+        x = run_gd_l(p, np.zeros(p.dim), SolverConfig(max_outer=3)).x_final
+        x.flags.writeable = True
+        x[0] += 1.0
+        x.flags.writeable = False
+        assert_bitwise(p.grad(x), direct_grad(p, x))
+        assert_bitwise(p.value(x), direct_value(p, x))
+
     def test_extrapolate(self, family, rng):
         p = fresh_problem(family)
         x = run_gd_l(p, np.zeros(p.dim), SolverConfig(max_outer=3)).x_final
         x_prev = rng.standard_normal(p.dim)
         x_prev.setflags(write=False)
         p.value(x_prev)
-        p.value(x)  # the stored products of both points, formed exactly
+        p.value(x)  # both points evaluated before the write
         x.flags.writeable = True
         x[0] += 1.0
         z = p.extrapolate(x, x_prev, 0.5)
-        assert_bitwise(p.grad(z), direct_grad(p, z))
-
-
-@pytest.mark.parametrize("family", FAMILIES)
-def test_points_the_package_makes_are_read_only(family, rng):
-    """Model points and momentum points reject writes, from a problem and
-    from a plain Objective alike."""
-    p = fresh_problem(family)
-    x, y, v, w = rng.standard_normal((4, p.dim))
-    for f in (p, plain(p)):
-        points = [f.restrict(x, v).point(0.5),
-                  f.restrict(x, v).extend(w).point(0.5, -0.2), f.extrapolate(x, y, 0.3)]
-        for point in points:
-            with pytest.raises(ValueError):
-                point[0] = 1.0
+        assert_bitwise(p.grad(z), direct_grad(p, z.x))
 
 
 # Per-step data products of every solver: ``(at the start, per step, points
@@ -720,22 +717,22 @@ def count_products(p):
 
 class TestProductCount:
     def test_quadratic_value_and_grad_share_one_product(self, rng):
-        """A read-only array that owns its data, as every point the package
-        makes does, shares one product between ``value`` and ``grad``; a
-        caller's writable array, or a read-only view, forms one at each call
-        and leaves the stored point in place."""
+        """A point record, as every point the package makes is, carries one
+        product for ``value`` and ``grad``, whatever was evaluated between
+        them; an array, writable or read-only, has one formed at each
+        call."""
         p = generate_quadratic(12, 30.0, 5)
         counter = count_products(p)
-        x, y = rng.standard_normal(12), rng.standard_normal(12)
-        x.setflags(write=False)
+        x, y = p._point(rng.standard_normal(12)), rng.standard_normal(12)
         p.value(x)
         p.grad(x)
         assert counter.products == 1
         p.grad(y)
         p.value(y)
         assert counter.products == 3
-        p.value(read_only_view(y))
-        p.grad(read_only_view(y))
+        y.setflags(write=False)
+        p.value(y)
+        p.grad(y)
         assert counter.products == 5
         p.grad(x)
         assert counter.products == 5
@@ -768,8 +765,7 @@ class TestProductCount:
         """As for a quadratic; a logistic gradient adds its ``a.T`` pass."""
         p = generate_logreg(12, 20, 30.0, 5)
         counter = count_products(p)
-        x, y = rng.standard_normal(12), rng.standard_normal(12)
-        x.setflags(write=False)
+        x, y = p._point(rng.standard_normal(12)), rng.standard_normal(12)
         p.value(x)
         p.grad(x)
         assert counter.products == 2  # a @ x, then a.T @ weights
@@ -783,8 +779,8 @@ class TestProductCount:
                              [("logreg", 250), ("quadratic", 3508)])
     def test_verify_products(self, family, products, monkeypatch, capsys):
         """The forward products of one small ``verify``, pinned: the
-        reference and the dominance points are read-only, so each shares
-        one product between its gradient and its value."""
+        reference and each dominance point are evaluated as point records,
+        so each shares one product between its gradient and its value."""
         cls = LogRegProblem if family == "logreg" else QuadraticProblem
         matvec, calls = cls._matvec, []
         monkeypatch.setattr(cls, "_matvec",
@@ -822,7 +818,7 @@ class TestRestriction:
         plane = ray.extend(w)
         for a, b in [(0.0, 0.0), (0.3, -0.2), (-1.1, 0.7), (2.5, 0.0)]:
             point = x + a * v + b * w
-            assert_bitwise(plane.point(a, b), point)
+            assert_bitwise(plane.point(a, b).x, point)
             want = direct_value(p, point)
             assert abs(plane.value(a, b) - want) <= 1e-13 * abs(want)
             g = direct_grad(p, point)
@@ -851,13 +847,13 @@ class TestRestriction:
 
     def test_full_gradient_at_a_model_point(self, kind, rng):
         """The problem's gradient at a model point reuses the product the
-        model handed over; it agrees with the direct formula."""
+        point carries; it agrees with the direct formula."""
         p, f, x, v, w = self.build(kind, rng)
         point = f.restrict(x, v).extend(w).point(0.7, -0.4)
-        g = direct_grad(p, point)
+        g = direct_grad(p, point.x)
         npt.assert_allclose(f.grad(point), g, rtol=0, atol=1e-13 * np.linalg.norm(g))
-        assert abs(f.value(point) - direct_value(p, point)) <= \
-            1e-13 * abs(direct_value(p, point))
+        assert abs(f.value(point) - direct_value(p, point.x)) <= \
+            1e-13 * abs(direct_value(p, point.x))
 
     def test_evaluations_are_counted_apart(self, kind, rng):
         _, f, x, v, w = self.build(kind, rng)
@@ -936,9 +932,9 @@ def test_carried_product_drift_stays_small():
     grad = p.grad
     drift = []
 
-    def checked_grad(x):
+    def checked_grad(x):  # x is a point record
         g = grad(x)
-        exact = a @ x
+        exact = a @ x.x
         if np.any(exact):
             drift.append(np.linalg.norm(g - (exact - p.b)) / np.linalg.norm(exact))
         return g
@@ -953,18 +949,15 @@ def test_carried_product_drift_stays_small():
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("sid", ["me", "gd_l", "gd_exact", "fast_gd"])
 def test_run_ignores_what_the_instance_evaluated_before(family, sid):
-    """A run restarted from a previous run's ``x_final``, whose product the
-    instance still holds (carried, after an ``me`` or ``gd_exact`` step),
-    from a writable copy of it and from a read-only copy traces exactly as
-    the same run on a fresh instance: each run forms its first product
-    exactly."""
+    """A run restarted from a previous run's ``x_final``, from a writable
+    copy of it and from a read-only copy traces exactly as the same run on
+    a fresh instance: a problem keeps nothing from one call to the next,
+    and each run forms its first product exactly."""
     make = ((lambda: generate_quadratic(40, 1e2, 0)) if family == "quadratic"
             else (lambda: generate_logreg(60, 30, 1e2, 0)))
     run = RUNNERS[sid]
     used = make()
     x = run(used, np.zeros(used.dim), SolverConfig(max_outer=5)).x_final
-    hold, _, carried = used._product[:3]
-    assert hold() is x and (carried > 0) == (sid in ("me", "gd_exact"))
     read_only = x.copy()
     read_only.setflags(write=False)
     fresh = run(make(), x.copy())
@@ -1081,28 +1074,32 @@ def test_fast_gd_on_a_plain_objective_is_fully_direct(family):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_fast_gd_survives_evicted_products(family):
-    """An observer that evaluates f elsewhere between steps evicts the
-    products of x_k and x_{k-1}; the run then forms A z_k exactly and takes
-    the same steps."""
+@pytest.mark.parametrize("sid", ["me", "gd_l", "gd_exact", "fast_gd"])
+def test_what_an_observer_evaluates_does_not_change_a_run(family, sid):
+    """An observer that evaluates the run's problem at its own read-only
+    array on every step leaves the run's records and ``x_final`` bit for
+    bit those of an unobserved run, and the only data products it adds are
+    its own: a value and a gradient, 2 products on a quadratic and 3 on a
+    logistic problem."""
     p = fixed_step_problem(family)
-    f = p.objective()
-    other = np.ones(p.dim)
+    counter = count_products(p)
+    want = RUNNERS[sid](p, np.zeros(p.dim))
+    alone, counter.products = counter.products, 0
+    own = np.ones(p.dim)
+    own.setflags(write=False)
     calls = []
 
-    def evict(k, x, f_x, g, step):
+    def observe(k, x, f_x, g, step):
         calls.append(k)
-        if k % 2:
-            f.value(other)
-        else:
-            f.grad(other + k)
+        p.value(own)
+        p.grad(own)
 
-    want = run_fast_gd(f, np.zeros(p.dim))
-    got = run_fast_gd(f, np.zeros(p.dim), observe=evict)
+    got = RUNNERS[sid](p, np.zeros(p.dim), observe=observe)
     assert len(calls) == got.iterations + 1
-    assert (got.status, got.iterations) == (want.status, want.iterations)
-    assert np.linalg.norm(got.x_final - want.x_final) <= \
-        1e-13 * np.linalg.norm(want.x_final)
+    assert got.records == want.records
+    assert_bitwise(got.x_final, want.x_final)
+    per_call = 2 if family == "quadratic" else 3
+    assert counter.products == alone + per_call * len(calls)
 
 
 def central_hessian(model, z, h):

@@ -36,12 +36,13 @@ def plain(prob):
 
 
 def solve(sp, stall=True):
-    """The plane step's search on ``sp``: ``(alpha, beta, x_next)`` to the
-    tolerance ``solvers.INNER_TOL * max(||v||, ||w||)``, from f(base)
-    evaluated uncounted."""
+    """The plane step's search on ``sp``: ``(alpha, beta, x_next)``, with
+    x_next the array of the model's point, to the tolerance
+    ``solvers.INNER_TOL * max(||v||, ||w||)``, from f(base) evaluated
+    uncounted."""
     tol = solvers.INNER_TOL * max(np.linalg.norm(d) for d in sp.dirs)
     alpha, beta = minimize(sp, tol, sp.f.value(sp.base), stall)
-    return alpha, beta, sp.point(alpha, beta)
+    return alpha, beta, sp.point(alpha, beta).x
 
 
 def residual(sp, alpha, beta):

@@ -423,9 +423,9 @@ def test_gradient_check_tells_overflow_from_nan(sid, spike, status):
     x2 = RUNNERS[sid](q.objective(), np.zeros(40), one_step).x_final
     grad = q.grad
 
-    def spiked(x):
+    def spiked(x):  # a run evaluates at point records
         g = grad(x)
-        if np.array_equal(x, x2):
+        if np.array_equal(x.x, x2):
             g = g.copy()
             g[0] = spike
         return g
@@ -620,10 +620,10 @@ def test_iterates_are_handed_out_read_only(sid):
 # generate_quadratic(40, 1e2, 0): Python function calls ("call") and calls
 # of C functions ("c_call"), each at its measured value plus 10%.  The
 # quadratic model's algebra runs on Python floats, its rows are formed in
-# one layer, the product slot knows the package's own points by identity,
-# and a run reaches the problem through one counting layer: with one more
-# pass-through layer, fast_gd and gd_l made 30.2 and 18.0 calls per step,
-# over their budgets.
+# one layer, a point carries its data product in a tuple, which runs no
+# Python code to make, and a run reaches the problem through one counting
+# layer: with one more pass-through layer, fast_gd and gd_l made 30.2 and
+# 18.0 calls per step, over their budgets.
 CALL_BUDGET = {"me": {"call": 57, "c_call": 60},
                "gd_exact": {"call": 35, "c_call": 25},
                "fast_gd": {"call": 29, "c_call": 20},
