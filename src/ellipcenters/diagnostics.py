@@ -273,15 +273,15 @@ def audit_dominance(f: Objective, x: np.ndarray,
     linesearch point, since the ray lies inside the plane.
 
     Each side is a one-step run (``max_outer=1``) from ``x``.  Returns
-    ``(f_me, f_gd, passed)`` with the pass margin ``1e-12 * max(1, |f(x)|)``.
-    A side whose run ends ``inner_stall``, ``numeric_failure`` or
-    ``non_finite`` took no step; its value is NaN and the check fails.
+    ``(f_me, f_gd, passed)``, passing by ``1e-12 * max(1, |f(x)|)`` (f(x) as
+    ``me`` recorded it); a side whose run ends ``inner_stall``,
+    ``numeric_failure`` or ``non_finite`` took no step, reads NaN and fails.
     """
     cfg = replace(cfg or SolverConfig(), max_outer=1)
-    x = np.asarray(x, dtype=float)
-    f_me = _one_step_value(run_me(f, x, cfg))
     f_gd = _one_step_value(run_gd_exact(f, x, cfg))
-    passed = f_me <= f_gd + 1e-12 * max(1.0, abs(f.value(x)))
+    me = run_me(f, x, cfg)  # last, so its trace is not held during the other
+    f_me = _one_step_value(me)
+    passed = f_me <= f_gd + 1e-12 * max(1.0, abs(me.records[0].f_val))
     return f_me, f_gd, passed
 
 

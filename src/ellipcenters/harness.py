@@ -3,8 +3,8 @@ runs, trace/series/summary emission, and the end-to-end audit used by the
 ``verify`` command.
 
 All experiments start from the origin.  Trace CSVs are deterministic given
-``(problem, n, m, kappa, seed, config)``; only the wall-time column of the
-summary varies between reruns.
+``(problem, n, m, kappa, seed, config)``, one BLAS build and thread count;
+only the wall-time column of the summary varies between reruns.
 """
 
 from __future__ import annotations

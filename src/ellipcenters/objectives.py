@@ -28,8 +28,8 @@ An ``Objective`` built from callables has no data product, and its model
 evaluates f in full.  A solver run counts through a
 :class:`CountingObjective`, whose models count and check themselves.
 
-Synthetic instances are generated from a seeded PCG64 generator so that the
-same ``(n, m, kappa, seed)`` always yields the bit-identical problem.
+Synthetic instances come from a seeded PCG64 generator: one ``(n, m, kappa,
+seed)`` yields a bit-identical problem for one BLAS build and thread count.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ import operator
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, count
+from itertools import accumulate, chain, count, islice, repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -123,43 +123,47 @@ class IterateRecord:
 
 
 _STEP = ("t_k", "sin2_theta", "li_flag")
+_FLOATS = ("f_val", "grad_norm", "t_k", "sin2_theta", "ratio")
 _COUNTS = ("grad_evals_total", "value_evals_total", "restricted_evals_total")
 
 
 class IterateRecords(Sequence):
     """A run's :class:`IterateRecord` telemetry in typed columns: floats in
-    ``array('d')``, ``li_flag`` in bytes, and each cumulative count as its
-    per-step increments, one byte each (``array('B')``, widened once to
-    ``array('q')`` by the first increment that does not fit) beside its
-    running total: 19 B per iterate, and 17 B more for a step.  ``k`` and
-    ``grad_evals_outer`` follow from the index.  Step columns hold one entry
-    per step, from the first iterate on (``li_flag`` as 0 or 1), so they
-    reach the last step written; ``ratio`` (NaN for ``None``) what
-    :meth:`set_ratios` wrote.  A read-only sequence of the
-    records; ``column(name)`` reads one field.  The last record comes from
-    the totals in O(1); iteration, slices, ``==`` and ``column`` sum each
-    count column once, in one pass, and any other index sums its prefix."""
+    ``array('d')``, ``li_flag`` in bytes, and each count as its total and
+    runs of equal increments: the open one as its increment and first index,
+    closed ones as (increment, length) byte pairs, ``array('q')`` once an
+    increment does not fit, lengths split at 255.  A constant count costs no
+    bytes, a change 2 B; a run ~17 B per iterate, a step 17 B more.  The last
+    record reads the totals in O(1); other reads expand the runs once."""
+
+    __slots__ = ("_outer", "_cols", "_since", "_steps", "_totals")
 
     def __init__(self, outer_grads: int = 1):
         self._outer = outer_grads
-        self._cols = {name: array("B" if name in _COUNTS else "d") for name in
-                      ("f_val", "grad_norm", "t_k", "sin2_theta", "ratio",
-                       *_COUNTS)}
-        self._cols["li_flag"] = array("B")
-        self._totals = (0,) * len(_COUNTS)
+        self._cols = {name: array("d" if name in _FLOATS else "B")
+                      for name in (*_FLOATS, "li_flag", *_COUNTS)}
+        self._since, self._totals, self._steps = [0] * 3, (0,) * 3, (0,) * 3
 
     def append(self, f_val: float, grad_norm: float, *counts: int) -> None:
         """Add an iterate, with no step: f, ||grad f|| and its counts."""
         cols = self._cols
         cols["f_val"].append(f_val)
         cols["grad_norm"].append(grad_norm)
-        for name, step in zip(_COUNTS, map(operator.sub, counts, self._totals)):
-            try:
-                cols[name].append(step)
-            except OverflowError:  # past one byte: widen the column, once
-                cols[name] = array("q", cols[name])
-                cols[name].append(step)
-        self._totals = counts
+        # built at its size: a resized tuple(map(...)) moves gc's count
+        steps = (*map(operator.sub, counts, self._totals),)
+        if steps != self._steps:
+            i, since = len(cols["f_val"]) - 1, self._since
+            for j, old in enumerate(self._steps):
+                if old != steps[j] and i:  # close count j's open run
+                    runs, n, since[j] = cols[_COUNTS[j]], i - since[j], i
+                    if not 0 <= old < 256 and runs.typecode == "B":  # widen
+                        runs = cols[_COUNTS[j]] = array("q", runs)
+                    while n > 255:  # split at 255
+                        runs.extend((old, 255))
+                        n -= 255
+                    runs.append(old)
+                    runs.append(n)
+        self._steps, self._totals = steps, counts
 
     def set_step(self, t: float, sin2_theta: float, li_flag: bool) -> None:
         """Write the step taken from the last iterate, once every earlier
@@ -171,7 +175,7 @@ class IterateRecords(Sequence):
             cols[name].append(value)
 
     def set_ratios(self, ratios: Sequence[Optional[float]]) -> None:
-        """Write the ratio column, from the first iterate on."""
+        """Write the ratio column from the first iterate on, NaN for None."""
         self._cols["ratio"] = array(
             "d", [math.nan if r is None else r for r in ratios])
 
@@ -183,7 +187,7 @@ class IterateRecords(Sequence):
         if name == "grad_evals_outer":
             return [self._outer * i for i in range(n)]
         if name in _COUNTS:
-            return list(accumulate(cols[name]))
+            return list(self._running()[_COUNTS.index(name)])
         if name == "li_flag":
             values = list(map(bool, cols[name]))
         else:
@@ -195,8 +199,7 @@ class IterateRecords(Sequence):
         return len(self._cols["f_val"])
 
     def __iter__(self):
-        return map(self._record, count(),
-                   *(accumulate(self._cols[name]) for name in _COUNTS))
+        return map(self._record, count(), *self._running())
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -204,13 +207,20 @@ class IterateRecords(Sequence):
         i = range(len(self))[i]  # IndexError and TypeError as a list's
         if i == len(self) - 1:
             return self._record(i, *self._totals)
-        return self._record(i, *(sum(self._cols[name][:i + 1])
-                                 for name in _COUNTS))
+        return self._record(i, *(next(islice(c, i, None))
+                                 for c in self._running()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
             return NotImplemented
         return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def _running(self) -> list:
+        """Each count's running totals, over its runs and then its open one."""
+        runs = (iter(self._cols[name]) for name in _COUNTS)  # read in pairs
+        return [accumulate(chain(chain.from_iterable(map(repeat, it, it)),
+                                 repeat(step, len(self) - since)))
+                for it, step, since in zip(runs, self._steps, self._since)]
 
     def _record(self, i: int, *counts: int) -> IterateRecord:
         cols = self._cols
@@ -241,7 +251,7 @@ class StepVectors:
 
 @dataclass
 class RunTrace:
-    """Record of one solver run: :class:`IterateRecords`, ~20 B per iterate
+    """Record of one solver run: :class:`IterateRecords`, ~17 B per iterate
     (``gd_l``, ``gd_exact``; ``me`` adds 17 B for its step), and the final
     iterate, read-only like every iterate a run hands out.  ``iterates`` and
     ``step_data`` remain for callers that read them and stay empty; a caller

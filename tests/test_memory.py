@@ -1,12 +1,13 @@
-"""A default run holds O(n) arrays plus ~20 B of telemetry per iterate, and
+"""A default run holds O(n) arrays plus ~17 B of telemetry per iterate, and
 a logistic instance holds its data matrix once.
 
-Telemetry is two floats per iterate and each cumulative count as its
-per-step increment in one byte.  Peak over iterates at n = 10, run to
-convergence: ``gd_l`` 19.9 B, ``gd_exact`` 20.3 B, ``fast_gd`` 28.9 B and
-``me`` 47.2 B (its step's two floats and flag, and the fixed cost of a run
-spread over its fewer iterates); with 8-byte counts they were 41.4, 41.9,
-50.3 and 68.7 B.
+Telemetry is two floats per iterate and each cumulative count as runs of
+equal per-step increments, which cost nothing while the increment stays the
+same.  Peak over iterates at n = 10, run to convergence: ``gd_l`` 16.8 B,
+``gd_exact`` 17.1 B, ``fast_gd`` 25.1 B and ``me`` 43.5 B (its step's two
+floats and flag, and the fixed cost of a run spread over its fewer
+iterates); with one byte per count increment they were 19.9, 20.3, 28.5 and
+46.7 B, and with 8-byte counts 41.4, 41.9, 50.3 and 68.7 B.
 
 Peak memory is traced around the solver call only, so the instance itself
 (32 MB of matrix at n = 2000) is not counted.  Keeping every iterate would
@@ -38,7 +39,7 @@ WORKING_SET = {
     "fast_gd": (7, 5, 5),
 }
 # bytes per iterate that a long gd_l run may hold; README states the same
-TELEMETRY_BYTES = 24
+TELEMETRY_BYTES = 18
 # what a 10-step run holds beside its vectors: its telemetry, its Python
 # objects and the free lists they leave (2-10 KB measured)
 RUN_OVERHEAD = 12_000
@@ -84,8 +85,9 @@ def test_gd_l_keeps_no_iterates():
 
 
 def test_gd_l_telemetry_per_iterate():
-    """Telemetry is a few typed columns, ~20 B an iterate; with 8-byte
-    counts it took ~41 B, and one record object per iterate ~350 B."""
+    """Telemetry is a few typed columns, ~17 B an iterate; with one byte
+    per count increment it took ~20 B, with 8-byte counts ~41 B, and one
+    record object per iterate ~350 B."""
     f = problem(10)
     trace, peak = traced_peak(
         lambda: run_gd_l(f, np.zeros(10), SolverConfig(max_outer=20000)))
@@ -106,12 +108,12 @@ def test_last_record_reads_the_running_totals():
 
 def test_gd_l_peak_on_a_long_quadratic_run():
     """gd_l from zeros on generate_quadratic(500, 1e3, 0), 14,603 steps:
-    telemetry and working set peak at ~0.34 MB (~0.66 MB with 8-byte
-    counts)."""
+    telemetry and working set peak at ~0.28 MB (~0.33 MB with one byte per
+    count increment, ~0.66 MB with 8-byte counts)."""
     f = problem(500)
     trace, peak = traced_peak(lambda: run_gd_l(f, np.zeros(500)))
     assert trace.converged and trace.iterations == 14603
-    assert peak <= 350_000, f"peak {peak / 1e6:.3f} MB"
+    assert peak <= 300_000, f"peak {peak / 1e6:.3f} MB"
 
 
 def test_me_keeps_no_step_vectors():

@@ -776,11 +776,12 @@ class TestProductCount:
         assert counter.products == 5
 
     @pytest.mark.parametrize("family, products",
-                             [("logreg", 250), ("quadratic", 3508)])
+                             [("logreg", 246), ("quadratic", 3504)])
     def test_verify_products(self, family, products, monkeypatch, capsys):
         """The forward products of one small ``verify``, pinned: the
         reference and each dominance point are evaluated as point records,
-        so each shares one product between its gradient and its value."""
+        so each shares one product between its gradient and its value, and
+        the dominance audit reads f at its point from its run's record."""
         cls = LogRegProblem if family == "logreg" else QuadraticProblem
         matvec, calls = cls._matvec, []
         monkeypatch.setattr(cls, "_matvec",

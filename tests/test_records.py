@@ -2,7 +2,9 @@
 typed columns, equal record by record to what a run observed."""
 
 import dataclasses
+import gc
 import math
+import random
 from itertools import accumulate
 
 import numpy as np
@@ -145,3 +147,97 @@ def test_count_increments_cross_every_width():
         assert records[s] == expected[s], s
     assert records != expected[:-1] + [dataclasses.replace(
         expected[-1], grad_evals_total=totals[-1] + 1)]
+
+
+def increment_stream(rng, length):
+    """Per-step increments of one count, in stretches: constant, changing at
+    every step, zeros, past one byte (which widens the column) and longer
+    than a run's 255-iterate cap."""
+    steps = []
+    while len(steps) < length:
+        kind, size = rng.randrange(5), rng.randint(1, 40)
+        if kind == 0:
+            steps += [rng.randint(0, 5)] * size
+        elif kind == 1:
+            steps += [rng.randint(0, 255) for _ in range(size)]
+        elif kind == 2:
+            steps += [0] * size
+        elif kind == 3:
+            steps += [rng.choice((256, 65_536, 2**40)) for _ in range(size)]
+        else:
+            steps += [rng.randint(0, 3)] * rng.randint(256, 1200)
+    return steps[:length]
+
+
+def count_bytes(records):
+    """Bytes the closed runs of each count column hold, in order."""
+    return [runs.itemsize * len(runs) for runs in map(
+        records._cols.get, ("grad_evals_total", "value_evals_total",
+                            "restricted_evals_total"))]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_count_runs_match_a_list_model(seed):
+    """Counts are kept as runs of equal increments; seeded increment streams
+    read back as a plain list of records built from their running sums."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 3000)
+    counts = [list(accumulate(increment_stream(rng, n))) for _ in range(3)]
+    records, expected = IterateRecords(outer_grads=2), []
+    for i in range(n):
+        records.append(float(i), 0.5 * i, *(col[i] for col in counts))
+        expected.append(IterateRecord(
+            i + 1, float(i), 0.5 * i, grad_evals_outer=2 * i,
+            grad_evals_total=counts[0][i], value_evals_total=counts[1][i],
+            restricted_evals_total=counts[2][i]))
+    for name, col in zip(("grad_evals_total", "value_evals_total",
+                          "restricted_evals_total"), counts):
+        assert records.column(name) == col
+    assert list(records) == expected
+    for i in (0, n // 2, n - 1, -1):
+        assert records[i] == expected[i], i
+    for s in (slice(1, 4), slice(None, None, -7), slice(n // 3, n // 2)):
+        assert records[s] == expected[s], s
+    assert records == expected and expected == records
+    assert records != expected[:-1] + [dataclasses.replace(
+        expected[-1], restricted_evals_total=counts[2][-1] + 1)]
+
+
+def test_count_runs_cost_nothing_constant_and_two_bytes_per_change():
+    """A count whose increment never changes holds no bytes however long the
+    run; one that changes at every step holds a byte of increment and a byte
+    of length per iterate; a long run closes in 255-iterate pieces."""
+    n = 20_000
+    records = IterateRecords()
+    for i in range(n):
+        records.append(0.0, 1.0, 3 * (i + 1), i + i % 2, 0)
+    assert count_bytes(records) == [0, 2 * (n - 1), 0]
+    records.append(0.0, 1.0, 3 * (n + 1) + 1, n + 1, 0)
+    assert count_bytes(records)[0] == 2 * math.ceil(n / 255)
+    assert records.column("grad_evals_total")[-2:] == [3 * n, 3 * n + 4]
+    for length, pieces in ((255, 1), (256, 2), (510, 2), (511, 3)):
+        records = IterateRecords()
+        for i in range(length):
+            records.append(0.0, 1.0, i + 1, 0, 0)
+        records.append(0.0, 1.0, length + 2, 0, 0)
+        assert count_bytes(records)[0] == 2 * pieces, length
+        assert records.column("grad_evals_total") == [*range(1, length + 1),
+                                                      length + 2]
+
+
+def test_append_leaves_the_gc_count_alone():
+    """``append`` allocates no container that outlives the call.  A tuple
+    built from an iterator of unknown length is resized and, once freed,
+    kept in the interpreter's free list of small tuples: one per call moved
+    gc's generation-0 count up by one and filled that list with 2,000 tuples
+    (~128 KB) during a run."""
+    records = IterateRecords()
+    gc.collect()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        for i in range(5000):
+            records.append(0.0, 1.0, i, 2 * i, i * i % 7)
+        assert gc.get_count()[0] - before < 50
+    finally:
+        gc.enable()

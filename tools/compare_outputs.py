@@ -15,20 +15,27 @@ method, ``f_star``, ``residual`` and ``x_star`` digest on three logistic and
 three quadratic instances.  ``logreg/`` and ``quadratic/`` hold the files of
 ``verify --out`` (n = 300, kappa = 1e3, seed 3) and its exit code in
 ``exit.txt``; the summary files, which hold wall times, are removed.  Two
-versions that compute the same arithmetic write identical trees.
+versions that compute the same arithmetic write identical trees, when run
+under the same BLAS build and thread count: numpy's QR and products and
+scipy's ``dsymv`` round differently on more threads.  ``env.txt`` records
+the BLAS thread variables and the numpy and scipy versions, so that a diff
+across settings shows its cause.
 """
 
 import hashlib
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 import ellipcenters as ec
 from ellipcenters.cli import main
 from ellipcenters.harness import compute_reference
 from ellipcenters.solvers import RUNNERS
 
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 INSTANCES = {
     "quad500_s0": lambda: ec.generate_quadratic(500, 1e3, 0),
     "quad500_s1": lambda: ec.generate_quadratic(500, 1e3, 1),
@@ -45,6 +52,13 @@ def digest(trace) -> str:
                             for k, v in vars(r).items())).encode())
     x_final = hashlib.sha256(trace.x_final.tobytes()).hexdigest()
     return f"{trace.status.value} {len(trace.records)} {h.hexdigest()} {x_final}"
+
+
+def write_env(out: Path) -> None:
+    """The settings the outputs' bits depend on."""
+    lines = [f"{var}={os.environ.get(var, '')}" for var in THREAD_VARS]
+    lines += [f"numpy {np.__version__}", f"scipy {scipy.__version__}"]
+    (out / "env.txt").write_text("\n".join(lines) + "\n")
 
 
 def write_runs(out: Path) -> None:
@@ -92,6 +106,7 @@ if __name__ == "__main__":
         sys.exit("usage: compare_outputs.py <outdir>")
     out = Path(sys.argv[1])
     out.mkdir(parents=True, exist_ok=True)
+    write_env(out)
     write_runs(out)
     write_references(out)
     write_verify(out)
