@@ -16,8 +16,7 @@ from ellipcenters import (certify_rates, compute_reference, generate_logreg,
 from ellipcenters.harness import fill_ratios
 
 n, m, kappa, seed = 200, 100, 100.0, 42
-problem = generate_logreg(n, m, kappa, seed)
-f = problem.objective()
+f = generate_logreg(n, m, kappa, seed)
 
 reference = compute_reference(f)
 dist2 = []  # ||x_k - x*||^2, taken as the run goes; the run keeps no iterates

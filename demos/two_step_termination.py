@@ -18,7 +18,7 @@ from ellipcenters import (QuadraticProblem, generate_logreg,
 print("--- random 2-D quadratics, started at the origin ---")
 for seed in range(5):
     q = generate_quadratic(2, 10.0 * (seed + 1), seed)
-    trace = run_me(q.objective(), np.zeros(2))
+    trace = run_me(q, np.zeros(2))
     rec = trace.records[-1]
     print(f"seed {seed}: kappa={q.lip:5.1f}  steps={trace.iterations}  "
           f"|grad| at end = {rec.grad_norm:.2e}")
@@ -27,7 +27,7 @@ print()
 print("--- 2-D logistic instances ---")
 for seed in range(5):
     p = generate_logreg(2, 1, 10.0, seed)
-    trace = run_me(p.objective(), np.zeros(2))
+    trace = run_me(p, np.zeros(2))
     print(f"seed {seed}: steps={trace.iterations}  "
           f"|grad| at end = {trace.records[-1].grad_norm:.2e}")
 
@@ -37,7 +37,7 @@ print("--- the degenerate case: an isotropic bowl ---")
 # anti-parallel and the plane shrinks to the gradient line; the exact
 # linesearch along it lands on the center.
 q = QuadraticProblem(np.eye(2), np.zeros(2))
-trace = run_me(q.objective(), np.array([1.0, 0.0]))
+trace = run_me(q, np.array([1.0, 0.0]))
 step = trace.records[0]
 print(f"step flagged independent? {step.li_flag}   "
       f"steps={trace.iterations}   x_final={trace.x_final}")

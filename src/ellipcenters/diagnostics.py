@@ -274,8 +274,9 @@ def audit_dominance(f: Objective, x: np.ndarray,
 
     Each side is a one-step run (``max_outer=1``) from ``x``.  Returns
     ``(f_me, f_gd, passed)``, passing by ``1e-12 * max(1, |f(x)|)`` (f(x) as
-    ``me`` recorded it); a side whose run ends ``inner_stall``,
-    ``numeric_failure`` or ``non_finite`` took no step, reads NaN and fails.
+    ``me`` recorded it); a stationary x passes, both runs ending at it.  A
+    side whose run ends ``inner_stall``, ``numeric_failure`` or
+    ``non_finite`` took no step, reads NaN and fails.
     """
     cfg = replace(cfg or SolverConfig(), max_outer=1)
     f_gd = _one_step_value(run_gd_exact(f, x, cfg))

@@ -5,8 +5,8 @@ Every solver in this package consumes an :class:`Objective`: ``value``,
 ``mu`` and the gradient Lipschitz constant ``lip``.  A user's f is an
 ``Objective`` built from value and gradient callables.  The problem
 families, :class:`QuadraticProblem` and :class:`LogRegProblem`, are
-``Objective`` subclasses that override ``value``, ``grad`` and
-``restrict``, so a problem is itself what a solver runs on.  A problem
+``Objective`` subclasses that override ``value`` and ``grad`` and name
+their own ``model``, so a problem is itself what a solver runs on.  A problem
 holds its data as read-only views of the arrays it was given (changing
 those arrays afterwards is not supported).
 Every data product goes through the family's ``_matvec``: ``a @ x`` for
@@ -18,8 +18,8 @@ one matrix pass.  ``value``, ``grad``, ``restrict`` and ``extrapolate`` take
 a record or an array, and an array has its product formed at each call.  A
 problem keeps nothing from one call to the next, so threads may share it.
 
-``restrict(x, v)`` returns a :class:`Restriction`, a model of f on the line
-``x + span(v)``, and its ``extend(w)`` the model on the plane
+``restrict(x, v)`` returns the objective's ``model``, a :class:`Restriction`
+of f to the line ``x + span(v)``, and its ``extend(w)`` the model on the plane
 ``x + span(v, w)``: O(m) per evaluation for logistic, O(1) and exact for
 quadratics.  A model's ``point`` carries the product
 ``A x + sum_i z_i A d_i``, so ``value`` and ``grad`` there make no new data
@@ -116,15 +116,17 @@ class Restriction:
     quadratic, formed the same way, else None.  ``restrict`` and ``extend``
     check their directions.
 
-    A subclass evaluates in ``_value(z)``, ``_grad(z)`` and ``_hess(z,
-    grad)``.  This generic form, which a plain :class:`Objective` returns,
-    evaluates at the full point (``full``), and its ``hess`` is forward
-    differences of ``grad``, one more full gradient per direction (and one
-    at z if not given), with a step that reads f's ``lip``.  A model made
-    by :meth:`CountingObjective.restrict`, or extended from one, holds that
-    ``counter``: a full model evaluates through it, a problem's model counts
-    each ``value``, ``grad`` and ``hess`` as one restricted evaluation and
-    raises :class:`NonFiniteError` on a NaN or infinite result.
+    ``f.restrict`` builds it as ``f.model(f, *point, f_x, grad_x)`` and
+    adds ``v``.  A subclass evaluates in ``_value(z)``, ``_grad(z)`` and
+    ``_hess(z, grad)``.  This generic form, a plain :class:`Objective`'s
+    ``model``, evaluates at the full point (``full``), and its ``hess`` is
+    forward differences of ``grad``, one more full gradient per direction
+    (and one at z if not given), with a step that reads f's ``lip``.  A
+    model made by :meth:`CountingObjective.restrict`, or extended from one,
+    holds that ``counter``: a full model evaluates through it, a problem's
+    model counts each ``value``, ``grad`` and ``hess`` as one restricted
+    evaluation and raises :class:`NonFiniteError` on a NaN or infinite
+    result.
     """
 
     full = True
@@ -133,10 +135,14 @@ class Restriction:
     dirs = ()
     gram = ()
 
-    def __init__(self, f, base: np.ndarray, v: np.ndarray):
+    def __init__(self, f, base: np.ndarray, product=None, carried=0,
+                 f_x=None, grad_x=None):
         self.f = f
         self.base = base
-        self._add(v)
+        self._base_product = product
+        self._carried_updates = carried
+        self._f0 = f_x
+        self._grad_base = grad_x
 
     def _add(self, d: np.ndarray) -> None:
         """Append the checked direction ``d``, and its row and column (whose
@@ -214,23 +220,13 @@ class Restriction:
 
 class _DataRestriction(Restriction):
     """A problem's model: its family's ``_add`` forms each direction's data
-    product and rows, in one layer.  It keeps ``A base``, the product the
-    base carried, and the ``A d_i`` (from the problem's ``_matvec``), and f
-    and its gradient at the base if the caller gave them.  ``point`` carries
-    the product ``A base + sum_i z_i A d_i``, or ``A p`` formed exactly once
-    ``REFRESH_EVERY`` carried updates have piled up since the last exact
-    one."""
+    product and rows, in one layer, and it keeps the ``A d_i`` (from the
+    problem's ``_matvec``).  ``point`` carries the product ``A base + sum_i
+    z_i A d_i``, or ``A p`` formed exactly once ``REFRESH_EVERY`` carried
+    updates have piled up since the last exact one."""
 
     full = False
     _data_dirs = ()
-
-    def __init__(self, prob, base, product, carried, f_x=None, grad_x=None):
-        self.f = prob
-        self.base = base
-        self._base_product = product
-        self._carried_updates = carried
-        self._f0 = f_x
-        self._grad_base = grad_x
 
     def point(self, *z) -> _Point:
         p = _combine(self.base, z, self.dirs)
@@ -342,8 +338,9 @@ class Objective:
 
     This is the one protocol the solvers consume.  Built from callables, it
     evaluates f in full everywhere, and its callables see arrays only; the
-    problem families subclass it and override ``value``, ``grad`` and
-    ``restrict``, and ``_matvec``, which forms a point's data product.
+    problem families subclass it, pass no callables, override ``value``,
+    ``grad`` and ``_matvec``, which forms a point's data product, and name
+    their :class:`Restriction` as ``model``, which ``restrict`` builds.
 
     Parameters
     ----------
@@ -357,6 +354,8 @@ class Objective:
     value_fn, grad_fn : callable
         Evaluate the objective and its gradient at a point.
     """
+
+    model = Restriction
 
     def __init__(self, dim: int, mu: float, lip: float,
                  value_fn: Callable[[np.ndarray], float],
@@ -402,16 +401,20 @@ class Objective:
     def restrict(self, x: np.ndarray, v: np.ndarray, *,
                  f_x: float | None = None,
                  grad_x: Optional[np.ndarray] = None) -> Restriction:
-        """A :class:`Restriction` of f to the line ``x + span(v)``; its
-        ``extend(w)`` is the model on the plane ``x + span(v, w)``.  ``f_x``
-        and ``grad_x``, f and its gradient at ``x`` if the caller holds
-        them, spare a model forming them.
-
-        This generic model evaluates f in full at its points, with the same
-        arithmetic as the caller would use.  A problem's model works on its
-        data products instead (see :meth:`_DataProblem.restrict`).
+        """A ``model``: the model of f on the line ``x + span(v)``, on the
+        product ``x`` carries (formed for an array), whose ``extend(w)`` is
+        the model on the plane ``x + span(v, w)``.  ``f_x`` and ``grad_x``,
+        f and its gradient at ``x`` if the caller holds them, spare a model
+        forming them.  The generic model evaluates f in full, with the
+        caller's arithmetic; a problem's works on its data products.
         """
-        return Restriction(self, self._point(x).x, self._check(v))
+        model = self.model(self, *self._point(x), f_x, grad_x)
+        model._add(self._check(v))
+        return model
+
+    def objective(self) -> "Objective":
+        """``self``; kept only for ``perfbench/workloads.py``."""
+        return self
 
     def extrapolate(self, x: np.ndarray, x_prev: np.ndarray,
                     beta: float) -> _Point:
@@ -499,32 +502,7 @@ class CountingObjective:
         return self._obj.extrapolate(x, x_prev, beta)
 
 
-class _DataProblem(Objective):
-    """What the problem families share: the model (``model``, the family's
-    :class:`Restriction`), built on the data product a point carries, which
-    ``_matvec`` forms for an array.  A family's ``__init__`` ends in
-    ``Objective.__init__``, which checks ``dim`` and
-    ``0 < mu <= lip < inf``; its ``value`` and ``grad`` override the
-    callables, so it passes none."""
-
-    model = _DataRestriction
-
-    def objective(self) -> "_DataProblem":
-        """The problem itself, which is an :class:`Objective`."""
-        return self
-
-    def restrict(self, x: np.ndarray, v: np.ndarray, *,
-                 f_x: float | None = None,
-                 grad_x: Optional[np.ndarray] = None) -> Restriction:
-        """The family's model of f on the line ``x + span(v)``, on the
-        product ``x`` carries, or on ``A x`` formed exactly for an array;
-        ``f_x`` and ``grad_x`` as for ``Objective.restrict``."""
-        model = self.model(self, *self._point(x), f_x, grad_x)
-        model._add(self._check(v))
-        return model
-
-
-class QuadraticProblem(_DataProblem):
+class QuadraticProblem(Objective):
     """f(x) = 0.5 x'Ax - b'x + c with A symmetric positive definite.
 
     Symmetry (to rounding) and positive definiteness are verified at
@@ -589,7 +567,7 @@ class QuadraticProblem(_DataProblem):
         return np.linalg.solve(self.a_matrix, self.b)
 
 
-class LogRegProblem(_DataProblem):
+class LogRegProblem(Objective):
     """L2-regularized logistic loss over rows ``a_i`` with labels in {-1,+1}.
 
         f(x) = (1/m) sum_i log(1 + exp(-b_i <a_i, x>)) + (mu/2) ||x||^2

@@ -46,7 +46,7 @@ def rate_suite():
                 prob = generate_quadratic(n, kappa, seed)
             else:
                 prob = generate_logreg(n, max(1, n // 2), kappa, seed)
-            f = prob.objective()
+            f = prob
             history = History()
             trace = run_me(f, np.zeros(n), observe=history)
             ref = compute_reference(f)
@@ -141,13 +141,13 @@ def test_criterion_4_two_step_termination_in_2d():
     kappas = (2.0, 5.0, 10.0, 50.0, 100.0)
     for seed in range(100):
         q = generate_quadratic(2, kappas[seed % len(kappas)], seed)
-        trace = run_me(q.objective(), np.zeros(2))
+        trace = run_me(q, np.zeros(2))
         assert trace.status is RunStatus.CONVERGED, seed
         assert trace.iterations <= 2, seed
         assert trace.records[-1].grad_norm <= 1e-6
     for seed in range(20):
         p = generate_logreg(2, 1, 10.0, seed)
-        trace = run_me(p.objective(), np.zeros(2))
+        trace = run_me(p, np.zeros(2))
         assert trace.status is RunStatus.CONVERGED, seed
         assert trace.iterations <= 2, seed
     elapsed = time.monotonic() - start
@@ -161,7 +161,7 @@ def test_criterion_5_dominance_over_exact_linesearch():
     pairs = 0
     for seed in range(12):
         q = generate_quadratic(6 + seed % 5, 5.0 + 10.0 * (seed % 4), seed)
-        f = q.objective()
+        f = q
         for _ in range(5):
             x = rng.standard_normal(f.dim)
             f_me, f_gd, ok = audit_dominance(f, x)
@@ -169,7 +169,7 @@ def test_criterion_5_dominance_over_exact_linesearch():
             pairs += 1
     for seed in range(8):
         p = generate_logreg(30, 15, 20.0, seed)
-        f = p.objective()
+        f = p
         for _ in range(5):
             x = 0.5 * rng.standard_normal(30)
             _, _, ok = audit_dominance(f, x)
@@ -185,7 +185,7 @@ def test_criterion_6_quadratic_reduction():
     for seed in range(20):
         n = 3 + seed % 8
         q = generate_quadratic(n, 2.0 + seed, seed + 300)
-        f = q.objective()
+        f = q
         x = rng.standard_normal(n)
         v = f.grad(x)
         # the closed-form step the method takes, t = 2 ||v||^2 / (v'Av)

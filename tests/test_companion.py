@@ -32,7 +32,7 @@ def scaled(q: QuadraticProblem, scale: float, offset: float = 0.0) -> Objective:
 def closed_form_t(q: QuadraticProblem, x: np.ndarray) -> float:
     """The companion step the ellipcenter method takes from ``x`` on a
     quadratic: its closed form 2 ||v||^2 / (v'Av), read off a one-step run."""
-    return run_me(q.objective(), x, ONE_STEP).records[0].t_k
+    return run_me(q, x, ONE_STEP).records[0].t_k
 
 
 class TestClosedForm:
@@ -50,7 +50,7 @@ class TestClosedForm:
         assert t == pytest.approx(2.0)
 
     def test_zero_direction_rejected(self, diag_quadratic):
-        f = diag_quadratic.objective()
+        f = diag_quadratic
         with pytest.raises(ValueError):
             companion_point(f.restrict(np.array([1.0, 1.0]), np.zeros(2)))
 
@@ -59,7 +59,7 @@ class TestClosedForm:
         numerical failure instead of dividing by it."""
         p = QuadraticProblem(np.diag([1e-10, 1.0]), np.zeros(2))
         # v = (1e-160, 0): ||v|| > eps, but v'Av = 1e-330 rounds to 0
-        trace = run_me(p.objective(), np.array([1e-150, 0.0]),
+        trace = run_me(p, np.array([1e-150, 0.0]),
                        SolverConfig(eps=1e-300))
         assert trace.status is RunStatus.NUMERIC_FAILURE
         assert trace.iterations == 0
@@ -164,7 +164,7 @@ class TestBracket:
 
 class TestCompanionPoint:
     def test_isotropic_reflection(self):
-        f = QuadraticProblem(np.eye(2), np.zeros(2)).objective()
+        f = QuadraticProblem(np.eye(2), np.zeros(2))
         x = np.array([1.0, 0.0])
         res = companion_point(f.restrict(x, f.grad(x)))
         assert res.t == pytest.approx(2.0, abs=1e-9)
@@ -172,7 +172,7 @@ class TestCompanionPoint:
         assert f.value(res.y) == pytest.approx(0.5, abs=1e-12)
 
     def test_diag_example_closed_form(self, diag_quadratic):
-        f = diag_quadratic.objective()
+        f = diag_quadratic
         x = np.array([1.0, 1.0])
         history = History()
         run_me(f, x, ONE_STEP, observe=history)
@@ -192,7 +192,7 @@ class TestCompanionPoint:
         assert res.level_residual <= 1e-12
 
     def test_logistic_level_residual(self, small_logreg):
-        f = small_logreg.objective()
+        f = small_logreg
         x = np.zeros(50)
         x[0] = 1.0
         res = companion_point(f.restrict(x, f.grad(x)))
@@ -200,7 +200,7 @@ class TestCompanionPoint:
         assert abs(f.value(res.y) - fx) / max(1.0, abs(fx)) <= 1e-12
 
     def test_rejects_zero_gradient(self, small_logreg):
-        f = small_logreg.objective()
+        f = small_logreg
         with pytest.raises(ValueError):
             companion_point(f.restrict(np.zeros(50), np.zeros(50)))
 
@@ -222,13 +222,13 @@ class TestCompanionPoint:
         x = rng.standard_normal(5)
         v = q.grad(x)
         t_k = closed_form_t(q, x)
-        x_next = run_gd_exact(q.objective(), x, ONE_STEP).x_final
+        x_next = run_gd_exact(q, x, ONE_STEP).x_final
         t_star = (x - x_next) @ v / (v @ v)
         assert t_k == pytest.approx(2.0 * t_star, rel=1e-14)
 
     @pytest.mark.parametrize("lam", [0.25, 0.5, 0.75])
     def test_strict_descent_inside_segment(self, lam, small_logreg):
-        f = small_logreg.objective()
+        f = small_logreg
         x = np.zeros(50)
         x[3] = 0.5
         v = f.grad(x)
@@ -239,7 +239,7 @@ class TestCompanionPoint:
         """Near the optimum the level residual is within tolerance over a
         long stretch of the ray, the start included; the crossing must still
         lie beyond the exact-linesearch step."""
-        f = small_logreg.objective()
+        f = small_logreg
         x = run_me(f, np.zeros(50)).x_final
         v = f.grad(x)
         assert 1e-8 < np.linalg.norm(v) < 1e-7

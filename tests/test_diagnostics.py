@@ -18,7 +18,7 @@ class TestContractionRatios:
         first step lands on (3/4, 0) so the gap ratio is (9/32)/2.5 = 0.1125;
         afterwards x1 scales by 3/4 each step, so the ratio is exactly 9/16.
         All stay below eta = 3/4."""
-        f = diag_quadratic.objective()
+        f = diag_quadratic
         trace = run_gd_l(f, np.array([1.0, 1.0]))
         ratios = contraction_ratios(trace, 0.0)
         assert ratios[0] == pytest.approx(0.1125, rel=1e-12)
@@ -28,7 +28,7 @@ class TestContractionRatios:
 
     def test_two_dim_quadratic_single_ratio_near_zero(self):
         q = generate_quadratic(2, 10.0, 1)
-        f = q.objective()
+        f = q
         trace = run_me(f, np.zeros(2))
         f_star = f.value(q.minimizer())
         ratios = [r for r in contraction_ratios(trace, f_star) if r is not None]
@@ -36,12 +36,12 @@ class TestContractionRatios:
         assert all(abs(r) < 1e-9 for r in ratios)
 
     def test_constant_trace_is_empty(self, small_quadratic):
-        trace = run_me(small_quadratic.objective(), small_quadratic.minimizer())
+        trace = run_me(small_quadratic, small_quadratic.minimizer())
         assert contraction_ratios(trace, small_quadratic.value(
             small_quadratic.minimizer())) == []
 
     def test_invalid_reference_rejected(self, small_logreg):
-        trace = run_me(small_logreg.objective(), np.zeros(50))
+        trace = run_me(small_logreg, np.zeros(50))
         with pytest.raises(ValueError):
             contraction_ratios(trace, trace.records[-1].f_val + 1.0)
 
@@ -49,7 +49,7 @@ class TestContractionRatios:
 class TestCertifyRates:
     def test_rate_constants(self):
         q = generate_quadratic(5, 100.0, 0)
-        f = q.objective()
+        f = q
         trace = run_me(f, np.zeros(5))
         f_star = f.value(q.minimizer())
         cert, _ = certify_rates(trace, f_star, f.mu, f.lip)
@@ -72,7 +72,7 @@ class TestCertifyRates:
 
     def test_logistic_run_passes_all_audits(self):
         p = generate_logreg(60, 30, 100.0, 9)
-        f = p.objective()
+        f = p
         history = History()
         trace = run_me(f, np.zeros(60), observe=history)
         ref = compute_reference(f)
@@ -86,7 +86,7 @@ class TestCertifyRates:
     def test_sandwich_on_li_steps(self):
         for seed in (0, 1):
             q = generate_quadratic(20, 50.0, seed)
-            f = q.objective()
+            f = q
             trace = run_me(f, np.zeros(20))
             cert, _ = certify_rates(trace, f.value(q.minimizer()), f.mu, f.lip)
             for bar in cert.eta_bar:
@@ -99,7 +99,7 @@ class TestCertifyRates:
         sequence passes; one step that contracts by 0.97, above
         eta_star = 49/51 but below eta = 0.98, fails there."""
         q = generate_quadratic(20, 50.0, 0)
-        f = q.objective()
+        f = q
         trace = run_me(f, np.zeros(20))
         f_star = f.value(q.minimizer())
         halving = [2.0 ** -i for i in range(len(trace.records))]
@@ -116,7 +116,7 @@ class TestCertifyRates:
             certify_rates(trace, f_star, f.mu, f.lip, gaps=halving[1:])
 
     def test_rejects_non_me_trace(self, small_logreg):
-        f = small_logreg.objective()
+        f = small_logreg
         trace = run_gd_l(f, np.zeros(50))
         with pytest.raises(ValueError):
             certify_rates(trace, 0.0, f.mu, f.lip)
@@ -124,7 +124,7 @@ class TestCertifyRates:
 
 class TestOrthogonalityAudit:
     def test_quadratic_newton_steps(self, small_quadratic):
-        f = small_quadratic.objective()
+        f = small_quadratic
         history = History()
         run_me(f, np.zeros(10), observe=history)
         report = audit_orthogonality(history.step_data, f.lip)
@@ -136,7 +136,7 @@ class TestOrthogonalityAudit:
                 assert abs(sd.grad_next @ sd.v) <= 1e-10 * (sd.v @ sd.v)
 
     def test_ld_steps_are_skipped(self):
-        f = QuadraticProblem(np.eye(3), np.zeros(3)).objective()
+        f = QuadraticProblem(np.eye(3), np.zeros(3))
         history = History()
         run_me(f, np.array([1.0, 0.0, 0.0]), observe=history)
         assert any(not sd.li_flag for sd in history.step_data)
@@ -147,7 +147,7 @@ class TestOrthogonalityAudit:
                 assert sd.k not in audited_steps
 
     def test_logistic_residual_scale(self, small_logreg):
-        f = small_logreg.objective()
+        f = small_logreg
         history = History()
         run_me(f, np.zeros(50), observe=history)
         report = audit_orthogonality(history.step_data, f.lip)
@@ -157,7 +157,7 @@ class TestOrthogonalityAudit:
 class TestDominance:
     def test_random_spd_points(self, rng):
         q = generate_quadratic(8, 20.0, 5)
-        f = q.objective()
+        f = q
         for _ in range(20):
             x = rng.standard_normal(8)
             f_me, f_gd, ok = audit_dominance(f, x)
@@ -165,14 +165,14 @@ class TestDominance:
             assert f_me <= f_gd + 1e-12 * max(1.0, abs(f.value(x)))
 
     def test_isotropic_equality(self):
-        f = QuadraticProblem(np.eye(4), np.zeros(4)).objective()
+        f = QuadraticProblem(np.eye(4), np.zeros(4))
         x = np.array([1.0, -2.0, 0.5, 0.0])
         f_me, f_gd, ok = audit_dominance(f, x)
         assert ok
         assert f_me == pytest.approx(f_gd, abs=1e-12)
 
     def test_logistic_origin(self, small_logreg):
-        _, _, ok = audit_dominance(small_logreg.objective(), np.zeros(50))
+        _, _, ok = audit_dominance(small_logreg, np.zeros(50))
         assert ok
 
     def test_stalled_step_fails(self, monkeypatch):
@@ -180,7 +180,7 @@ class TestDominance:
         # side takes no step and must not pass as dominating
         p = generate_logreg(30, 15, 40.0, 4)
         monkeypatch.setattr(plane2d, "MAX_NEWTON", 1)
-        f_me, f_gd, ok = audit_dominance(p.objective(), np.zeros(30))
+        f_me, f_gd, ok = audit_dominance(p, np.zeros(30))
         assert not ok
         assert math.isnan(f_me)
         assert f_gd < p.value(np.zeros(30))
@@ -207,7 +207,7 @@ class TestIterationBound:
 
 
 def test_report_rendering(small_logreg, tmp_path):
-    f = small_logreg.objective()
+    f = small_logreg
     trace = run_me(f, np.zeros(50))
     ref = compute_reference(f)
     fill_ratios(trace, ref.f_star)

@@ -20,7 +20,7 @@ from ellipcenters.solvers import History, run_me
 class TestReference:
     def test_quadratic_linear_solve(self):
         q = QuadraticProblem(np.diag([1.0, 4.0]), np.array([1.0, 1.0]))
-        ref = compute_reference(q.objective())
+        ref = compute_reference(q)
         npt.assert_allclose(ref.x_star, [1.0, 0.25])
         assert ref.f_star == pytest.approx(-0.625, abs=1e-15)
         assert ref.method == "linear_solve"
@@ -28,20 +28,20 @@ class TestReference:
 
     def test_isotropic_origin(self):
         q = QuadraticProblem(np.eye(3), np.zeros(3))
-        ref = compute_reference(q.objective())
+        ref = compute_reference(q)
         npt.assert_allclose(ref.x_star, np.zeros(3))
         assert ref.f_star == 0.0
 
     def test_logistic_high_accuracy_run(self):
         p = generate_logreg(40, 20, 10.0, 6)
-        ref = compute_reference(p.objective())
+        ref = compute_reference(p)
         assert ref.method == "high_accuracy_run"
         assert ref.residual <= 1e-10
         assert not ref.quality_warning
 
     def test_logistic_residual_is_the_exact_gradient_norm(self):
         p = generate_logreg(60, 30, 1e2, 0)
-        ref = compute_reference(p.objective())
+        ref = compute_reference(p)
         x = ref.x_star
         weights = p.labels / (1.0 + np.exp(p.labels * (p.a @ x)))
         g = -(p.a.T @ weights) / len(p.labels) + p.mu * x
@@ -53,8 +53,8 @@ class TestReference:
     def test_logistic_f_star_matches_accelerated_run(self, n, kappa):
         for seed in range(2):
             p = generate_logreg(n, max(1, n // 2), kappa, seed)
-            ref = compute_reference(p.objective())
-            fast = run_fast_gd(p.objective(), np.zeros(n),
+            ref = compute_reference(p)
+            fast = run_fast_gd(p, np.zeros(n),
                                SolverConfig(eps=1e-13, max_outer=500000))
             assert fast.converged
             assert ref.f_star == pytest.approx(fast.records[-1].f_val,
@@ -63,9 +63,9 @@ class TestReference:
     def test_logistic_reference_ignores_earlier_evaluations(self, rng):
         """Evaluations at unrelated points and at a momentum point at the
         origin, where the reference run starts, change nothing."""
-        ref = compute_reference(generate_logreg(60, 30, 1e2, 0).objective())
+        ref = compute_reference(generate_logreg(60, 30, 1e2, 0))
         p = generate_logreg(60, 30, 1e2, 0)
-        f = p.objective()
+        f = p
         u = rng.integers(-3, 4, 60).astype(float)
         f.grad(5.0 * u)
         f.value(u)
@@ -81,7 +81,7 @@ class TestReference:
     def test_logistic_tiny_and_near_isotropic_references(self, n, kappa):
         p = generate_logreg(n, 3, kappa, 3)
         start = time.perf_counter()
-        ref = compute_reference(p.objective())
+        ref = compute_reference(p)
         assert time.perf_counter() - start < 10.0
         assert ref.residual <= 1e-13
         assert not ref.quality_warning
@@ -235,7 +235,7 @@ def test_a_patched_constant_moves_the_run_and_its_audit(monkeypatch):
 
 def test_write_read_trace_handles_empty_fields(tmp_path, small_logreg):
     from ellipcenters import run_gd_l
-    trace = run_gd_l(small_logreg.objective(), np.zeros(50))
+    trace = run_gd_l(small_logreg, np.zeros(50))
     path = tmp_path / "t.csv"
     write_trace_csv(trace, 0.5, path)
     records, _ = read_trace_csv(path)

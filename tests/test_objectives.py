@@ -82,7 +82,7 @@ class TestLogReg:
                             grad, atol=1e-9)
 
     def test_gradient_matches_central_differences(self, small_logreg):
-        assert check_gradient(small_logreg.objective(), n_points=20) <= 1e-6
+        assert check_gradient(small_logreg, n_points=20) <= 1e-6
 
     def test_overflow_safe_large_margins(self):
         p = LogRegProblem(np.array([[1.0]]), np.array([1.0]), 1e-6)
@@ -204,7 +204,7 @@ class TestConvexityInequalities:
     @pytest.mark.parametrize("family", ["quadratic", "logreg"])
     def test_strong_convexity(self, family, rng, small_logreg, small_quadratic):
         prob = small_logreg if family == "logreg" else small_quadratic
-        f = prob.objective()
+        f = prob
         for _ in range(20):
             x = rng.standard_normal(f.dim)
             y = rng.standard_normal(f.dim)
@@ -217,7 +217,7 @@ class TestConvexityInequalities:
                                        small_quadratic):
         from ellipcenters import compute_reference
         prob = small_logreg if family == "logreg" else small_quadratic
-        f = prob.objective()
+        f = prob
         f_star = compute_reference(f).f_star
         for _ in range(20):
             x = 0.5 * rng.standard_normal(f.dim)
@@ -435,7 +435,7 @@ class TestSymmetricKernel:
         assert not np.array_equal(a, a.T)
         assert_bitwise(p.a_matrix, 0.5 * (a + a.T))
         assert np.array_equal(p.a_matrix, p.a_matrix.T)
-        assert check_gradient(p.objective(), n_points=5) <= 1e-6
+        assert check_gradient(p, n_points=5) <= 1e-6
 
     def test_bit_symmetric_input_is_stored_unchanged(self):
         a = np.array(generate_quadratic(12, 30.0, 5).a_matrix)
@@ -454,7 +454,7 @@ class TestSymmetricKernel:
     def test_wrong_length_vectors_raise(self, size, rng):
         """dsymv would read only the first n entries of a longer vector:
         every path to it checks the shape first."""
-        f = generate_quadratic(12, 30.0, 5).objective()
+        f = generate_quadratic(12, 30.0, 5)
         good, bad = rng.standard_normal(12), rng.standard_normal(size)
         calls = [lambda: f.value(bad), lambda: f.grad(bad),
                  lambda: f.restrict(bad, good), lambda: f.restrict(good, bad),
@@ -740,7 +740,7 @@ class TestProductCount:
     def test_quadratic_gd_l_makes_one_product_per_iterate(self):
         p = generate_quadratic(12, 30.0, 5)
         counter = count_products(p)
-        trace = run_gd_l(p.objective(), np.zeros(12))
+        trace = run_gd_l(p, np.zeros(12))
         assert trace.converged
         assert counter.products == trace.iterations + 1
 
@@ -753,7 +753,7 @@ class TestProductCount:
         p = (generate_quadratic(40, 1e2, 0) if family == "quadratic"
              else generate_logreg(60, 30, 1e6, 0))
         counter = count_products(p)
-        trace = RUNNERS[sid](p.objective(), np.zeros(p.dim),
+        trace = RUNNERS[sid](p, np.zeros(p.dim),
                              SolverConfig(eps=1e-300, max_outer=70))
         k = trace.iterations
         assert k == 70 > REFRESH_EVERY
@@ -778,17 +778,21 @@ class TestProductCount:
     @pytest.mark.parametrize("family, products",
                              [("logreg", 246), ("quadratic", 3504)])
     def test_verify_products(self, family, products, monkeypatch, capsys):
-        """The forward products of one small ``verify``, pinned: the
-        reference and each dominance point are evaluated as point records,
-        so each shares one product between its gradient and its value, and
-        the dominance audit reads f at its point from its run's record."""
+        """The forward products and gradients of one small ``verify``,
+        pinned: the reference is evaluated as a point record, so it shares
+        one product between its gradient and its value, and each dominance
+        point takes no gradient beyond its runs' and one product, for its
+        margin."""
         cls = LogRegProblem if family == "logreg" else QuadraticProblem
-        matvec, calls = cls._matvec, []
+        matvec, grad, calls = cls._matvec, cls.grad, []
         monkeypatch.setattr(cls, "_matvec",
                             lambda p, x: calls.append(1) or matvec(p, x))
+        monkeypatch.setattr(cls, "grad",
+                            lambda p, x: calls.append(0) or grad(p, x))
         assert main(["verify", "--problem", family, "--n", "60", "--kappa",
                      "1e3", "--seed", "3"]) == 0
-        assert len(calls) == products
+        grads = {"logreg": 240, "quadratic": 3448}[family]
+        assert (calls.count(1), calls.count(0)) == (products, grads)
 
 
 def plain(p):
@@ -809,7 +813,7 @@ class TestRestriction:
 
     def build(self, kind, rng):
         p = fresh_problem("quadratic" if kind == "quadratic" else "logreg")
-        f = plain(p) if kind == "plain" else p.objective()
+        f = plain(p) if kind == "plain" else p
         x, v, w = rng.standard_normal((3, p.dim))
         return p, f, x, v, w
 
@@ -885,7 +889,7 @@ def test_models_count_into_the_counter_that_made_them(family, rng):
     it, count their evaluations into that counter and raise on a non-finite
     one; a model of the bare objective counts and checks nothing."""
     p = fresh_problem(family)
-    f = p.objective()
+    f = p
     x, v, w = rng.standard_normal((3, p.dim))
     cf = CountingObjective(f)
     ray = cf.restrict(x, v)
@@ -906,10 +910,39 @@ def test_models_count_into_the_counter_that_made_them(family, rng):
     assert cf.restricted_evals == 5
 
 
+def test_restrict_builds_the_objectives_model(rng):
+    """An ``Objective`` subclass changes its model by naming it:
+    ``restrict``, direct or through a counter, builds ``model`` on the
+    point's product with the caller's f and gradient there, and ``extend``
+    keeps the class and the counter."""
+    class Model(Restriction):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.args = args
+
+    class Doubled(Objective):
+        model = Model
+
+        def _matvec(self, x):
+            return 2.0 * x
+
+    f = Doubled(3, 1.0, 1.0, lambda x: float(x.dot(x)), lambda x: 2.0 * x)
+    x, x_prev, v, w = rng.standard_normal((4, 3))
+    point = f.extrapolate(f._point(x), f._point(x_prev), 0.5)
+    g = f.grad(point)
+    cf = CountingObjective(f)
+    for obj, counter in ((f, None), (cf, cf)):
+        ray = obj.restrict(point, v, f_x=1.5, grad_x=g)
+        for model in (ray, ray.extend(w)):
+            assert type(model) is Model and model.counter is counter
+            args = model.args
+            assert args[0] is f and args[1] is point.x and args[5] is g
+            assert args[2] is point.product and args[3:5] == (1, 1.5)
+
+
 def test_non_finite_model_evaluations_raise():
     class NanObjective(Objective):
-        def restrict(self, x, v):
-            return NanModel(self, x, v)
+        model = NanModel
 
     f = NanObjective(2, 1.0, 1.0, lambda x: 0.0, lambda x: np.zeros(2))
     cf = CountingObjective(f)
@@ -941,7 +974,7 @@ def test_carried_product_drift_stays_small():
         return g
 
     p.grad = checked_grad
-    trace = run_me(p.objective(), np.zeros(500))
+    trace = run_me(p, np.zeros(500))
     assert trace.converged and trace.iterations == 1875
     assert len(drift) == 2 * trace.iterations
     assert max(drift) <= 1e-12
@@ -1046,9 +1079,9 @@ def test_fixed_step_runs_keep_direct_arithmetic(family):
     bit for bit."""
     p = fixed_step_problem(family)
     for run, fast in [(run_gd_l, False), (run_fast_gd, True)]:
-        assert_textbook(run(p.objective(), np.zeros(p.dim)), textbook_run(p, fast))
+        assert_textbook(run(p, np.zeros(p.dim)), textbook_run(p, fast))
     if family == "quadratic":
-        trace = run_gd_exact(p.objective(), np.zeros(p.dim))
+        trace = run_gd_exact(p, np.zeros(p.dim))
         assert trace.iterations > REFRESH_EVERY
         assert_textbook(trace, textbook_gd_exact(p))
 
@@ -1060,7 +1093,7 @@ def test_fast_gd_tracks_the_fully_direct_loop(family, seed):
     steps of the loop that forms A z_k exactly."""
     p = fixed_step_problem(family, seed)
     values, _, x = textbook_run(p, True, carried=False)
-    trace = run_fast_gd(p.objective(), np.zeros(p.dim))
+    trace = run_fast_gd(p, np.zeros(p.dim))
     assert trace.converged and trace.iterations == len(values) - 1
     assert np.linalg.norm(trace.x_final - x) <= 1e-13 * np.linalg.norm(x)
 

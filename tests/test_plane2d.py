@@ -23,7 +23,7 @@ def line_step(monkeypatch):
 def build_plane(prob, x):
     """Model of f on the plane through x spanned by the gradient and the
     companion gradient."""
-    f = prob.objective()
+    f = prob
     v = f.grad(x)
     comp = companion_point(f.restrict(x, v))
     w = f.grad(comp.y)
@@ -184,7 +184,7 @@ class TestArmijoDescent:
         in particular the short step, the linesearch step, and the
         half companion step."""
         p = generate_logreg(40, 20, 30.0, 8)
-        f = p.objective()
+        f = p
         x = np.zeros(40)
         v = f.grad(x)
         comp = companion_point(f.restrict(x, v))
@@ -211,7 +211,7 @@ class TestSegmentMinimizer:
 
     def test_diag_example_beats_midpoint_and_endpoint(self, diag_quadratic,
                                                        line_step):
-        f = diag_quadratic.objective()
+        f = diag_quadratic
         x = np.array([1.0, 1.0])
         y = np.array([31.0 / 65.0, -71.0 / 65.0])  # the companion point
         trace = run_me(f, x, line_step)
@@ -225,7 +225,7 @@ class TestSegmentMinimizer:
         assert f.value(out) <= grid + 1e-15
 
     def test_strict_descent_on_logistic(self, small_logreg, line_step):
-        f = small_logreg.objective()
+        f = small_logreg
         x = np.zeros(50)
         x[0] = 0.7
         trace = run_me(f, x, line_step)
@@ -236,7 +236,7 @@ class TestSegmentMinimizer:
     def test_same_point_as_exact_linesearch(self, family, small_logreg,
                                             small_quadratic, line_step):
         p = small_logreg if family == "logreg" else small_quadratic
-        f = p.objective()
+        f = p
         x = np.full(p.dim, 0.7)
         me = run_me(f, x, line_step)
         assert me.records[0].li_flag is False

@@ -1,6 +1,8 @@
+import importlib.util
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -28,7 +30,7 @@ def exact_linesearch_step(f, x):
 
 class TestMeStep:
     def test_two_dim_quadratic_one_step(self, diag_quadratic):
-        f = diag_quadratic.objective()
+        f = diag_quadratic
         trace = run_me(f, np.array([1.0, 1.0]), ONE_STEP)
         npt.assert_allclose(trace.x_final, [0.0, 0.0], atol=1e-12)
         assert trace.records[0].li_flag is True
@@ -36,13 +38,13 @@ class TestMeStep:
         assert trace.records[1].grad_evals_outer == 2
 
     def test_isotropic_r3_takes_segment_branch(self):
-        f = QuadraticProblem(np.eye(3), np.zeros(3)).objective()
+        f = QuadraticProblem(np.eye(3), np.zeros(3))
         trace = run_me(f, np.array([1.0, 0.0, 0.0]), ONE_STEP)
         assert trace.records[0].li_flag is False
         npt.assert_allclose(trace.x_final, np.zeros(3), atol=1e-9)
 
     def test_logistic_descends_with_orthogonal_gradient(self, small_logreg):
-        f = small_logreg.objective()
+        f = small_logreg
         x = np.zeros(50)
         v = f.grad(x)
         x_next = run_me(f, x, ONE_STEP).x_final
@@ -54,12 +56,12 @@ class TestRunMe:
     def test_two_dim_quadratic_converges_fast(self):
         for seed in range(5):
             q = generate_quadratic(2, 10.0, seed)
-            trace = run_me(q.objective(), np.zeros(2))
+            trace = run_me(q, np.zeros(2))
             assert trace.converged
             assert trace.iterations <= 2
 
     def test_start_at_minimizer_is_zero_steps(self, small_quadratic):
-        trace = run_me(small_quadratic.objective(),
+        trace = run_me(small_quadratic,
                        small_quadratic.minimizer())
         assert trace.converged
         assert trace.iterations == 0
@@ -67,7 +69,7 @@ class TestRunMe:
 
     @pytest.mark.parametrize("sid", list(RUNNERS), ids=lambda s: s.value)
     def test_logistic_run_basics(self, sid, small_logreg):
-        f = small_logreg.objective()
+        f = small_logreg
         trace = RUNNERS[sid](f, np.zeros(50))
         assert trace.converged
         assert trace.records[-1].grad_norm <= 1e-6
@@ -91,19 +93,19 @@ class TestRunMe:
         assert np.linalg.norm(p.grad(trace.x_final)) <= trace.config.eps
 
     def test_monotone_decrease_until_termination(self, small_logreg):
-        trace = run_me(small_logreg.objective(), np.zeros(50))
+        trace = run_me(small_logreg, np.zeros(50))
         values = [r.f_val for r in trace.records]
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_level_set_equality_every_iteration(self, small_logreg):
         history = History()
-        run_me(small_logreg.objective(), np.zeros(50), observe=history)
+        run_me(small_logreg, np.zeros(50), observe=history)
         assert history.step_data
         for sd in history.step_data:
             assert sd.level_residual <= companion.TOL
 
     def test_bh_descent_at_li_steps(self, small_logreg):
-        f = small_logreg.objective()
+        f = small_logreg
         trace = run_me(f, np.zeros(50))
         for rec, nxt in zip(trace.records[:-1], trace.records[1:]):
             if not rec.li_flag:
@@ -113,7 +115,7 @@ class TestRunMe:
             assert lhs >= rhs - 1e-9 * abs(rec.f_val)
 
     def test_per_step_dominance_over_exact_linesearch(self, small_logreg):
-        f = small_logreg.objective()
+        f = small_logreg
         x = np.zeros(50)
         for _ in range(4):
             x_me = run_me(f, x, ONE_STEP).x_final
@@ -124,11 +126,11 @@ class TestRunMe:
     def test_inner_stall_aborts_run(self, monkeypatch):
         p = generate_logreg(30, 15, 40.0, 4)
         monkeypatch.setattr(plane2d, "MAX_NEWTON", 1)
-        trace = run_me(p.objective(), np.zeros(30))
+        trace = run_me(p, np.zeros(30))
         assert trace.status is RunStatus.INNER_STALL
 
     def test_determinism(self, small_logreg):
-        f = small_logreg.objective()
+        f = small_logreg
         t1 = run_me(f, np.zeros(50))
         t2 = run_me(f, np.zeros(50))
         assert [r.f_val for r in t1.records] == [r.f_val for r in t2.records]
@@ -139,24 +141,24 @@ class TestRunMe:
 
 class TestGdFixed:
     def test_isotropic_one_step(self):
-        f = QuadraticProblem(np.eye(2), np.zeros(2)).objective()
+        f = QuadraticProblem(np.eye(2), np.zeros(2))
         trace = run_gd_l(f, np.array([1.0, 0.0]), ONE_STEP)
         npt.assert_allclose(trace.x_final, [0.0, 0.0])
 
     def test_diag_step(self, diag_quadratic):
-        f = diag_quadratic.objective()
+        f = diag_quadratic
         trace = run_gd_l(f, np.array([1.0, 1.0]), ONE_STEP)
         npt.assert_allclose(trace.x_final, [0.75, 0.0])
 
     def test_descent_lemma_decrease(self, small_logreg):
-        f = small_logreg.objective()
+        f = small_logreg
         trace = run_gd_l(f, np.zeros(50))
         assert trace.converged
         for rec, nxt in zip(trace.records[:-1], trace.records[1:]):
             assert rec.f_val - nxt.f_val >= rec.grad_norm ** 2 / (2 * f.lip) - 1e-12
 
     def test_gap_ratio_at_most_eta(self, small_quadratic):
-        f = small_quadratic.objective()
+        f = small_quadratic
         f_star = compute_reference(f).f_star
         trace = run_gd_l(f, np.zeros(10))
         eta = 1.0 - f.mu / f.lip
@@ -169,25 +171,25 @@ class TestGdFixed:
 
 class TestGdExact:
     def test_diag_step_length(self, diag_quadratic):
-        f = diag_quadratic.objective()
+        f = diag_quadratic
         _, t_star = exact_linesearch_step(f, np.array([1.0, 1.0]))
         assert t_star == pytest.approx(17.0 / 65.0, rel=1e-14)
 
     def test_isotropic_hits_minimizer(self):
-        f = QuadraticProblem(np.eye(2), np.zeros(2)).objective()
+        f = QuadraticProblem(np.eye(2), np.zeros(2))
         x_next, t_star = exact_linesearch_step(f, np.array([0.6, -0.8]))
         assert t_star == pytest.approx(1.0)
         npt.assert_allclose(x_next, [0.0, 0.0], atol=1e-15)
 
     def test_new_gradient_orthogonal_to_direction(self, small_logreg):
-        f = small_logreg.objective()
+        f = small_logreg
         x = np.zeros(50)
         v = f.grad(x)
         x_next, _ = exact_linesearch_step(f, x)
         assert abs(f.grad(x_next) @ v) <= 1e-11 * (v @ v)
 
     def test_gap_ratio_at_most_eta_star(self, small_logreg):
-        f = small_logreg.objective()
+        f = small_logreg
         f_star = compute_reference(f).f_star
         trace = run_gd_exact(f, np.zeros(50))
         assert trace.converged
@@ -203,14 +205,14 @@ class TestFastGd:
     def test_condition_one_reduces_to_plain_descent(self):
         # mu = lip makes the momentum zero, so the first step lands on the
         # minimizer of an isotropic quadratic
-        f = QuadraticProblem(np.eye(3), np.zeros(3)).objective()
+        f = QuadraticProblem(np.eye(3), np.zeros(3))
         trace = run_fast_gd(f, np.array([1.0, 2.0, -1.0]))
         assert trace.converged
         assert trace.iterations == 1
 
     def test_beats_fixed_step_on_ill_conditioned_quadratic(self):
         q = generate_quadratic(50, 100.0, 11)
-        f = q.objective()
+        f = q
         fast = run_fast_gd(f, np.zeros(50))
         slow = run_gd_l(f, np.zeros(50))
         assert fast.converged and slow.converged
@@ -218,7 +220,7 @@ class TestFastGd:
 
     def test_non_monotone_step_exists(self):
         q = generate_quadratic(50, 100.0, 2)
-        trace = run_fast_gd(q.objective(), np.zeros(50))
+        trace = run_fast_gd(q, np.zeros(50))
         values = [r.f_val for r in trace.records]
         assert trace.non_monotone_ok
         assert any(b > a for a, b in zip(values, values[1:]))
@@ -232,13 +234,13 @@ class TestFastGd:
         p = (generate_quadratic(n, kappa, 3) if family == "quadratic"
              else generate_logreg(n, 3, kappa, 3))
         start = time.perf_counter()
-        trace = run_fast_gd(p.objective(), np.zeros(n),
+        trace = run_fast_gd(p, np.zeros(n),
                             SolverConfig(max_outer=20000))
         assert trace.converged, trace.status
         assert time.perf_counter() - start < 10.0
 
     def test_gradient_accounting(self, small_logreg):
-        trace = run_fast_gd(small_logreg.objective(), np.zeros(50))
+        trace = run_fast_gd(small_logreg, np.zeros(50))
         last = trace.records[-1]
         assert last.grad_evals_outer == trace.iterations
         # one driving gradient plus one stopping-check gradient per step,
@@ -278,7 +280,7 @@ class TestConfig:
 
     def test_max_outer_status(self, small_logreg):
         cfg = SolverConfig(max_outer=2)
-        trace = run_gd_l(small_logreg.objective(), np.zeros(50), cfg)
+        trace = run_gd_l(small_logreg, np.zeros(50), cfg)
         assert trace.status is RunStatus.MAX_ITERATIONS
         assert trace.iterations == 2
 
@@ -291,7 +293,7 @@ def test_step_that_stands_still_ends_precision_floor():
     every step returns x bit for bit; it ends there instead of repeating
     that step to max_outer."""
     p = generate_logreg(200, 100, 1e2, 0)
-    trace = run_me(p.objective(), np.zeros(200),
+    trace = run_me(p, np.zeros(200),
                    SolverConfig(eps=1e-13, max_outer=200))
     assert trace.status is RunStatus.PRECISION_FLOOR
     assert trace.iterations <= 20
@@ -354,7 +356,7 @@ def test_tight_tolerance_runs_end_and_never_stand_still(instance, sid):
         last[:] = [x.copy()]
 
     start = time.perf_counter()
-    trace = RUNNERS[sid](p.objective(), np.zeros(p.dim),
+    trace = RUNNERS[sid](p, np.zeros(p.dim),
                          SolverConfig(eps=1e-14, max_outer=3000), observe=watch)
     assert time.perf_counter() - start < 20.0
     assert trace.status in (RunStatus.CONVERGED, RunStatus.PRECISION_FLOOR,
@@ -387,9 +389,9 @@ def test_non_finite_objective_stops_run(sid):
 
 def fast_path_objective(kind):
     if kind == "logreg":
-        return generate_logreg(60, 30, 1e2, 0).objective()
+        return generate_logreg(60, 30, 1e2, 0)
     q = generate_quadratic(40, 1e2, 0)
-    return q.objective() if kind == "quadratic" else Objective(
+    return q if kind == "quadratic" else Objective(
         q.dim, q.mu, q.lip, q.value, q.grad)
 
 
@@ -420,7 +422,7 @@ def test_gradient_check_tells_overflow_from_nan(sid, spike, status):
     the last good iterate."""
     q = generate_quadratic(40, 1e2, 0)
     one_step = SolverConfig(max_outer=1)
-    x2 = RUNNERS[sid](q.objective(), np.zeros(40), one_step).x_final
+    x2 = RUNNERS[sid](q, np.zeros(40), one_step).x_final
     grad = q.grad
 
     def spiked(x):  # a run evaluates at point records
@@ -431,7 +433,7 @@ def test_gradient_check_tells_overflow_from_nan(sid, spike, status):
         return g
 
     q.grad = spiked
-    trace = RUNNERS[sid](q.objective(), np.zeros(40), one_step)
+    trace = RUNNERS[sid](q, np.zeros(40), one_step)
     assert trace.status is status
     if status is RunStatus.MAX_ITERATIONS:
         assert trace.iterations == 1
@@ -465,7 +467,7 @@ COST_MODEL = {
 def test_evaluation_counts_are_pinned(family, sid):
     p = (generate_logreg(60, 30, 1e2, 0) if family == "logreg"
          else generate_quadratic(40, 1e2, 0))
-    trace = RUNNERS[sid](p.objective(), np.zeros(p.dim))
+    trace = RUNNERS[sid](p, np.zeros(p.dim))
     assert trace.converged
     last = trace.records[-1]
     assert (trace.iterations, last.grad_evals_total, last.value_evals_total,
@@ -480,7 +482,7 @@ def test_restricted_steps_make_only_the_methods_gradients(family):
         p = (generate_logreg(80, 40, 1e3, seed) if family == "logreg"
              else generate_quadratic(30, 1e2, seed))
         for run in (run_me, run_gd_exact):
-            trace = run(p.objective(), np.zeros(p.dim))
+            trace = run(p, np.zeros(p.dim))
             assert trace.converged
             last = trace.records[-1]
             assert last.grad_evals_total == last.grad_evals_outer + 1
@@ -558,10 +560,10 @@ def test_power_of_two_scaling_changes_nothing(n, kappa, seed, sid):
     and model entry exactly, so a run takes the same steps to the same bits:
     the same x_final, status and evaluation totals."""
     p = generate_quadratic(n, kappa, seed)
-    base = RUNNERS[sid](p.objective(), np.zeros(n), SolverConfig(max_outer=2000))
+    base = RUNNERS[sid](p, np.zeros(n), SolverConfig(max_outer=2000))
     for k in (-3, 5):
         cfg = SolverConfig(eps=2.0 ** k * 1e-6, max_outer=2000)
-        trace = RUNNERS[sid](scaled(p, k).objective(), np.zeros(n), cfg)
+        trace = RUNNERS[sid](scaled(p, k), np.zeros(n), cfg)
         assert trace.x_final.tobytes() == base.x_final.tobytes()
         assert (trace.status, trace.iterations) == (base.status, base.iterations)
         got, want = trace.records[-1], base.records[-1]
@@ -571,13 +573,36 @@ def test_power_of_two_scaling_changes_nothing(n, kappa, seed, sid):
                                                 want.restricted_evals_total)
 
 
+def bare_loops():
+    """``tools/bare_loops.py``, imported by path."""
+    path = Path(__file__).parent.parent / "tools" / "bare_loops.py"
+    spec = importlib.util.spec_from_file_location("bare_loops", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("sid", [SolverId.ME, SolverId.GD_EXACT, SolverId.GD_L],
+                         ids=lambda s: s.value)
+def test_quadratic_runs_match_the_bare_loops(sid):
+    """The bare numpy loops of ``tools/bare_loops.py``, which share neither
+    the models nor the driver, take the same steps to the same bits."""
+    loop = bare_loops().loop
+    for seed in range(3):
+        p = generate_quadratic(40, 1e2, seed)
+        trace = RUNNERS[sid](p, np.zeros(p.dim))
+        steps, x = loop(p, sid.value)
+        assert steps == trace.iterations
+        assert x.tobytes() == trace.x_final.tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 3, 30])
 @pytest.mark.parametrize("sid", list(RUNNERS), ids=lambda s: s.value)
 def test_ill_conditioned_quadratics_end_with_a_status(n, sid):
     """At kappa = 1e8 every run ends converged, at the precision floor or at
     its cap, and none raises."""
     for seed in range(5):
-        f = generate_quadratic(n, 1e8, seed).objective()
+        f = generate_quadratic(n, 1e8, seed)
         trace = RUNNERS[sid](f, np.zeros(n), SolverConfig(max_outer=3000))
         assert trace.status in (RunStatus.CONVERGED, RunStatus.PRECISION_FLOOR,
                                 RunStatus.MAX_ITERATIONS)
@@ -588,7 +613,7 @@ def test_me_ends_within_two_steps_in_dimension_two(kappa):
     """In dimension two the plane of the two gradients is the whole space, so
     the plane minimizer is the minimizer."""
     for seed in range(20):
-        trace = run_me(generate_quadratic(2, kappa, seed).objective(), np.zeros(2))
+        trace = run_me(generate_quadratic(2, kappa, seed), np.zeros(2))
         assert trace.converged and trace.iterations <= 2
 
 
@@ -632,7 +657,7 @@ CALL_BUDGET = {"me": {"call": 57, "c_call": 60},
 
 @pytest.mark.parametrize("sid", list(RUNNERS), ids=lambda s: s.value)
 def test_quadratic_step_call_budget(sid):
-    f = generate_quadratic(40, 1e2, 0).objective()
+    f = generate_quadratic(40, 1e2, 0)
     RUNNERS[sid](f, np.zeros(40))  # first-use imports and caches
     events = Counter()
 

@@ -1,0 +1,60 @@
+#!/usr/bin/env python3
+"""Print the size of the package: the lines under ``src/``, its code lines
+and the public names ``ellipcenters/__init__.py`` exports.
+
+    python tools/src_size.py [ROOT]
+
+ROOT is a checkout, by default the one this script is in.  A code line is a
+line that is not blank, not only a comment (found with ``tokenize``) and not
+part of a docstring (found with ``ast``).  An export is a name that the
+package's ``__init__.py`` binds at its top level without a leading
+underscore.
+"""
+
+import ast
+import io
+import sys
+import tokenize
+from pathlib import Path
+
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(source: str) -> int:
+    """The number of lines of ``source`` that hold code."""
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in NOT_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            doc = node.body[0] if node.body else None
+            if (isinstance(doc, ast.Expr) and isinstance(doc.value, ast.Constant)
+                    and isinstance(doc.value.value, str)):
+                lines.difference_update(range(doc.lineno, doc.end_lineno + 1))
+    return len(lines)
+
+
+def exports(init: Path) -> list[str]:
+    """The public names bound at the top level of ``init``."""
+    names = []
+    for node in ast.parse(init.read_text()).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return [name for name in names if not name.startswith("_")]
+
+
+def main(root: Path) -> None:
+    sources = [path.read_text() for path in sorted((root / "src").rglob("*.py"))]
+    names = exports(root / "src" / "ellipcenters" / "__init__.py")
+    print(f"src lines  {sum(len(s.splitlines()) for s in sources):,}")
+    print(f"code lines {sum(map(code_lines, sources)):,}")
+    print(f"exports    {len(names)}: {', '.join(names)}")
+
+
+if __name__ == "__main__":
+    main(Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent)
