@@ -5,11 +5,14 @@ step, the inequalities the solvers are supposed to satisfy: per-step gap
 contraction at the universal rate 1 - mu/lip, the stronger rate
 (kappa-1)/(kappa+1) on steps where the two spanning gradients were linearly
 independent, the further angle-dependent improvement, gradient orthogonality
-at plane minimizers, and the two-gradient descent bound they imply.  The
-rate and descent audits read whole columns of the records.  The audits that
-need a step's vectors take them as the run hands them to its observer (see
-``solvers.History`` and ``harness.verify_experiment``), so no run has to keep
-them: ``audit_orthogonality`` and ``audit_level_sets`` accept any list of
+at plane minimizers, the two-gradient descent bound they imply, and the
+one-step dominance of the plane step over the exact linesearch step.  Each
+returns an :class:`AuditReport` of rows (``certify_rates`` with a
+:class:`RateCertificate`).  The rate and descent audits read whole columns
+of the records.  The audits that need a step's vectors take them as the
+run hands them to its observer (see ``solvers.History`` and
+``harness.verify_experiment``), so no run has to keep them:
+``audit_orthogonality`` and ``audit_level_sets`` accept any list of
 :class:`StepVectors`, one step's included, and ``certify_rates`` takes the
 iterate distances ||x_k - x*||^2 as floats.
 
@@ -267,23 +270,26 @@ def audit_level_sets(step_data: list[StepVectors]) -> AuditReport:
     return report
 
 
-def audit_dominance(f: Objective, x: np.ndarray,
-                    cfg: SolverConfig | None = None):
-    """One-step comparison: the plane minimizer cannot lose to the exact
-    linesearch point, since the ray lies inside the plane.
+def audit_dominance(f: Objective, points: Sequence[np.ndarray],
+                    cfg: SolverConfig | None = None) -> AuditReport:
+    """One-step comparison at each of ``points``: the plane minimizer cannot
+    lose to the exact linesearch point, since the ray lies inside the plane.
 
-    Each side is a one-step run (``max_outer=1``) from ``x``.  Returns
-    ``(f_me, f_gd, passed)``, passing by ``1e-12 * max(1, |f(x)|)`` (f(x) as
-    ``me`` recorded it); a stationary x passes, both runs ending at it.  A
-    side whose run ends ``inner_stall``, ``numeric_failure`` or
+    Each side is a one-step run (``max_outer=1``) from point i, which gives
+    the ``dominance`` row of step i: the value f after the ``me`` step, the
+    bound f after the ``gd_exact`` step plus ``1e-12 * max(1, |f(x)|)`` (f(x)
+    as ``me`` recorded it).  A stationary point passes, both runs ending at
+    it.  A side whose run ends ``inner_stall``, ``numeric_failure`` or
     ``non_finite`` took no step, reads NaN and fails.
     """
     cfg = replace(cfg or SolverConfig(), max_outer=1)
-    f_gd = _one_step_value(run_gd_exact(f, x, cfg))
-    me = run_me(f, x, cfg)  # last, so its trace is not held during the other
-    f_me = _one_step_value(me)
-    passed = f_me <= f_gd + 1e-12 * max(1.0, abs(me.records[0].f_val))
-    return f_me, f_gd, passed
+    report = AuditReport()
+    for i, x in enumerate(points):
+        f_gd = _one_step_value(run_gd_exact(f, x, cfg))
+        me = run_me(f, x, cfg)  # last: its trace is not held during the other
+        report.check("dominance", i, _one_step_value(me),
+                     f_gd + 1e-12 * max(1.0, abs(me.records[0].f_val)))
+    return report
 
 
 def _one_step_value(trace: RunTrace) -> float:

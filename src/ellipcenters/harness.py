@@ -204,8 +204,6 @@ def _fmt(x) -> str:
         return ""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     return "%.17g" % float(x)  # as format(x, ".17g"), at half its cost
 
 
@@ -315,8 +313,5 @@ def verify_experiment(spec: ExperimentSpec):
     rng = np.random.Generator(np.random.PCG64(spec.seed + 1))
     points = [np.zeros(spec.n)] + [0.5 * rng.standard_normal(spec.n)
                                    for _ in range(3)]
-    for i, x in enumerate(points):
-        f_me, f_gd, _ = audit_dominance(f, x, spec.config)
-        margin = 1e-12 * max(1.0, abs(f.value(x)))
-        report.check("dominance", i, f_me, f_gd + margin)
+    report.extend(audit_dominance(f, points, spec.config))
     return result, report

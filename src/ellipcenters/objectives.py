@@ -172,27 +172,24 @@ class Restriction:
 
     def value(self, *z) -> float:
         val = self._value(z)
-        if self.counter is not None and not self.full:
-            self.counter.restricted_evals += 1
-            if not math.isfinite(val):
-                raise NonFiniteError(f"model value {val}")
-        return val
+        return self._counted(val, (val,))
 
     def grad(self, *z) -> np.ndarray:
         g = self._grad(z)
-        if self.counter is not None and not self.full:
-            self.counter.restricted_evals += 1
-            if not all(map(math.isfinite, g)):
-                raise NonFiniteError("model gradient has a NaN or infinite entry")
-        return g
+        return self._counted(g, g)
 
     def hess(self, *z, grad=None) -> np.ndarray:
         h = self._hess(z, grad)
+        return self._counted(h, chain.from_iterable(h))
+
+    def _counted(self, result, entries):
+        """``result``; on a model with a ``counter`` that is not ``full``,
+        one restricted evaluation, which raises if an entry is not finite."""
         if self.counter is not None and not self.full:
             self.counter.restricted_evals += 1
-            if not all(map(math.isfinite, chain.from_iterable(h))):
-                raise NonFiniteError("model Hessian has a NaN or infinite entry")
-        return h
+            if not all(map(math.isfinite, entries)):
+                raise NonFiniteError("model has a NaN or infinite entry")
+        return result
 
     def _value(self, z) -> float:
         return (self.counter or self.f).value(self.point(*z))
@@ -442,27 +439,25 @@ class Objective:
 
 
 class CountingObjective:
-    """Wraps an Objective, a problem included, and counts value/gradient
-    evaluations.
+    """Counts a solver run's evaluations of an Objective, a problem included.
 
-    Duck-types Objective so it can be passed anywhere an Objective is
-    expected.  ``value_evals`` and ``grad_evals`` count full n-vector
-    evaluations; ``restricted_evals`` counts the values and gradients of the
-    models ``restrict`` returns, except for the generic model, whose
-    evaluations are full and counted as such.  Those models hold this
-    instance as their ``counter``, which ``extend`` passes on, and count
-    themselves (see :class:`Restriction`).  A NaN or infinite value or
-    gradient, full or restricted, raises :class:`NonFiniteError`; a full
-    gradient is checked through its squared norm, from which ``grad_norm()``
-    gives the norm of the gradient ``grad`` returned last.  One instance per
-    solver run; not shared across threads.
+    It holds the wrapped objective, its three counts and the last squared
+    gradient norm, and evaluates nothing else: a step reads ``lip`` or
+    forms a momentum point on the objective itself.  ``value_evals`` and
+    ``grad_evals`` count full n-vector evaluations; ``restricted_evals``
+    counts the values, gradients and Hessians of the models ``restrict``
+    returns, except for the generic model, whose evaluations are full and
+    counted as such.  Those models hold this instance as their ``counter``,
+    which ``extend`` passes on, and count themselves (see
+    :class:`Restriction`).  A NaN or infinite value or gradient, full or
+    restricted, raises :class:`NonFiniteError`; a full gradient is checked
+    through its squared norm, from which ``grad_norm()`` gives the norm of
+    the gradient ``grad`` returned last.  One instance per solver run; not
+    shared across threads.
     """
 
     def __init__(self, obj: Objective):
         self._obj = obj
-        self.dim = obj.dim
-        self.mu = obj.mu
-        self.lip = obj.lip
         self.value_evals = 0
         self.grad_evals = 0
         self.restricted_evals = 0
@@ -494,12 +489,6 @@ class CountingObjective:
         model = self._obj.restrict(x, v, **at_x)
         model.counter = self
         return model
-
-    def extrapolate(self, x: np.ndarray, x_prev: np.ndarray,
-                    beta: float) -> _Point:
-        """The wrapped objective's momentum point; not counted, since
-        nothing is evaluated."""
-        return self._obj.extrapolate(x, x_prev, beta)
 
 
 class QuadraticProblem(Objective):

@@ -41,7 +41,7 @@ import numpy as np
 
 from .companion import companion_point
 from .errors import (DegeneratePlaneError, InnerStallError, NonFiniteError,
-                     NumericalFailureError, PrecisionFloorError)
+                     NumericalFailureError)
 from .objectives import CountingObjective, Objective
 from .plane2d import minimize
 
@@ -332,11 +332,6 @@ def _me_step(cf, x, f_x, v):
     return x_next, (w, t, li, sin2_theta, level_residual)
 
 
-def _gd_l_step(cf, x, f_x, v):
-    """Fixed step 1/lip along the negative gradient."""
-    return x.x - v / cf.lip, None
-
-
 def _exact_linesearch(ray, f_x):
     """``x - t* v`` on the ray model ``x + span(v)``, t* the root of
     <grad f(x - t v), v>, by :func:`~.plane2d.minimize`.
@@ -422,8 +417,8 @@ def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,
                 f_next = cf.value(x_next)
                 if (not non_monotone_ok and f_next >= fx
                         and np.array_equal(x_next.x, x.x)):
-                    raise PrecisionFloorError("the step left the iterate "
-                                              "unchanged")
+                    status = RunStatus.PRECISION_FLOOR
+                    break
                 v_next = cf.grad(x_next)
             except (InnerStallError, NumericalFailureError,
                     NonFiniteError) as exc:
@@ -451,7 +446,10 @@ def run_me(f: Objective, x1: np.ndarray, cfg: SolverConfig | None = None, *,
 def run_gd_l(f: Objective, x1: np.ndarray, cfg: SolverConfig | None = None, *,
              observe: Observer | None = None) -> RunTrace:
     """Gradient descent with fixed step 1/lip."""
-    return _drive(SolverId.GD_L, f, x1, cfg, _gd_l_step, observe)
+    def step(cf, x, f_x, v):
+        return x.x - v / f.lip, None
+
+    return _drive(SolverId.GD_L, f, x1, cfg, step, observe)
 
 
 def run_gd_exact(f: Objective, x1: np.ndarray, cfg: SolverConfig | None = None,
@@ -489,10 +487,10 @@ def run_fast_gd(f: Objective, x1: np.ndarray, cfg: SolverConfig | None = None,
 
     def step(cf, x, f_x, v):
         nonlocal x_prev
-        z = x if x_prev is None else cf.extrapolate(x, x_prev, momentum)
+        z = x if x_prev is None else f.extrapolate(x, x_prev, momentum)
         x_prev = x  # x_{k-1} and its product go before grad f(z) is formed
         gz = v if z is x else cf.grad(z)  # z1 = x1: reuse the first gradient
-        x_next = gz / cf.lip
+        x_next = gz / f.lip
         return np.subtract(z.x, x_next, out=x_next), None
 
     return _drive(SolverId.FAST_GD, f, x1, cfg, step, observe,

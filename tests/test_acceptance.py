@@ -162,19 +162,17 @@ def test_criterion_5_dominance_over_exact_linesearch():
     for seed in range(12):
         q = generate_quadratic(6 + seed % 5, 5.0 + 10.0 * (seed % 4), seed)
         f = q
-        for _ in range(5):
-            x = rng.standard_normal(f.dim)
-            f_me, f_gd, ok = audit_dominance(f, x)
-            assert ok, (seed, f_me, f_gd)
-            pairs += 1
+        report = audit_dominance(f, [rng.standard_normal(f.dim)
+                                     for _ in range(5)])
+        assert report.passed, (seed, report.to_text())
+        pairs += len(report.rows)
     for seed in range(8):
         p = generate_logreg(30, 15, 20.0, seed)
         f = p
-        for _ in range(5):
-            x = 0.5 * rng.standard_normal(30)
-            _, _, ok = audit_dominance(f, x)
-            assert ok, seed
-            pairs += 1
+        report = audit_dominance(f, [0.5 * rng.standard_normal(30)
+                                     for _ in range(5)])
+        assert report.passed, seed
+        pairs += len(report.rows)
     assert pairs == 100
     print(f"\nACCEPTANCE 5 PASS: plane step dominated exact linesearch on "
           f"{pairs} (problem, point) pairs")

@@ -117,6 +117,28 @@ def test_bad_kappa_is_usage_error():
                  "--kappa", "0.5", "--seed", "1"]) == 64
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--config", "missing.json"], "cannot read config file"),
+    (["run", "--problem", "quadratic", "--n", "0"], "--n must be positive"),
+    (["run", "--problem", "logreg", "--n", "10", "--m", "0"],
+     "n and m must be at least 1"),
+], ids=["unreadable-config", "n-zero", "library-value-error"])
+def test_bad_input_is_a_usage_error(argv, message, tmp_path, monkeypatch,
+                                    capsys):
+    """Input the command line or the library rejects exits 64 with one
+    ``error:`` line and no traceback."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err.splitlines()[0]
+
+
+def test_verify_exits_1_when_me_does_not_converge(capsys):
+    assert main(["verify", "--problem", "quadratic", "--n", "20", "--kappa",
+                 "1e2", "--max-outer", "1"]) == 1
+    assert "max_iterations" in capsys.readouterr().out
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["run", "--frobnicate", "3"]) == 64
     assert "usage" in capsys.readouterr().err

@@ -162,6 +162,30 @@ class TestBracket:
             companion_point(f.restrict(x, f.grad(x)))
 
 
+    def test_a_secant_step_onto_the_bracket_end_takes_the_midpoint(self):
+        """A level that jumps from -1 to 1e20 across t = 3 puts the secant
+        step of the bracket [2, 4] within rounding of 2: the search probes
+        the midpoint, 3, where the level is met exactly."""
+        probes = []
+
+        class JumpRay:  # a model along v with ||v||^2 = v'Hv = 1, f(x) = 0
+            gram = ((1.0,),)
+
+            def hess(self, *z, grad=None):
+                return ((1.0,),)
+
+            def value(self, z):
+                probes.append(-z)
+                return -1.0 if -z < 3.0 else 0.0 if -z == 3.0 else 1e20
+
+            def point(self, z):
+                return z
+
+        res = companion_point(JumpRay(), f_x=0.0)
+        assert probes == [2.0, 4.0, 3.0]
+        assert (res.t, res.y, res.level_residual) == (3.0, -3.0, 0.0)
+
+
 class TestCompanionPoint:
     def test_isotropic_reflection(self):
         f = QuadraticProblem(np.eye(2), np.zeros(2))

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from ellipcenters import (QuadraticProblem, certify_rates, compute_reference,
-                          generate_logreg, generate_quadratic, plane2d,
-                          run_gd_l, run_me, theoretical_iteration_bound)
-from ellipcenters.diagnostics import (audit_dominance, audit_orthogonality,
-                                      contraction_ratios)
+from ellipcenters import (QuadraticProblem, SolverConfig, certify_rates,
+                          compute_reference, generate_logreg,
+                          generate_quadratic, plane2d, run_gd_exact, run_gd_l,
+                          run_me, theoretical_iteration_bound)
+from ellipcenters.diagnostics import (audit_bh_descent, audit_dominance,
+                                      audit_orthogonality, contraction_ratios)
 from ellipcenters.harness import fill_ratios
 from ellipcenters.solvers import History
 
@@ -146,6 +147,15 @@ class TestOrthogonalityAudit:
             if not sd.li_flag:
                 assert sd.k not in audited_steps
 
+    def test_bh_descent_skips_dependent_steps(self):
+        """On one variable the two gradients are parallel: the step is
+        dependent and the descent bound has no row for it."""
+        f = QuadraticProblem(np.array([[2.0]]), np.array([1.0]))
+        trace = run_me(f, np.zeros(1))
+        assert trace.iterations == 1
+        assert trace.records[0].li_flag is False
+        assert audit_bh_descent(trace, f.lip).rows == []
+
     def test_logistic_residual_scale(self, small_logreg):
         f = small_logreg
         history = History()
@@ -158,32 +168,38 @@ class TestDominance:
     def test_random_spd_points(self, rng):
         q = generate_quadratic(8, 20.0, 5)
         f = q
-        for _ in range(20):
-            x = rng.standard_normal(8)
-            f_me, f_gd, ok = audit_dominance(f, x)
-            assert ok
-            assert f_me <= f_gd + 1e-12 * max(1.0, abs(f.value(x)))
+        points = [rng.standard_normal(8) for _ in range(20)]
+        report = audit_dominance(f, points)
+        assert [(r.name, r.step) for r in report.rows] == \
+            [("dominance", i) for i in range(20)]
+        for row, x in zip(report.rows, points):
+            assert row.passed
+            f_gd = run_gd_exact(f, x, SolverConfig(max_outer=1)).records[-1]
+            margin = 1e-12 * max(1.0, abs(f.value(x)))
+            assert row.bound == f_gd.f_val + margin
+            assert row.value <= f_gd.f_val + margin
 
     def test_isotropic_equality(self):
         f = QuadraticProblem(np.eye(4), np.zeros(4))
         x = np.array([1.0, -2.0, 0.5, 0.0])
-        f_me, f_gd, ok = audit_dominance(f, x)
-        assert ok
-        assert f_me == pytest.approx(f_gd, abs=1e-12)
+        (row,) = audit_dominance(f, [x]).rows
+        assert row.passed
+        f_gd = row.bound - 1e-12 * max(1.0, abs(f.value(x)))
+        assert row.value == pytest.approx(f_gd, abs=1e-12)
 
     def test_logistic_origin(self, small_logreg):
-        _, _, ok = audit_dominance(small_logreg, np.zeros(50))
-        assert ok
+        assert audit_dominance(small_logreg, [np.zeros(50)]).passed
 
     def test_stalled_step_fails(self, monkeypatch):
         # with one inner iteration the plane solve stalls, so the ellipcenter
         # side takes no step and must not pass as dominating
         p = generate_logreg(30, 15, 40.0, 4)
         monkeypatch.setattr(plane2d, "MAX_NEWTON", 1)
-        f_me, f_gd, ok = audit_dominance(p, np.zeros(30))
-        assert not ok
-        assert math.isnan(f_me)
-        assert f_gd < p.value(np.zeros(30))
+        (row,) = audit_dominance(p, [np.zeros(30)]).rows
+        assert not row.passed
+        assert math.isnan(row.value)
+        f_x = p.value(np.zeros(30))
+        assert row.bound - 1e-12 * max(1.0, abs(f_x)) < f_x
 
 
 class TestIterationBound:
@@ -195,6 +211,11 @@ class TestIterationBound:
 
     def test_kappa_near_one_is_tiny(self):
         assert theoretical_iteration_bound(1.001, 1e12, 1.0) <= 4
+
+    @pytest.mark.parametrize("kappa", [1.0, 0.5])
+    def test_kappa_at_most_one_is_zero(self, kappa):
+        """eta_star <= 0: a single step reaches any target."""
+        assert theoretical_iteration_bound(kappa, 1e12, 1.0) == 0
 
     def test_no_reduction_means_zero(self):
         assert theoretical_iteration_bound(50.0, 3.0, 3.0) == 0

@@ -123,6 +123,8 @@ class TestRunExperiment:
                 ExperimentSpec(problem="quadratic", n=10, kappa=kappa, seed=0)
         with pytest.raises(ValueError):
             ExperimentSpec(problem="banana", n=10, kappa=5.0, seed=0)
+        with pytest.raises(ValueError, match="n must be positive, got 0"):
+            ExperimentSpec(problem="quadratic", n=0, kappa=5.0, seed=0)
 
     def test_trace_csv_roundtrip_all_solvers(self, tmp_path):
         spec = ExperimentSpec(problem="logreg", n=40, kappa=15.0, seed=2,

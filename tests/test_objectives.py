@@ -269,6 +269,18 @@ class TestSerialization:
         with pytest.raises(ValueError, match="expected 8 lines"):
             load_quadratic(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines[:-1], "expected 9 lines, found 8"),
+        (lambda lines: [lines[0], *(ln + " 0.5" for ln in lines[1:5]),
+                        *lines[5:]], r"shape \(4, 8\), expected \(4, 7\)"),
+    ], ids=["line-count", "data-block-shape"])
+    def test_malformed_logistic_file_rejected(self, edit, message, tmp_path):
+        path = tmp_path / "instance.txt"
+        save_logreg(generate_logreg(7, 4, 6.0, 13), path)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_logreg(path)
+
     def test_two_field_logistic_header_rejected(self, tmp_path):
         path = tmp_path / "instance.txt"
         save_logreg(generate_logreg(7, 4, 6.0, 13), path)
@@ -344,6 +356,22 @@ def test_problems_check_their_constants_at_construction():
         LogRegProblem(np.zeros((3, 0)), np.ones(3), 1.0)
     with pytest.raises(ValueError, match="no rows"):
         LogRegProblem(np.zeros((0, 3)), np.ones(0), 1.0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: QuadraticProblem(np.ones((2, 3)), np.zeros(2)), "A must be square"),
+    (lambda: QuadraticProblem(np.eye(2), np.zeros(3)), r"b must have shape \(2,\)"),
+    (lambda: LogRegProblem(np.ones(3), np.ones(3), 1.0), "must be 2-D"),
+    (lambda: LogRegProblem(np.ones((3, 2)), np.ones(2), 1.0),
+     r"labels must have shape \(3,\)"),
+    (lambda: generate_logreg(0, 5, 10.0, 0), "n and m must be at least 1"),
+    (lambda: generate_logreg(5, 0, 10.0, 0), "n and m must be at least 1"),
+    (lambda: generate_quadratic(0, 10.0, 0), "n must be at least 1"),
+], ids=["A-not-square", "b-shape", "data-not-2d", "labels-shape",
+        "logreg-n-zero", "logreg-m-zero", "quadratic-n-zero"])
+def test_malformed_problem_data_is_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 FAMILIES = ["quadratic", "logreg"]
@@ -776,13 +804,13 @@ class TestProductCount:
         assert counter.products == 5
 
     @pytest.mark.parametrize("family, products",
-                             [("logreg", 246), ("quadratic", 3504)])
+                             [("logreg", 242), ("quadratic", 3500)])
     def test_verify_products(self, family, products, monkeypatch, capsys):
         """The forward products and gradients of one small ``verify``,
         pinned: the reference is evaluated as a point record, so it shares
         one product between its gradient and its value, and each dominance
-        point takes no gradient beyond its runs' and one product, for its
-        margin."""
+        point takes no gradient or product beyond its runs': its margin
+        reads f(x) from the ``me`` run's first record."""
         cls = LogRegProblem if family == "logreg" else QuadraticProblem
         matvec, grad, calls = cls._matvec, cls.grad, []
         monkeypatch.setattr(cls, "_matvec",
@@ -816,6 +844,12 @@ class TestRestriction:
         f = plain(p) if kind == "plain" else p
         x, v, w = rng.standard_normal((3, p.dim))
         return p, f, x, v, w
+
+    def test_a_zero_direction_has_no_angle(self, kind, rng):
+        p, f, x, v, w = self.build(kind, rng)
+        zero = np.zeros(p.dim)
+        assert model_on(f, x, v, zero).sin2_theta == 0.0
+        assert model_on(f, x, zero, w).sin2_theta == 0.0
 
     def test_value_slope_and_plane_gradient(self, kind, rng):
         p, f, x, v, w = self.build(kind, rng)

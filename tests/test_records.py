@@ -62,6 +62,13 @@ def test_records_compare_equal_to_a_list_of_records(traces):
     assert records != "not records"
 
 
+@pytest.mark.parametrize("other", [None, 5, {1, 2}])
+def test_records_leave_a_non_sequence_comparison_to_it(traces, other):
+    records = traces[SolverId.ME].records
+    assert records.__eq__(other) is NotImplemented
+    assert records != other and not records == other
+
+
 @pytest.mark.parametrize("sid", list(RUNNERS), ids=lambda s: s.value)
 def test_columns_match_the_records(traces, sid):
     records = traces[sid].records

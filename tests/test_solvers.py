@@ -13,8 +13,9 @@ from ellipcenters import (Objective, QuadraticProblem, RunStatus, SolverConfig,
                           generate_quadratic, run_fast_gd, run_gd_exact,
                           run_gd_l, run_me)
 from ellipcenters import companion, plane2d, solvers
-from ellipcenters.errors import (InnerStallError, NonFiniteError,
-                                 NumericalFailureError, PrecisionFloorError)
+from ellipcenters.errors import (DegeneratePlaneError, InnerStallError,
+                                 NonFiniteError, NumericalFailureError,
+                                 PrecisionFloorError)
 from ellipcenters.solvers import RUNNERS, History
 
 ONE_STEP = SolverConfig(max_outer=1)
@@ -326,9 +327,38 @@ def test_each_error_ends_the_run_with_its_status(monkeypatch, error, status):
     def failing_step(cf, x, f_x, v):
         raise error("raised by the step")
 
-    monkeypatch.setattr(solvers, "_gd_l_step", failing_step)
-    trace = run_gd_l(generate_quadratic(10, 1e2, 0), np.zeros(10))
+    monkeypatch.setattr(solvers, "_gd_exact_step", failing_step)
+    trace = run_gd_exact(generate_quadratic(10, 1e2, 0), np.zeros(10))
     assert trace.status is RunStatus(error.status) is status
+    assert trace.iterations == 0
+
+
+def test_a_singular_plane_takes_the_exact_linesearch_step(monkeypatch):
+    """A plane whose Hessian is singular (``plane2d._inverse`` raises) is
+    the line along v: the step is marked dependent and lands bit for bit on
+    the exact-linesearch step, although its two gradients are not
+    parallel."""
+    f = generate_quadratic(20, 1e2, 0)
+    gd = run_gd_exact(f, np.zeros(20), SolverConfig(max_outer=1))
+
+    def singular(hessian):
+        raise DegeneratePlaneError("singular")
+
+    monkeypatch.setattr(plane2d, "_inverse", singular)
+    me = run_me(f, np.zeros(20), SolverConfig(max_outer=1))
+    assert me.iterations == 1
+    assert me.records[0].li_flag is False
+    assert me.records[0].sin2_theta >= solvers.LD_THRESHOLD
+    assert np.array_equal(me.x_final, gd.x_final)
+
+
+def test_gd_exact_on_a_concave_ray_is_a_numeric_failure():
+    """f = -||x||^2 / 2 as a plain Objective curves down along its
+    gradient: the linesearch's Newton step meets a negative curvature."""
+    f = Objective(3, 1.0, 1.0, lambda x: -0.5 * float(x.dot(x)),
+                  lambda x: -x)
+    trace = run_gd_exact(f, np.ones(3))
+    assert trace.status is RunStatus.NUMERIC_FAILURE
     assert trace.iterations == 0
 
 

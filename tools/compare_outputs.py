@@ -6,9 +6,10 @@ comparison of two versions of the package.
     PYTHONPATH=<checkout B>/src python tools/compare_outputs.py out_b
     diff -r out_a out_b
 
-``runs.txt`` holds, for every solver on four pinned instances, the status,
-the record count and SHA-256 digests of every record field (floats as hex)
-and of the ``x_final`` bytes, for a run from the origin and for 40-step
+``runs.txt`` holds, for every solver on six pinned instances (two of them
+problems wrapped as a plain ``Objective``), the status, the record count
+and SHA-256 digests of every record field (floats as hex) and of the
+``x_final`` bytes, for a run from the origin and for 40-step
 restarts from a 5-step run's own ``x_final``, from a writable copy of it and
 from a read-only copy.  ``reference.txt`` holds ``compute_reference``'s
 method, ``f_star``, ``residual`` and ``x_star`` digest on three logistic and
@@ -41,7 +42,14 @@ INSTANCES = {
     "quad500_s1": lambda: ec.generate_quadratic(500, 1e3, 1),
     "quad30_s4": lambda: ec.generate_quadratic(30, 1e2, 4),
     "logreg200_s0": lambda: ec.generate_logreg(200, 100, 1e3, 0),
+    "quad30_s4_plain": lambda: plain(ec.generate_quadratic(30, 1e2, 4)),
+    "logreg200_s0_plain": lambda: plain(ec.generate_logreg(200, 100, 1e3, 0)),
 }
+
+
+def plain(p):
+    """``p`` as a plain Objective, whose model evaluates f in full."""
+    return ec.Objective(p.dim, p.mu, p.lip, p.value, p.grad)
 
 
 def digest(trace) -> str:
