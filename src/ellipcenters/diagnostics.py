@@ -285,18 +285,18 @@ def audit_dominance(f: Objective, points: Sequence[np.ndarray],
     cfg = replace(cfg or SolverConfig(), max_outer=1)
     report = AuditReport()
     for i, x in enumerate(points):
-        f_gd = _one_step_value(run_gd_exact(f, x, cfg))
-        me = run_me(f, x, cfg)  # last: its trace is not held during the other
-        report.check("dominance", i, _one_step_value(me),
-                     f_gd + 1e-12 * max(1.0, abs(me.records[0].f_val)))
+        f_gd = _one_step(run_gd_exact, f, x, cfg)[1]
+        f_x, f_me = _one_step(run_me, f, x, cfg)
+        report.check("dominance", i, f_me, f_gd + 1e-12 * max(1.0, abs(f_x)))
     return report
 
 
-def _one_step_value(trace: RunTrace) -> float:
-    """Objective value after a one-step run, NaN if the step failed."""
+def _one_step(run, f: Objective, x: np.ndarray, cfg: SolverConfig):
+    """f(x) and f after the step of ``run(f, x, cfg)``, NaN if it failed."""
+    trace = run(f, x, cfg)
     if trace.status in (RunStatus.CONVERGED, RunStatus.MAX_ITERATIONS):
-        return trace.records[-1].f_val
-    return math.nan
+        return trace.records[0].f_val, trace.records[-1].f_val
+    return trace.records[0].f_val, math.nan
 
 
 def theoretical_iteration_bound(kappa: float, initial_gap: float,
