@@ -147,21 +147,22 @@ class TestOrthogonalityAudit:
             if not sd.li_flag:
                 assert sd.k not in audited_steps
 
-    def test_bh_descent_skips_dependent_steps(self):
-        """On one variable the two gradients are parallel: the step is
-        dependent and the descent bound has no row for it."""
-        f = QuadraticProblem(np.array([[2.0]]), np.array([1.0]))
-        trace = run_me(f, np.zeros(1))
-        assert trace.iterations == 1
-        assert trace.records[0].li_flag is False
-        assert audit_bh_descent(trace, f.lip).rows == []
-
     def test_logistic_residual_scale(self, small_logreg):
         f = small_logreg
         history = History()
         run_me(f, np.zeros(50), observe=history)
         report = audit_orthogonality(history.step_data, f.lip)
         assert report.passed, report.to_text()
+
+
+def test_bh_descent_skips_dependent_steps():
+    """On one variable the two gradients are parallel: the step is
+    dependent and the descent bound has no row for it."""
+    f = QuadraticProblem(np.array([[2.0]]), np.array([1.0]))
+    trace = run_me(f, np.zeros(1))
+    assert trace.iterations == 1
+    assert trace.records[0].li_flag is False
+    assert audit_bh_descent(trace, f.lip).rows == []
 
 
 class TestDominance:
