@@ -7,9 +7,11 @@ Subcommands::
     verify   fresh experiment + full audit suite, report to stdout
     gen      emit a problem instance file
 
-Every flag can also be supplied through a JSON config file (--config);
-explicit flags win on conflict.  Exit codes: 0 success, 1 solver failure,
-2 audit failure, 64 usage error.
+Every flag can also be supplied through a JSON config file (--config),
+under its name with ``-`` or ``_``; explicit flags win on conflict.  Exit
+codes: 0 success, 1 solver failure, 2 audit failure, 64 usage error (a bad
+flag or config file, input the library rejects, or an --out that cannot be
+written).
 """
 
 from __future__ import annotations
@@ -27,18 +29,22 @@ from .solvers import RunStatus, SolverConfig, SolverId
 
 USAGE_ERROR = 64
 
-# Each setting's default, and the JSON types a config file may give it, with
-# their name for messages; a bool counts as no number.
+# Each setting once: its default, its flag's argparse options, and the JSON
+# types a config file may give it, with their name for messages (a bool
+# counts as no number).  Every subcommand takes every flag, in this order.
 _SETTINGS = {
-    "problem": ("logreg", str, "a string"),
-    "n": (100, int, "an integer"),
-    "m": (None, (int, type(None)), "an integer or null"),
-    "kappa": (10.0, (int, float), "a number"),
-    "seed": (0, int, "an integer"),
-    "solver": (None, (list, type(None)), "a list of solver names or null"),
-    "eps": (SolverConfig.eps, (int, float), "a number"),
-    "max_outer": (SolverConfig.max_outer, int, "an integer"),
-    "out": (None, (str, type(None)), "a string or null"),
+    "problem": ("logreg", {"choices": ["quadratic", "logreg"]}, str,
+                "a string"),
+    "n": (100, {"type": int}, int, "an integer"),
+    "m": (None, {"type": int}, (int, type(None)), "an integer or null"),
+    "kappa": (10.0, {"type": float}, (int, float), "a number"),
+    "seed": (0, {"type": int}, int, "an integer"),
+    "solver": (None, {"action": "append",
+                      "choices": [s.value for s in SolverId]},
+               (list, type(None)), "a list of solver names or null"),
+    "eps": (SolverConfig.eps, {"type": float}, (int, float), "a number"),
+    "max_outer": (SolverConfig.max_outer, {"type": int}, int, "an integer"),
+    "out": (None, {"type": Path}, (str, type(None)), "a string or null"),
 }
 
 
@@ -53,21 +59,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--problem", choices=["quadratic", "logreg"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--solver", action="append",
-                   choices=[s.value for s in SolverId])
-    p.add_argument("--eps", type=float)
-    p.add_argument("--max-outer", type=int, dest="max_outer")
-    p.add_argument("--out", type=Path)
-    p.add_argument("--config", type=Path,
-                   help="JSON file mirroring the flags; flags win on conflict")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="ellipcenters",
                      description="Ellipcenter solver experiments")
@@ -76,11 +67,15 @@ def build_parser() -> _Parser:
                        ("compare", "multi-solver comparison table"),
                        ("verify", "run the full diagnostics audit suite"),
                        ("gen", "emit a problem instance file")]:
-        _add_common_flags(sub.add_parser(name, help=desc))
+        p = sub.add_parser(name, help=desc)
+        for key, (_, options, _, _) in _SETTINGS.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **options)
+        p.add_argument("--config", type=Path,
+                       help="JSON file mirroring the flags; flags win on conflict")
     return parser
 
 
-def _resolve(args) -> dict:
+def _resolve(args, default_solvers: list[SolverId]) -> ExperimentSpec:
     settings = {key: spec[0] for key, spec in _SETTINGS.items()}
     if args.config is not None:
         try:
@@ -94,13 +89,13 @@ def _resolve(args) -> dict:
             key = key.replace("-", "_")
             if key not in settings:
                 raise _UsageError(f"unknown config key {key!r}")
-            _, types, name = _SETTINGS[key]
+            _, _, types, name = _SETTINGS[key]
             if isinstance(value, bool) or not isinstance(value, types):
                 raise _UsageError(f"config key {key!r} must be {name}, got "
                                   f"{json.dumps(value)}")
             settings[key] = value
     for key in settings:
-        flag_value = getattr(args, key, None)
+        flag_value = getattr(args, key)
         if flag_value is not None:
             settings[key] = flag_value
     kappa, eps = settings["kappa"], settings["eps"]
@@ -111,56 +106,38 @@ def _resolve(args) -> dict:
     if not (0.0 < eps < math.inf) or settings["max_outer"] < 1:
         raise _UsageError("--eps must be positive and finite and --max-outer "
                           f"at least 1, got {eps} and {settings['max_outer']}")
-    return settings
-
-
-def _make_spec(settings: dict, default_solvers: list[SolverId]) -> ExperimentSpec:
-    solvers = settings["solver"] or default_solvers
     return ExperimentSpec(
         problem=settings["problem"], n=settings["n"], m=settings["m"],
-        kappa=settings["kappa"], seed=settings["seed"],
-        solvers=[SolverId(s) for s in solvers],
-        config=SolverConfig(eps=settings["eps"],
-                            max_outer=settings["max_outer"]),
+        kappa=kappa, seed=settings["seed"],
+        solvers=settings["solver"] or default_solvers,
+        config=SolverConfig(eps=eps, max_outer=settings["max_outer"]),
         output_dir=settings["out"])
 
 
-def _warn_on_reference(result) -> None:
+def _summarize(result) -> int:
+    """Print the summary table, and a warning on a poor reference; 0 when
+    every run converged, else 1."""
+    print(result.summary_text())
     if result.reference.quality_warning:
         print(f"warning: reference residual {result.reference.residual:.3e} "
               "exceeds 1e-10; terminal gaps are approximate")
-
-
-def _cmd_run(settings: dict, default_solvers: list[SolverId]) -> int:
-    """``run`` (``me`` by default) and ``compare`` (all four solvers)."""
-    result = run_experiment(_make_spec(settings, default_solvers))
-    print(result.summary_text())
-    _warn_on_reference(result)
     ok = all(t.status is RunStatus.CONVERGED for t in result.traces.values())
     return 0 if ok else 1
 
 
-def _cmd_verify(settings: dict) -> int:
-    spec = _make_spec(settings, [SolverId.ME])
+def _cmd_verify(spec: ExperimentSpec) -> int:
     result, report = verify_experiment(spec)
-    print(result.summary_text())
-    _warn_on_reference(result)
+    code = _summarize(result)
     print()
     print(report.to_text())
-    if spec.output_dir is not None:
-        path = spec.output_dir / "audit.csv"
-        report.write_csv(path)
-        print(f"wrote {path}")
-    trace = result.traces[SolverId.ME.value]
-    if trace.status is not RunStatus.CONVERGED:
-        return 1
-    return 0 if report.passed else 2
+    if result.written:
+        print(f"wrote {result.written[-1]}")
+    return code or (0 if report.passed else 2)
 
 
-def _cmd_gen(settings: dict) -> int:
-    spec = _make_spec(settings, [SolverId.ME])
+def _cmd_gen(spec: ExperimentSpec) -> int:
     prob = build_problem(spec)
-    out = settings["out"] or Path(f"{spec.problem}_n{spec.n}_seed{spec.seed}.txt")
+    out = spec.output_dir or Path(f"{spec.problem}_n{spec.n}_seed{spec.seed}.txt")
     if spec.problem == "logreg":
         save_logreg(prob, out)
     else:
@@ -173,18 +150,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        settings = _resolve(args)
-        if args.command == "verify":
-            return _cmd_verify(settings)
-        if args.command == "gen":
-            return _cmd_gen(settings)
-        return _cmd_run(settings, list(SolverId) if args.command == "compare"
+        spec = _resolve(args, list(SolverId) if args.command == "compare"
                         else [SolverId.ME])
+        if args.command == "verify":
+            return _cmd_verify(spec)
+        if args.command == "gen":
+            return _cmd_gen(spec)
+        return _summarize(run_experiment(spec))  # run and compare
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return USAGE_ERROR
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

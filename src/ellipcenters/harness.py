@@ -1,6 +1,6 @@
 """Experiment orchestration: instance generation, reference optima, solver
-runs, trace/series/summary emission, and the end-to-end audit used by the
-``verify`` command.
+runs, the trace, series, summary and audit files, and the end-to-end audit
+used by the ``verify`` command.
 
 All experiments start from the origin.  Trace CSVs are deterministic given
 ``(problem, n, m, kappa, seed, config)``, one BLAS build and thread count;
@@ -130,7 +130,7 @@ class ExperimentResult:
     reference: ReferenceSolution
     traces: dict[str, RunTrace]
     summary: list[dict]
-    written: list[Path] = field(default_factory=list)
+    written: list[Path] = field(default_factory=list)  # in output_dir, in order
 
     def summary_text(self) -> str:
         return format_summary_table(self.summary)
@@ -282,7 +282,9 @@ def verify_experiment(spec: ExperimentSpec):
     reference comes first, so the audits that need a step's vectors run on
     each step as the run goes and the run keeps no history.  On a quadratic
     the rate audits take the exact gaps 1/2 <x_k - x*, grad f(x_k)> (see
-    :func:`certify_rates`), elsewhere f_k - f*.  Returns
+    :func:`certify_rates`), elsewhere f_k - f*.  With an output directory
+    it writes the ``me`` run's files as :func:`run_experiment` does, then
+    the report as ``audit.csv``, last in ``written``.  Returns
     ``(ExperimentResult, AuditReport)``.
     """
     spec = replace(spec, solvers=[SolverId.ME])
@@ -314,4 +316,8 @@ def verify_experiment(spec: ExperimentSpec):
     points = [np.zeros(spec.n)] + [0.5 * rng.standard_normal(spec.n)
                                    for _ in range(3)]
     report.extend(audit_dominance(f, points, spec.config))
+    if spec.output_dir is not None:
+        path = spec.output_dir / "audit.csv"
+        report.write_csv(path)
+        result.written.append(path)
     return result, report

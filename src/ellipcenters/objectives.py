@@ -117,8 +117,12 @@ class Restriction:
     check their directions.
 
     ``f.restrict`` builds it as ``f.model(f, *point, f_x, grad_x)`` and
-    adds ``v``.  A subclass evaluates in ``_value(z)``, ``_grad(z)`` and
-    ``_hess(z, grad)``.  This generic form, a plain :class:`Objective`'s
+    adds ``v``.  Each direction keeps its data product ``A d_i`` (None for a
+    plain :class:`Objective`), and ``point`` carries ``A base + sum_i z_i
+    A d_i`` while the base has a product and fewer than ``REFRESH_EVERY``
+    carried updates have piled up, else is ``f._point(p)``, which forms
+    ``A p`` exactly.  A subclass evaluates in ``_value(z)``, ``_grad(z)``
+    and ``_hess(z, grad)``.  This generic form, a plain :class:`Objective`'s
     ``model``, evaluates at the full point (``full``), and its ``hess`` is
     forward differences of ``grad``, one more full gradient per direction
     (and one at z if not given), with a step that reads f's ``lip``.  A
@@ -134,6 +138,7 @@ class Restriction:
     counter = None
     dirs = ()
     gram = ()
+    _data_dirs = ()
 
     def __init__(self, f, base: np.ndarray, product=None, carried=0,
                  f_x=None, grad_x=None):
@@ -146,7 +151,8 @@ class Restriction:
 
     def _add(self, d: np.ndarray) -> None:
         """Append the checked direction ``d``, and its row and column (whose
-        last entry is diagonal) to the Gram matrix."""
+        last entry is diagonal) to the Gram matrix, and its data product."""
+        self._data_dirs += (self.f._matvec(d),)
         self.dirs += (d,)
         col = tuple([float(d.dot(e)) for e in self.dirs])
         self.gram = (*[r + (c,) for r, c in zip(self.gram, col)], col)
@@ -168,7 +174,12 @@ class Restriction:
         return min(1.0, max(0.0, (denom - vw * vw) / denom))
 
     def point(self, *z) -> _Point:
-        return self.f._point(_combine(self.base, z, self.dirs))
+        p = _combine(self.base, z, self.dirs)
+        carried = self._carried_updates + 1
+        if self._base_product is not None and carried < REFRESH_EVERY:
+            return _Point((p, _combine(self._base_product, z, self._data_dirs),
+                           carried))
+        return self.f._point(p)
 
     def value(self, *z) -> float:
         val = self._value(z)
@@ -215,26 +226,7 @@ class Restriction:
         return 0.5 * (h + h.T)
 
 
-class _DataRestriction(Restriction):
-    """A problem's model: its family's ``_add`` forms each direction's data
-    product and rows, in one layer, and it keeps the ``A d_i`` (from the
-    problem's ``_matvec``).  ``point`` carries the product ``A base + sum_i
-    z_i A d_i``, or ``A p`` formed exactly once ``REFRESH_EVERY`` carried
-    updates have piled up since the last exact one."""
-
-    full = False
-    _data_dirs = ()
-
-    def point(self, *z) -> _Point:
-        p = _combine(self.base, z, self.dirs)
-        carried = self._carried_updates + 1
-        if carried < REFRESH_EVERY:
-            return _Point((p, _combine(self._base_product, z, self._data_dirs),
-                           carried))
-        return _Point((p, self.f._matvec(p), 0))
-
-
-class _QuadraticRestriction(_DataRestriction):
+class _QuadraticRestriction(Restriction):
     """The exact model f0 + z.g0 + z'Hz/2, with g0 = (<A x - b, d_i>)_i and
     H = (<d_i, A d_j>)_ij, on Python floats: every evaluation is O(1) and
     makes no numpy call.  Each entry is one dot, formed once: adding a
@@ -244,6 +236,7 @@ class _QuadraticRestriction(_DataRestriction):
     ``f_x``, else formed on the first ``value``; the exact linesearch never
     asks for it."""
 
+    full = False
     hessian = ()
     _g0 = ()
 
@@ -280,17 +273,17 @@ class _QuadraticRestriction(_DataRestriction):
         return self.hessian
 
 
-class _LogRegRestriction(_DataRestriction):
+class _LogRegRestriction(Restriction):
     """Margins ``-b * (a x + sum_i z_i a d_i)`` and ``||p||^2`` from the Gram
     numbers, held as an array: every evaluation, the Hessian included, is
     O(m).  ``||x||^2`` is formed on the first ``value``."""
 
+    full = False
     _xd = _read_only(np.empty(0))
     _xx = None
     _gram_matrix = _read_only(np.empty((0, 0)))
 
     def _add(self, d):
-        self._data_dirs += (self.f._matvec(d),)
         super()._add(d)
         self._xd = np.array(self._xd.tolist() + [float(self.base.dot(d))])
         self._gram_matrix = np.array(self.gram)

@@ -122,12 +122,18 @@ def test_bad_kappa_is_usage_error():
     (["run", "--problem", "quadratic", "--n", "0"], "--n must be positive"),
     (["run", "--problem", "logreg", "--n", "10", "--m", "0"],
      "n and m must be at least 1"),
-], ids=["unreadable-config", "n-zero", "library-value-error"])
+    (["gen", "--problem", "quadratic", "--n", "4", "--out", "missing/x.txt"],
+     "No such file or directory"),
+    (["verify", "--problem", "quadratic", "--n", "4", "--out", "a_file/sub"],
+     "Not a directory"),
+], ids=["unreadable-config", "n-zero", "library-value-error",
+        "gen-out-in-missing-dir", "verify-out-under-a-file"])
 def test_bad_input_is_a_usage_error(argv, message, tmp_path, monkeypatch,
                                     capsys):
-    """Input the command line or the library rejects exits 64 with one
-    ``error:`` line and no traceback."""
+    """Input the command line or the library rejects, and an ``--out`` that
+    cannot be written, exit 64 with one ``error:`` line and no traceback."""
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "a_file").write_text("")
     assert main(argv) == 64
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err.splitlines()[0]
@@ -153,6 +159,20 @@ def test_gen_logreg_roundtrip(tmp_path):
     assert p.n == 6 and p.m == 4
 
 
+@pytest.mark.parametrize("problem, load", [("logreg", load_logreg),
+                                           ("quadratic", load_quadratic)])
+def test_gen_without_out_writes_its_default_name(problem, load, tmp_path,
+                                                 monkeypatch, capsys):
+    """``gen`` with no ``--out`` writes ``<problem>_n<n>_seed<seed>.txt`` in
+    the working directory, and the file loads back."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--problem", problem, "--n", "5", "--kappa", "7",
+                 "--seed", "3"]) == 0
+    name = f"{problem}_n5_seed3.txt"
+    assert capsys.readouterr().out == f"wrote {name}\n"
+    assert load(tmp_path / name).dim == 5
+
+
 def test_gen_quadratic_roundtrip(tmp_path):
     path = tmp_path / "quad.txt"
     code = main(["gen", "--problem", "quadratic", "--n", "4", "--kappa", "7",
@@ -162,23 +182,44 @@ def test_gen_quadratic_roundtrip(tmp_path):
     assert q.dim == 4
 
 
+# A non-default value of each setting that is no ``SolverConfig`` field, and
+# the field of the experiment it reaches, read back in the setting's form
+REACHES = {"problem": ("quadratic", lambda spec: spec.problem),
+           "n": (7, lambda spec: spec.n),
+           "m": (3, lambda spec: spec.m),
+           "kappa": (20.0, lambda spec: spec.kappa),
+           "seed": (5, lambda spec: spec.seed),
+           "solver": (["gd_l"], lambda spec: spec.solvers),
+           "out": ("exp", lambda spec: str(spec.output_dir))}
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_every_solver_setting_has_a_caller(source, tmp_path):
-    """Each ``SolverConfig`` field can be set by its flag and by its key in
-    a ``--config`` file, and reaches the experiment's config: a setting
-    that neither sets is a knob with no caller."""
+    """Each setting can be set by its flag and by its key in a ``--config``
+    file, spelt with ``_`` or ``-``, and reaches its field of the
+    experiment: a setting that neither sets is a knob with no caller.
+    Every ``SolverConfig`` field is a setting, and reaches the config."""
+    values = {key: value for key, (value, _) in REACHES.items()}
+    reached = {key: read for key, (_, read) in REACHES.items()}
     for field in fields(SolverConfig):
-        value = 2 * field.default
-        argv = ["run"]
+        values[field.name] = 2 * field.default
+        reached[field.name] = lambda spec, name=field.name: getattr(
+            spec.config, name)
+    assert sorted(values) == sorted(cli._SETTINGS)
+    for key, value in values.items():
+        assert value != cli._SETTINGS[key][0], key
         if source == "flag":
-            argv += [f"--{field.name.replace('_', '-')}", str(value)]
+            argvs = [["run", f"--{key.replace('_', '-')}",
+                      *map(str, value if isinstance(value, list) else [value])]]
         else:
-            path = tmp_path / f"{field.name}.json"
-            path.write_text(json.dumps({field.name: value}))
-            argv += ["--config", str(path)]
-        settings = cli._resolve(cli.build_parser().parse_args(argv))
-        config = cli._make_spec(settings, []).config
-        assert getattr(config, field.name) == value, field.name
+            argvs = []
+            for spelling in dict.fromkeys([key, key.replace("_", "-")]):
+                path = tmp_path / f"{spelling}.json"
+                path.write_text(json.dumps({spelling: value}))
+                argvs.append(["run", "--config", str(path)])
+        for argv in argvs:
+            spec = cli._resolve(cli.build_parser().parse_args(argv), [])
+            assert reached[key](spec) == value, argv
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

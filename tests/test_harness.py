@@ -179,6 +179,21 @@ class TestVerify:
         _, report = verify_experiment(spec)
         assert report.passed, report.to_text()
 
+    def test_audit_csv_is_written_last(self, tmp_path):
+        """With an output directory, ``verify_experiment`` writes the
+        ``me`` run's files and then the report as ``audit.csv``, byte for
+        byte as the report's ``write_csv`` renders it."""
+        out = tmp_path / "out"
+        spec = ExperimentSpec(problem="quadratic", n=8, kappa=10.0, seed=1,
+                              output_dir=out)
+        result, report = verify_experiment(spec)
+        assert result.written == [out / name for name in (
+            "trace_me.csv", "series_me.csv", "summary.csv", "summary.txt",
+            "audit.csv")]
+        report.write_csv(tmp_path / "expected.csv")
+        assert (out / "audit.csv").read_bytes() == (
+            tmp_path / "expected.csv").read_bytes()
+
     @pytest.mark.parametrize("spec", [
         ExperimentSpec(problem="logreg", n=60, kappa=25.0, seed=8),
         ExperimentSpec(problem="quadratic", n=20, kappa=80.0, seed=8),

@@ -13,6 +13,7 @@ underscore.
 
 import ast
 import io
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -51,9 +52,15 @@ def exports(init: Path) -> list[str]:
 def main(root: Path) -> None:
     sources = [path.read_text() for path in sorted((root / "src").rglob("*.py"))]
     names = exports(root / "src" / "ellipcenters" / "__init__.py")
-    print(f"src lines  {sum(len(s.splitlines()) for s in sources):,}")
-    print(f"code lines {sum(map(code_lines, sources)):,}")
-    print(f"exports    {len(names)}: {', '.join(names)}")
+    try:
+        print(f"src lines  {sum(len(s.splitlines()) for s in sources):,}")
+        print(f"code lines {sum(map(code_lines, sources)):,}")
+        print(f"exports    {len(names)}: {', '.join(names)}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early, as ``| head -1`` does; stdout goes to
+        # devnull so that the interpreter's flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 if __name__ == "__main__":
