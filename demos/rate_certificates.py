@@ -13,7 +13,7 @@ import numpy as np
 
 from ellipcenters import (certify_rates, compute_reference, generate_logreg,
                           run_me, theoretical_iteration_bound)
-from ellipcenters.harness import fill_ratios
+from ellipcenters.diagnostics import contraction_ratios
 
 n, m, kappa, seed = 200, 100, 100.0, 42
 f = generate_logreg(n, m, kappa, seed)
@@ -27,7 +27,6 @@ def observe(k, x, f_x, g, step):
 
 
 trace = run_me(f, np.zeros(n), observe=observe)
-fill_ratios(trace, reference.f_star)
 
 certificate, report = certify_rates(trace, reference.f_star, f.mu, f.lip,
                                     dist2=dist2)
@@ -41,11 +40,12 @@ print(f"eta*  (independent steps)     = {certificate.eta_star:.10f}")
 print(f"min sin^2(theta) over the run = {certificate.c_min:.6f}")
 print()
 print("per-step contraction vs. certified bound:")
-for rec in trace.records[:-1]:
-    if rec.ratio is None:
+ratios = contraction_ratios(trace, reference.f_star)  # one per step
+for rec, ratio in zip(trace.records, ratios):
+    if ratio is None:
         continue
     bar = certificate.eta_star - rec.sin2_theta / (4 * kappa * kappa)
-    print(f"  step {rec.k}: ratio={rec.ratio:.3e}  "
+    print(f"  step {rec.k}: ratio={ratio:.3e}  "
           f"eta*_k={bar:.6f}  sin^2={rec.sin2_theta:.3f}")
 print()
 print(report.to_text())

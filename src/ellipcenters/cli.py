@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -98,19 +97,12 @@ def _resolve(args, default_solvers: list[SolverId]) -> ExperimentSpec:
         flag_value = getattr(args, key)
         if flag_value is not None:
             settings[key] = flag_value
-    kappa, eps = settings["kappa"], settings["eps"]
-    if not (1.0 < kappa < math.inf):
-        raise _UsageError(f"--kappa must exceed 1 and be finite, got {kappa}")
-    if settings["n"] < 1:
-        raise _UsageError(f"--n must be positive, got {settings['n']}")
-    if not (0.0 < eps < math.inf) or settings["max_outer"] < 1:
-        raise _UsageError("--eps must be positive and finite and --max-outer "
-                          f"at least 1, got {eps} and {settings['max_outer']}")
     return ExperimentSpec(
         problem=settings["problem"], n=settings["n"], m=settings["m"],
-        kappa=kappa, seed=settings["seed"],
+        kappa=settings["kappa"], seed=settings["seed"],
         solvers=settings["solver"] or default_solvers,
-        config=SolverConfig(eps=eps, max_outer=settings["max_outer"]),
+        config=SolverConfig(eps=settings["eps"],
+                            max_outer=settings["max_outer"]),
         output_dir=settings["out"])
 
 

@@ -163,7 +163,6 @@ def _run_on(spec: ExperimentSpec, f: Objective, reference: ReferenceSolution,
         start = time.perf_counter()
         trace = RUNNERS[sid](f, x1, spec.config, observe=observe)
         wall = time.perf_counter() - start
-        fill_ratios(trace, reference.f_star)
         traces[sid.value] = trace
         last = trace.records[-1]
         summary.append({
@@ -194,11 +193,6 @@ def _run_on(spec: ExperimentSpec, f: Objective, reference: ReferenceSolution,
     return ExperimentResult(spec, reference, traces, summary, written)
 
 
-def fill_ratios(trace: RunTrace, f_star: float) -> None:
-    """Write post-hoc per-step gap contraction ratios to the records."""
-    trace.records.set_ratios(contraction_ratios(trace, f_star))
-
-
 def _fmt(x) -> str:
     if x is None:
         return ""
@@ -210,11 +204,14 @@ def _fmt(x) -> str:
 def write_trace_csv(trace: RunTrace, f_star: float, path) -> None:
     """One row per iterate; floats carry 17 significant digits so the file
     round-trips bit-exactly.  Step fields stay empty for non-ellipcenter
-    solvers and on each final row."""
+    solvers and on each final row.  ``gap`` is f - f_star and ``ratio`` is
+    :func:`~.diagnostics.contraction_ratios`, empty where it drops one; it
+    raises ``ValueError`` for an ``f_star`` that is no valid reference."""
     recs = trace.records
     f_val = recs.column("f_val")
-    floats = [f_val, [v - f_star for v in f_val],  # from grad_norm on,
-              *map(recs.column, TRACE_COLUMNS[3:8])]  # columns are fields
+    floats = [f_val, [v - f_star for v in f_val],  # grad_norm to li_flag
+              *map(recs.column, TRACE_COLUMNS[3:7]),  # are fields
+              contraction_ratios(trace, f_star) + [None]]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
@@ -223,7 +220,7 @@ def write_trace_csv(trace: RunTrace, f_star: float, path) -> None:
 
 
 def read_trace_csv(path):
-    """Parse a trace CSV back into records; returns ``(records, gaps)``."""
+    """Parse a trace CSV; returns ``(records, gaps, ratios)``, None if blank."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))[1:]
 
@@ -232,9 +229,9 @@ def read_trace_csv(path):
                 if text in ("true", "false") else float(text))
 
     records = [IterateRecord(int(r[0]), float(r[1]), float(r[3]),
-                             *map(field, r[4:8]), *map(int, r[8:]))
+                             *map(field, r[4:7]), *map(int, r[8:]))
                for r in rows]
-    return records, [float(r[2]) for r in rows]
+    return records, [float(r[2]) for r in rows], [field(r[7]) for r in rows]
 
 
 def write_series_csv(trace: RunTrace, f_star: float, path) -> None:

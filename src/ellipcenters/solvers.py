@@ -103,10 +103,10 @@ class IterateRecord:
 
     ``t_k``, ``sin2_theta`` and ``li_flag`` describe the step taken *from*
     this iterate and stay ``None`` on the final record and for non-ellipcenter
-    solvers.  ``ratio`` is the optimality-gap contraction of that step,
-    filled post-hoc once a reference value is available.  Counters are
-    cumulative over the run; ``restricted_evals_total`` counts the model
-    values and gradients of the steps' searches.
+    solvers.  A record holds only what the run measured; the gap and its
+    contraction need f*, so :func:`~.harness.write_trace_csv` forms them.
+    Counters are cumulative over the run; ``restricted_evals_total`` counts
+    the model values and gradients of the steps' searches.
     """
 
     k: int
@@ -115,7 +115,6 @@ class IterateRecord:
     t_k: Optional[float] = None
     sin2_theta: Optional[float] = None
     li_flag: Optional[bool] = None
-    ratio: Optional[float] = None
     grad_evals_outer: int = 0
     grad_evals_total: int = 0
     value_evals_total: int = 0
@@ -123,7 +122,7 @@ class IterateRecord:
 
 
 _STEP = ("t_k", "sin2_theta", "li_flag")
-_FLOATS = ("f_val", "grad_norm", "t_k", "sin2_theta", "ratio")
+_FLOATS = ("f_val", "grad_norm", "t_k", "sin2_theta")
 _COUNTS = ("grad_evals_total", "value_evals_total", "restricted_evals_total")
 
 
@@ -174,11 +173,6 @@ class IterateRecords(Sequence):
         for name, value in zip(_STEP, (t, sin2_theta, 1 if li_flag else 0)):
             cols[name].append(value)
 
-    def set_ratios(self, ratios: Sequence[Optional[float]]) -> None:
-        """Write the ratio column from the first iterate on, NaN for None."""
-        self._cols["ratio"] = array(
-            "d", [math.nan if r is None else r for r in ratios])
-
     def column(self, name: str) -> list:
         """Field ``name`` of every iterate, ``None`` where a record has it."""
         n, cols = len(self), self._cols
@@ -191,8 +185,7 @@ class IterateRecords(Sequence):
         if name == "li_flag":
             values = list(map(bool, cols[name]))
         else:
-            values = [None if v != v else v for v in cols[name]] \
-                if name == "ratio" else cols[name].tolist()
+            values = cols[name].tolist()
         return values + [None] * (n - len(values))
 
     def __len__(self) -> int:
@@ -226,10 +219,9 @@ class IterateRecords(Sequence):
         cols = self._cols
         step = (cols["t_k"][i], cols["sin2_theta"][i], bool(cols["li_flag"][i])) \
             if i < len(cols["li_flag"]) else (None,) * 3
-        ratio = cols["ratio"][i] if i < len(cols["ratio"]) else math.nan
         return IterateRecord(
             i + 1, cols["f_val"][i], cols["grad_norm"][i], *step,
-            None if ratio != ratio else ratio, self._outer * i, *counts)
+            self._outer * i, *counts)
 
 
 @dataclass

@@ -119,7 +119,7 @@ def test_bad_kappa_is_usage_error():
 
 @pytest.mark.parametrize("argv, message", [
     (["run", "--config", "missing.json"], "cannot read config file"),
-    (["run", "--problem", "quadratic", "--n", "0"], "--n must be positive"),
+    (["run", "--problem", "quadratic", "--n", "0"], "n must be positive"),
     (["run", "--problem", "logreg", "--n", "10", "--m", "0"],
      "n and m must be at least 1"),
     (["gen", "--problem", "quadratic", "--n", "4", "--out", "missing/x.txt"],
@@ -259,11 +259,16 @@ def test_config_file_wrong_type_is_usage_error(config, key, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1e-6"])
-def test_bad_eps_is_usage_error(eps, capsys):
+@pytest.mark.parametrize("eps, message", [
+    pytest.param(eps, "eps must be positive and finite", id=eps)
+    for eps in ("nan", "inf", "0")] + [
+    # argparse takes "-1e-6" for an option and never hands it to --eps
+    pytest.param("-1e-6", "argument --eps: expected one argument",
+                 id="-1e-6")])
+def test_bad_eps_is_usage_error(eps, message, capsys):
     assert main(["run", "--problem", "quadratic", "--n", "10", "--kappa", "10",
                  "--eps", eps]) == 64
-    assert "--eps" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_nan_kappa_is_usage_error():

@@ -131,7 +131,7 @@ class TestRunExperiment:
                               output_dir=tmp_path)
         result = run_experiment(spec)
         for sid, trace in result.traces.items():
-            records, gaps = read_trace_csv(tmp_path / f"trace_{sid}.csv")
+            records, gaps, _ = read_trace_csv(tmp_path / f"trace_{sid}.csv")
             assert records == trace.records
             expected = [r.f_val - result.reference.f_star for r in trace.records]
             npt.assert_array_equal(gaps, expected)
@@ -255,6 +255,6 @@ def test_write_read_trace_handles_empty_fields(tmp_path, small_logreg):
     trace = run_gd_l(small_logreg, np.zeros(50))
     path = tmp_path / "t.csv"
     write_trace_csv(trace, 0.5, path)
-    records, _ = read_trace_csv(path)
+    records, _, _ = read_trace_csv(path)
     assert all(r.t_k is None and r.li_flag is None for r in records)
     assert records == trace.records

@@ -12,7 +12,7 @@ import pytest
 
 from ellipcenters import generate_quadratic
 from ellipcenters.diagnostics import contraction_ratios
-from ellipcenters.harness import fill_ratios, read_trace_csv, write_trace_csv
+from ellipcenters.harness import read_trace_csv, write_trace_csv
 from ellipcenters.solvers import (RUNNERS, IterateRecord, IterateRecords,
                                   SolverId, run_me)
 
@@ -83,8 +83,7 @@ def test_step_fields_are_none_without_a_step(traces):
     assert all(getattr(me[-1], name) is None for name in STEP_FIELDS)
     for sid in (SolverId.GD_L, SolverId.GD_EXACT, SolverId.FAST_GD):
         for rec in traces[sid].records:
-            assert all(getattr(rec, name) is None
-                       for name in (*STEP_FIELDS, "ratio"))
+            assert all(getattr(rec, name) is None for name in STEP_FIELDS)
 
 
 def test_a_step_after_a_stepless_iterate_is_refused():
@@ -105,19 +104,19 @@ def test_a_step_after_a_stepless_iterate_is_refused():
     assert records.column("li_flag") == [True, None, None]
 
 
-def test_fill_ratios_persist_and_round_trip(tmp_path, quadratic, traces):
+def test_trace_csv_forms_ratios_from_f_star(tmp_path, quadratic, traces):
+    """A trace written straight after its run carries every step's
+    contraction ratio, formed from the f* it is given; the records stay
+    as the run left them."""
     trace = run_me(quadratic, np.zeros(30))
     f_star = trace.records[-1].f_val  # so the last gap, 0, has no ratio
-    fill_ratios(trace, f_star)
-    ratios = contraction_ratios(trace, f_star)
-    assert None in ratios and any(r is not None for r in ratios)
-    assert [r.ratio for r in trace.records] == ratios + [None]
-    assert trace.records.column("ratio") == ratios + [None]
-    assert trace.records != traces[SolverId.ME].records  # they differ in ratio
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, f_star, path)
-    records, gaps = read_trace_csv(path)
-    assert records == trace.records
+    records, gaps, ratios = read_trace_csv(path)
+    expected = contraction_ratios(trace, f_star)
+    assert ratios == expected + [None]
+    assert None in expected and any(r is not None for r in expected)
+    assert records == trace.records == traces[SolverId.ME].records
     assert gaps == [r.f_val - f_star for r in trace.records]
 
 
