@@ -13,7 +13,7 @@ import numpy as np
 
 from ellipcenters import (certify_rates, compute_reference, generate_logreg,
                           run_me, theoretical_iteration_bound)
-from ellipcenters.diagnostics import contraction_ratios
+from ellipcenters.diagnostics import RATES, contraction_ratios
 
 n, m, kappa, seed = 200, 100, 100.0, 42
 f = generate_logreg(n, m, kappa, seed)
@@ -28,23 +28,25 @@ def observe(k, x, f_x, g, step):
 
 trace = run_me(f, np.zeros(n), observe=observe)
 
-certificate, report = certify_rates(trace, reference.f_star, f.mu, f.lip,
-                                    dist2=dist2)
+report = certify_rates(trace, reference.f_star, f.mu, f.lip, dist2=dist2)
+rates = {name: bound for name, _, bound in RATES}  # each a bound in (kappa, sin^2)
+kappa_f = f.lip / f.mu
+independent = [rec.sin2_theta for rec in trace.records if rec.li_flag]
 
 print(f"instance: logistic n={n} m={m} kappa={kappa} seed={seed}")
 print(f"solved in {trace.iterations} iterations "
       f"({trace.records[-1].grad_evals_outer} outer gradients)")
 print()
-print(f"eta   (universal rate)        = {certificate.eta:.10f}")
-print(f"eta*  (independent steps)     = {certificate.eta_star:.10f}")
-print(f"min sin^2(theta) over the run = {certificate.c_min:.6f}")
+print(f"eta   (universal rate)        = {rates['rate_eta'](kappa_f, 0.0):.10f}")
+print(f"eta*  (independent steps)     = {rates['rate_eta_star'](kappa_f, 0.0):.10f}")
+print(f"min sin^2(theta) over the run = {min(independent):.6f}")
 print()
 print("per-step contraction vs. certified bound:")
 ratios = contraction_ratios(trace, reference.f_star)  # one per step
 for rec, ratio in zip(trace.records, ratios):
     if ratio is None:
         continue
-    bar = certificate.eta_star - rec.sin2_theta / (4 * kappa * kappa)
+    bar = rates["rate_eta_bar"](kappa_f, rec.sin2_theta)
     print(f"  step {rec.k}: ratio={ratio:.3e}  "
           f"eta*_k={bar:.6f}  sin^2={rec.sin2_theta:.3f}")
 print()

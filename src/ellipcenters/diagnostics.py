@@ -7,9 +7,9 @@ contraction at the universal rate 1 - mu/lip, the stronger rate
 independent, the further angle-dependent improvement, gradient orthogonality
 at plane minimizers, the two-gradient descent bound they imply, and the
 one-step dominance of the plane step over the exact linesearch step.  Each
-returns an :class:`AuditReport` of rows (``certify_rates`` with a
-:class:`RateCertificate`).  The rate and descent audits read whole columns
-of the records.  The audits that need a step's vectors take them as the
+returns an :class:`AuditReport` of rows; the per-step rate rows are the
+entries of ``RATES``.  The rate and descent audits read whole columns of the
+records.  The audits that need a step's vectors take them as the
 run hands them to its observer (see ``solvers.History`` and
 ``harness.verify_experiment``), so no run has to keep them:
 ``audit_orthogonality`` and ``audit_level_sets`` accept any list of
@@ -39,22 +39,17 @@ from .solvers import (RunStatus, RunTrace, SolverConfig, SolverId,
 RATE_SLACK = 1e-8
 GAP_FLOOR_REL = 1e-14
 
-
-@dataclass
-class RateCertificate:
-    """Observed rate data for one ellipcenter run.
-
-    ``eta = 1 - 1/kappa`` (universal), ``eta_star = (kappa-1)/(kappa+1)``
-    (linearly independent steps), ``eta_bar[k] = eta_star - sin2_theta_k /
-    (4 kappa^2)`` per step (None on dependent steps), and ``c_min`` the
-    smallest observed sin^2 over independent steps.
-    """
-
-    kappa: float
-    eta: float
-    eta_star: float
-    eta_bar: list[Optional[float]]
-    c_min: Optional[float]
+# The per-step rate rows of ``certify_rates``, in the order it writes them:
+# the row name, whether only linearly independent steps carry it, and its
+# bound as a function of (kappa, sin2_theta_k).
+RATES = (
+    ("rate_eta", False, lambda kappa, sin2: 1.0 - 1.0 / kappa),
+    ("rate_eta_star", True,
+     lambda kappa, sin2: (kappa - 1.0) / (kappa + 1.0)),
+    ("rate_eta_bar", True,
+     lambda kappa, sin2: ((kappa - 1.0) / (kappa + 1.0)
+                          - sin2 / (4.0 * kappa * kappa))),
+)
 
 
 @dataclass
@@ -145,12 +140,12 @@ def contraction_ratios(trace: RunTrace, f_star: float,
 
 def certify_rates(trace: RunTrace, f_star: float, mu: float, lip: float,
                   dist2: Optional[Sequence[float]] = None,
-                  gaps: Optional[Sequence[float]] = None):
+                  gaps: Optional[Sequence[float]] = None) -> AuditReport:
     """Audit an ellipcenter trace against its linear-rate guarantees.
 
-    Checks, with relative slack ``RATE_SLACK``:
+    Checks, with relative slack ``RATE_SLACK`` and kappa = lip/mu:
 
-    a. every step: ratio <= eta = 1 - mu/lip;
+    a. every step: ratio <= eta = 1 - 1/kappa;
     b. independent steps: ratio <= eta_star = (kappa-1)/(kappa+1);
     c. independent steps: ratio <= eta_bar_k = eta_star - sin2_theta_k/(4 kappa^2);
     d. every iterate: gap_k <= eta^(k-2) * gap_1  (k >= 2);
@@ -162,35 +157,30 @@ def certify_rates(trace: RunTrace, f_star: float, mu: float, lip: float,
     ``dist2``) from a caller that forms them without that subtraction of
     nearly equal doubles: on a quadratic ``verify`` hands over
     1/2 <x_k - x_star, grad f(x_k)>, exact up to a term at the reference
-    residual, 1/2 <x_k - x_star, grad f(x_star)>.
-
-    Returns ``(RateCertificate, AuditReport)``.
+    residual, 1/2 <x_k - x_star, grad f(x_star)>.  Rows (a)-(c) are the
+    entries of ``RATES``, checked on the steps that have a ratio.  A
+    ``gaps`` or ``dist2`` of another length than the records raises
+    ``ValueError``.
     """
     if trace.solver_id is not SolverId.ME:
         raise ValueError("rate certification applies to ellipcenter traces only")
     kappa = lip / mu
     eta = 1.0 - 1.0 / kappa
-    eta_star = (kappa - 1.0) / (kappa + 1.0)
     recs = trace.records
     if gaps is None:
         gaps = [fv - f_star for fv in recs.column("f_val")]
     ratios = contraction_ratios(trace, f_star, gaps)
+    if dist2 is not None and len(dist2) != len(recs):
+        raise ValueError(f"{len(dist2)} distances for {len(recs)} records")
     report = AuditReport()
-    eta_bar: list[Optional[float]] = []
-    c_min: Optional[float] = None
     steps = zip(recs.column("li_flag"), recs.column("sin2_theta"), ratios)
     for step, (li, sin2, ratio) in enumerate(steps, start=1):
-        eta_bar.append(eta_star - sin2 / (4.0 * kappa * kappa) if li else None)
-        if li:
-            c_min = sin2 if c_min is None else min(c_min, sin2)
         if ratio is None:
             continue
-        report.check("rate_eta", step, ratio, eta * (1.0 + RATE_SLACK))
-        if li:
-            report.check("rate_eta_star", step, ratio,
-                         eta_star * (1.0 + RATE_SLACK))
-            report.check("rate_eta_bar", step, ratio,
-                         eta_bar[-1] * (1.0 + RATE_SLACK))
+        for name, independent_only, bound in RATES:
+            if li or not independent_only:
+                report.check(name, step, ratio,
+                             bound(kappa, sin2) * (1.0 + RATE_SLACK))
     # (d) global bound against the initial gap
     floor = GAP_FLOOR_REL * abs(f_star) + 1e-300
     gap1 = gaps[0]
@@ -207,8 +197,7 @@ def certify_rates(trace: RunTrace, f_star: float, mu: float, lip: float,
             for k, dk in enumerate(dist2, start=1):
                 bound = kappa * eta ** (k - 1) * d1 * (1.0 + RATE_SLACK)
                 report.check("iterate_distance_bound", k, dk, bound + 1e-300)
-    cert = RateCertificate(kappa, eta, eta_star, eta_bar, c_min)
-    return cert, report
+    return report
 
 
 def audit_orthogonality(step_data: list[StepVectors], lip: float) -> AuditReport:

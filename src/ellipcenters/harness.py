@@ -302,10 +302,8 @@ def verify_experiment(spec: ExperimentSpec):
 
     result = _run_on(spec, f, ref, audit_step)
     trace = result.traces[SolverId.ME.value]
-    report = AuditReport()
-    _, rate_report = certify_rates(trace, ref.f_star, f.mu, f.lip, dist2=dist2,
-                                   gaps=gaps)
-    report.extend(rate_report)
+    report = certify_rates(trace, ref.f_star, f.mu, f.lip, dist2=dist2,
+                           gaps=gaps)
     report.extend(orthogonality)
     report.extend(audit_bh_descent(trace, f.lip))
     report.extend(level_sets)

@@ -7,8 +7,10 @@ from ellipcenters import (QuadraticProblem, SolverConfig, certify_rates,
                           compute_reference, generate_logreg,
                           generate_quadratic, plane2d, run_gd_exact, run_gd_l,
                           run_me, theoretical_iteration_bound)
-from ellipcenters.diagnostics import (audit_bh_descent, audit_dominance,
-                                      audit_orthogonality, contraction_ratios)
+from ellipcenters import diagnostics
+from ellipcenters.diagnostics import (RATE_SLACK, RATES, audit_bh_descent,
+                                      audit_dominance, audit_orthogonality,
+                                      contraction_ratios)
 from ellipcenters.solvers import History
 
 
@@ -52,23 +54,28 @@ class TestCertifyRates:
         f = q
         trace = run_me(f, np.zeros(5))
         f_star = f.value(q.minimizer())
-        cert, _ = certify_rates(trace, f_star, f.mu, f.lip)
-        assert cert.eta == pytest.approx(0.99)
-        assert cert.eta_star == pytest.approx(99.0 / 101.0)
-        bars = [b for b in cert.eta_bar if b is not None]
-        assert bars and all(b == pytest.approx(
-            cert.eta_star - s / 4e4, abs=1e-15)
-            for b, s in zip(bars, [r.sin2_theta for r in trace.records
-                                   if r.li_flag]))
+        report = certify_rates(trace, f_star, f.mu, f.lip)
+        bounds = {(r.name, r.step): r.bound / (1.0 + RATE_SLACK)
+                  for r in report.rows}
+        steps = [k for name, k in bounds if name == "rate_eta"]
+        assert steps and all(bounds["rate_eta", k] == pytest.approx(0.99)
+                             for k in steps)
+        bars = [(k, b) for (name, k), b in bounds.items()
+                if name == "rate_eta_bar"]
+        assert bars
+        for k, b in bars:
+            assert bounds["rate_eta_star", k] == pytest.approx(99.0 / 101.0)
+            assert b == pytest.approx(
+                99.0 / 101.0 - trace.records[k - 1].sin2_theta / 4e4, abs=1e-15)
 
     def test_eta_bar_formula_values(self):
+        eta_bar = dict((name, bound) for name, _, bound in RATES)["rate_eta_bar"]
         # kappa=100 with sin^2 = 1 gives 99/101 - 1/40000
-        assert (99.0 / 101.0 - 1.0 / 40000.0) == pytest.approx(0.9801730198019801)
+        assert eta_bar(100.0, 1.0) == pytest.approx(0.9801730198019801)
         # kappa=2 with sin^2 = 1: the sandwich (1/3)^2 < 13/48 < 1/3
         eta_star = 1.0 / 3.0
-        eta_bar = eta_star - 1.0 / 16.0
-        assert eta_bar == pytest.approx(13.0 / 48.0)
-        assert eta_star ** 2 < eta_bar < eta_star
+        assert eta_bar(2.0, 1.0) == pytest.approx(13.0 / 48.0)
+        assert eta_star ** 2 < eta_bar(2.0, 1.0) < eta_star
 
     def test_logistic_run_passes_all_audits(self):
         p = generate_logreg(60, 30, 100.0, 9)
@@ -77,22 +84,22 @@ class TestCertifyRates:
         trace = run_me(f, np.zeros(60), observe=history)
         ref = compute_reference(f)
         dist2 = [float(np.sum((x - ref.x_star) ** 2)) for x in history.iterates]
-        cert, report = certify_rates(trace, ref.f_star, f.mu, f.lip,
-                                     dist2=dist2)
+        report = certify_rates(trace, ref.f_star, f.mu, f.lip, dist2=dist2)
         assert trace.converged
         assert report.passed, report.to_text()
-        assert cert.c_min is not None and cert.c_min > 0.0
+        assert any(r.name == "rate_eta_bar" for r in report.rows)
 
     def test_sandwich_on_li_steps(self):
         for seed in (0, 1):
             q = generate_quadratic(20, 50.0, seed)
             f = q
             trace = run_me(f, np.zeros(20))
-            cert, _ = certify_rates(trace, f.value(q.minimizer()), f.mu, f.lip)
-            for bar in cert.eta_bar:
-                if bar is None:
-                    continue
-                assert cert.eta_star ** 2 < bar < cert.eta_star
+            report = certify_rates(trace, f.value(q.minimizer()), f.mu, f.lip)
+            eta_star, s = 49.0 / 51.0, 1.0 + RATE_SLACK
+            bars = [r.bound for r in report.rows if r.name == "rate_eta_bar"]
+            assert bars
+            for bar in bars:
+                assert eta_star ** 2 * s < bar < eta_star * s
 
     def test_caller_gaps_replace_the_recorded_ones(self):
         """Given gaps drive the ratios and the global bound: a halving
@@ -103,17 +110,51 @@ class TestCertifyRates:
         trace = run_me(f, np.zeros(20))
         f_star = f.value(q.minimizer())
         halving = [2.0 ** -i for i in range(len(trace.records))]
-        _, report = certify_rates(trace, f_star, f.mu, f.lip, gaps=halving)
+        report = certify_rates(trace, f_star, f.mu, f.lip, gaps=halving)
         assert report.passed, report.to_text()
         assert {r.value for r in report.rows if r.name.startswith("rate")} == {0.5}
         assert any(r.name == "global_eta_bound" for r in report.rows)
         k = next(r.k for r in trace.records[1:-1] if r.li_flag)
         slow = halving[:k] + [0.97 / 0.5 * g for g in halving[k:]]
-        _, report = certify_rates(trace, f_star, f.mu, f.lip, gaps=slow)
+        report = certify_rates(trace, f_star, f.mu, f.lip, gaps=slow)
         assert {(r.name, r.step) for r in report.failures()} == {
             ("rate_eta_star", k), ("rate_eta_bar", k)}
         with pytest.raises(ValueError, match="gaps"):
             certify_rates(trace, f_star, f.mu, f.lip, gaps=halving[1:])
+
+    def test_rejects_distances_of_the_wrong_length(self):
+        """``dist2`` holds one distance per record: a shifted or padded list
+        would audit the wrong iterates, so it is refused as ``gaps`` is."""
+        q = generate_quadratic(20, 50.0, 0)
+        f = q
+        history = History()
+        trace = run_me(f, np.zeros(20), observe=history)
+        x_star = q.minimizer()
+        dist2 = [float(np.sum((x - x_star) ** 2)) for x in history.iterates]
+        f_star = f.value(x_star)
+        n = len(trace.records)
+        for wrong in (dist2[1:], dist2 + [0.0]):
+            with pytest.raises(ValueError,
+                               match=f"{len(wrong)} distances for {n} records"):
+                certify_rates(trace, f_star, f.mu, f.lip, dist2=wrong)
+
+    def test_rows_come_from_the_rates_table(self, monkeypatch):
+        """A fourth ``RATES`` entry for independent steps adds its row on
+        exactly the steps that carry ``rate_eta_star`` and changes no other
+        row."""
+        q = generate_quadratic(20, 50.0, 0)
+        f = q
+        trace = run_me(f, np.zeros(20))
+        f_star = f.value(q.minimizer())
+        before = certify_rates(trace, f_star, f.mu, f.lip).rows
+        monkeypatch.setattr(diagnostics, "RATES", diagnostics.RATES + (
+            ("rate_one", True, lambda kappa, sin2: 1.0),))
+        after = certify_rates(trace, f_star, f.mu, f.lip).rows
+        added = [r for r in after if r.name == "rate_one"]
+        assert [r.step for r in added] == [
+            r.step for r in before if r.name == "rate_eta_star"]
+        assert added and all(r.bound == 1.0 + RATE_SLACK for r in added)
+        assert [r for r in after if r.name != "rate_one"] == before
 
     def test_rejects_non_me_trace(self, small_logreg):
         f = small_logreg
@@ -231,7 +272,7 @@ def test_report_rendering(small_logreg, tmp_path):
     f = small_logreg
     trace = run_me(f, np.zeros(50))
     ref = compute_reference(f)
-    _, report = certify_rates(trace, ref.f_star, f.mu, f.lip)
+    report = certify_rates(trace, ref.f_star, f.mu, f.lip)
     text = report.to_text()
     assert "overall: PASS" in text
     report.write_csv(tmp_path / "audit.csv")

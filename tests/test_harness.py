@@ -219,7 +219,7 @@ class TestVerify:
             gaps = [0.5 * float((x - ref.x_star) @ g)
                     for x, g in zip(history.iterates, grads)]
         post = certify_rates(trace, ref.f_star, f.mu, f.lip, dist2=dist2,
-                             gaps=gaps)[1]
+                             gaps=gaps)
         post.extend(audit_orthogonality(history.step_data, f.lip))
         post.extend(audit_bh_descent(trace, f.lip))
         post.extend(audit_level_sets(history.step_data))

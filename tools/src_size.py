@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Print the size of the package: the lines under ``src/``, its code lines
-and the public names ``ellipcenters/__init__.py`` exports.
+and the public names ``ellipcenters/__init__.py`` exports, then one line per
+module with its lines and code lines.
 
     python tools/src_size.py [ROOT]
 
@@ -50,12 +51,18 @@ def exports(init: Path) -> list[str]:
 
 
 def main(root: Path) -> None:
-    sources = [path.read_text() for path in sorted((root / "src").rglob("*.py"))]
+    modules = []
+    for path in sorted((root / "src").rglob("*.py")):
+        source = path.read_text()
+        modules.append((path.relative_to(root / "src").as_posix(),
+                        len(source.splitlines()), code_lines(source)))
     names = exports(root / "src" / "ellipcenters" / "__init__.py")
     try:
-        print(f"src lines  {sum(len(s.splitlines()) for s in sources):,}")
-        print(f"code lines {sum(map(code_lines, sources)):,}")
+        print(f"src lines  {sum(lines for _, lines, _ in modules):,}")
+        print(f"code lines {sum(code for _, _, code in modules):,}")
         print(f"exports    {len(names)}: {', '.join(names)}")
+        for name, lines, code in modules:
+            print(f"{name:<30} lines {lines:>5,}  code {code:>5,}")
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader stopped early, as ``| head -1`` does; stdout goes to
