@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import companion, solvers
+from . import companion, plane2d
 from .objectives import Objective
 from .solvers import (RunStatus, RunTrace, SolverConfig, SolverId,
                       StepVectors, run_gd_exact, run_me)
@@ -138,6 +138,13 @@ def contraction_ratios(trace: RunTrace, f_star: float,
             for g0, g1 in zip(gaps[:-1], gaps[1:])]
 
 
+def _me_records(trace: RunTrace):
+    """The records of ``trace``, ``ValueError`` unless it is from ``me``."""
+    if trace.solver_id is not SolverId.ME:
+        raise ValueError("this audit applies to ellipcenter traces only")
+    return trace.records
+
+
 def certify_rates(trace: RunTrace, f_star: float, mu: float, lip: float,
                   dist2: Optional[Sequence[float]] = None,
                   gaps: Optional[Sequence[float]] = None) -> AuditReport:
@@ -159,14 +166,12 @@ def certify_rates(trace: RunTrace, f_star: float, mu: float, lip: float,
     1/2 <x_k - x_star, grad f(x_k)>, exact up to a term at the reference
     residual, 1/2 <x_k - x_star, grad f(x_star)>.  Rows (a)-(c) are the
     entries of ``RATES``, checked on the steps that have a ratio.  A
-    ``gaps`` or ``dist2`` of another length than the records raises
-    ``ValueError``.
+    ``gaps`` or ``dist2`` of another length than the records, or a trace
+    not from ``me``, raises ``ValueError``.
     """
-    if trace.solver_id is not SolverId.ME:
-        raise ValueError("rate certification applies to ellipcenter traces only")
+    recs = _me_records(trace)
     kappa = lip / mu
     eta = 1.0 - 1.0 / kappa
-    recs = trace.records
     if gaps is None:
         gaps = [fv - f_star for fv in recs.column("f_val")]
     ratios = contraction_ratios(trace, f_star, gaps)
@@ -204,10 +209,10 @@ def audit_orthogonality(step_data: list[StepVectors], lip: float) -> AuditReport
     """Check gradient orthogonality at plane minimizers (independent steps).
 
     Both inner products of the new gradient with the spanning gradients must
-    be within ``eps_orth = 10 * solvers.INNER_TOL * max(||v||, ||w||)``; the
-    Pythagorean expansion of ||g' - v||^2 must match to the accuracy those
-    inner products allow; and ||g' - v|| must respect Lipschitz continuity
-    over the step actually taken.
+    be within ``eps_orth = 10 * plane2d.INNER_TOL * max(||v||, ||w||)``, ten
+    times the plane search's tolerance; the Pythagorean expansion of
+    ||g' - v||^2 must match to the accuracy those inner products allow; and
+    ||g' - v|| must respect Lipschitz continuity over the step taken.
     """
     report = AuditReport()
     for sd in step_data:
@@ -216,7 +221,7 @@ def audit_orthogonality(step_data: list[StepVectors], lip: float) -> AuditReport
         # bit for bit as np.linalg.norm, np.sum and @, with fewer numpy calls
         nv = math.sqrt(sd.v.dot(sd.v))
         nw = math.sqrt(sd.w.dot(sd.w))
-        eps_orth = 10.0 * solvers.INNER_TOL * max(nv, nw)
+        eps_orth = 10.0 * plane2d.INNER_TOL * max(nv, nw)
         g = sd.grad_next
         report.check("orth_v", sd.k, abs(float(g.dot(sd.v))), eps_orth)
         report.check("orth_w", sd.k, abs(float(g.dot(sd.w))), eps_orth)
@@ -235,10 +240,10 @@ def audit_bh_descent(trace: RunTrace, lip: float) -> AuditReport:
 
     Orthogonality of the new gradient to the step direction yields
     f_k - f_{k+1} >= (||g_{k+1}||^2 + ||g_k||^2) / (2 lip); checked with
-    absolute slack 1e-9 |f_k|.
+    absolute slack 1e-9 |f_k|; a trace not from ``me`` raises ValueError.
     """
     report = AuditReport()
-    recs = trace.records
+    recs = _me_records(trace)
     f, g = recs.column("f_val"), recs.column("grad_norm")
     for k, (li, f0, f1, g0, g1) in enumerate(
             zip(recs.column("li_flag"), f, f[1:], g, g[1:]), start=1):
@@ -268,8 +273,9 @@ def audit_dominance(f: Objective, points: Sequence[np.ndarray],
     the ``dominance`` row of step i: the value f after the ``me`` step, the
     bound f after the ``gd_exact`` step plus ``1e-12 * max(1, |f(x)|)`` (f(x)
     as ``me`` recorded it).  A stationary point passes, both runs ending at
-    it.  A side whose run ends ``inner_stall``, ``numeric_failure`` or
-    ``non_finite`` took no step, reads NaN and fails.
+    it.  A side whose run ends in any status but ``converged`` or
+    ``max_iterations``, ``precision_floor`` too, took no step, reads NaN
+    and fails.
     """
     cfg = replace(cfg or SolverConfig(), max_outer=1)
     report = AuditReport()

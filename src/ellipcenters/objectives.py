@@ -112,9 +112,9 @@ class Restriction:
     the Gram matrix of the directions, a tuple of rows of Python floats;
     each direction adds its row and column when it is added, so an extended
     model forms only the new entries.  ``sin2_theta`` is its normalized
-    determinant, and ``hessian`` the exact Hessian in z when f is
-    quadratic, formed the same way, else None.  ``restrict`` and ``extend``
-    check their directions.
+    determinant, formed once, and ``hessian`` the exact Hessian in z when
+    f is quadratic, formed the same way, else None.  ``restrict`` and
+    ``extend`` check their directions.
 
     ``f.restrict`` builds it as ``f.model(f, *point, f_x, grad_x)`` and
     adds ``v``.  Each direction keeps its data product ``A d_i`` (None for a
@@ -164,7 +164,7 @@ class Restriction:
         model._add(self.f._check(w))
         return model
 
-    @property
+    @functools.cached_property
     def sin2_theta(self) -> float:
         """sin^2 of the angle between two directions, in [0, 1]."""
         (vv, vw), (_, ww) = self.gram

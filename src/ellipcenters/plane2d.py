@@ -27,6 +27,8 @@ import numpy as np
 
 from .errors import DegeneratePlaneError, InnerStallError, NumericalFailureError
 
+INNER_TOL = 1e-12  # search stop: slope over ||v||^2, residual over max ||d_i||
+LD_THRESHOLD = 1e-12  # sin^2 below which the two gradients count as parallel
 ARMIJO_DECREASE = 1e-4
 STALL_FACTOR = 1e3  # a plane residual above STALL_FACTOR * tol is a stall
 MAX_NEWTON = 10000  # cap on the Newton steps of one search
@@ -78,7 +80,7 @@ def _solve_exact(model) -> tuple:
     return alpha, beta
 
 
-def minimize(model, tol: float, f_base: float, stall: bool = False) -> tuple:
+def minimize(model, f_base: float) -> tuple:
     """Minimizer z of f over the line or plane of ``model``, whose first
     direction is the gradient at its base.
 
@@ -92,16 +94,23 @@ def minimize(model, tol: float, f_base: float, stall: bool = False) -> tuple:
     floor, ``ROUNDING`` times the larger of |f_base| and that value,
     comparisons carry no information and the step is taken untested.  The
     search stops when the norm of the restricted gradient, the residual,
-    is at most ``tol``, after ``MAX_NEWTON`` Newton steps, or when an
-    untested step does not lower the residual; that step is then dropped,
-    while a tested one is kept whatever its residual.
+    is at most tol (``INNER_TOL * ||v||^2`` on a line, ``INNER_TOL *
+    max(||v||, ||w||)`` on a plane), after ``MAX_NEWTON`` Newton steps, or
+    when an untested step does not lower the residual; that step is then
+    dropped, while a tested one is kept whatever its residual.
 
-    A curvature that is not positive on a line raises
-    :class:`NumericalFailureError`, a numerically singular Hessian on a
-    plane :class:`DegeneratePlaneError`.  With ``stall``, a search that
-    ends with a residual above ``STALL_FACTOR * tol`` raises
-    :class:`InnerStallError`.
+    A plane with ``sin2_theta`` below ``LD_THRESHOLD`` (tested before any
+    evaluation) or a numerically singular Hessian raises
+    :class:`DegeneratePlaneError`; only a plane search that ends above
+    ``STALL_FACTOR * tol`` raises :class:`InnerStallError`.  A line whose
+    curvature is not positive raises :class:`NumericalFailureError`.
     """
+    if len(model.gram) == 1:
+        tol = INNER_TOL * model.gram[0][0]
+    elif model.sin2_theta < LD_THRESHOLD:
+        raise DegeneratePlaneError("the plane's two gradients are parallel")
+    else:
+        tol = INNER_TOL * math.sqrt(max(model.gram[0][0], model.gram[1][1]))
     if model.hessian is not None:
         return _solve_exact(model)
     g = model.gram[0]
@@ -130,7 +139,7 @@ def minimize(model, tol: float, f_base: float, stall: bool = False) -> tuple:
         if not tested and residual_trial >= residual:
             break
         z, g, residual = trial, g_trial, residual_trial
-    if stall and residual > STALL_FACTOR * tol:
+    if len(z) == 2 and residual > STALL_FACTOR * tol:
         raise InnerStallError(
             f"plane search stopped after {iters} Newton steps with residual "
             f"{residual:.3e} > {STALL_FACTOR * tol:.3e}")

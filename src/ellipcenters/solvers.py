@@ -45,9 +45,6 @@ from .errors import (DegeneratePlaneError, InnerStallError, NonFiniteError,
 from .objectives import CountingObjective, Objective
 from .plane2d import minimize
 
-INNER_TOL = 1e-12  # plane search stop, relative to the larger gradient norm
-LD_THRESHOLD = 1e-12  # sin^2 below which the two gradients count as parallel
-
 
 class SolverId(str, enum.Enum):
     ME = "me"
@@ -60,10 +57,11 @@ class RunStatus(str, enum.Enum):
     """How a run ended.
 
     ``converged``: ||grad f|| <= eps.  ``max_iterations``: ``max_outer``
-    steps without that.  ``inner_stall``: the plane search ended far above
-    ``INNER_TOL``.  ``numeric_failure``: the companion search found no level
-    crossing within its probe cap or met a NaN level, or a curvature along
-    the gradient was not positive.  ``non_finite``: a NaN or infinite value
+    steps without that.  ``inner_stall``: the plane search ended above
+    ``plane2d.STALL_FACTOR`` times its tolerance (see ``plane2d.minimize``).
+    ``numeric_failure``: the companion search found no level crossing
+    within its probe cap or met a NaN level, or a curvature along the
+    gradient was not positive.  ``non_finite``: a NaN or infinite value
     or gradient.  ``precision_floor``: double precision cannot resolve the
     step: the companion search's bracket reached machine width above
     ``companion.TOL``, or a step of ``me``, ``gd_exact`` or ``gd_l`` left
@@ -82,9 +80,8 @@ class RunStatus(str, enum.Enum):
 class SolverConfig:
     """The two settings of a run, shared by all solvers: ``eps``, the outer
     stopping threshold on the gradient norm, and ``max_outer``, the cap on
-    the outer steps.  The inner searches' tolerances and caps are module
-    constants: ``companion.TOL``, ``plane2d.MAX_NEWTON``, ``INNER_TOL`` and
-    ``LD_THRESHOLD``.
+    the outer steps.  The inner searches' tolerances and caps are constants
+    of the modules that apply them, ``companion`` and ``plane2d``.
     """
 
     eps: float = 1e-6
@@ -292,13 +289,10 @@ def _me_step(cf, x, f_x, v):
 
     The ray model ``cf.restrict(x, v)`` gives the companion point; the full
     gradient w there reuses the model's product.  The plane model, the ray
-    extended by w, gives x_next through :func:`~.plane2d.minimize`, to
-    ``INNER_TOL * max(||v||, ||w||)`` in at most ``plane2d.MAX_NEWTON``
-    Newton steps; a residual above ``STALL_FACTOR`` times that raises
-    :class:`InnerStallError`.  Only the gradient at the companion point is a
-    full evaluation.  When the two gradients are parallel, by
-    ``LD_THRESHOLD`` or by a singular plane Hessian, the plane is the line
-    along v, and the step is the exact-linesearch step on the ray model.
+    extended by w, gives x_next through :func:`~.plane2d.minimize`; only
+    the gradient at the companion point is a full evaluation.  When
+    ``minimize`` finds the plane degenerate, the plane is the line along v,
+    and the step is the exact-linesearch step on the ray model.
     The step's ``info`` is ``(w, t, li_flag, sin2_theta, level_residual)``;
     y goes once w is formed, and the models, which die when the step
     returns, before ``_drive`` takes the gradient at x_next.  ``x`` and
@@ -308,39 +302,20 @@ def _me_step(cf, x, f_x, v):
     t, level_residual = comp.t, comp.level_residual
     w = cf.grad(comp.y)
     del comp  # and with it y
-    plane = ray.extend(w)
-    sin2_theta = plane.sin2_theta
-    li = sin2_theta >= LD_THRESHOLD
-    if li:
-        (vv, _), (_, ww) = plane.gram
-        tol = INNER_TOL * math.sqrt(max(vv, ww))
-        try:
-            z = minimize(plane, tol, f_x, stall=True)
-            x_next = plane.point(*z)
-        except DegeneratePlaneError:
-            li = False
-    if not li:
-        x_next = _exact_linesearch(ray, f_x)
-    return x_next, (w, t, li, sin2_theta, level_residual)
-
-
-def _exact_linesearch(ray, f_x):
-    """``x - t* v`` on the ray model ``x + span(v)``, t* the root of
-    <grad f(x - t v), v>, by :func:`~.plane2d.minimize`.
-
-    An exact quadratic model gives t* = <grad f(x), v> / (v'Av).  Otherwise
-    the search targets |<g, v>| <= 1e-12 ||v||^2 in at most
-    ``plane2d.MAX_NEWTON`` Newton steps; when rounding keeps the slope above
-    that, it ends at its rounding floor and takes its best point, never a
-    stall.
-    """
-    z = minimize(ray, 1e-12 * ray.gram[0][0], f_x)
-    return ray.point(*z)
+    plane, li = ray.extend(w), True
+    try:
+        x_next = plane.point(*minimize(plane, f_x))
+    except DegeneratePlaneError:
+        x_next, li = ray.point(*minimize(ray, f_x)), False
+    return x_next, (w, t, li, plane.sin2_theta, level_residual)
 
 
 def _gd_exact_step(cf, x, f_x, v):
-    """Step to the minimizer of f along the negative gradient."""
-    return _exact_linesearch(cf.restrict(x, v, grad_x=v), f_x), None
+    """Step to the minimizer of f along the negative gradient: ``x - t* v``
+    on the ray model ``x + span(v)``, t* the root of <grad f(x - t v), v>,
+    by :func:`~.plane2d.minimize`."""
+    ray = cf.restrict(x, v, grad_x=v)
+    return ray.point(*minimize(ray, f_x)), None
 
 
 def _drive(solver_id: SolverId, f: Objective, x1: np.ndarray,

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from ellipcenters import (QuadraticProblem, SolverConfig, certify_rates,
-                          compute_reference, generate_logreg,
-                          generate_quadratic, plane2d, run_gd_exact, run_gd_l,
-                          run_me, theoretical_iteration_bound)
+from ellipcenters import (Objective, QuadraticProblem, RunStatus, SolverConfig,
+                          certify_rates, compute_reference, generate_logreg,
+                          generate_quadratic, plane2d, run_fast_gd,
+                          run_gd_exact, run_gd_l, run_me,
+                          theoretical_iteration_bound)
 from ellipcenters import diagnostics
 from ellipcenters.diagnostics import (RATE_SLACK, RATES, audit_bh_descent,
                                       audit_dominance, audit_orthogonality,
@@ -195,6 +196,18 @@ class TestOrthogonalityAudit:
         assert report.passed, report.to_text()
 
 
+@pytest.mark.parametrize("run", [run_gd_exact, run_gd_l, run_fast_gd])
+def test_rate_and_descent_audits_reject_a_trace_not_from_me(run):
+    """Only ``me`` records carry the steps' ``li_flag``: a baseline's trace
+    would give the descent audit no rows and read as a pass."""
+    f = generate_quadratic(20, 50.0, 0)
+    trace = run(f, np.zeros(20))
+    with pytest.raises(ValueError, match="ellipcenter traces only"):
+        audit_bh_descent(trace, f.lip)
+    with pytest.raises(ValueError, match="ellipcenter traces only"):
+        certify_rates(trace, 0.0, f.mu, f.lip)
+
+
 def test_bh_descent_skips_dependent_steps():
     """On one variable the two gradients are parallel: the step is
     dependent and the descent bound has no row for it."""
@@ -241,6 +254,20 @@ class TestDominance:
         assert math.isnan(row.value)
         f_x = p.value(np.zeros(30))
         assert row.bound - 1e-12 * max(1.0, abs(f_x)) < f_x
+
+    def test_precision_floor_step_fails(self):
+        # at 1e6 x f the companion search cannot resolve the level set, so
+        # the ellipcenter run ends precision_floor at its start
+        q = generate_quadratic(20, 1e2, 1)
+        f = Objective(20, 1e6 * q.mu, 1e6 * q.lip, lambda x: 1e6 * q.value(x),
+                      lambda x: 1e6 * q.grad(x))
+        x = np.zeros(20)
+        cfg = SolverConfig(max_outer=1)
+        assert run_me(f, x, cfg).status is RunStatus.PRECISION_FLOOR
+        (row,) = audit_dominance(f, [x]).rows
+        assert not row.passed
+        assert math.isnan(row.value)
+        assert row.bound == pytest.approx(-216464.77, rel=1e-7)
 
 
 class TestIterationBound:

@@ -9,7 +9,7 @@ from ellipcenters import (ExperimentSpec, QuadraticProblem, RunStatus,
                           SolverConfig, SolverId, compute_reference,
                           generate_logreg, run_experiment, run_fast_gd,
                           verify_experiment)
-from ellipcenters import companion, solvers
+from ellipcenters import companion, plane2d
 from ellipcenters.diagnostics import (audit_bh_descent, audit_level_sets,
                                       audit_orthogonality, certify_rates)
 from ellipcenters.harness import (build_problem, format_summary_table,
@@ -241,7 +241,7 @@ def test_a_patched_constant_moves_the_run_and_its_audit(monkeypatch):
     the companion search stops above the default 1e-12, and the looser plane
     search still passes its orthogonality audit."""
     monkeypatch.setattr(companion, "TOL", 1e-6)
-    monkeypatch.setattr(solvers, "INNER_TOL", 1e-9)
+    monkeypatch.setattr(plane2d, "INNER_TOL", 1e-9)
     _, report = verify_experiment(ExperimentSpec(problem="logreg", n=30,
                                                  kappa=20.0, seed=1))
     level = [r for r in report.rows if r.name == "level_residual"]

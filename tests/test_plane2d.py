@@ -5,7 +5,7 @@ import pytest
 from ellipcenters import (Objective, QuadraticProblem, SolverConfig,
                           generate_logreg, generate_quadratic, run_gd_exact,
                           run_me)
-from ellipcenters import plane2d, solvers
+from ellipcenters import plane2d
 from ellipcenters.companion import companion_point
 from ellipcenters.errors import DegeneratePlaneError, InnerStallError
 from ellipcenters.objectives import CountingObjective
@@ -16,7 +16,7 @@ from ellipcenters.plane2d import minimize
 def line_step(monkeypatch):
     """A one-step config under which every ellipcenter step is degenerate:
     sin^2 of two gradients never reaches ``LD_THRESHOLD = 1.0`` here."""
-    monkeypatch.setattr(solvers, "LD_THRESHOLD", 1.0)
+    monkeypatch.setattr(plane2d, "LD_THRESHOLD", 1.0)
     return SolverConfig(eps=1e-300, max_outer=1)
 
 
@@ -35,13 +35,11 @@ def plain(prob):
     return Objective(prob.dim, prob.mu, prob.lip, prob.value, prob.grad)
 
 
-def solve(sp, stall=True):
+def solve(sp):
     """The plane step's search on ``sp``: ``(alpha, beta, x_next)``, with
-    x_next the array of the model's point, to the tolerance
-    ``solvers.INNER_TOL * max(||v||, ||w||)``, from f(base) evaluated
+    x_next the array of the model's point, from f(base) evaluated
     uncounted."""
-    tol = solvers.INNER_TOL * max(np.linalg.norm(d) for d in sp.dirs)
-    alpha, beta = minimize(sp, tol, sp.f.value(sp.base), stall)
+    alpha, beta = minimize(sp, sp.f.value(sp.base))
     return alpha, beta, sp.point(alpha, beta).x
 
 
@@ -98,6 +96,30 @@ class TestNewtonPath:
             solve(sp)
         with pytest.raises(DegeneratePlaneError):
             solve(plain(q).restrict(x, sp.dirs[0]).extend(sp.dirs[1]))
+
+    def test_parallel_gradients_cost_no_evaluation(self):
+        """A plane whose sin^2 is below ``LD_THRESHOLD`` is degenerate before
+        the search evaluates the model, even where no closed form exists."""
+        p = generate_logreg(30, 15, 40.0, 4)
+        cf = CountingObjective(p)
+        x = np.full(30, 0.3)
+        v = cf.grad(x)
+        u = np.random.default_rng(0).standard_normal(30)
+        sp = cf.restrict(x, v).extend(v + 1e-9 * u)
+        assert sp.sin2_theta < plane2d.LD_THRESHOLD
+        with pytest.raises(DegeneratePlaneError):
+            minimize(sp, p.value(x))
+        assert cf.restricted_evals == 0
+
+    def test_singular_hessian_of_independent_gradients(self):
+        """Gradients at sin^2 = 1/2 span a plane whose exact Hessian is
+        singular in double precision: the closed form raises."""
+        q = QuadraticProblem(np.diag([1.0, 1e-20]), np.zeros(2))
+        x = np.array([1.0, 1.0])
+        sp = q.restrict(x, q.grad(x)).extend(1e-10 * np.array([1.0, -1.0]))
+        assert sp.sin2_theta == pytest.approx(0.5)
+        with pytest.raises(DegeneratePlaneError, match="singular"):
+            minimize(sp, q.value(x))
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_residual_small_on_random_spd(self, seed, rng):
@@ -156,14 +178,33 @@ class TestArmijoDescent:
         assert counts[0] <= 2 * counts[1]
 
     def test_stall_raises(self, monkeypatch):
+        """One Newton step leaves the plane's residual far above its
+        tolerance, a stall; the ray's search, cut as short, never stalls
+        and takes its best point, a descent step along -v."""
         p = generate_logreg(30, 15, 40.0, 4)
         f, sp, _ = build_plane(p, np.zeros(30))
         monkeypatch.setattr(plane2d, "MAX_NEWTON", 1)
         with pytest.raises(InnerStallError):
             solve(sp)
-        alpha, beta, _ = solve(sp, stall=False)
-        assert residual(sp, alpha, beta) > \
-            1e3 * 1e-12 * max(np.linalg.norm(d) for d in sp.dirs)
+        ray = f.restrict(sp.base, sp.dirs[0])
+        f_x = f.value(sp.base)
+        (z,) = minimize(ray, f_x)
+        assert z < 0.0
+        assert abs(ray.grad(z)[0]) > \
+            plane2d.STALL_FACTOR * plane2d.INNER_TOL * ray.gram[0][0]
+        assert ray.value(z) < f_x
+
+    def test_the_line_search_reads_inner_tol(self, monkeypatch):
+        """The exact linesearch stops at ``INNER_TOL`` times ||v||^2, so a
+        looser constant makes its searches cheaper in the same steps."""
+        p = generate_logreg(200, 100, 1e3, 0)
+        counts = []
+        for tol in (plane2d.INNER_TOL, 1e-6):
+            monkeypatch.setattr(plane2d, "INNER_TOL", tol)
+            trace = run_gd_exact(p, np.zeros(200))
+            assert trace.iterations == 44
+            counts.append(trace.records[-1].restricted_evals_total)
+        assert counts[1] < counts[0]
 
     def test_orthogonality_and_pythagoras_at_solution(self):
         p = generate_logreg(40, 20, 30.0, 6)

@@ -63,8 +63,8 @@ def test_constant_table_gives_each_constant_its_value():
         module, attr = name.split(".")
         actual = getattr(importlib.import_module(f"ellipcenters.{module}"), attr)
         assert float(value) == actual, name
-    assert {"companion.TOL", "plane2d.MAX_NEWTON", "solvers.INNER_TOL",
-            "solvers.LD_THRESHOLD"} <= set(rows)
+    assert {"companion.TOL", "plane2d.MAX_NEWTON", "plane2d.INNER_TOL",
+            "plane2d.LD_THRESHOLD"} <= set(rows)
 
 
 def test_working_set_table_is_the_memory_budgets():

@@ -348,7 +348,7 @@ def test_a_singular_plane_takes_the_exact_linesearch_step(monkeypatch):
     me = run_me(f, np.zeros(20), SolverConfig(max_outer=1))
     assert me.iterations == 1
     assert me.records[0].li_flag is False
-    assert me.records[0].sin2_theta >= solvers.LD_THRESHOLD
+    assert me.records[0].sin2_theta >= plane2d.LD_THRESHOLD
     assert np.array_equal(me.x_final, gd.x_final)
 
 

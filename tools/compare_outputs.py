@@ -6,8 +6,9 @@ comparison of two versions of the package.
     PYTHONPATH=<checkout B>/src python tools/compare_outputs.py out_b
     diff -r out_a out_b
 
-``runs.txt`` holds, for every solver on six pinned instances (two of them
-problems wrapped as a plain ``Objective``), the status, the record count
+``runs.txt`` holds, for every solver on nine pinned instances (two of them
+problems wrapped as a plain ``Objective``, and three on which an ``me``
+run takes a degenerate plane's line step), the status, the record count
 and SHA-256 digests of every record field (floats as hex) and of the
 ``x_final`` bytes, for a run from the origin and for 40-step
 restarts from a 5-step run's own ``x_final``, from a writable copy of it and
@@ -44,6 +45,11 @@ INSTANCES = {
     "logreg200_s0": lambda: ec.generate_logreg(200, 100, 1e3, 0),
     "quad30_s4_plain": lambda: plain(ec.generate_quadratic(30, 1e2, 4)),
     "logreg200_s0_plain": lambda: plain(ec.generate_logreg(200, 100, 1e3, 0)),
+    # me takes the line step: on 1 of 6 steps, 1 of 6, and its only step
+    "logreg5_s0_line": lambda: ec.generate_logreg(5, 3, 1e6, 0),
+    "logreg20_s1_line": lambda: ec.generate_logreg(20, 10, 1e8, 1),
+    "isotropic30_line": lambda: ec.QuadraticProblem(3.0 * np.eye(30),
+                                                    np.ones(30)),
 }
 
 
